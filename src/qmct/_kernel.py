@@ -1,5 +1,9 @@
 """Integer residual-graph kernels for max-flow and min-cost flow.
 
+Max flow is Dinic's blocking-flow method with levels taken as residual
+distances to the sink (see :func:`max_flow` for why not from the
+source); min-cost flow is successive shortest paths with potentials.
+
 Private module.  All capacities, costs and balances here are plain
 integers; the public wrappers in :mod:`qmct.staticflow` scale rational
 data to a common denominator before calling in and unscale results on
@@ -53,10 +57,11 @@ class Residual:
         return f
 
     def push(self, e: int, amount: int) -> None:
-        if self.rem[e] is not None:
-            self.rem[e] -= amount
-        rev = self.rem[e ^ 1]
-        self.rem[e ^ 1] = amount if rev is None else rev + amount
+        rem = self.rem
+        if rem[e] is not None:
+            rem[e] -= amount
+        if rem[e ^ 1] is not None:
+            rem[e ^ 1] += amount
 
 
 def build(n: int, tails, heads, caps, costs=None) -> Residual:
@@ -70,54 +75,139 @@ def build(n: int, tails, heads, caps, costs=None) -> Residual:
     return g
 
 
-def _bfs_augment(g: Residual, s: int, t: int) -> tuple[int, set[int]]:
-    """One Edmonds-Karp augmentation; returns (pushed, visited)."""
-    parent_edge = [-1] * g.n
-    visited = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
+def _sink_distances(g: Residual, s: int, t: int) -> list[int]:
+    """Residual hop distance to ``t``, by a BFS backwards from ``t``.
+
+    ``u`` is one hop from ``v`` when the partner ``e ^ 1`` of an edge
+    ``e`` of ``v`` (an edge ``u -> v``) has residual capacity.  The BFS
+    stops as soon as ``s`` is labelled: every node closer to ``t`` than
+    ``s`` is labelled by then, and the blocking flow visits no other.
+    Unlabelled nodes keep distance -1.
+    """
+    to = g.to
+    rem = g.rem
+    adj = g.adj
+    dist = [-1] * g.n
+    dist[t] = 0
+    frontier = [t]
+    while frontier:
+        following = []
+        for v in frontier:
+            d = dist[v] + 1
+            for e in adj[v]:
+                u = to[e]
+                if dist[u] < 0 and rem[e ^ 1] != 0:
+                    dist[u] = d
+                    if u == s:
+                        return dist
+                    following.append(u)
+        frontier = following
+    return dist
+
+
+def _blocking_flow(g: Residual, s: int, t: int, dist: list[int]) -> int:
+    """Saturate every shortest ``s``-``t`` path of the level graph ``dist``.
+
+    An iterative depth-first search from ``s`` with current-arc
+    pointers: it only steps from ``u`` to ``v`` when ``dist[v] ==
+    dist[u] - 1``, and a node whose pointer runs out is cut from the
+    level graph by setting its distance to -1.
+    """
+    to = g.to
+    rem = g.rem
+    adj = g.adj
+    pointer = [0] * g.n
+    path: list[int] = []
+    pushed = 0
+    u = s
+    while True:
         if u == t:
-            break
-        for e in g.adj[u]:
-            rem = g.rem[e]
-            if rem != 0:
-                v = g.to[e]
-                if v not in visited:
-                    visited.add(v)
-                    parent_edge[v] = e
-                    queue.append(v)
-    if t not in visited:
-        return 0, visited
-    bottleneck = None
-    v = t
-    while v != s:
-        e = parent_edge[v]
-        rem = g.rem[e]
-        if rem is not None and (bottleneck is None or rem < bottleneck):
-            bottleneck = rem
-        v = g.to[e ^ 1]
-    if bottleneck is None:
-        raise InternalCheckError("augmenting path with no finite capacity")
-    v = t
-    while v != s:
-        e = parent_edge[v]
-        g.push(e, bottleneck)
-        v = g.to[e ^ 1]
-    return bottleneck, visited
+            bottleneck = None
+            for e in path:
+                r = rem[e]
+                if r is not None and (bottleneck is None or r < bottleneck):
+                    bottleneck = r
+            if bottleneck is None:
+                raise InternalCheckError("augmenting path with no finite capacity")
+            for e in path:
+                g.push(e, bottleneck)
+            pushed += bottleneck
+            # Retreat to the tail of the first saturated edge.
+            for k, e in enumerate(path):
+                if rem[e] == 0:
+                    del path[k:]
+                    u = to[e ^ 1]
+                    break
+            continue
+        arcs = adj[u]
+        k = pointer[u]
+        below = dist[u] - 1
+        while k < len(arcs):
+            e = arcs[k]
+            if rem[e] != 0 and dist[to[e]] == below:
+                break
+            k += 1
+        pointer[u] = k
+        if k < len(arcs):
+            e = arcs[k]
+            path.append(e)
+            u = to[e]
+            continue
+        if u == s:
+            return pushed
+        dist[u] = -1
+        e = path.pop()
+        u = to[e ^ 1]
+        pointer[u] += 1
+
+
+def _residual_reachable(g: Residual, s: int) -> set[int]:
+    """Nodes reachable from ``s`` over edges with residual capacity."""
+    to = g.to
+    rem = g.rem
+    adj = g.adj
+    seen = [False] * g.n
+    seen[s] = True
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for e in adj[u]:
+            v = to[e]
+            if not seen[v] and rem[e] != 0:
+                seen[v] = True
+                stack.append(v)
+    return {v for v in range(g.n) if seen[v]}
 
 
 def max_flow(g: Residual, s: int, t: int) -> tuple[int, set[int]]:
-    """Maximum s-t flow; returns (value, residual-reachable node set).
+    """Maximum s-t flow by Dinic's blocking-flow method.
 
-    The returned node set is the source side of a minimum cut.
+    Returns ``(value, reachable)``, where ``reachable`` is the set of
+    nodes reachable from ``s`` in the final residual graph: the source
+    side of a minimum cut.
+
+    Each phase labels nodes by their residual distance *to the sink*
+    (:func:`_sink_distances`) rather than from the source, and then
+    saturates the shortest paths of that level graph
+    (:func:`_blocking_flow`).  On a time expansion the source reaches
+    many node copies that can no longer reach the sink in time.  Forward
+    levels from the source walk all of them in every phase; sink
+    distances never label them.  On the expansions probed for
+    ``generate(.., nodes=60, terminals=8, tau_max=10)`` instances (the
+    ``random-wide`` benchmark workload), forward levels made max flow
+    2.3 times slower than sink distances, and slower than the
+    Edmonds-Karp method it replaced (Python 3.11, two vCPUs of a shared
+    Xeon).
+
+    Integers stay exact throughout; an augmenting path made only of
+    uncapacitated edges raises :class:`InternalCheckError`.
     """
     value = 0
     while True:
-        pushed, visited = _bfs_augment(g, s, t)
-        if pushed == 0:
-            return value, visited
-        value += pushed
+        dist = _sink_distances(g, s, t)
+        if dist[s] < 0:
+            return value, _residual_reachable(g, s)
+        value += _blocking_flow(g, s, t, dist)
 
 
 def _initial_potentials(g: Residual) -> list[int]:

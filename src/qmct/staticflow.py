@@ -202,7 +202,12 @@ def decompose(
     The superposition of the returned paths and cycles reproduces the
     input arc-by-arc.  Every path runs from a node with net outflow to a
     node with net inflow; extraction is deterministic (lowest arc index
-    first).
+    first).  Each walk starts at the lowest-indexed node that still has
+    net outflow and flow left on an out-arc, else at the tail of the
+    lowest-indexed arc with flow left.  Neither index ever decreases, so
+    path start nodes come out in non-decreasing order and two forward
+    cursors, one over nodes and one over arcs, replace a rescan per
+    path.
     """
     remaining = list(flow.values)
     net = [Fraction(0)] * problem.num_nodes
@@ -228,13 +233,26 @@ def decompose(
     paths: list[tuple[tuple[int, ...], Fraction]] = []
     cycles: list[tuple[tuple[int, ...], Fraction]] = []
 
+    # Both start conditions, "net[v] > 0 with an out-arc still carrying
+    # flow" and "remaining[i] != 0", only ever turn from true to false:
+    # a path lowers net[start] to at least 0 and raises a negative
+    # net[end] to at most 0, and remaining flow only falls.  So the
+    # lowest qualifying node or arc never moves down, and two forward
+    # cursors find the same start as a rescan from index 0.
+    node_cursor = 0
+    arc_cursor = 0
+
     def start_node() -> int | None:
-        for v in range(problem.num_nodes):
+        nonlocal node_cursor, arc_cursor
+        while node_cursor < problem.num_nodes:
+            v = node_cursor
             if net[v] > 0 and next_arc(v) is not None:
                 return v
-        for i in range(problem.num_arcs):
-            if remaining[i] != 0:
-                return problem.tails[i]
+            node_cursor += 1
+        while arc_cursor < problem.num_arcs:
+            if remaining[arc_cursor] != 0:
+                return problem.tails[arc_cursor]
+            arc_cursor += 1
         return None
 
     while True:

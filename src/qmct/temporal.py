@@ -402,13 +402,22 @@ def quickest_transshipment(
     t_lb = _horizon_lower_bound(network, bal)
     t_ub = max(horizon_upper_bound(network, bal), t_lb)
 
-    witnesses: dict[int, tuple[TimeExpandedGraph, list[int], set[int]]] = {}
+    # Only two probe results outlive their probe: the flows of the
+    # smallest feasible horizon so far (``hi`` only ever decreases), and
+    # the residual-reachable set of the last infeasible probe, which is
+    # the cut certificate when the search runs out of horizons.
+    feasible_probe: tuple[TimeExpandedGraph, list[int]] | None = None
+    cut: tuple[int, set[int]] = (0, set())
 
     def probe(horizon: int) -> bool:
+        nonlocal feasible_probe, cut
         graph = expand(network, horizon, bal, max_layers)
         value, flows, reachable = _solve_max(graph)
-        witnesses[horizon] = (graph, flows, reachable)
-        return value == graph.total_supply_scaled
+        if value == graph.total_supply_scaled:
+            feasible_probe = (graph, flows)
+            return True
+        cut = (graph.super_source, reachable)
+        return False
 
     lo = t_lb - 1
     hi = None
@@ -419,9 +428,9 @@ def quickest_transshipment(
             break
         lo = horizon
         if horizon >= t_ub:
-            graph, _, reachable = witnesses[horizon]
+            super_source, reachable = cut
             stranded = sorted(
-                {v % len(network.nodes) for v in reachable if v < graph.super_source}
+                {v % len(network.nodes) for v in reachable if v < super_source}
             )
             raise InfeasibleError(
                 "no horizon admits a transshipment: supplies are cut off from demands",
@@ -439,7 +448,8 @@ def quickest_transshipment(
         else:
             lo = mid
 
-    graph, flows, _ = witnesses[hi]
+    assert feasible_probe is not None
+    graph, flows = feasible_probe
     movement_flows = flows[: len(graph.movement)]
     schedule = _schedule_from_movement(graph, movement_flows)
     return QuickestResult(hi, schedule, _witness(graph, flows))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -79,3 +81,34 @@ def test_balances_sum_to_zero():
 def test_tiny_node_count_rejected():
     with pytest.raises(ValueError):
         generate(1, nodes=1)
+
+
+# Balances come from whichever maximum flow ``staticflow.max_flow``
+# returns on the pair-reachability graph, so a max-flow change that picks
+# another optimal flow changes the instances silently.  The digests pin
+# 150 instances per option set: the defaults and the options of the two
+# generated benchmark workloads.
+GOLDEN_DIGESTS = {
+    "default": (
+        {},
+        "fc3ecfb5e15713069684fce169f6280f6c0fd9d3547b712aa91375bbd69158e2",
+    ),
+    "random-wide": (
+        dict(nodes=60, terminals=8, tau_max=10, cost_max=9, negative_costs=True),
+        "27e8dbb02ef43fa80301cf8b891e0a579a84c811cba68d9963070c9028ab54ec",
+    ),
+    "oracle-crosscheck": (
+        dict(nodes=10, terminals=3, tau_max=8, cap_max=5, negative_costs=True),
+        "e0ebe313f3d9a2b4640a4da160c8e6725ad7d37647f2894e1a694b4f1cfea33d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_generated_instances_match_golden_digest(name):
+    options, expected = GOLDEN_DIGESTS[name]
+    digest = hashlib.sha256()
+    for seed in range(150):
+        doc = network_to_doc(generate(seed, **options))
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == expected

@@ -204,6 +204,26 @@ def test_oracle_agreement_with_negative_costs():
         assert (report.cost, report.horizon) == oracle_quickest_mincost(net), seed
 
 
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        # The oracle once answered horizon 9 here: its min-cost flow
+        # cancelled flow over the reverse edge of an uncapacitated
+        # holdover arc, which then kept a finite capacity.
+        (2024440069, (Fraction(10), 8)),
+        # The same defect made the transportation solve raise
+        # InternalCheckError on this instance.
+        (1149221581, (Fraction(21), 14)),
+    ],
+)
+def test_oracle_agreement_after_cancelling_uncapacitated_flow(seed, expected):
+    net = generate(seed, nodes=10, terminals=3, tau_max=8, cap_max=5, negative_costs=True)
+    report = solve_quickest_mincost(net)
+    assert report.all_checks_pass
+    assert (report.cost, report.horizon) == expected
+    assert oracle_quickest_mincost(net) == expected
+
+
 def test_oracle_agreement_with_fractional_data():
     # Halve some capacities and divide transits by three: scaling and
     # rational flow values must not change the (cost, horizon) agreement.

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from _brute import min_cut_by_enumeration
+from qmct import _kernel
 from qmct.errors import InfeasibleError
 from qmct.staticflow import (
     FlowProblem,
@@ -66,19 +67,62 @@ def test_demo_zero_transit_auxiliary_value_two(demo):
     assert result.value == min_cut_by_enumeration(problem, src, snk) == 2
 
 
+def _networkx_max_flow_value(problem, source, sink):
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(problem.num_nodes))
+    for u, v, cap in zip(problem.tails, problem.heads, problem.capacities):
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v, capacity=0)
+        edge = graph[u][v]
+        if cap is None:
+            # networkx reads an edge without a capacity as unbounded.
+            edge.pop("capacity", None)
+        elif "capacity" in edge:
+            edge["capacity"] += cap
+    return nx.maximum_flow_value(graph, source, sink)
+
+
 def test_min_cut_certificate_matches_value():
     rng = random.Random(7)
-    for _ in range(25):
+    checked = 0
+    for trial in range(120):
+        # The first 25 graphs have finite capacities only; later ones
+        # mix in uncapacitated, parallel and antiparallel arcs.
+        mixed = trial >= 25
         n = rng.randint(3, 6)
         arcs = []
         for _ in range(rng.randint(3, 12)):
             u, v = rng.sample(range(n), 2)
-            arcs.append((u, v, rng.randint(1, 4)))
+            if not mixed:
+                arcs.append((u, v, rng.randint(1, 4)))
+                continue
+            arcs.append((u, v, rng.choice([None, 1, 2, 3, 4])))
+            roll = rng.random()
+            if roll < 0.25:
+                arcs.append((u, v, rng.randint(1, 4)))
+            elif roll < 0.5:
+                arcs.append((v, u, rng.choice([None, 1, 2, 3, 4])))
         problem = FlowProblem.of(n, arcs)
-        result = max_flow(problem, 0, n - 1)
+        try:
+            result = max_flow(problem, 0, n - 1)
+        except ValueError:
+            continue  # no finite cut: an uncapacitated path joins the terminals
+        checked += 1
         assert 0 in result.cut_nodes and n - 1 not in result.cut_nodes
         assert cut_capacity(problem, result.cut_nodes) == result.value
         assert result.value == min_cut_by_enumeration(problem, 0, n - 1)
+        assert result.value == _networkx_max_flow_value(problem, 0, n - 1)
+    assert checked >= 80
+
+
+def test_push_back_keeps_uncapacitated_edge_unbounded():
+    g = _kernel.Residual(2)
+    e = g.add(0, 1, None)
+    g.push(e, 3)
+    g.push(e ^ 1, 1)
+    assert g.rem[e] is None
+    assert g.flow(e) == 2
 
 
 def test_fractional_capacities_exact():
@@ -240,10 +284,15 @@ def test_decompose_demo_static_projection(demo):
 
 def test_decompose_superposition_random():
     rng = random.Random(23)
-    for _ in range(30):
-        n = rng.randint(3, 7)
+    many_terminals = 0
+    for trial in range(90):
+        # The first 30 flows are small; later ones superpose more walks
+        # on more nodes, so many nodes have positive or negative net
+        # flow and the start cursor has to skip spent nodes.
+        max_nodes, max_walks = (7, 5) if trial < 30 else (12, 15)
+        n = rng.randint(3, max_nodes)
         arcs = []
-        for _ in range(rng.randint(4, 14)):
+        for _ in range(rng.randint(4, 2 * max_nodes)):
             u, v = rng.sample(range(n), 2)
             arcs.append((u, v, None))
         problem = FlowProblem.of(n, arcs)
@@ -252,7 +301,7 @@ def test_decompose_superposition_random():
         out_by_node = [[] for _ in range(n)]
         for i in range(problem.num_arcs):
             out_by_node[problem.tails[i]].append(i)
-        for _ in range(rng.randint(1, 5)):
+        for _ in range(rng.randint(1, max_walks)):
             v = rng.randrange(n)
             amount = Fraction(rng.randint(1, 4), rng.choice([1, 2]))
             for _step in range(rng.randint(1, 2 * n)):
@@ -261,6 +310,12 @@ def test_decompose_superposition_random():
                 arc = rng.choice(out_by_node[v])
                 values[arc] += amount
                 v = problem.heads[arc]
+        net = [Fraction(0)] * n
+        for i, f in enumerate(values):
+            net[problem.tails[i]] += f
+            net[problem.heads[i]] -= f
+        if sum(x > 0 for x in net) >= 3 and sum(x < 0 for x in net) >= 3:
+            many_terminals += 1
         flow = StaticFlow(tuple(values))
         paths, cycles = decompose(problem, flow)
         rebuilt = [Fraction(0)] * problem.num_arcs
@@ -274,3 +329,6 @@ def test_decompose_superposition_random():
                 problem.heads[a] == problem.tails[b]
                 for a, b in zip(arcs_seq, arcs_seq[1:])
             )
+        starts = [problem.tails[arcs_seq[0]] for arcs_seq, _ in paths]
+        assert starts == sorted(starts)
+    assert many_terminals >= 10
