@@ -1,12 +1,17 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
+from qmct.io import load_instance
 from qmct.network import Network
+from qmct.pipeline import scale_transits, solve_quickest, solve_quickest_mincost
 from qmct.temporal import (
     ArcIntervals,
     FlowOverTime,
@@ -268,6 +273,38 @@ def test_storage_trace_tracks_waiting_flow():
     assert trace["t"][-1] == 2
     assert trace["s"][0] == 2
     assert trace["s"][-1] == 0
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+# Digest of ``storage_trace`` over the schedules both solver modes return
+# for the bundled instances and 20 generated ones (half of them with
+# negative costs), so that a change to the schedule simulator that shifts
+# any held amount at any step shows up.
+STORAGE_GOLDEN = "f0070adba08ff8d41063225d6556f96cd3d8d1cb39d073861e02fa0b856cecd6"
+
+
+def _storage_instances():
+    for path in sorted(INSTANCES.glob("*.json")):
+        yield load_instance(path)
+    for seed in range(10):
+        yield generate(seed)
+    for seed in range(10):
+        yield generate(seed, nodes=8, terminals=3, tau_max=4, negative_costs=True)
+
+
+def test_storage_trace_matches_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for net in _storage_instances():
+        scaled, _ = scale_transits(net)
+        for solver in (solve_quickest_mincost, solve_quickest):
+            trace = storage_trace(scaled, solver(net).schedule)
+            doc = {v: [str(x) for x in held] for v, held in trace.items()}
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+        count += 1
+    assert count == 23
+    assert digest.hexdigest() == STORAGE_GOLDEN
 
 
 def test_horizon_upper_bound_is_generous_but_finite(demo):
