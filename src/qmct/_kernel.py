@@ -1,20 +1,39 @@
-"""Integer residual-graph kernels for max-flow and min-cost flow.
+"""Residual-graph kernels: max flow, min-cost flow and labels.
 
 Max flow is Dinic's blocking-flow method with levels taken as residual
 distances to the sink (see :func:`max_flow` for why not from the
 source); min-cost flow is successive shortest paths with potentials.
 
-Private module.  All capacities, costs and balances here are plain
-integers; the public wrappers in :mod:`qmct.staticflow` scale rational
-data to a common denominator before calling in and unscale results on
-the way out.  A capacity of ``None`` means uncapacitated; it is only
-ever compared against, never used in arithmetic.
+:func:`label_correct` is the solver's one label-correcting routine:
+cheapest-path costs, the admissible subnetwork, the horizon bounds,
+validation's negative-cycle test and the min-cost potentials all run
+it.  It only adds and compares costs, so it is exact for ints and
+Fractions alike.  Its cycle test is the walk-length criterion of
+Cherkassky & Goldberg (*Negative-cycle detection algorithms*, Math.
+Prog. 1999).  Each label is the cost of its *label walk*, whose edges
+were relaxed one after another.  If a node ``x`` repeats on a label
+walk, the later relaxation set ``x``'s label below what the earlier one
+had set, since labels only fall; so the cycle between the two lowered
+``x``'s own label and costs less than zero.  A walk of ``n`` edges
+repeats a node, so reaching ``n`` edges proves a negative cycle.
+Without one, label walks are simple and the test stays quiet; with a
+reachable one the labels never settle, which they would if all walks
+stayed below ``n`` edges, as those have finitely many costs.  Counting
+how often a label falls is no such test: parallel arcs of falling
+negative cost lower a label many times without any cycle.
+
+Private module.  Capacities, balances and the flow kernels' costs are
+plain integers; the public wrappers in :mod:`qmct.staticflow` scale
+rational data to a common denominator before calling in and unscale
+results on the way out.  A capacity of ``None`` means uncapacitated; it
+is only ever compared against, never used in arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from typing import Iterable
 
 from .errors import InternalCheckError
 
@@ -27,7 +46,8 @@ class Residual:
     Edge ``2k`` is the forward copy of input arc ``k`` (when built via
     :func:`build`), edge ``2k+1`` its reverse.  ``rem[e]`` is the
     remaining capacity (``None`` = unbounded) and ``rem[e ^ 1]`` of a
-    forward edge equals the flow currently on it.
+    forward edge equals the flow currently on it.  Costs are ints, except
+    on label graphs (:func:`arc_graph`), which may carry Fractions.
     """
 
     __slots__ = ("n", "to", "rem", "cost", "adj")
@@ -210,34 +230,68 @@ def max_flow(g: Residual, s: int, t: int) -> tuple[int, set[int]]:
         value += _blocking_flow(g, s, t, dist)
 
 
-def _initial_potentials(g: Residual) -> list[int]:
-    """Label-correcting pass from an implicit zero-cost root to all nodes.
+def label_correct(g: Residual, start: int | None = None) -> list | None:
+    """FIFO label-correcting labels over the edges with remaining capacity.
 
-    Produces potentials with non-negative reduced cost on every edge of
-    positive remaining capacity.  Raises if relaxation fails to settle
-    (a negative cycle, which validation should have excluded).
+    Labels grow from ``start``, or, when ``start`` is None, from an
+    implicit zero-cost root joined to every node, so that every label
+    starts at 0.  Nodes ``start`` does not reach get None.  Returns None
+    instead of the labels when a negative cycle is reachable, that is,
+    when a label's walk (root edge not counted) would reach ``n`` edges.
     """
-    pi = [0] * g.n
-    in_queue = [True] * g.n
-    relax_count = [0] * g.n
-    queue = deque(range(g.n))
+    n = g.n
+    to = g.to
+    rem = g.rem
+    cost = g.cost
+    adj = g.adj
+    if start is None:
+        dist: list = [0] * n
+        queue = deque(range(n))
+    else:
+        dist = [None] * n
+        dist[start] = 0
+        queue = deque([start])
+    queued = [d is not None for d in dist]
+    walk = [0] * n
     while queue:
         u = queue.popleft()
-        in_queue[u] = False
-        base = pi[u]
-        for e in g.adj[u]:
-            if g.rem[e] != 0:
-                v = g.to[e]
-                d = base + g.cost[e]
-                if d < pi[v]:
-                    pi[v] = d
-                    relax_count[v] += 1
-                    if relax_count[v] > g.n + 1:
-                        raise InternalCheckError("negative cycle during potential init")
-                    if not in_queue[v]:
-                        in_queue[v] = True
+        queued[u] = False
+        base = dist[u]
+        edges = walk[u] + 1
+        for e in adj[u]:
+            if rem[e] != 0:
+                v = to[e]
+                d = base + cost[e]
+                old = dist[v]
+                if old is None or d < old:
+                    if edges >= n:
+                        return None
+                    dist[v] = d
+                    walk[v] = edges
+                    if not queued[v]:
+                        queued[v] = True
                         queue.append(v)
-    return pi
+    return dist
+
+
+def labels(g: Residual, start: int | None = None) -> list:
+    """:func:`label_correct` for callers that have excluded negative cycles.
+
+    Validation rejects networks with a negative cycle, so meeting one
+    here means a solver bug: raises :class:`InternalCheckError`.
+    """
+    dist = label_correct(g, start)
+    if dist is None:
+        raise InternalCheckError("negative cycle reached during labeling")
+    return dist
+
+
+def arc_graph(n: int, arcs: Iterable[tuple]) -> Residual:
+    """One uncapacitated edge per ``(tail, head, cost)`` arc, for labelling."""
+    g = Residual(n)
+    for u, v, c in arcs:
+        g.add(u, v, None, c)
+    return g
 
 
 def _dijkstra(g: Residual, s: int, t: int, pi: list[int]):
@@ -273,7 +327,7 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int):
     with remaining capacity, and ``reachable`` is the residual-reachable
     set from ``s`` when routing stopped short (else None).
     """
-    pi = _initial_potentials(g)
+    pi = labels(g)
     routed = 0
     while routed < target:
         dist, parent_edge = _dijkstra(g, s, t, pi)

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cheapest import bellman_ford
+from . import _kernel
 from .errors import InternalCheckError
 from .network import Network
 from .transport import DualSolution
@@ -72,7 +72,7 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     subnetwork with a warning.
     """
     n = extended.num_nodes
-    forward = bellman_ford(n, extended.arcs, extended.super_source)
+    forward = _kernel.labels(_kernel.arc_graph(n, extended.arcs), extended.super_source)
     opt = forward[extended.super_sink]
     if opt is None:
         warnings.warn("super sink unreachable; admissible subnetwork is empty", stacklevel=2)
@@ -81,8 +81,8 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
         raise InternalCheckError(
             f"cheapest extended path costs {opt}, expected 0 for an optimal dual"
         )
-    reversed_arcs = [(head, tail, cost) for tail, head, cost in extended.arcs]
-    backward = bellman_ford(n, reversed_arcs, extended.super_sink)
+    reversed_arcs = ((head, tail, cost) for tail, head, cost in extended.arcs)
+    backward = _kernel.labels(_kernel.arc_graph(n, reversed_arcs), extended.super_sink)
 
     base = extended.base
     idx = base.node_index

@@ -1,18 +1,21 @@
 """Cheapest-path labels and cheapest-path subnetworks.
 
-Arc costs may be negative as long as the network is conservative, so all
-labeling is label-correcting (Bellman-Ford) rather than Dijkstra.
-Unreachable nodes are represented by absence from the label map, never
-by a sentinel value.
+Arc costs may be negative as long as the network is conservative, so
+labels come from the label-correcting routine :func:`qmct._kernel.labels`
+rather than from Dijkstra.  Costs stay exact Fractions.  A reachable
+negative cycle, which validation excludes, raises
+:class:`~qmct.errors.InternalCheckError`.  Unreachable nodes are
+represented by absence from the label map, never by a sentinel value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .errors import InternalCheckError, NoPathError
+from . import _kernel
+from .errors import NoPathError
 from .network import Network, NodeId
 
 FROM_SOURCE = "from-source"
@@ -39,61 +42,29 @@ class CostLabels:
         return self.values[node]
 
 
-def bellman_ford(
-    num_nodes: int,
-    arcs: Sequence[tuple[int, int, Fraction]],
-    start: int,
-) -> list[Fraction | None]:
-    """Cheapest-path costs from ``start``; None marks unreachable nodes.
-
-    Runs at most ``num_nodes - 1`` relaxation rounds plus one detection
-    round; a relaxation in the detection round means a negative cycle is
-    reachable, which callers are expected to have excluded.
-    """
-    dist: list[Fraction | None] = [None] * num_nodes
-    dist[start] = Fraction(0)
-    for _ in range(max(num_nodes - 1, 0)):
-        changed = False
-        for tail, head, cost in arcs:
-            base = dist[tail]
-            if base is None:
-                continue
-            d = base + cost
-            old = dist[head]
-            if old is None or d < old:
-                dist[head] = d
-                changed = True
-        if not changed:
-            break
-    else:
-        for tail, head, cost in arcs:
-            base = dist[tail]
-            if base is not None:
-                old = dist[head]
-                if old is None or base + cost < old:
-                    raise InternalCheckError("negative cycle reached during labeling")
-    return dist
-
-
-def _indexed_arcs(network: Network) -> list[tuple[int, int, Fraction]]:
+def _graph(network: Network, reverse: bool = False) -> _kernel.Residual:
     idx = network.node_index
-    return [(idx(a.tail), idx(a.head), a.cost) for a in network.arcs]
+    arcs = [(idx(a.tail), idx(a.head), a.cost) for a in network.arcs]
+    if reverse:
+        arcs = [(head, tail, cost) for tail, head, cost in arcs]
+    return _kernel.arc_graph(len(network.nodes), arcs)
+
+
+def _cost_labels(network: Network, origin: NodeId, direction: str) -> CostLabels:
+    g = _graph(network, reverse=direction == TO_SINK)
+    dist = _kernel.labels(g, network.node_index(origin))
+    values = {v: d for v, d in zip(network.nodes, dist) if d is not None}
+    return CostLabels(origin, direction, values)
 
 
 def cheapest_from(network: Network, source: NodeId) -> CostLabels:
     """Cost of a cheapest path from ``source`` to every reachable node."""
-    dist = bellman_ford(len(network.nodes), _indexed_arcs(network), network.node_index(source))
-    values = {v: d for v, d in zip(network.nodes, dist) if d is not None}
-    return CostLabels(source, FROM_SOURCE, values)
+    return _cost_labels(network, source, FROM_SOURCE)
 
 
 def cheapest_to(network: Network, sink: NodeId) -> CostLabels:
     """Cost of a cheapest path from every node to ``sink`` (reversed labeling)."""
-    idx = network.node_index
-    reversed_arcs = [(idx(a.head), idx(a.tail), a.cost) for a in network.arcs]
-    dist = bellman_ford(len(network.nodes), reversed_arcs, idx(sink))
-    values = {v: d for v, d in zip(network.nodes, dist) if d is not None}
-    return CostLabels(sink, TO_SINK, values)
+    return _cost_labels(network, sink, TO_SINK)
 
 
 def subnetwork_arcs(
@@ -123,13 +94,17 @@ def cheapest_paths_subnetwork(network: Network, source: NodeId, sink: NodeId) ->
 def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], Fraction]:
     """Cheapest-path cost for every source-sink pair connected by a path.
 
-    Pairs with no connecting path are absent from the result.
+    Pairs with no connecting path are absent from the result.  One label
+    graph serves every source.
     """
+    g = _graph(network)
+    idx = network.node_index
     sinks = network.sinks
     costs: dict[tuple[NodeId, NodeId], Fraction] = {}
     for s in network.sources:
-        labels = cheapest_from(network, s)
+        dist = _kernel.labels(g, idx(s))
         for t in sinks:
-            if t in labels:
-                costs[(s, t)] = labels[t]
+            d = dist[idx(t)]
+            if d is not None:
+                costs[(s, t)] = d
     return costs

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import _kernel
 from .rationals import as_rational
 
 NodeId = str
@@ -153,30 +154,6 @@ def path_transit(network: Network, path: Path) -> Fraction:
     return sum((network.arcs[i].transit for i in path.arcs), Fraction(0))
 
 
-def has_negative_cycle(
-    num_nodes: int, arcs: Sequence[tuple[int, int, Fraction]]
-) -> bool:
-    """Label-correcting negative-cycle test over all nodes.
-
-    Runs n-1 relaxation rounds from an implicit artificial root connected
-    to every node at cost 0, then one detection round.
-    """
-    dist = [Fraction(0)] * num_nodes
-    for _ in range(max(num_nodes - 1, 0)):
-        changed = False
-        for tail, head, cost in arcs:
-            d = dist[tail] + cost
-            if d < dist[head]:
-                dist[head] = d
-                changed = True
-        if not changed:
-            return False
-    for tail, head, cost in arcs:
-        if dist[tail] + cost < dist[head]:
-            return True
-    return False
-
-
 def validate(network: Network) -> ValidationReport:
     """Check every structural invariant and report all violations.
 
@@ -198,12 +175,13 @@ def validate(network: Network) -> ValidationReport:
     if total != 0:
         violations.append(Violation("balance", f"balances sum to {total}, expected 0"))
 
-    indexed = [
+    # Self-loops are reported above; the cycle test runs on the rest.
+    indexed = (
         (network.node_index(a.tail), network.node_index(a.head), a.cost)
         for a in network.arcs
         if a.tail != a.head
-    ]
-    if has_negative_cycle(len(network.nodes), indexed):
+    )
+    if _kernel.label_correct(_kernel.arc_graph(len(network.nodes), indexed)) is None:
         violations.append(Violation("negative-cycle", "network contains a negative-cost cycle"))
 
     return ValidationReport(tuple(violations))

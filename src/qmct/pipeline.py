@@ -165,35 +165,26 @@ def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction
     """Project the witness onto terminal pairs: (source, sink, amount, path cost).
 
     The boolean is False if the witness contains a nonzero-cost cycle,
-    which would invalidate the projection's cost accounting.
+    which would invalidate the projection's cost accounting.  The
+    witness's integer flows are decomposed as they are; only the routed
+    amounts are unscaled.
     """
     witness = run.quickest.witness
     graph = witness.graph
-    problem, flow = witness.as_flow_problem()
-    paths, cycles = staticflow.decompose(problem, flow)
+    paths, cycles = staticflow.decompose(graph, staticflow.StaticFlow(witness.flows))
     n = len(run.restricted.nodes)
+    movement = graph.movement
+
+    def cost(arc_seq: tuple[int, ...]) -> Fraction:
+        legs = (movement[e][0] for e in arc_seq if e < len(movement))
+        return sum((run.restricted.arcs[i].cost for i in legs), Fraction(0))
+
     routes = []
-    clean = True
-    movement_count = len(graph.movement)
     for arc_seq, amount in paths:
-        cost = Fraction(0)
-        for e in arc_seq:
-            if e < movement_count:
-                original, _layer = graph.movement[e]
-                cost += run.restricted.arcs[original].cost
-        first = arc_seq[0]
-        last = arc_seq[-1]
-        source = run.restricted.nodes[graph.heads[first] % n]
-        sink = run.restricted.nodes[graph.tails[last] % n]
-        routes.append((source, sink, amount, cost))
-    for arc_seq, _amount in cycles:
-        cost = Fraction(0)
-        for e in arc_seq:
-            if e < movement_count:
-                original, _layer = graph.movement[e]
-                cost += run.restricted.arcs[original].cost
-        if cost != 0:
-            clean = False
+        source = run.restricted.nodes[graph.heads[arc_seq[0]] % n]
+        sink = run.restricted.nodes[graph.tails[arc_seq[-1]] % n]
+        routes.append((source, sink, Fraction(amount, graph.cap_scale), cost(arc_seq)))
+    clean = all(cost(arc_seq) == 0 for arc_seq, _amount in cycles)
     return routes, clean
 
 

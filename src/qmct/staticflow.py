@@ -69,9 +69,12 @@ def problem_from_network(network: Network) -> FlowProblem:
 
 @dataclass(frozen=True)
 class StaticFlow:
-    """Per-arc flow values aligned with a FlowProblem's arc order."""
+    """Per-arc flow values aligned with a FlowProblem's arc order.
 
-    values: tuple[Fraction, ...]
+    Solvers return Fractions; :func:`decompose` also takes integers.
+    """
+
+    values: tuple[Fraction | int, ...]
 
 
 @dataclass(frozen=True)
@@ -208,9 +211,14 @@ def decompose(
     path start nodes come out in non-decreasing order and two forward
     cursors, one over nodes and one over arcs, replace a rescan per
     path.
+
+    Only the graph of ``problem`` (``num_nodes``, ``num_arcs``,
+    ``tails``, ``heads``) is read, so a time expansion serves as well as
+    a :class:`FlowProblem`.  Flow values may be ints or Fractions;
+    amounts come out in the same type.
     """
     remaining = list(flow.values)
-    net = [Fraction(0)] * problem.num_nodes
+    net = [0] * problem.num_nodes
     for i, f in enumerate(remaining):
         if f < 0:
             raise ValueError(f"negative flow on arc {i}")

@@ -24,11 +24,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import _kernel
-from .cheapest import bellman_ford
 from .errors import HorizonLimitError, InfeasibleError
 from .network import Network, NodeId
 from .rationals import as_rational, common_denominator
-from .staticflow import FlowProblem, StaticFlow
 
 
 @dataclass(frozen=True)
@@ -91,19 +89,15 @@ class FlowOverTime:
 
 @dataclass(frozen=True)
 class ExpansionWitness:
-    """A static flow on an expansion, kept for downstream verification."""
+    """A static flow on an expansion, kept for downstream verification.
+
+    ``flows`` are the kernel's integer flows in the expansion's arc
+    order, scaled like its capacities: arc ``i`` carries
+    ``flows[i] / graph.cap_scale``.
+    """
 
     graph: TimeExpandedGraph
-    flows: tuple[Fraction, ...]
-
-    def as_flow_problem(self) -> tuple[FlowProblem, StaticFlow]:
-        g = self.graph
-        caps = tuple(
-            None if c is None else Fraction(c, g.cap_scale) for c in g.capacities
-        )
-        costs = tuple(Fraction(c, g.cost_scale) for c in g.costs)
-        problem = FlowProblem(g.num_nodes, g.tails, g.heads, caps, costs)
-        return problem, StaticFlow(self.flows)
+    flows: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -271,10 +265,10 @@ def _schedule_from_movement(
     return FlowOverTime(graph.horizon, tuple(entries))
 
 
-def _solve_max(graph: TimeExpandedGraph) -> tuple[int, list[int], set[int]]:
+def _solve_max(graph: TimeExpandedGraph) -> tuple[int, tuple[int, ...], set[int]]:
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
     value, reachable = _kernel.max_flow(g, graph.super_source, graph.super_sink)
-    flows = [g.flow(2 * i) for i in range(graph.num_arcs)]
+    flows = tuple(g.flow(2 * i) for i in range(graph.num_arcs))
     return value, flows, reachable
 
 
@@ -300,16 +294,10 @@ def feasibility_witness(
     """
     graph = expand(network, horizon, balances, max_layers)
     if graph.total_supply_scaled == 0 or horizon == 0:
-        empty = _witness(graph, [0] * graph.num_arcs)
+        empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
         return graph.total_supply_scaled == 0, empty
     value, flows, _ = _solve_max(graph)
-    return value == graph.total_supply_scaled, _witness(graph, flows)
-
-
-def _witness(graph: TimeExpandedGraph, flows: Sequence[int]) -> ExpansionWitness:
-    return ExpansionWitness(
-        graph, tuple(Fraction(f, graph.cap_scale) for f in flows)
-    )
+    return value == graph.total_supply_scaled, ExpansionWitness(graph, flows)
 
 
 def _horizon_lower_bound(network: Network, bal: dict[NodeId, Fraction]) -> int:
@@ -323,19 +311,20 @@ def _horizon_lower_bound(network: Network, bal: dict[NodeId, Fraction]) -> int:
     sources = [v for v in network.nodes if bal[v] > 0]
     sinks = [v for v in network.nodes if bal[v] < 0]
     idx = network.node_index
-    arcs = [(idx(a.tail), idx(a.head), a.transit) for a in network.arcs]
-    n = len(network.nodes)
+    transits = _integer_transits(network)
+    arcs = ((idx(a.tail), idx(a.head), tau) for a, tau in zip(network.arcs, transits))
+    g = _kernel.arc_graph(len(network.nodes), arcs)
     best = 0
-    sink_best: dict[NodeId, Fraction] = {}
+    sink_best: dict[NodeId, int] = {}
     for s in sources:
-        dist = bellman_ford(n, arcs, idx(s))
+        dist = _kernel.labels(g, idx(s))
         reachable = [dist[idx(t)] for t in sinks if dist[idx(t)] is not None]
         if not reachable:
             raise InfeasibleError(
                 f"supply at {s!r} cannot reach any sink",
                 certificate={"isolated": s, "side": "source"},
             )
-        best = max(best, int(min(reachable)))
+        best = max(best, min(reachable))
         for t in sinks:
             d = dist[idx(t)]
             if d is not None and (t not in sink_best or d < sink_best[t]):
@@ -346,7 +335,7 @@ def _horizon_lower_bound(network: Network, bal: dict[NodeId, Fraction]) -> int:
                 f"demand at {t!r} cannot be reached by any source",
                 certificate={"isolated": t, "side": "sink"},
             )
-        best = max(best, int(sink_best[t]))
+        best = max(best, sink_best[t])
     return best + 1
 
 
@@ -369,13 +358,13 @@ def horizon_upper_bound(
     u_min = min(a.capacity for a in network.arcs)
     tau_max = max(transits)
     idx = network.node_index
-    hops = [(idx(a.tail), idx(a.head), Fraction(0)) for a in network.arcs]
     n = len(network.nodes)
+    g = _kernel.arc_graph(n, ((idx(a.tail), idx(a.head), 0) for a in network.arcs))
     pair_count = 0
     sinks = [v for v in network.nodes if bal[v] < 0]
     for s in network.nodes:
         if bal[s] > 0:
-            dist = bellman_ford(n, hops, idx(s))
+            dist = _kernel.labels(g, idx(s))
             pair_count += sum(1 for t in sinks if dist[idx(t)] is not None)
     return math.ceil(total / u_min) + pair_count * (n - 1) * tau_max
 
@@ -397,7 +386,8 @@ def quickest_transshipment(
     total = sum((b for b in bal.values() if b > 0), Fraction(0))
     if total == 0:
         graph = expand(network, 0, bal, max_layers)
-        return QuickestResult(0, FlowOverTime(0, ()), _witness(graph, [0] * graph.num_arcs))
+        empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
+        return QuickestResult(0, FlowOverTime(0, ()), empty)
 
     t_lb = _horizon_lower_bound(network, bal)
     t_ub = max(horizon_upper_bound(network, bal), t_lb)
@@ -406,7 +396,7 @@ def quickest_transshipment(
     # smallest feasible horizon so far (``hi`` only ever decreases), and
     # the residual-reachable set of the last infeasible probe, which is
     # the cut certificate when the search runs out of horizons.
-    feasible_probe: tuple[TimeExpandedGraph, list[int]] | None = None
+    feasible_probe: tuple[TimeExpandedGraph, tuple[int, ...]] | None = None
     cut: tuple[int, set[int]] = (0, set())
 
     def probe(horizon: int) -> bool:
@@ -452,7 +442,7 @@ def quickest_transshipment(
     graph, flows = feasible_probe
     movement_flows = flows[: len(graph.movement)]
     schedule = _schedule_from_movement(graph, movement_flows)
-    return QuickestResult(hi, schedule, _witness(graph, flows))
+    return QuickestResult(hi, schedule, ExpansionWitness(graph, flows))
 
 
 def mincost_over_time(
@@ -464,9 +454,8 @@ def mincost_over_time(
     """Minimum-cost transshipment within a fixed integer horizon."""
     graph = expand(network, horizon, balances, max_layers)
     if graph.total_supply_scaled == 0:
-        return MincostOverTimeResult(
-            Fraction(0), FlowOverTime(horizon, ()), _witness(graph, [0] * graph.num_arcs)
-        )
+        empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
+        return MincostOverTimeResult(Fraction(0), FlowOverTime(horizon, ()), empty)
     if horizon == 0:
         raise InfeasibleError(
             "positive supply cannot move within a zero horizon",
@@ -482,25 +471,25 @@ def mincost_over_time(
             f"horizon {horizon} too small: {deficit} units cannot arrive in time",
             certificate={"horizon": horizon, "deficit": deficit},
         )
-    flows = [g.flow(2 * i) for i in range(graph.num_arcs)]
-    movement_flows = flows[: len(graph.movement)]
-    schedule = _schedule_from_movement(graph, movement_flows)
-    cost = Fraction(0)
-    for (arc, _), raw in zip(graph.movement, movement_flows):
-        if raw:
-            cost += network.arcs[arc].cost * Fraction(raw, graph.cap_scale)
-    return MincostOverTimeResult(cost, schedule, _witness(graph, flows))
+    flows = tuple(g.flow(2 * i) for i in range(graph.num_arcs))
+    schedule = _schedule_from_movement(graph, flows[: len(graph.movement)])
+    # Only movement copies have nonzero cost.
+    cost = Fraction(
+        sum(c * f for c, f in zip(graph.costs, flows)), graph.cap_scale * graph.cost_scale
+    )
+    return MincostOverTimeResult(cost, schedule, ExpansionWitness(graph, flows))
 
 
-def verify_schedule(
+def _replay(
     network: Network,
     schedule: FlowOverTime,
-    balances: Mapping[NodeId, object] | None = None,
-) -> ScheduleVerification:
-    """Check a schedule against capacities, conservation and balances.
+    balances: Mapping[NodeId, object] | None,
+) -> tuple[list[str], Fraction, dict[NodeId, list[Fraction]]]:
+    """Simulate a schedule unit step by unit step.
 
-    Returns a report listing every violation (never raises) along with
-    the exact recomputed cost.
+    Returns every violation, the exact cost, and the amount held at each
+    node at integer times 0..horizon.  Entries naming an unknown arc, a
+    negative rate or an empty interval are reported and left out.
     """
     bal = _resolve_balances(network, balances)
     transits = _integer_transits(network)
@@ -541,6 +530,7 @@ def verify_schedule(
                 )
 
     held = {v: max(bal[v], Fraction(0)) for v in network.nodes}
+    trace = {v: [held[v]] for v in network.nodes}
     for step in range(horizon):
         delta: dict[NodeId, Fraction] = {}
         for arc_index, steps in rates.items():
@@ -559,12 +549,28 @@ def verify_schedule(
                 violations.append(
                     f"node {v!r}: flow deficit {held[v]} during [{step},{step + 1})"
                 )
+        for v, values in trace.items():
+            values.append(held[v])
     for v in network.nodes:
         expected = -bal[v] if bal[v] < 0 else Fraction(0)
         if held[v] != expected:
             violations.append(
                 f"node {v!r}: {held[v]} units remain at horizon, expected {expected}"
             )
+    return violations, cost, trace
+
+
+def verify_schedule(
+    network: Network,
+    schedule: FlowOverTime,
+    balances: Mapping[NodeId, object] | None = None,
+) -> ScheduleVerification:
+    """Check a schedule against capacities, conservation and balances.
+
+    Returns a report listing every violation (never raises) along with
+    the exact recomputed cost.
+    """
+    violations, cost, _ = _replay(network, schedule, balances)
     return ScheduleVerification(tuple(violations), cost)
 
 
@@ -573,28 +579,10 @@ def storage_trace(
     schedule: FlowOverTime,
     balances: Mapping[NodeId, object] | None = None,
 ) -> dict[NodeId, tuple[Fraction, ...]]:
-    """Amount held at each node at integer times 0..horizon."""
-    bal = _resolve_balances(network, balances)
-    transits = _integer_transits(network)
-    rates: dict[int, dict[int, Fraction]] = {}
-    for entry in schedule.arc_flows:
-        steps = rates.setdefault(entry.arc, {})
-        for start, end, rate in entry.intervals:
-            for step in range(start, end):
-                steps[step] = steps.get(step, Fraction(0)) + rate
-    held = {v: max(bal[v], Fraction(0)) for v in network.nodes}
-    trace = {v: [held[v]] for v in network.nodes}
-    for step in range(schedule.horizon):
-        for arc_index, steps in rates.items():
-            arc = network.arcs[arc_index]
-            out_rate = steps.get(step)
-            if out_rate:
-                held[arc.tail] -= out_rate
-            entered = step - transits[arc_index]
-            if entered >= 0:
-                in_rate = steps.get(entered)
-                if in_rate:
-                    held[arc.head] += in_rate
-        for v in network.nodes:
-            trace[v].append(held[v])
+    """Amount held at each node at integer times 0..horizon.
+
+    Schedule entries that :func:`verify_schedule` rejects (unknown arcs,
+    negative rates, empty intervals) are left out.
+    """
+    _, _, trace = _replay(network, schedule, balances)
     return {v: tuple(values) for v, values in trace.items()}

@@ -37,6 +37,16 @@ def demo_network(balances=None) -> Network:
     return Network.of(DEMO_NODES, DEMO_ARCS, balances or UNIT_BALANCES)
 
 
+def parallel_falling_costs() -> Network:
+    """One unit over six parallel arcs whose costs fall from -1 to -6.
+
+    There is no cycle, but each arc lowers the sink's label once more.
+    """
+    return Network.of(
+        ["s", "t"], [("s", "t", 1, 0, -k) for k in range(1, 7)], {"s": 1, "t": -1}
+    )
+
+
 @pytest.fixture
 def demo() -> Network:
     return demo_network()

@@ -30,7 +30,7 @@ from qmct.pipeline import (
     solve_quickest,
     solve_quickest_mincost,
 )
-from qmct.staticflow import decompose
+from qmct.staticflow import StaticFlow, decompose
 from qmct.temporal import feasible, horizon_upper_bound, mincost_over_time
 from qmct.transport import build, dual_objective, is_dual_feasible, solve
 
@@ -162,8 +162,8 @@ def _project_routes(run):
     """Independent projection of the witness onto terminal pairs."""
     witness = run.quickest.witness
     graph = witness.graph
-    problem, flow = witness.as_flow_problem()
-    paths, cycles = decompose(problem, flow)
+    flow = StaticFlow(tuple(Fraction(f, graph.cap_scale) for f in witness.flows))
+    paths, cycles = decompose(graph, flow)
     n = len(run.restricted.nodes)
     movement_count = len(graph.movement)
     routes = []

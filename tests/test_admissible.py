@@ -100,11 +100,11 @@ def test_unreachable_super_sink_warns_and_returns_empty():
 
 
 def test_zero_cost_optimum_on_extended_network(demo_variant_a):
-    from qmct.cheapest import bellman_ford
+    from qmct._kernel import arc_graph, labels
 
     solution = solve(build(demo_variant_a, pair_costs(demo_variant_a)))
     extended = extend(demo_variant_a, solution.dual)
-    dist = bellman_ford(extended.num_nodes, extended.arcs, extended.super_source)
+    dist = labels(arc_graph(extended.num_nodes, extended.arcs), extended.super_source)
     assert dist[extended.super_sink] == 0
 
 

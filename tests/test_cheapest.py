@@ -149,6 +149,7 @@ def test_subnetwork_equality_is_tight(demo):
 
 
 def test_labels_raise_on_reachable_negative_cycle():
+    from qmct._kernel import arc_graph, labels
     from qmct.errors import InternalCheckError
 
     net = Network.of(
@@ -158,3 +159,6 @@ def test_labels_raise_on_reachable_negative_cycle():
     )
     with pytest.raises(InternalCheckError):
         cheapest_from(net, "a")
+    g = arc_graph(3, [(0, 1, Fraction(1)), (1, 2, Fraction(-2)), (2, 1, Fraction(1))])
+    with pytest.raises(InternalCheckError):
+        labels(g, 0)

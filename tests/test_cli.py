@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import demo_network, VARIANT_A_BALANCES
+from conftest import demo_network, parallel_falling_costs, VARIANT_A_BALANCES
 from qmct import cli
 from qmct.io import save_instance
 from qmct.network import Network
@@ -128,6 +128,18 @@ def test_verify_passes_on_demo(capsys, demo_file):
     assert "PASS oracle_cost_match" in out
     assert "PASS oracle_horizon_match" in out
     assert "FAIL" not in out
+
+
+def test_verify_and_oracle_on_parallel_arcs_with_falling_costs(capsys, tmp_path):
+    path = tmp_path / "parallel.json"
+    save_instance(parallel_falling_costs(), path)
+    code, out, _ = _run(capsys, ["verify", str(path)])
+    assert code == 0
+    assert "FAIL" not in out
+    assert out.count("PASS") == 6
+    code, out, _ = _run(capsys, ["solve", str(path), "--mode", "oracle"])
+    assert code == 0
+    assert json.loads(out) == {"mode": "oracle", "cost": "-6", "horizon": 1}
 
 
 def test_verify_rejects_invalid(capsys, tmp_path):

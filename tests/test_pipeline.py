@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_S2V, A_VT2, UNIT_BALANCES
+from conftest import A_S2V, A_VT2, UNIT_BALANCES, parallel_falling_costs
 from qmct.cheapest import cheapest_paths_subnetwork
 from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
 from qmct.generate import generate
@@ -222,6 +222,14 @@ def test_oracle_agreement_after_cancelling_uncapacitated_flow(seed, expected):
     assert report.all_checks_pass
     assert (report.cost, report.horizon) == expected
     assert oracle_quickest_mincost(net) == expected
+
+
+def test_oracle_agreement_on_parallel_arcs_with_falling_costs():
+    net = parallel_falling_costs()
+    report = solve_quickest_mincost(net)
+    assert report.all_checks_pass
+    assert (report.cost, report.horizon) == (-6, 1)
+    assert oracle_quickest_mincost(net) == (-6, 1)
 
 
 def test_oracle_agreement_with_fractional_data():

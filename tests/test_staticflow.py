@@ -186,6 +186,16 @@ def test_negative_costs_handled_conservatively():
     _check_residual_optimality(problem, result)
 
 
+def test_parallel_arcs_with_falling_negative_costs():
+    # No cycle anywhere, but the potential pass lowers node 1's label
+    # once per arc.
+    problem = FlowProblem.of(2, [(0, 1, 1, -k) for k in range(1, 7)])
+    result = min_cost_flow(problem, [1, -1])
+    assert result.cost == -6
+    assert result.flow.values == (0, 0, 0, 0, 0, 1)
+    _check_residual_optimality(problem, result)
+
+
 def test_infeasible_reports_cut():
     problem = FlowProblem.of(3, [(0, 1, 1, 0), (1, 2, 3, 0)])
     with pytest.raises(InfeasibleError) as info:

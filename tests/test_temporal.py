@@ -318,12 +318,9 @@ def test_feasibility_witness_routes_everything(demo):
 
     ok, witness = feasibility_witness(demo, 1)
     assert ok
-    problem, flow = witness.as_flow_problem()
-    routed = sum(
-        (flow.values[i] for i in range(problem.num_arcs) if problem.tails[i] == witness.graph.super_source),
-        Fraction(0),
-    )
-    assert routed == demo.total_supply
+    graph = witness.graph
+    routed = sum(f for f, tail in zip(witness.flows, graph.tails) if tail == graph.super_source)
+    assert Fraction(routed, graph.cap_scale) == demo.total_supply
 
 
 def test_balances_override_without_rebuilding(demo):
@@ -340,15 +337,9 @@ def _routed_amount(net, horizon):
     from qmct.temporal import feasibility_witness
 
     _, witness = feasibility_witness(net, horizon)
-    problem, flow = witness.as_flow_problem()
-    return sum(
-        (
-            flow.values[i]
-            for i in range(problem.num_arcs)
-            if problem.tails[i] == witness.graph.super_source
-        ),
-        Fraction(0),
-    )
+    graph = witness.graph
+    routed = sum(f for f, tail in zip(witness.flows, graph.tails) if tail == graph.super_source)
+    return Fraction(routed, graph.cap_scale)
 
 
 def test_unit_grid_routes_as_much_as_any_finer_grid():
