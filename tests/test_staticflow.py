@@ -125,6 +125,33 @@ def test_push_back_keeps_uncapacitated_edge_unbounded():
     assert g.flow(e) == 2
 
 
+def test_build_matches_per_arc_add():
+    rng = random.Random(17)
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        arcs = []
+        for _ in range(rng.randint(0, 14)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            arcs.append((u, v, rng.choice([None, 0, 1, 2, 5]), rng.randint(-4, 4)))
+            roll = rng.random()
+            if roll < 0.25:
+                arcs.append((u, v, rng.choice([None, 3]), rng.randint(-4, 4)))
+            elif roll < 0.5:
+                arcs.append((v, u, rng.choice([None, 2]), rng.randint(-4, 4)))
+        tails, heads, caps, costs = (tuple(col) for col in zip(*arcs)) if arcs else ((),) * 4
+        expected = _kernel.Residual(n)
+        for u, v, cap, cost in arcs:
+            expected.add(u, v, cap, cost if trial % 2 else 0)
+        g = _kernel.build(n, tails, heads, caps, costs if trial % 2 else None)
+        assert g.n == expected.n
+        assert (g.to, g.rem, g.cost, g.adj) == (
+            expected.to,
+            expected.rem,
+            expected.cost,
+            expected.adj,
+        ), trial
+
+
 def test_fractional_capacities_exact():
     problem = FlowProblem.of(2, [(0, 1, "3/2"), (0, 1, "1/3")])
     assert max_flow(problem, 0, 1).value == Fraction(11, 6)

@@ -10,7 +10,7 @@ from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
 from qmct.io import load_instance
-from qmct.network import Network
+from qmct.network import Arc, Network
 from qmct.pipeline import scale_transits, solve_quickest, solve_quickest_mincost
 from qmct.temporal import (
     ArcIntervals,
@@ -76,6 +76,57 @@ def test_expand_rejects_fractional_transit():
     net = Network.of(["a", "b"], [("a", "b", 1, "1/2", 0)], {"a": 1, "b": -1})
     with pytest.raises(ValueError):
         expand(net, 2)
+
+
+# Digest of every ``TimeExpandedGraph`` field (the network aside) at
+# horizons 0-12, for the bundled instances and 20 generated ones, half
+# of them with rational capacities and costs, so that a rewrite of
+# ``expand`` that moves, drops or rescales any arc shows up.
+EXPANSION_GOLDEN = "48aa6148740657f02972dd20dace2d50af8f716d207fd0133e2db7884428e0f1"
+
+
+def _expansion_instances():
+    for path in sorted(INSTANCES.glob("*.json")):
+        yield scale_transits(load_instance(path))[0]
+    for seed in range(10):
+        yield generate(seed, nodes=6, terminals=3, tau_max=4, negative_costs=seed % 2 == 1)
+    for seed in range(10):
+        net = generate(seed, nodes=5, terminals=2, tau_max=3)
+        arcs = tuple(
+            Arc(a.tail, a.head, a.capacity / (1 + i % 3), a.transit, a.cost / (2 + i % 2))
+            for i, a in enumerate(net.arcs)
+        )
+        yield Network(net.nodes, arcs, dict(net.balances))
+
+
+def test_expansion_matches_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for net in _expansion_instances():
+        for horizon in range(13):
+            graph = expand(net, horizon)
+            fields = [
+                graph.horizon,
+                graph.num_nodes,
+                graph.tails,
+                graph.heads,
+                graph.capacities,
+                graph.costs,
+                graph.movement,
+                graph.holdover_start,
+                graph.wiring_start,
+                graph.super_source,
+                graph.super_sink,
+                graph.cap_scale,
+                graph.cost_scale,
+                graph.total_supply_scaled,
+            ]
+            assert all(type(c) is int for c in graph.costs)
+            assert all(c is None or type(c) is int for c in graph.capacities)
+            digest.update(json.dumps(fields).encode())
+        count += 1
+    assert count == 23
+    assert digest.hexdigest() == EXPANSION_GOLDEN
 
 
 def test_expansion_size_bound(demo):
