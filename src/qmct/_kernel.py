@@ -71,11 +71,6 @@ class Residual:
         self.adj[v].append(e + 1)
         return e
 
-    def flow(self, e: int) -> int:
-        f = self.rem[e ^ 1]
-        assert f is not None
-        return f
-
     def push(self, e: int, amount: int) -> None:
         rem = self.rem
         if rem[e] is not None:
@@ -85,13 +80,27 @@ class Residual:
 
 
 def build(n: int, tails, heads, caps, costs=None) -> Residual:
+    """Arc ``k`` as edges ``2k`` and ``2k+1``, filled in bulk.
+
+    Same edges, and the same order in every adjacency list, as calling
+    :meth:`Residual.add` once per arc.  The flow on arc ``k`` is then
+    ``rem[2k + 1]``, so ``rem[1::2]`` reads all of them.
+    """
     g = Residual(n)
-    if costs is None:
-        for u, v, c in zip(tails, heads, caps):
-            g.add(u, v, c)
-    else:
-        for u, v, c, w in zip(tails, heads, caps, costs):
-            g.add(u, v, c, w)
+    m2 = 2 * len(tails)
+    g.to = [0] * m2
+    g.to[0::2] = heads
+    g.to[1::2] = tails
+    g.rem = [0] * m2
+    g.rem[0::2] = caps
+    g.cost = [0] * m2
+    if costs is not None:
+        g.cost[0::2] = costs
+        g.cost[1::2] = [-w for w in costs]
+    adj = g.adj
+    for e, u, v in zip(range(0, m2, 2), tails, heads):
+        adj[u].append(e)
+        adj[v].append(e + 1)
     return g
 
 
@@ -288,33 +297,36 @@ def labels(g: Residual, start: int | None = None) -> list:
 
 def arc_graph(n: int, arcs: Iterable[tuple]) -> Residual:
     """One uncapacitated edge per ``(tail, head, cost)`` arc, for labelling."""
-    g = Residual(n)
-    for u, v, c in arcs:
-        g.add(u, v, None, c)
-    return g
+    arcs = list(arcs)
+    tails = [u for u, _, _ in arcs]
+    heads = [v for _, v, _ in arcs]
+    costs = [c for _, _, c in arcs]
+    return build(n, tails, heads, [None] * len(arcs), costs)
 
 
 def _dijkstra(g: Residual, s: int, t: int, pi: list[int]):
     """Shortest reduced-cost distances from s; returns (dist, parent_edge)."""
+    adj, rem, to, cost = g.adj, g.rem, g.to, g.cost
+    heappush, heappop = heapq.heappush, heapq.heappop
     dist: list[int | float] = [INF] * g.n
     parent_edge = [-1] * g.n
     dist[s] = 0
     heap = [(0, s)]
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if d > dist[u]:
             continue
         if u == t:
             break
         base = d + pi[u]
-        for e in g.adj[u]:
-            if g.rem[e] != 0:
-                v = g.to[e]
-                nd = base + g.cost[e] - pi[v]
+        for e in adj[u]:
+            if rem[e] != 0:
+                v = to[e]
+                nd = base + cost[e] - pi[v]
                 if nd < dist[v]:
                     dist[v] = nd
                     parent_edge[v] = e
-                    heapq.heappush(heap, (nd, v))
+                    heappush(heap, (nd, v))
     return dist, parent_edge
 
 

@@ -291,9 +291,17 @@ def oracle_quickest_mincost(
 ) -> tuple[Fraction, int]:
     """Brute-force (cost, horizon) via time expansions only.
 
-    Computes the stabilized minimum cost at a provably sufficient
-    horizon, then linearly scans horizons from zero for the first one
-    that achieves it.  Deliberately ignores the transportation-dual
+    Computes the stabilized minimum cost at
+    :func:`temporal.horizon_upper_bound`, ⌈total/u_min⌉ + (n−1)·τ_max,
+    then linearly scans horizons from zero for the first one that
+    achieves it.  At that horizon a temporally repeated flow along the
+    simple paths of a cheapest static transshipment fits every capacity
+    and arrives in time, so the minimum cost over time equals the static
+    optimum there and at every later horizon (proof in the bound's
+    docstring).  The stabilising min-cost flow on that expansion is the
+    oracle's largest single cost, which is why the horizon is the
+    smallest the proof allows rather than one charging a path's transit
+    per source-sink pair.  Deliberately ignores the transportation-dual
     machinery so it can serve as an independent cross-check; guarded by
     ``max_nodes`` because the scan is pseudo-polynomial.
     """

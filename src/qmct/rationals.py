@@ -30,6 +30,11 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Integer literals, almost every value of a generated instance,
+        # skip the Fraction constructor's regular expression.
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(value))
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

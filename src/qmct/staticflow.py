@@ -134,7 +134,7 @@ def max_flow(problem: FlowProblem, source: int, sink: int) -> MaxFlowResult:
     denom, caps = _scale_caps(problem)
     g = _kernel.build(problem.num_nodes, problem.tails, problem.heads, caps)
     value, reachable = _kernel.max_flow(g, source, sink)
-    flows = tuple(Fraction(g.flow(2 * i), denom) for i in range(problem.num_arcs))
+    flows = tuple(Fraction(f, denom) for f in g.rem[1::2])
     return MaxFlowResult(Fraction(value, denom), StaticFlow(flows), frozenset(reachable))
 
 
@@ -191,7 +191,7 @@ def min_cost_flow(
                 "required": Fraction(total, cap_denom),
             },
         )
-    flows = tuple(Fraction(g.flow(2 * i), cap_denom) for i in range(problem.num_arcs))
+    flows = tuple(Fraction(f, cap_denom) for f in g.rem[1 : 2 * problem.num_arcs : 2])
     potentials = tuple(Fraction(-pi[v], cost_denom) for v in range(problem.num_nodes))
     cost = sum((c * f for c, f in zip(problem.costs, flows)), Fraction(0))
     return MinCostFlowResult(StaticFlow(flows), potentials, cost)

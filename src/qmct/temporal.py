@@ -173,10 +173,17 @@ def expand(
         [a.capacity for a in network.arcs] + list(bal.values())
     )
     cost_scale = common_denominator([a.cost for a in network.arcs])
-    caps_int = [int(a.capacity * cap_scale) for a in network.arcs]
-    costs_int = [int(a.cost * cost_scale) for a in network.arcs]
+    # Exact: each denominator divides its common denominator.
+    caps_int = [
+        a.capacity.numerator * (cap_scale // a.capacity.denominator) for a in network.arcs
+    ]
+    costs_int = [a.cost.numerator * (cost_scale // a.cost.denominator) for a in network.arcs]
+    bal_int = {v: b.numerator * (cap_scale // b.denominator) for v, b in bal.items()}
     arc_tails = [network.node_index(a.tail) for a in network.arcs]
-    arc_heads = [network.node_index(a.head) for a in network.arcs]
+    # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
+    head_shift = [
+        tau * n + network.node_index(a.head) for a, tau in zip(network.arcs, transits)
+    ]
 
     tails: list[int] = []
     heads: list[int] = []
@@ -185,44 +192,40 @@ def expand(
     movement: list[tuple[int, int]] = []
 
     last_layer = horizon - 1
+    arc_range = range(len(network.arcs))
     for layer in range(horizon):
         offset = layer * n
-        for i in range(len(network.arcs)):
-            arrival = layer + transits[i]
-            if arrival <= last_layer:
-                tails.append(offset + arc_tails[i])
-                heads.append(arrival * n + arc_heads[i])
-                caps.append(caps_int[i])
-                costs.append(costs_int[i])
-                movement.append((i, layer))
+        slack = last_layer - layer
+        live = [i for i in arc_range if transits[i] <= slack]
+        tails.extend([offset + arc_tails[i] for i in live])
+        heads.extend([offset + head_shift[i] for i in live])
+        caps.extend([caps_int[i] for i in live])
+        costs.extend([costs_int[i] for i in live])
+        movement.extend([(i, layer) for i in live])
     holdover_start = len(tails)
-    for layer in range(horizon - 1):
-        offset = layer * n
-        for v in range(n):
-            tails.append(offset + v)
-            heads.append(offset + n + v)
-            caps.append(None)
-            costs.append(0)
+    waits = max(horizon - 1, 0) * n
+    tails.extend(range(waits))
+    heads.extend(range(n, n + waits))
+    caps.extend([None] * waits)
+    costs.extend([0] * waits)
 
     super_source = n * horizon
     super_sink = super_source + 1
     wiring_start = len(tails)
-    total_scaled = 0
-    for v in network.nodes:
-        b = bal[v]
-        if b > 0 and horizon > 0:
-            tails.append(super_source)
-            heads.append(network.node_index(v))
-            caps.append(int(b * cap_scale))
-            costs.append(0)
-            total_scaled += int(b * cap_scale)
-        elif b < 0 and horizon > 0:
-            tails.append(last_layer * n + network.node_index(v))
-            heads.append(super_sink)
-            caps.append(int(-b * cap_scale))
-            costs.append(0)
-    if horizon == 0:
-        total_scaled = sum(int(b * cap_scale) for b in bal.values() if b > 0)
+    total_scaled = sum(b for b in bal_int.values() if b > 0)
+    if horizon > 0:
+        for v in network.nodes:
+            b = bal_int[v]
+            if b > 0:
+                tails.append(super_source)
+                heads.append(network.node_index(v))
+                caps.append(b)
+                costs.append(0)
+            elif b < 0:
+                tails.append(last_layer * n + network.node_index(v))
+                heads.append(super_sink)
+                caps.append(-b)
+                costs.append(0)
 
     return TimeExpandedGraph(
         network=network,
@@ -268,8 +271,7 @@ def _schedule_from_movement(
 def _solve_max(graph: TimeExpandedGraph) -> tuple[int, tuple[int, ...], set[int]]:
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
     value, reachable = _kernel.max_flow(g, graph.super_source, graph.super_sink)
-    flows = tuple(g.flow(2 * i) for i in range(graph.num_arcs))
-    return value, flows, reachable
+    return value, tuple(g.rem[1::2]), reachable
 
 
 def feasible(
@@ -342,31 +344,42 @@ def _horizon_lower_bound(network: Network, bal: dict[NodeId, Fraction]) -> int:
 def horizon_upper_bound(
     network: Network, balances: Mapping[NodeId, object] | None = None
 ) -> int:
-    """A horizon provably large enough for any routable balance vector.
+    """``⌈total/u_min⌉ + (n−1)·τ_max``: feasible and cost-stabilising.
 
-    Routes every usable source-sink pair one after another along a
-    single path: the ceiling of total supply over the smallest arc
-    capacity, plus the worst-case transit of one simple path per pair.
+    ``total`` is the total supply, ``u_min`` the smallest arc capacity
+    and ``τ_max`` the largest transit.  Whenever some static
+    transshipment exists (arc capacities ignored, as in the
+    transportation stage), this horizon admits a flow over time that
+    routes everything at the static minimum cost:
+
+    - Take a minimum-cost static transshipment and decompose it into
+      paths and cycles.  Drop the cycles, which cost ≥ 0 as the network
+      has no negative cycle, and shorten every path to a simple one by
+      cutting out the cycles it repeats.  No cost rises and the balances
+      are unchanged, so the paths p carry amounts a_p summing to
+      ``total``.
+    - Let T′ = ⌈total/u_min⌉ and send each path p at rate a_p/T′ during
+      [0, T′), a temporally repeated flow (Ford & Fulkerson 1958).
+    - A simple path enters each arc at most once, so at any step an arc
+      carries at most Σ a_p/T′ = total/T′ ≤ u_min.
+    - A simple path has at most n−1 arcs, so its transit is at most
+      (n−1)·τ_max, and every unit has arrived by T′ + (n−1)·τ_max.
+
+    The flow's cost is Σ a_p·cost(p), the static optimum, and no flow
+    over time costs less because its projection onto the arcs is a
+    static transshipment of the same cost.  So the minimum cost over time
+    has stabilised at this horizon, which is what the oracle needs; and
+    when no horizon up to it is feasible, no static transshipment exists
+    and none ever will be, which is what the solver's infeasibility stop
+    needs.
     """
     bal = _resolve_balances(network, balances)
     total = sum((b for b in bal.values() if b > 0), Fraction(0))
-    if total == 0:
+    if total == 0 or not network.arcs:
         return 0
-    if not network.arcs:
-        return 0
-    transits = _integer_transits(network)
     u_min = min(a.capacity for a in network.arcs)
-    tau_max = max(transits)
-    idx = network.node_index
-    n = len(network.nodes)
-    g = _kernel.arc_graph(n, ((idx(a.tail), idx(a.head), 0) for a in network.arcs))
-    pair_count = 0
-    sinks = [v for v in network.nodes if bal[v] < 0]
-    for s in network.nodes:
-        if bal[s] > 0:
-            dist = _kernel.labels(g, idx(s))
-            pair_count += sum(1 for t in sinks if dist[idx(t)] is not None)
-    return math.ceil(total / u_min) + pair_count * (n - 1) * tau_max
+    tau_max = max(_integer_transits(network))
+    return math.ceil(total / u_min) + (len(network.nodes) - 1) * tau_max
 
 
 def quickest_transshipment(
@@ -471,7 +484,7 @@ def mincost_over_time(
             f"horizon {horizon} too small: {deficit} units cannot arrive in time",
             certificate={"horizon": horizon, "deficit": deficit},
         )
-    flows = tuple(g.flow(2 * i) for i in range(graph.num_arcs))
+    flows = tuple(g.rem[1::2])
     schedule = _schedule_from_movement(graph, flows[: len(graph.movement)])
     # Only movement copies have nonzero cost.
     cost = Fraction(

@@ -69,3 +69,30 @@ def min_cut_by_enumeration(problem: FlowProblem, source: int, sink: int) -> Frac
                 best = total
     assert best is not None, "no finite cut exists"
     return best
+
+
+def pair_count_horizon_bound(network: Network) -> int:
+    """The horizon bound before it was tightened, for comparison.
+
+    ⌈total/u_min⌉ plus (n−1)·τ_max once for every source-sink pair the
+    source reaches; transits must be integers.
+    """
+    total = sum((b for b in network.balances.values() if b > 0), Fraction(0))
+    if total == 0 or not network.arcs:
+        return 0
+    out: dict[str, list[str]] = {v: [] for v in network.nodes}
+    for arc in network.arcs:
+        out[arc.tail].append(arc.head)
+    pairs = 0
+    for s in network.sources:
+        seen = {s}
+        stack = [s]
+        while stack:
+            for head in out[stack.pop()]:
+                if head not in seen:
+                    seen.add(head)
+                    stack.append(head)
+        pairs += sum(1 for t in network.sinks if t in seen)
+    u_min = min(a.capacity for a in network.arcs)
+    tau_max = max(int(a.transit) for a in network.arcs)
+    return -(-total // u_min) + pairs * (len(network.nodes) - 1) * tau_max

@@ -9,8 +9,14 @@ only one with positive cost.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from qmct.network import Network
+
+# Example run times swing with the host's load, and warnings fail the
+# run, so a slow example must not become a hypothesis deadline failure.
+settings.register_profile("qmct", deadline=None)
+settings.load_profile("qmct")
 
 # Arc indices in DEMO_ARCS, used throughout the tests.
 A_S1V = 0

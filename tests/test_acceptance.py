@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import path_cost, simple_paths
+from _brute import pair_count_horizon_bound, path_cost, simple_paths
 from conftest import (
     A_S2V,
     A_VT2,
@@ -210,10 +210,12 @@ def test_criterion_8_monotone_and_stabilizing(suite_runs):
     failures = []
     for seed, run in enumerate(suite_runs):
         net = run.scaled
+        # Scan up to the looser bound the solver used to have, so that
+        # the scan also covers horizons past the current one.
         bound = horizon_upper_bound(net)
         was_feasible = False
         previous_cost = None
-        for horizon in range(bound + 1):
+        for horizon in range(pair_count_horizon_bound(net) + 1):
             now = feasible(net, horizon)
             if was_feasible and not now:
                 failures.append((seed, "feasibility dropped", horizon))
@@ -223,11 +225,15 @@ def test_criterion_8_monotone_and_stabilizing(suite_runs):
             except InfeasibleError:
                 if now:
                     failures.append((seed, "solver disagreement", horizon))
+                if horizon == bound:
+                    failures.append((seed, "infeasible at the bound", horizon))
                 continue
             if not now:
                 failures.append((seed, "solver disagreement", horizon))
             if previous_cost is not None and cost > previous_cost:
                 failures.append((seed, "cost increased", horizon))
+            if horizon == bound and cost != run.solution.optimum:
+                failures.append((seed, "not stabilized at the bound", cost))
             previous_cost = cost
         if not was_feasible:
             failures.append((seed, "never feasible"))

@@ -142,6 +142,29 @@ def test_verify_and_oracle_on_parallel_arcs_with_falling_costs(capsys, tmp_path)
     assert json.loads(out) == {"mode": "oracle", "cost": "-6", "horizon": 1}
 
 
+def test_verify_fits_the_oracle_under_max_horizon(capsys, tmp_path):
+    # Four reachable source-sink pairs through one middle node.  The
+    # oracle's stabilising horizon is 2 + 4 * 5 = 22 layers; charging a
+    # path's transit per pair would ask for 2 + 4 * 4 * 5 = 82.
+    net = Network.of(
+        ["s1", "s2", "m", "t1", "t2"],
+        [
+            ("s1", "m", 1, 5, 0),
+            ("s2", "m", 1, 5, 0),
+            ("m", "t1", 1, 5, 0),
+            ("m", "t2", 1, 5, 0),
+        ],
+        {"s1": 1, "s2": 1, "t1": -1, "t2": -1},
+    )
+    path = tmp_path / "fan.json"
+    save_instance(net, path)
+    code, out, err = _run(capsys, ["verify", str(path), "--max-horizon", "30"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_rejects_invalid(capsys, tmp_path):
     path = tmp_path / "invalid.json"
     path.write_text(

@@ -37,6 +37,34 @@ def test_rejects_garbage_strings():
         as_rational("1/0")
 
 
+# Pieces of integer-like literals: signs, whitespace, leading zeros,
+# underscores, non-ASCII digits (Arabic-Indic three, superscript two),
+# decimal points, slashes and exponents.
+literal_st = st.one_of(
+    st.integers().map(str),
+    st.lists(
+        st.sampled_from(
+            ["-", "+", " ", "\t", "0", "00", "7", "12", "_", ".", "/", "e", "\u0663", "\u00b2"]
+        ),
+        max_size=8,
+    ).map("".join),
+    st.text(max_size=6),
+)
+
+
+@given(literal_st)
+def test_integer_fast_path_agrees_with_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            as_rational(text)
+        return
+    value = as_rational(text)
+    assert type(value) is Fraction
+    assert value == expected
+
+
 def test_rational_str_forms():
     assert rational_str(Fraction(3, 2)) == "3/2"
     assert rational_str(Fraction(-3, 2)) == "-3/2"

@@ -122,7 +122,7 @@ def test_push_back_keeps_uncapacitated_edge_unbounded():
     g.push(e, 3)
     g.push(e ^ 1, 1)
     assert g.rem[e] is None
-    assert g.flow(e) == 2
+    assert g.rem[e ^ 1] == 2  # the flow on e
 
 
 def test_build_matches_per_arc_add():
@@ -149,6 +149,16 @@ def test_build_matches_per_arc_add():
             expected.rem,
             expected.cost,
             expected.adj,
+        ), trial
+        labelled = _kernel.Residual(n)
+        for u, v, _cap, cost in arcs:
+            labelled.add(u, v, None, cost)
+        g = _kernel.arc_graph(n, [(u, v, cost) for u, v, _cap, cost in arcs])
+        assert (g.to, g.rem, g.cost, g.adj) == (
+            labelled.to,
+            labelled.rem,
+            labelled.cost,
+            labelled.adj,
         ), trial
 
 
@@ -271,6 +281,59 @@ def test_random_instances_match_lp(demo):
         )
         assert lp.success
         assert abs(float(result.cost) - lp.fun) < 1e-7
+
+
+def test_min_cost_flow_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    feasible = infeasible = 0
+    for trial in range(180):
+        n = rng.randint(2, 7)
+        # Costs shifted by a node potential: negative coefficients, but
+        # every cycle keeps its nonnegative base cost.
+        potential = [rng.randint(-5, 5) for _ in range(n)]
+        half = trial % 3 == 0  # halve every capacity and balance
+        arcs = []
+        for _ in range(rng.randint(1, 14)):
+            u, v = rng.sample(range(n), 2)
+            copies = 2 if rng.random() < 0.2 else 1  # parallel arcs
+            for _ in range(copies):
+                cap = rng.choice([None, 1, 2, 3, 5])
+                base = rng.randint(0, 6)
+                arcs.append((u, v, cap, base + potential[u] - potential[v]))
+        supply = [0] * n
+        for _ in range(rng.randint(1, 3)):
+            s, t = rng.sample(range(n), 2)
+            amount = rng.randint(1, 4)
+            supply[s] += amount
+            supply[t] -= amount
+        scale = Fraction(1, 2) if half else Fraction(1)
+        problem = FlowProblem.of(
+            n, [(u, v, None if cap is None else cap * scale, c) for u, v, cap, c in arcs]
+        )
+        graph = nx.MultiDiGraph()
+        for v in range(n):
+            graph.add_node(v, demand=-supply[v])
+        for u, v, cap, c in arcs:
+            if cap is None:
+                graph.add_edge(u, v, weight=c)
+            else:
+                graph.add_edge(u, v, weight=c, capacity=cap)
+        try:
+            expected = nx.min_cost_flow_cost(graph)
+        except nx.NetworkXUnfeasible:
+            expected = None
+        try:
+            result = min_cost_flow(problem, [b * scale for b in supply])
+        except InfeasibleError:
+            assert expected is None, trial
+            infeasible += 1
+            continue
+        assert expected is not None, trial
+        assert result.cost == expected * scale, trial
+        _check_residual_optimality(problem, result)
+        feasible += 1
+    assert feasible >= 75 and infeasible >= 75, (feasible, infeasible)
 
 
 def test_potentials_certify_on_demo_network(demo):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from _brute import pair_count_horizon_bound
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
@@ -362,6 +363,49 @@ def test_horizon_upper_bound_is_generous_but_finite(demo):
     bound = horizon_upper_bound(demo)
     assert feasible(demo, bound)
     assert bound >= quickest_transshipment(demo).horizon
+    # ⌈2/1⌉ + (5 - 1) * 1, where four pairs each charged 4 * 1 before.
+    assert bound == 6
+    assert pair_count_horizon_bound(demo) == 18
+
+
+def _bound_instances():
+    """200 routable instances: rational data, negative costs, zero transits."""
+    for seed in range(200):
+        net = generate(
+            seed,
+            nodes=3 + seed % 4,
+            terminals=3,
+            tau_max=seed % 3 + 1,
+            half_balance_prob=0.4,
+            negative_costs=seed % 2 == 1,
+        )
+        if seed % 4 >= 2:
+            # Rational capacities, transits, costs and balances; scaling
+            # every balance by one factor keeps the instance routable.
+            k = 2 + seed % 3
+            arcs = tuple(
+                Arc(a.tail, a.head, a.capacity / (1 + i % k), a.transit / k, a.cost / k)
+                for i, a in enumerate(net.arcs)
+            )
+            net = Network(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
+        yield net
+
+
+def test_horizon_upper_bound_is_feasible_and_stabilizing():
+    from qmct.pipeline import run_quickest_mincost
+
+    rational = zero_transit = negative = 0
+    for net in _bound_instances():
+        rational += any(a.transit.denominator > 1 for a in net.arcs)
+        zero_transit += any(a.transit == 0 for a in net.arcs)
+        negative += any(a.cost < 0 for a in net.arcs)
+        scaled, _ = scale_transits(net)
+        bound = horizon_upper_bound(scaled)
+        assert feasible(scaled, bound), net
+        optimum = run_quickest_mincost(net).solution.optimum
+        assert mincost_over_time(scaled, bound).cost == optimum, net
+        assert bound <= pair_count_horizon_bound(scaled), net
+    assert min(rational, zero_transit, negative) >= 40, (rational, zero_transit, negative)
 
 
 def test_feasibility_witness_routes_everything(demo):
