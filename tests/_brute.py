@@ -72,7 +72,7 @@ def min_cut_by_enumeration(problem: FlowProblem, source: int, sink: int) -> Frac
 
 
 def pair_count_horizon_bound(network: Network) -> int:
-    """The horizon bound before it was tightened, for comparison.
+    """A looser horizon bound to compare ``horizon_upper_bound`` against.
 
     ⌈total/u_min⌉ plus (n−1)·τ_max once for every source-sink pair the
     source reaches; transits must be integers.

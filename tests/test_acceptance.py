@@ -210,8 +210,8 @@ def test_criterion_8_monotone_and_stabilizing(suite_runs):
     failures = []
     for seed, run in enumerate(suite_runs):
         net = run.scaled
-        # Scan up to the looser bound the solver used to have, so that
-        # the scan also covers horizons past the current one.
+        # Scan up to the looser pair-count bound, so that the scan also
+        # covers horizons past the solver's own bound.
         bound = horizon_upper_bound(net)
         was_feasible = False
         previous_cost = None

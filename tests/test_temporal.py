@@ -363,7 +363,8 @@ def test_horizon_upper_bound_is_generous_but_finite(demo):
     bound = horizon_upper_bound(demo)
     assert feasible(demo, bound)
     assert bound >= quickest_transshipment(demo).horizon
-    # ⌈2/1⌉ + (5 - 1) * 1, where four pairs each charged 4 * 1 before.
+    # ⌈2/1⌉ + (5 - 1) * 1; the pair-count bound charges 4 * 1 for each
+    # of the four source-sink pairs.
     assert bound == 6
     assert pair_count_horizon_bound(demo) == 18
 
