@@ -22,11 +22,11 @@ stayed below ``n`` edges, as those have finitely many costs.  Counting
 how often a label falls is no such test: parallel arcs of falling
 negative cost lower a label many times without any cycle.
 
-Private module.  Capacities, balances and the flow kernels' costs are
-plain integers; the public wrappers in :mod:`qmct.staticflow` scale
-rational data to a common denominator before calling in and unscale
-results on the way out.  A capacity of ``None`` means uncapacitated; it
-is only ever compared against, never used in arithmetic.
+Private module.  Capacities, balances and costs are plain integers:
+callers read a network's :attr:`~qmct.network.Network.integral` form, or
+scale other rational data with :func:`qmct.rationals.to_integers`, and
+unscale results on the way out.  A capacity of ``None`` means
+uncapacitated; it is only ever compared against, never used in arithmetic.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class Residual:
     Edge ``2k`` is the forward copy of input arc ``k`` (when built via
     :func:`build`), edge ``2k+1`` its reverse.  ``rem[e]`` is the
     remaining capacity (``None`` = unbounded) and ``rem[e ^ 1]`` of a
-    forward edge equals the flow currently on it.  Costs are ints, except
-    on label graphs (:func:`arc_graph`), which may carry Fractions.
+    forward edge equals the flow currently on it.  The solver's costs are
+    ints; label graphs (:func:`arc_graph`) also take Fractions.
     """
 
     __slots__ = ("n", "to", "rem", "cost", "adj")

@@ -5,7 +5,8 @@ value, and every demand node is wired to a super sink at cost plus its
 dual value.  With a feasible dual every super-source-to-super-sink path
 has non-negative cost, and the zero-cost ones are exactly the paths a
 minimum-cost shipment plan may use.  The admissible arc set consists of
-the original arcs lying on such a zero-cost path.
+the original arcs lying on such a zero-cost path.  Labels run on the
+extended costs scaled to integers once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from . import _kernel
 from .errors import InternalCheckError
 from .network import Network
+from .rationals import to_integers
 from .transport import DualSolution
 
 
@@ -72,25 +74,31 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     subnetwork with a warning.
     """
     n = extended.num_nodes
-    forward = _kernel.labels(_kernel.arc_graph(n, extended.arcs), extended.super_source)
+    tails = [u for u, _, _ in extended.arcs]
+    heads = [v for _, v, _ in extended.arcs]
+    scale, costs = to_integers(c for _, _, c in extended.arcs)
+    forward = _kernel.labels(
+        _kernel.arc_graph(n, zip(tails, heads, costs)), extended.super_source
+    )
     opt = forward[extended.super_sink]
     if opt is None:
         warnings.warn("super sink unreachable; admissible subnetwork is empty", stacklevel=2)
         return Subnetwork(frozenset(), connected=False)
     if opt != 0:
+        cost = Fraction(opt, scale)
         raise InternalCheckError(
-            f"cheapest extended path costs {opt}, expected 0 for an optimal dual"
+            f"cheapest extended path costs {cost}, expected 0 for an optimal dual"
         )
-    reversed_arcs = ((head, tail, cost) for tail, head, cost in extended.arcs)
-    backward = _kernel.labels(_kernel.arc_graph(n, reversed_arcs), extended.super_sink)
+    backward = _kernel.labels(
+        _kernel.arc_graph(n, zip(heads, tails, costs)), extended.super_sink
+    )
 
     base = extended.base
-    idx = base.node_index
     selected = []
-    for i, arc in enumerate(base.arcs):
-        df = forward[idx(arc.tail)]
-        db = backward[idx(arc.head)]
-        if df is not None and db is not None and df + arc.cost + db == opt:
+    for i in range(extended.base_arc_count):
+        df = forward[tails[i]]
+        db = backward[heads[i]]
+        if df is not None and db is not None and df + costs[i] + db == 0:
             selected.append(i)
     subnetwork = Subnetwork(frozenset(selected), connected=True)
     _assert_terminals_covered(base, subnetwork)

@@ -2,8 +2,10 @@
 
 Arc costs may be negative as long as the network is conservative, so
 labels come from the label-correcting routine :func:`qmct._kernel.labels`
-rather than from Dijkstra.  Costs stay exact Fractions.  A reachable
-negative cycle, which validation excludes, raises
+rather than from Dijkstra.  Labels run on the integer costs of
+:attr:`Network.integral <qmct.network.Network.integral>` and become
+exact Fractions only where they are returned.  A reachable negative
+cycle, which validation excludes, raises
 :class:`~qmct.errors.InternalCheckError`.  Unreachable nodes are
 represented by absence from the label map, never by a sentinel value.
 """
@@ -43,17 +45,16 @@ class CostLabels:
 
 
 def _graph(network: Network, reverse: bool = False) -> _kernel.Residual:
-    idx = network.node_index
-    arcs = [(idx(a.tail), idx(a.head), a.cost) for a in network.arcs]
-    if reverse:
-        arcs = [(head, tail, cost) for tail, head, cost in arcs]
-    return _kernel.arc_graph(len(network.nodes), arcs)
+    form = network.integral
+    ends = (form.heads, form.tails) if reverse else (form.tails, form.heads)
+    return _kernel.arc_graph(len(network.nodes), zip(*ends, form.costs))
 
 
 def _cost_labels(network: Network, origin: NodeId, direction: str) -> CostLabels:
     g = _graph(network, reverse=direction == TO_SINK)
     dist = _kernel.labels(g, network.node_index(origin))
-    values = {v: d for v, d in zip(network.nodes, dist) if d is not None}
+    scale = network.integral.cost_scale
+    values = {v: Fraction(d, scale) for v, d in zip(network.nodes, dist) if d is not None}
     return CostLabels(origin, direction, values)
 
 
@@ -99,6 +100,7 @@ def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], Fraction]:
     """
     g = _graph(network)
     idx = network.node_index
+    scale = network.integral.cost_scale
     sinks = network.sinks
     costs: dict[tuple[NodeId, NodeId], Fraction] = {}
     for s in network.sources:
@@ -106,5 +108,5 @@ def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], Fraction]:
         for t in sinks:
             d = dist[idx(t)]
             if d is not None:
-                costs[(s, t)] = d
+                costs[(s, t)] = Fraction(d, scale)
     return costs

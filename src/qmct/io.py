@@ -19,14 +19,16 @@ from .network import Arc, Network
 from .rationals import as_rational, rational_str
 
 
-def _value(raw: Any, where: str) -> Fraction:
-    if isinstance(raw, float):
-        raise ValidationError(
-            f"{where}: floats are not exact; write the value as a string like \"3/2\""
-        )
+def _value(raw: Any, where: str, key: object) -> Fraction:
+    """``raw`` as a rational; errors name ``where.format(key)``, built only then."""
     try:
         return as_rational(raw)
     except (TypeError, ValueError) as exc:
+        where = where.format(key)
+        if isinstance(raw, float):
+            raise ValidationError(
+                f"{where}: floats are not exact; write the value as a string like \"3/2\""
+            ) from None
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -53,17 +55,15 @@ def network_from_doc(doc: Any) -> Network:
             Arc(
                 tail=tail,
                 head=head,
-                capacity=_value(item.get("capacity", 1), f"arc {k} capacity"),
-                transit=_value(item.get("transit", 0), f"arc {k} transit"),
-                cost=_value(item.get("cost", 0), f"arc {k} cost"),
+                capacity=_value(item.get("capacity", 1), "arc {} capacity", k),
+                transit=_value(item.get("transit", 0), "arc {} transit", k),
+                cost=_value(item.get("cost", 0), "arc {} cost", k),
             )
         )
     raw_balances = doc.get("balances", {})
     if not isinstance(raw_balances, dict):
         raise ValidationError("'balances' must be an object")
-    balances = {
-        v: _value(b, f"balance of {v!r}") for v, b in raw_balances.items()
-    }
+    balances = {v: _value(b, "balance of {!r}", v) for v, b in raw_balances.items()}
     try:
         return Network.of(nodes, arcs, balances)
     except ValueError as exc:

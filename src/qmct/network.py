@@ -5,17 +5,20 @@ time and cost, plus a balance on every node: positive balances are
 supplies (the node is a source), negative balances are demands (a sink),
 zero balances are intermediate nodes.  Instances are immutable after
 construction; :func:`validate` reports every violated invariant instead
-of aborting on the first.
+of aborting on the first.  Each network turns its rationals into
+integers once, in :attr:`Network.integral`, which every label pass and
+time expansion reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernel
-from .rationals import as_rational
+from .rationals import as_rational, to_integers
 
 NodeId = str
 
@@ -33,6 +36,26 @@ class Arc:
     @staticmethod
     def of(tail: NodeId, head: NodeId, capacity, transit, cost) -> "Arc":
         return Arc(tail, head, as_rational(capacity), as_rational(transit), as_rational(cost))
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """A network's data as integers, arcs in order, balances per node index.
+
+    Capacities and balances are multiplied by ``flow_scale``, costs by
+    ``cost_scale`` and transits by ``time_scale``; each scale is the least
+    common multiple of the denominators it clears, so every entry is exact.
+    """
+
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    capacities: tuple[int, ...]
+    balances: tuple[int, ...]
+    costs: tuple[int, ...]
+    transits: tuple[int, ...]
+    flow_scale: int
+    cost_scale: int
+    time_scale: int
 
 
 @dataclass(frozen=True)
@@ -79,6 +102,28 @@ class Network:
     def node_index(self, v: NodeId) -> int:
         return self._index[v]
 
+    @cached_property
+    def integral(self) -> IntegerForm:
+        """The integer form, computed on first use and then kept (the
+        network never changes, so it never goes stale)."""
+        arcs, index, m = self.arcs, self._index, len(self.arcs)
+        flow_scale, flows = to_integers(
+            [*(a.capacity for a in arcs), *(self.balances.get(v, 0) for v in self.nodes)]
+        )
+        cost_scale, costs = to_integers(a.cost for a in arcs)
+        time_scale, transits = to_integers(a.transit for a in arcs)
+        return IntegerForm(
+            tuple(index[a.tail] for a in arcs),
+            tuple(index[a.head] for a in arcs),
+            flows[:m],
+            flows[m:],
+            costs,
+            transits,
+            flow_scale,
+            cost_scale,
+            time_scale,
+        )
+
     @property
     def sources(self) -> tuple[NodeId, ...]:
         return tuple(v for v in self.nodes if self.balances[v] > 0)
@@ -97,12 +142,8 @@ class Network:
         return Network(self.nodes, tuple(self.arcs[i] for i in keep), dict(self.balances))
 
     def with_balances(self, balances: Mapping[NodeId, object]) -> "Network":
-        bal = {v: as_rational(x) for v, x in balances.items()}
-        unknown = set(bal) - set(self.nodes)
-        if unknown:
-            raise ValueError(f"balance given for unknown node(s): {sorted(unknown)}")
-        full = {v: bal.get(v, Fraction(0)) for v in self.nodes}
-        return Network(self.nodes, self.arcs, full)
+        """Same nodes and arcs, these balances (missing nodes get 0)."""
+        return Network.of(self.nodes, self.arcs, balances)
 
 
 @dataclass(frozen=True)
@@ -176,11 +217,8 @@ def validate(network: Network) -> ValidationReport:
         violations.append(Violation("balance", f"balances sum to {total}, expected 0"))
 
     # Self-loops are reported above; the cycle test runs on the rest.
-    indexed = (
-        (network.node_index(a.tail), network.node_index(a.head), a.cost)
-        for a in network.arcs
-        if a.tail != a.head
-    )
+    form = network.integral
+    indexed = ((u, v, c) for u, v, c in zip(form.tails, form.heads, form.costs) if u != v)
     if _kernel.label_correct(_kernel.arc_graph(len(network.nodes), indexed)) is None:
         violations.append(Violation("negative-cycle", "network contains a negative-cost cycle"))
 

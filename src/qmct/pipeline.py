@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import admissible, cheapest, staticflow, temporal, transport
 from .errors import HorizonLimitError, InfeasibleError, ValidationError
 from .network import Arc, Network, NodeId, validate
-from .rationals import common_denominator
 
 MODE_QUICKEST_MINCOST = "quickest-mincost"
 MODE_QUICKEST = "quickest"
@@ -84,11 +83,13 @@ def validate_or_raise(network: Network) -> None:
 
 def scale_transits(network: Network) -> tuple[Network, int]:
     """Multiply all transit times by the least factor making them integers."""
-    scale = common_denominator([a.transit for a in network.arcs])
+    form = network.integral
+    scale = form.time_scale
     if scale == 1:
         return network, 1
     arcs = tuple(
-        Arc(a.tail, a.head, a.capacity, a.transit * scale, a.cost) for a in network.arcs
+        Arc(a.tail, a.head, a.capacity, Fraction(tau), a.cost)
+        for a, tau in zip(network.arcs, form.transits)
     )
     return Network(network.nodes, arcs, dict(network.balances)), scale
 
@@ -174,10 +175,11 @@ def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction
     paths, cycles = staticflow.decompose(graph, staticflow.StaticFlow(witness.flows))
     n = len(run.restricted.nodes)
     movement = graph.movement
+    form = run.restricted.integral
 
     def cost(arc_seq: tuple[int, ...]) -> Fraction:
         legs = (movement[e][0] for e in arc_seq if e < len(movement))
-        return sum((run.restricted.arcs[i].cost for i in legs), Fraction(0))
+        return Fraction(sum(form.costs[i] for i in legs), form.cost_scale)
 
     routes = []
     for arc_seq, amount in paths:

@@ -1,10 +1,12 @@
 """Exact rational values and their text representation.
 
-All numeric quantities in the solver (capacities, transit times, costs,
-balances, flow rates, horizons) are exact rationals backed by
-:class:`fractions.Fraction`.  Floats are rejected at every parsing
+All numeric quantities at the solver's interface (capacities, transit
+times, costs, balances, flow rates, horizons) are exact rationals backed
+by :class:`fractions.Fraction`.  Floats are rejected at every parsing
 boundary so that the tightness tests downstream (dual constraints,
-cheapest-path membership) can compare for equality.
+cheapest-path membership) can compare for equality.  Inside, the solver
+works on integers: :func:`to_integers` is the one place where rationals
+are scaled to a common denominator.
 """
 
 from __future__ import annotations
@@ -23,12 +25,6 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     decimal ("1.5") form.  Floats are rejected: binary floats are not
     exact representations of the decimal literals users write.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"expected a rational number, got bool {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         # Integer literals, almost every value of a generated instance,
         # skip the Fraction constructor's regular expression.
@@ -39,6 +35,14 @@ def as_rational(value: int | str | Fraction) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a valid rational literal: {value!r}") from exc
+    if type(value) is int:  # plain ints skip the checks below; bools do not
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"expected a rational number, got bool {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
@@ -49,7 +53,16 @@ def rational_str(value: Fraction) -> str:
 
 def common_denominator(values: Iterable[Fraction]) -> int:
     """Least common multiple of the denominators of ``values`` (>= 1)."""
-    lcm = 1
-    for v in values:
-        lcm = math.lcm(lcm, v.denominator)
-    return lcm
+    return math.lcm(*{v.denominator for v in values})
+
+
+def to_integers(values: Iterable[Fraction | None]) -> tuple[int, tuple[int | None, ...]]:
+    """``(scale, ints)``: each value times :func:`common_denominator`.
+
+    Every int is exact; ``None`` (an absent bound) passes through.
+    """
+    values = list(values)
+    scale = common_denominator(v for v in values if v is not None)
+    return scale, tuple(
+        None if v is None else v.numerator * (scale // v.denominator) for v in values
+    )

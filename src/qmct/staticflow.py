@@ -2,8 +2,9 @@
 
 Provides max-flow (with a min-cut certificate), min-cost flow with node
 potentials certifying optimality, and flow decomposition into paths and
-cycles.  Rational data is scaled to a common denominator and solved by
-the integer kernel in :mod:`qmct._kernel`; results are unscaled exactly.
+cycles.  Rational data is scaled to a common denominator by
+:func:`qmct.rationals.to_integers` and solved by the integer kernel in
+:mod:`qmct._kernel`; results are unscaled exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from . import _kernel
 from .errors import InfeasibleError
 from .network import Network
-from .rationals import as_rational, common_denominator
+from .rationals import as_rational, to_integers
 
 UNCAPPED = None
 
@@ -91,18 +92,6 @@ class MinCostFlowResult:
     cost: Fraction
 
 
-def _scale_caps(problem: FlowProblem, extra: Iterable[Fraction] = ()) -> tuple[int, list[int | None]]:
-    finite = [c for c in problem.capacities if c is not None]
-    denom = common_denominator([*finite, *extra])
-    caps = [None if c is None else int(c * denom) for c in problem.capacities]
-    return denom, caps
-
-
-def _scale_costs(problem: FlowProblem) -> tuple[int, list[int]]:
-    denom = common_denominator(problem.costs)
-    return denom, [int(c * denom) for c in problem.costs]
-
-
 def _uncapped_path_exists(problem: FlowProblem, source: int, sink: int) -> bool:
     adj: list[list[int]] = [[] for _ in range(problem.num_nodes)]
     for i in range(problem.num_arcs):
@@ -131,7 +120,7 @@ def max_flow(problem: FlowProblem, source: int, sink: int) -> MaxFlowResult:
         raise ValueError("max_flow: source and sink coincide")
     if _uncapped_path_exists(problem, source, sink):
         raise ValueError("max_flow: unbounded (a fully uncapacitated path exists)")
-    denom, caps = _scale_caps(problem)
+    denom, caps = to_integers(problem.capacities)
     g = _kernel.build(problem.num_nodes, problem.tails, problem.heads, caps)
     value, reachable = _kernel.max_flow(g, source, sink)
     flows = tuple(Fraction(f, denom) for f in g.rem[1::2])
@@ -171,9 +160,9 @@ def min_cost_flow(
     if total_balance != 0:
         raise ValueError(f"balances sum to {total_balance}, expected 0")
 
-    cap_denom, caps = _scale_caps(problem, extra=bal)
-    cost_denom, costs = _scale_costs(problem)
-    bal_int = [int(b * cap_denom) for b in bal]
+    cap_denom, scaled = to_integers([*problem.capacities, *bal])
+    caps, bal_int = scaled[: problem.num_arcs], scaled[problem.num_arcs :]
+    cost_denom, costs = to_integers(problem.costs)
 
     g = _kernel.build(problem.num_nodes + 2, problem.tails, problem.heads, caps, costs)
     super_source, super_sink, total = _kernel.wire_balances(g, bal_int)

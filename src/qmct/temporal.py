@@ -12,21 +12,21 @@ super terminals, which makes feasibility at horizon ``T`` a max-flow
 question and minimum cost over time a min-cost-flow question on the
 expansion.
 
-Transit times must already be integers here; the pipeline scales
-rational transit times to integers before calling in.
+Everything here reads :attr:`Network.integral`, computed once per
+network however many horizons are expanded; other balances make another
+network (:meth:`Network.with_balances`).  Transits must be integers
+already: the pipeline scales rational transit times before calling in.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import _kernel
 from .errors import HorizonLimitError, InfeasibleError
-from .network import Network, NodeId
-from .rationals import as_rational, common_denominator
+from .network import IntegerForm, Network, NodeId
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,6 @@ class TimeExpandedGraph:
     @property
     def num_arcs(self) -> int:
         return len(self.tails)
-
-    def copy_index(self, node: NodeId, layer: int) -> int:
-        return layer * len(self.network.nodes) + self.network.node_index(node)
 
 
 @dataclass(frozen=True)
@@ -124,34 +121,20 @@ class ScheduleVerification:
         return not self.violations
 
 
-def _resolve_balances(
-    network: Network, balances: Mapping[NodeId, object] | None
-) -> dict[NodeId, Fraction]:
-    if balances is None:
-        return dict(network.balances)
-    full = {v: Fraction(0) for v in network.nodes}
-    for v, b in balances.items():
-        full[v] = as_rational(b)
-    return full
-
-
-def _integer_transits(network: Network) -> list[int]:
-    transits = []
-    for i, arc in enumerate(network.arcs):
-        if arc.transit.denominator != 1:
-            raise ValueError(
-                f"arc {i} has non-integer transit {arc.transit}; "
-                "scale transit times before time expansion"
-            )
-        transits.append(int(arc.transit))
-    return transits
+def _integer_form(network: Network) -> IntegerForm:
+    """The network's integer form, whose transits must need no scaling."""
+    form = network.integral
+    if form.time_scale != 1:
+        i, arc = next((i, a) for i, a in enumerate(network.arcs) if a.transit.denominator != 1)
+        raise ValueError(
+            f"arc {i} has non-integer transit {arc.transit}; "
+            "scale transit times before time expansion"
+        )
+    return form
 
 
 def expand(
-    network: Network,
-    horizon: int,
-    balances: Mapping[NodeId, object] | None = None,
-    max_layers: int | None = None,
+    network: Network, horizon: int, max_layers: int | None = None
 ) -> TimeExpandedGraph:
     """Build the time expansion for an integer horizon.
 
@@ -166,24 +149,12 @@ def expand(
             requested=horizon,
             limit=max_layers,
         )
-    transits = _integer_transits(network)
-    bal = _resolve_balances(network, balances)
+    form = _integer_form(network)
+    transits, arc_tails = form.transits, form.tails
+    caps_int, costs_int = form.capacities, form.costs
     n = len(network.nodes)
-    cap_scale = common_denominator(
-        [a.capacity for a in network.arcs] + list(bal.values())
-    )
-    cost_scale = common_denominator([a.cost for a in network.arcs])
-    # Exact: each denominator divides its common denominator.
-    caps_int = [
-        a.capacity.numerator * (cap_scale // a.capacity.denominator) for a in network.arcs
-    ]
-    costs_int = [a.cost.numerator * (cost_scale // a.cost.denominator) for a in network.arcs]
-    bal_int = {v: b.numerator * (cap_scale // b.denominator) for v, b in bal.items()}
-    arc_tails = [network.node_index(a.tail) for a in network.arcs]
     # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
-    head_shift = [
-        tau * n + network.node_index(a.head) for a, tau in zip(network.arcs, transits)
-    ]
+    head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
 
     tails: list[int] = []
     heads: list[int] = []
@@ -212,17 +183,16 @@ def expand(
     super_source = n * horizon
     super_sink = super_source + 1
     wiring_start = len(tails)
-    total_scaled = sum(b for b in bal_int.values() if b > 0)
+    total_scaled = sum(b for b in form.balances if b > 0)
     if horizon > 0:
-        for v in network.nodes:
-            b = bal_int[v]
+        for v, b in enumerate(form.balances):
             if b > 0:
                 tails.append(super_source)
-                heads.append(network.node_index(v))
+                heads.append(v)
                 caps.append(b)
                 costs.append(0)
             elif b < 0:
-                tails.append(last_layer * n + network.node_index(v))
+                tails.append(last_layer * n + v)
                 heads.append(super_sink)
                 caps.append(-b)
                 costs.append(0)
@@ -240,8 +210,8 @@ def expand(
         wiring_start=wiring_start,
         super_source=super_source,
         super_sink=super_sink,
-        cap_scale=cap_scale,
-        cost_scale=cost_scale,
+        cap_scale=form.flow_scale,
+        cost_scale=form.cost_scale,
         total_supply_scaled=total_scaled,
     )
 
@@ -274,27 +244,19 @@ def _solve_max(graph: TimeExpandedGraph) -> tuple[int, tuple[int, ...], set[int]
     return value, tuple(g.rem[1::2]), reachable
 
 
-def feasible(
-    network: Network,
-    horizon: int,
-    balances: Mapping[NodeId, object] | None = None,
-    max_layers: int | None = None,
-) -> bool:
+def feasible(network: Network, horizon: int, max_layers: int | None = None) -> bool:
     """True when all supplies can reach their demands within the horizon."""
-    return feasibility_witness(network, horizon, balances, max_layers)[0]
+    return feasibility_witness(network, horizon, max_layers)[0]
 
 
 def feasibility_witness(
-    network: Network,
-    horizon: int,
-    balances: Mapping[NodeId, object] | None = None,
-    max_layers: int | None = None,
+    network: Network, horizon: int, max_layers: int | None = None
 ) -> tuple[bool, ExpansionWitness]:
     """Feasibility plus the max-flow witness on the expansion.
 
     When infeasible the witness carries the best partial routing found.
     """
-    graph = expand(network, horizon, balances, max_layers)
+    graph = expand(network, horizon, max_layers)
     if graph.total_supply_scaled == 0 or horizon == 0:
         empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
         return graph.total_supply_scaled == 0, empty
@@ -302,7 +264,7 @@ def feasibility_witness(
     return value == graph.total_supply_scaled, ExpansionWitness(graph, flows)
 
 
-def _horizon_lower_bound(network: Network, bal: dict[NodeId, Fraction]) -> int:
+def _horizon_lower_bound(network: Network) -> int:
     """Smallest horizon not obviously impossible by transit distance.
 
     Every supplied source must reach some demanded sink (and vice versa);
@@ -310,12 +272,11 @@ def _horizon_lower_bound(network: Network, bal: dict[NodeId, Fraction]) -> int:
     the bound is one plus the largest of these per-terminal minima.
     Raises :class:`InfeasibleError` when some terminal is cut off.
     """
-    sources = [v for v in network.nodes if bal[v] > 0]
-    sinks = [v for v in network.nodes if bal[v] < 0]
+    form = _integer_form(network)
+    sources = network.sources
+    sinks = network.sinks
     idx = network.node_index
-    transits = _integer_transits(network)
-    arcs = ((idx(a.tail), idx(a.head), tau) for a, tau in zip(network.arcs, transits))
-    g = _kernel.arc_graph(len(network.nodes), arcs)
+    g = _kernel.arc_graph(len(network.nodes), zip(form.tails, form.heads, form.transits))
     best = 0
     sink_best: dict[NodeId, int] = {}
     for s in sources:
@@ -341,9 +302,7 @@ def _horizon_lower_bound(network: Network, bal: dict[NodeId, Fraction]) -> int:
     return best + 1
 
 
-def horizon_upper_bound(
-    network: Network, balances: Mapping[NodeId, object] | None = None
-) -> int:
+def horizon_upper_bound(network: Network) -> int:
     """``⌈total/u_min⌉ + (n−1)·τ_max``: feasible and cost-stabilising.
 
     ``total`` is the total supply, ``u_min`` the smallest arc capacity
@@ -373,19 +332,17 @@ def horizon_upper_bound(
     and none ever will be, which is what the solver's infeasibility stop
     needs.
     """
-    bal = _resolve_balances(network, balances)
-    total = sum((b for b in bal.values() if b > 0), Fraction(0))
+    # ``total`` and ``u_min`` both carry ``flow_scale``: the ceiling is exact.
+    form = network.integral
+    total = sum(b for b in form.balances if b > 0)
     if total == 0 or not network.arcs:
         return 0
-    u_min = min(a.capacity for a in network.arcs)
-    tau_max = max(_integer_transits(network))
-    return math.ceil(total / u_min) + (len(network.nodes) - 1) * tau_max
+    tau_max = max(_integer_form(network).transits)
+    return -(-total // min(form.capacities)) + (len(network.nodes) - 1) * tau_max
 
 
 def quickest_transshipment(
-    network: Network,
-    balances: Mapping[NodeId, object] | None = None,
-    max_layers: int | None = None,
+    network: Network, max_layers: int | None = None
 ) -> QuickestResult:
     """Smallest integer horizon admitting a full transshipment.
 
@@ -394,16 +351,13 @@ def quickest_transshipment(
     max-flow probes on the expansion.  Raises :class:`InfeasibleError`
     (with a cut certificate) when no horizon works.
     """
-    bal = _resolve_balances(network, balances)
-    _integer_transits(network)
-    total = sum((b for b in bal.values() if b > 0), Fraction(0))
-    if total == 0:
-        graph = expand(network, 0, bal, max_layers)
+    if not any(b > 0 for b in _integer_form(network).balances):
+        graph = expand(network, 0, max_layers)
         empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
         return QuickestResult(0, FlowOverTime(0, ()), empty)
 
-    t_lb = _horizon_lower_bound(network, bal)
-    t_ub = max(horizon_upper_bound(network, bal), t_lb)
+    t_lb = _horizon_lower_bound(network)
+    t_ub = max(horizon_upper_bound(network), t_lb)
 
     # Only two probe results outlive their probe: the flows of the
     # smallest feasible horizon so far (``hi`` only ever decreases), and
@@ -414,7 +368,7 @@ def quickest_transshipment(
 
     def probe(horizon: int) -> bool:
         nonlocal feasible_probe, cut
-        graph = expand(network, horizon, bal, max_layers)
+        graph = expand(network, horizon, max_layers)
         value, flows, reachable = _solve_max(graph)
         if value == graph.total_supply_scaled:
             feasible_probe = (graph, flows)
@@ -459,13 +413,10 @@ def quickest_transshipment(
 
 
 def mincost_over_time(
-    network: Network,
-    horizon: int,
-    balances: Mapping[NodeId, object] | None = None,
-    max_layers: int | None = None,
+    network: Network, horizon: int, max_layers: int | None = None
 ) -> MincostOverTimeResult:
     """Minimum-cost transshipment within a fixed integer horizon."""
-    graph = expand(network, horizon, balances, max_layers)
+    graph = expand(network, horizon, max_layers)
     if graph.total_supply_scaled == 0:
         empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
         return MincostOverTimeResult(Fraction(0), FlowOverTime(horizon, ()), empty)
@@ -485,18 +436,18 @@ def mincost_over_time(
             certificate={"horizon": horizon, "deficit": deficit},
         )
     flows = tuple(g.rem[1::2])
-    schedule = _schedule_from_movement(graph, flows[: len(graph.movement)])
-    # Only movement copies have nonzero cost.
+    movement_flows = flows[: len(graph.movement)]
+    schedule = _schedule_from_movement(graph, movement_flows)
+    # Only movement copies have nonzero cost; zip stops after them.
     cost = Fraction(
-        sum(c * f for c, f in zip(graph.costs, flows)), graph.cap_scale * graph.cost_scale
+        sum(c * f for c, f in zip(graph.costs, movement_flows)),
+        graph.cap_scale * graph.cost_scale,
     )
     return MincostOverTimeResult(cost, schedule, ExpansionWitness(graph, flows))
 
 
 def _replay(
-    network: Network,
-    schedule: FlowOverTime,
-    balances: Mapping[NodeId, object] | None,
+    network: Network, schedule: FlowOverTime
 ) -> tuple[list[str], Fraction, dict[NodeId, list[Fraction]]]:
     """Simulate a schedule unit step by unit step.
 
@@ -504,8 +455,8 @@ def _replay(
     node at integer times 0..horizon.  Entries naming an unknown arc, a
     negative rate or an empty interval are reported and left out.
     """
-    bal = _resolve_balances(network, balances)
-    transits = _integer_transits(network)
+    bal = network.balances
+    transits = _integer_form(network).transits
     horizon = schedule.horizon
     violations: list[str] = []
     # Per-arc inflow rate at each unit step, accumulated over intervals.
@@ -573,29 +524,23 @@ def _replay(
     return violations, cost, trace
 
 
-def verify_schedule(
-    network: Network,
-    schedule: FlowOverTime,
-    balances: Mapping[NodeId, object] | None = None,
-) -> ScheduleVerification:
+def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerification:
     """Check a schedule against capacities, conservation and balances.
 
     Returns a report listing every violation (never raises) along with
     the exact recomputed cost.
     """
-    violations, cost, _ = _replay(network, schedule, balances)
+    violations, cost, _ = _replay(network, schedule)
     return ScheduleVerification(tuple(violations), cost)
 
 
 def storage_trace(
-    network: Network,
-    schedule: FlowOverTime,
-    balances: Mapping[NodeId, object] | None = None,
+    network: Network, schedule: FlowOverTime
 ) -> dict[NodeId, tuple[Fraction, ...]]:
     """Amount held at each node at integer times 0..horizon.
 
     Schedule entries that :func:`verify_schedule` rejects (unknown arcs,
     negative rates, empty intervals) are left out.
     """
-    _, _, trace = _replay(network, schedule, balances)
+    _, _, trace = _replay(network, schedule)
     return {v: tuple(values) for v, values in trace.items()}

@@ -48,6 +48,28 @@ def test_floats_rejected():
         )
 
 
+FLOATS = 'floats are not exact; write the value as a string like "3/2"'
+
+
+@pytest.mark.parametrize(
+    "arc, balances, message",
+    [
+        ({"capacity": 1.5}, {}, f"arc 0 capacity: {FLOATS}"),
+        ({"transit": True}, {}, "arc 0 transit: expected a rational number, got bool True"),
+        ({"cost": "x/2"}, {}, "arc 0 cost: not a valid rational literal: 'x/2'"),
+        ({"cost": None}, {}, "arc 0 cost: expected int, str or Fraction, got NoneType"),
+        ({}, {"a": "1/0"}, "balance of 'a': not a valid rational literal: '1/0'"),
+        ({}, {"b": [1]}, "balance of 'b': expected int, str or Fraction, got list"),
+        ({}, {"b": -0.5}, f"balance of 'b': {FLOATS}"),
+    ],
+)
+def test_bad_values_name_their_place(arc, balances, message):
+    doc = {"nodes": ["a", "b"], "arcs": [{"tail": "a", "head": "b", **arc}], "balances": balances}
+    with pytest.raises(ValidationError) as caught:
+        network_from_doc(doc)
+    assert str(caught.value) == message
+
+
 def test_decimal_strings_accepted():
     net = network_from_doc(
         {

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmct._kernel import arc_graph, label_correct
+from qmct.network import Network, validate
 
 nx = pytest.importorskip("networkx")
 
@@ -88,3 +89,23 @@ def test_labels_match_networkx_in_both_start_modes():
         assert (expected is None) == nx.negative_edge_cycle(graph)
         seen["root-cycle"] += expected is None
     assert min(seen.values()) >= 30, seen
+
+
+def test_validate_finds_negative_cycles_like_networkx():
+    # ``validate`` tests for cycles on the network's integer costs; a
+    # negative self-loop is reported as a self-loop, not as a cycle.
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    for trial in range(240):
+        n = rng.randint(2, 7)
+        arcs = _random_arcs(rng, n, fractions=trial % 4 != 0, plant_cycle=trial % 3 == 0)
+        expected = nx.negative_edge_cycle(_networkx(n, arcs))
+        if trial % 5 == 0:
+            v = rng.randrange(n)
+            arcs.append((v, v, Fraction(-1, 5)))
+        nodes = [f"v{i}" for i in range(n)]
+        net = Network.of(nodes, [(nodes[u], nodes[v], 1, 0, c) for u, v, c in arcs])
+        found = "negative-cycle" in validate(net).kinds()
+        assert found == expected, (trial, arcs)
+        verdicts[found] += 1
+    assert min(verdicts.values()) >= 80, verdicts

@@ -420,12 +420,13 @@ def test_feasibility_witness_routes_everything(demo):
 
 
 def test_balances_override_without_rebuilding(demo):
-    # Probe alternative balances on the same network object.  Two units
-    # out of s2 need both the middle route and the slow direct arc.
-    assert feasible(demo, 1, balances={"s1": 1, "t1": -1})
-    assert not feasible(demo, 1, balances={"s2": 2, "t2": -2})
-    assert feasible(demo, 2, balances={"s2": 2, "t2": -2})
-    result = mincost_over_time(demo, 1, balances={"s2": 1, "t1": -1})
+    # Probe alternative balances on the same arcs: ``with_balances``
+    # shares them and gives each variant its own integer form.  Two
+    # units out of s2 need both the middle route and the slow direct arc.
+    assert feasible(demo.with_balances({"s1": 1, "t1": -1}), 1)
+    assert not feasible(demo.with_balances({"s2": 2, "t2": -2}), 1)
+    assert feasible(demo.with_balances({"s2": 2, "t2": -2}), 2)
+    result = mincost_over_time(demo.with_balances({"s2": 1, "t1": -1}), 1)
     assert result.cost == 1
 
 
