@@ -31,7 +31,6 @@ from .pipeline import (
 from .temporal import (
     FlowOverTime,
     feasible,
-    feasibility_witness,
     mincost_over_time,
     quickest_transshipment,
     verify_schedule,
@@ -53,7 +52,6 @@ __all__ = [
     "ValidationError",
     "ValidationReport",
     "feasible",
-    "feasibility_witness",
     "generate",
     "load_instance",
     "mincost_over_time",

@@ -44,10 +44,15 @@ class ExtendedNetwork:
 
 @dataclass(frozen=True)
 class Subnetwork:
-    """Original-arc subset; super-terminal arcs are never included."""
+    """Original-arc subset; super-terminal arcs are never included.
+
+    ``labels`` are the cheapest-path costs from the super source that
+    cut the subset out, one per base node (``None`` when unreached).
+    """
 
     arc_indices: frozenset[int]
     connected: bool
+    labels: tuple[Fraction | None, ...]
 
 
 def extend(network: Network, dual: DualSolution) -> ExtendedNetwork:
@@ -80,10 +85,13 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     forward = _kernel.labels(
         _kernel.arc_graph(n, zip(tails, heads, costs)), extended.super_source
     )
+    labels = tuple(
+        None if d is None else Fraction(d, scale) for d in forward[: len(extended.base.nodes)]
+    )
     opt = forward[extended.super_sink]
     if opt is None:
         warnings.warn("super sink unreachable; admissible subnetwork is empty", stacklevel=2)
-        return Subnetwork(frozenset(), connected=False)
+        return Subnetwork(frozenset(), connected=False, labels=labels)
     if opt != 0:
         cost = Fraction(opt, scale)
         raise InternalCheckError(
@@ -100,7 +108,7 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
         db = backward[heads[i]]
         if df is not None and db is not None and df + costs[i] + db == 0:
             selected.append(i)
-    subnetwork = Subnetwork(frozenset(selected), connected=True)
+    subnetwork = Subnetwork(frozenset(selected), connected=True, labels=labels)
     _assert_terminals_covered(base, subnetwork)
     return subnetwork
 

@@ -22,7 +22,7 @@ class NoPathError(QmctError):
 class InfeasibleError(QmctError):
     """Supplies cannot be routed to demands.
 
-    ``certificate`` carries a machine-readable witness, e.g. a deficient
+    ``certificate`` carries a machine-readable proof, e.g. a deficient
     terminal subset for transportation problems or a saturated cut for
     flow problems.
     """

@@ -16,10 +16,7 @@ from .network import Arc, Network
 from .staticflow import FlowProblem, max_flow
 
 
-def _reachable_from(num_nodes: int, arcs: list[tuple[int, int]], start: int) -> set[int]:
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in arcs:
-        adj[u].append(v)
+def _reachable_from(adj: list[list[int]], start: int) -> set[int]:
     seen = {start}
     queue = deque([start])
     while queue:
@@ -65,22 +62,29 @@ def generate(
 
     target_arcs = max(nodes - 1, round(density * nodes * (nodes - 1) / 2))
     endpoints: list[tuple[int, int]] = []
+    # Out-neighbours of every node, kept in step with ``endpoints``.
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+
+    def add_arc(u: int, v: int) -> None:
+        endpoints.append((u, v))
+        adj[u].append(v)
+
     for _ in range(target_arcs):
         u = rng.randrange(nodes)
         v = rng.randrange(nodes)
         if u != v:
-            endpoints.append((u, v))
+            add_arc(u, v)
 
     # Repair: every source must reach a sink, every sink must be reached.
     for s in source_ids:
-        if not (_reachable_from(nodes, endpoints, s) & set(sink_ids)):
-            endpoints.append((s, rng.choice(sink_ids)))
+        if not (_reachable_from(adj, s) & set(sink_ids)):
+            add_arc(s, rng.choice(sink_ids))
     reached = set()
     for s in source_ids:
-        reached |= _reachable_from(nodes, endpoints, s)
+        reached |= _reachable_from(adj, s)
     for t in sink_ids:
         if t not in reached:
-            endpoints.append((rng.choice(source_ids), t))
+            add_arc(rng.choice(source_ids), t)
 
     potential = [rng.randint(0, cost_max) if negative_costs else 0 for _ in range(nodes)]
     arcs = []
@@ -108,7 +112,7 @@ def generate(
     # the final instance is guaranteed routable.
     pair_arcs: list[tuple[int, int, None]] = []
     for i, s in enumerate(source_ids):
-        reach = _reachable_from(nodes, endpoints, s)
+        reach = _reachable_from(adj, s)
         for j, t in enumerate(sink_ids):
             if t in reach:
                 pair_arcs.append((i, k_src + j, None))

@@ -201,23 +201,30 @@ def validate(network: Network) -> ValidationReport:
     Never raises: callers that need a hard failure inspect ``report.ok``.
     """
     violations: list[Violation] = []
-    for i, arc in enumerate(network.arcs):
+    # The integer form's scales are positive, so its entries keep the
+    # signs of the rationals they stand for.
+    form = network.integral
+    for i, (u, v, cap, tau) in enumerate(
+        zip(form.tails, form.heads, form.capacities, form.transits)
+    ):
+        if cap > 0 and tau >= 0 and u != v:
+            continue
+        arc = network.arcs[i]
         label = f"arc {i} ({arc.tail}->{arc.head})"
-        if arc.capacity <= 0:
+        if cap <= 0:
             violations.append(
                 Violation("capacity", f"{label} has non-positive capacity {arc.capacity}")
             )
-        if arc.transit < 0:
+        if tau < 0:
             violations.append(Violation("transit", f"{label} has negative transit {arc.transit}"))
-        if arc.tail == arc.head:
+        if u == v:
             violations.append(Violation("self-loop", f"{label} is a self-loop"))
 
-    total = sum(network.balances.values(), Fraction(0))
+    total = Fraction(sum(form.balances), form.flow_scale)
     if total != 0:
         violations.append(Violation("balance", f"balances sum to {total}, expected 0"))
 
     # Self-loops are reported above; the cycle test runs on the rest.
-    form = network.integral
     indexed = ((u, v, c) for u, v, c in zip(form.tails, form.heads, form.costs) if u != v)
     if _kernel.label_correct(_kernel.arc_graph(len(network.nodes), indexed)) is None:
         violations.append(Violation("negative-cycle", "network contains a negative-cost cycle"))

@@ -4,8 +4,9 @@ The main entry point chains the four stages: pairwise cheapest-path
 costs, the static transportation solve with its optimal dual, the
 admissible subnetwork carved by that dual, and a quickest-transshipment
 search restricted to the subnetwork.  Every report carries the outcome
-of the built-in verification checks (schedule validity, cost agreement
-with the transportation optimum, admissibility of the routed paths).
+of the built-in verification checks: schedule validity, cost agreement
+with the transportation optimum, and admissibility of the routed paths,
+certified by complementary slackness on the arcs the schedule uses.
 
 The oracle answers the same question by brute force on time expansions
 alone: take the stabilized cost at a provably large horizon, then scan
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import admissible, cheapest, staticflow, temporal, transport
+from . import admissible, cheapest, temporal, transport
 from .errors import HorizonLimitError, InfeasibleError, ValidationError
 from .network import Arc, Network, NodeId, validate
 
@@ -162,43 +163,46 @@ def run_quickest_mincost(network: Network, max_layers: int | None = None) -> Alg
     )
 
 
-def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction, Fraction]], bool]:
-    """Project the witness onto terminal pairs: (source, sink, amount, path cost).
-
-    The boolean is False if the witness contains a nonzero-cost cycle,
-    which would invalidate the projection's cost accounting.  The
-    witness's integer flows are decomposed as they are; only the routed
-    amounts are unscaled.
-    """
-    witness = run.quickest.witness
-    graph = witness.graph
-    paths, cycles = staticflow.decompose(graph, staticflow.StaticFlow(witness.flows))
-    n = len(run.restricted.nodes)
-    movement = graph.movement
-    form = run.restricted.integral
-
-    def cost(arc_seq: tuple[int, ...]) -> Fraction:
-        legs = (movement[e][0] for e in arc_seq if e < len(movement))
-        return Fraction(sum(form.costs[i] for i in legs), form.cost_scale)
-
-    routes = []
-    for arc_seq, amount in paths:
-        source = run.restricted.nodes[graph.heads[arc_seq[0]] % n]
-        sink = run.restricted.nodes[graph.tails[arc_seq[-1]] % n]
-        routes.append((source, sink, Fraction(amount, graph.cap_scale), cost(arc_seq)))
-    clean = all(cost(arc_seq) == 0 for arc_seq, _amount in cycles)
-    return routes, clean
-
-
 def check_admissible_routing(run: AlgorithmRun) -> bool:
-    """Every routed path joins an active pair at its cheapest-path cost."""
-    routes, clean = routed_paths(run)
-    if not clean:
-        return False
-    for source, sink, _amount, cost in routes:
-        if (source, sink) not in run.actives:
+    """Every routed path joins an active pair at its cheapest-path cost.
+
+    Certified by complementary slackness on the reported schedule.  Let
+    y be the transportation dual and π the labels that cut out the
+    admissible subnetwork: cheapest costs from the super source S of the
+    extended network, where S's arc into source s costs −y_s and sink
+    t's arc into the super sink T costs y_t, so that π[T] = 0.  The
+    check holds iff
+
+    (i)  π[s] = −y_s for every source and π[t] = −y_t for every sink;
+    (ii) π[tail] + cost = π[head] for every arc the schedule uses.
+
+    This is the same verdict as decomposing the schedule into paths and
+    cycles and testing each one.  Under (i) and (ii), any walk from s to
+    t over scheduled arcs costs π[t] − π[s] = y_s − y_t.  That is at
+    most d(s,t) by dual feasibility and at least d(s,t) because no walk
+    is cheaper than a cheapest path; so the pair is tight, hence active,
+    and the walk is cheapest.  Any cycle telescopes to cost 0.
+    Conversely, let P be an admissible path from s to t, so that
+    c(P) = d(s,t) = y_s − y_t.  Its reduced costs π[tail] + cost − π[head]
+    sum to c(P) + π[s] − π[t] ≤ c(P) − y_s + y_t = 0, because
+    π[s] ≤ −y_s by S's arc into s and π[t] ≥ π[T] − y_t = −y_t by t's
+    arc into T.  Every reduced cost is ≥ 0, since π are cheapest-path
+    labels, so each one is 0 and both inequalities hold with equality.
+    Zero-cost cycles give the same result.  Every scheduled arc lies on
+    some routed path or cycle, and every source and sink ends a routed
+    path because all supplies are routed, so (i) and (ii) follow.
+    """
+    network = run.scaled
+    index = network.node_index
+    labels = run.subnetwork.labels
+    dual = run.solution.dual
+    for v in (*network.sources, *network.sinks):
+        if labels[index(v)] != -dual[v]:
             return False
-        if cost != run.pair_costs[(source, sink)]:
+    for entry in run.schedule.arc_flows:
+        arc = network.arcs[entry.arc]
+        tail, head = labels[index(arc.tail)], labels[index(arc.head)]
+        if tail is None or head is None or tail + arc.cost != head:
             return False
     return True
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import _kernel
 from .errors import InfeasibleError
@@ -139,10 +139,8 @@ def cut_capacity(problem: FlowProblem, cut_nodes: frozenset[int]) -> Fraction | 
     return total
 
 
-def min_cost_flow(
-    problem: FlowProblem, balances: Sequence[Fraction] | Mapping[int, Fraction]
-) -> MinCostFlowResult:
-    """Minimum-cost flow satisfying the given node balances.
+def min_cost_flow(problem: FlowProblem, balances: Sequence[Fraction]) -> MinCostFlowResult:
+    """Minimum-cost flow satisfying node balances given in node order.
 
     Costs must be conservative.  Returns the flow, node potentials
     certifying optimality (``cost - pi[tail] + pi[head] >= 0`` on every
@@ -150,12 +148,9 @@ def min_cost_flow(
     :class:`InfeasibleError` with a violated-cut certificate when the
     balances cannot be routed.
     """
-    if isinstance(balances, Mapping):
-        bal = [as_rational(balances.get(v, 0)) for v in range(problem.num_nodes)]
-    else:
-        bal = [as_rational(b) for b in balances]
-        if len(bal) != problem.num_nodes:
-            raise ValueError("balances length does not match node count")
+    bal = [as_rational(b) for b in balances]
+    if len(bal) != problem.num_nodes:
+        raise ValueError("balances length does not match node count")
     total_balance = sum(bal, Fraction(0))
     if total_balance != 0:
         raise ValueError(f"balances sum to {total_balance}, expected 0")

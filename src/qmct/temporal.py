@@ -10,7 +10,8 @@ Holdover arcs let flow wait at any node free of charge.  Supplies are
 injected on layer 0 and demands drained from the last layer, both via
 super terminals, which makes feasibility at horizon ``T`` a max-flow
 question and minimum cost over time a min-cost-flow question on the
-expansion.
+expansion.  Results keep no expansion: a probe's flows live only until
+its movement copies are read back into a :class:`FlowOverTime`.
 
 Everything here reads :attr:`Network.integral`, computed once per
 network however many horizons are expanded; other balances make another
@@ -85,30 +86,15 @@ class FlowOverTime:
 
 
 @dataclass(frozen=True)
-class ExpansionWitness:
-    """A static flow on an expansion, kept for downstream verification.
-
-    ``flows`` are the kernel's integer flows in the expansion's arc
-    order, scaled like its capacities: arc ``i`` carries
-    ``flows[i] / graph.cap_scale``.
-    """
-
-    graph: TimeExpandedGraph
-    flows: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class QuickestResult:
     horizon: int
     schedule: FlowOverTime
-    witness: ExpansionWitness
 
 
 @dataclass(frozen=True)
 class MincostOverTimeResult:
     cost: Fraction
     schedule: FlowOverTime
-    witness: ExpansionWitness
 
 
 @dataclass(frozen=True)
@@ -238,30 +224,19 @@ def _schedule_from_movement(
     return FlowOverTime(graph.horizon, tuple(entries))
 
 
-def _solve_max(graph: TimeExpandedGraph) -> tuple[int, tuple[int, ...], set[int]]:
+def _solve_max(graph: TimeExpandedGraph) -> tuple[int, list[int], set[int]]:
+    """Max-flow value, the movement copies' flows and the residual cut."""
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
     value, reachable = _kernel.max_flow(g, graph.super_source, graph.super_sink)
-    return value, tuple(g.rem[1::2]), reachable
+    return value, g.rem[1 : 2 * len(graph.movement) : 2], reachable
 
 
 def feasible(network: Network, horizon: int, max_layers: int | None = None) -> bool:
     """True when all supplies can reach their demands within the horizon."""
-    return feasibility_witness(network, horizon, max_layers)[0]
-
-
-def feasibility_witness(
-    network: Network, horizon: int, max_layers: int | None = None
-) -> tuple[bool, ExpansionWitness]:
-    """Feasibility plus the max-flow witness on the expansion.
-
-    When infeasible the witness carries the best partial routing found.
-    """
     graph = expand(network, horizon, max_layers)
     if graph.total_supply_scaled == 0 or horizon == 0:
-        empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
-        return graph.total_supply_scaled == 0, empty
-    value, flows, _ = _solve_max(graph)
-    return value == graph.total_supply_scaled, ExpansionWitness(graph, flows)
+        return graph.total_supply_scaled == 0
+    return _solve_max(graph)[0] == graph.total_supply_scaled
 
 
 def _horizon_lower_bound(network: Network) -> int:
@@ -352,18 +327,16 @@ def quickest_transshipment(
     (with a cut certificate) when no horizon works.
     """
     if not any(b > 0 for b in _integer_form(network).balances):
-        graph = expand(network, 0, max_layers)
-        empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
-        return QuickestResult(0, FlowOverTime(0, ()), empty)
+        return QuickestResult(0, FlowOverTime(0, ()))
 
     t_lb = _horizon_lower_bound(network)
     t_ub = max(horizon_upper_bound(network), t_lb)
 
-    # Only two probe results outlive their probe: the flows of the
-    # smallest feasible horizon so far (``hi`` only ever decreases), and
-    # the residual-reachable set of the last infeasible probe, which is
-    # the cut certificate when the search runs out of horizons.
-    feasible_probe: tuple[TimeExpandedGraph, tuple[int, ...]] | None = None
+    # Only two probe results outlive their probe: the movement flows of
+    # the smallest feasible horizon so far (``hi`` only ever decreases),
+    # and the residual-reachable set of the last infeasible probe, which
+    # is the cut certificate when the search runs out of horizons.
+    feasible_probe: tuple[TimeExpandedGraph, list[int]] | None = None
     cut: tuple[int, set[int]] = (0, set())
 
     def probe(horizon: int) -> bool:
@@ -406,10 +379,7 @@ def quickest_transshipment(
             lo = mid
 
     assert feasible_probe is not None
-    graph, flows = feasible_probe
-    movement_flows = flows[: len(graph.movement)]
-    schedule = _schedule_from_movement(graph, movement_flows)
-    return QuickestResult(hi, schedule, ExpansionWitness(graph, flows))
+    return QuickestResult(hi, _schedule_from_movement(*feasible_probe))
 
 
 def mincost_over_time(
@@ -418,8 +388,7 @@ def mincost_over_time(
     """Minimum-cost transshipment within a fixed integer horizon."""
     graph = expand(network, horizon, max_layers)
     if graph.total_supply_scaled == 0:
-        empty = ExpansionWitness(graph, (0,) * graph.num_arcs)
-        return MincostOverTimeResult(Fraction(0), FlowOverTime(horizon, ()), empty)
+        return MincostOverTimeResult(Fraction(0), FlowOverTime(horizon, ()))
     if horizon == 0:
         raise InfeasibleError(
             "positive supply cannot move within a zero horizon",
@@ -435,15 +404,14 @@ def mincost_over_time(
             f"horizon {horizon} too small: {deficit} units cannot arrive in time",
             certificate={"horizon": horizon, "deficit": deficit},
         )
-    flows = tuple(g.rem[1::2])
-    movement_flows = flows[: len(graph.movement)]
+    movement_flows = g.rem[1 : 2 * len(graph.movement) : 2]
     schedule = _schedule_from_movement(graph, movement_flows)
     # Only movement copies have nonzero cost; zip stops after them.
     cost = Fraction(
         sum(c * f for c, f in zip(graph.costs, movement_flows)),
         graph.cap_scale * graph.cost_scale,
     )
-    return MincostOverTimeResult(cost, schedule, ExpansionWitness(graph, flows))
+    return MincostOverTimeResult(cost, schedule)
 
 
 def _replay(

@@ -3,15 +3,25 @@
 The demo network has five nodes; one middle node fans flow from both
 sources to both sinks for free, the second source also has a direct but
 slow arc to the second sink, and its arc into the middle node is the
-only one with positive cost.
+only one with positive cost.  The instance sets of the acceptance suite
+and of the end-to-end golden digest live here too, so that other tests
+can run over them.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
-from qmct.network import Network
+from qmct.generate import generate
+from qmct.io import load_instance
+from qmct.network import Arc, Network
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 # Example run times swing with the host's load, and warnings fail the
 # run, so a slow example must not become a hypothesis deadline failure.
@@ -51,6 +61,61 @@ def parallel_falling_costs() -> Network:
     return Network.of(
         ["s", "t"], [("s", "t", 1, 0, -k) for k in range(1, 7)], {"s": 1, "t": -1}
     )
+
+
+def acceptance_suite() -> list[Network]:
+    """The acceptance criteria's 200 seeded random instances: at most 6
+    nodes, 3 sources and 3 sinks, integer data of at most 3."""
+    sizes = random.Random(9001)
+    return [
+        generate(
+            seed,
+            nodes=sizes.randint(3, 6),
+            terminals=3,
+            tau_max=3,
+            cap_max=3,
+            cost_max=3,
+        )
+        for seed in range(200)
+    ]
+
+
+def _rational_instances():
+    for seed in range(200):
+        net = generate(
+            seed,
+            nodes=3 + seed % 4,
+            terminals=3,
+            tau_max=seed % 3 + 1,
+            half_balance_prob=0.4,
+            negative_costs=seed % 2 == 1,
+        )
+        k = 2 + seed % 3
+        # A potential shift keeps every cycle's cost, so no negative
+        # cycle appears.
+        potential = {
+            v: Fraction((5 * i + seed) % 7 - 3, 1 + (i + seed) % 4)
+            for i, v in enumerate(net.nodes)
+        }
+        arcs = tuple(
+            Arc(
+                a.tail,
+                a.head,
+                a.capacity / (1 + i % k),
+                a.transit / k,
+                a.cost / k + potential[a.tail] - potential[a.head],
+            )
+            for i, a in enumerate(net.arcs)
+        )
+        yield Network(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
+
+
+def golden_instances() -> list[Network]:
+    """The end-to-end golden digest's 203 instances: the bundled ones,
+    then 200 generated ones with rational capacities, transits, costs
+    and balances, and negative costs from a node potential."""
+    bundled = [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
+    return [*bundled, *_rational_instances()]
 
 
 @pytest.fixture

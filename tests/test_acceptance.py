@@ -7,16 +7,23 @@ costs in [0, 3], at most 6 nodes and at most 3 sources and 3 sinks per
 instance (balances may be half-integral, as in the skewed variants).
 """
 
-import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from _brute import pair_count_horizon_bound, path_cost, simple_paths
+from _brute import (
+    expansion_max_flow,
+    movement_rates,
+    pair_count_horizon_bound,
+    path_cost,
+    schedule_rates,
+    simple_paths,
+)
 from conftest import (
     A_S2V,
     A_VT2,
+    acceptance_suite,
     demo_network,
     VARIANT_A_BALANCES,
     VARIANT_B_BALANCES,
@@ -45,24 +52,15 @@ def _report(name: str, failures: list) -> None:
 
 @pytest.fixture(scope="module")
 def suite():
-    sizes = random.Random(9001)
-    instances = []
-    for seed in range(SUITE_SIZE):
-        net = generate(
-            seed,
-            nodes=sizes.randint(3, 6),
-            terminals=3,
-            tau_max=3,
-            cap_max=3,
-            cost_max=3,
-        )
+    instances = acceptance_suite()
+    assert len(instances) == SUITE_SIZE
+    for net in instances:
         assert len(net.nodes) <= 6
         assert len(net.sources) <= 3 and len(net.sinks) <= 3
         for arc in net.arcs:
             assert arc.capacity.denominator == 1 and arc.capacity <= 3
             assert arc.transit.denominator == 1 and arc.transit <= 3
             assert arc.cost.denominator == 1 and 0 <= arc.cost <= 3
-        instances.append(net)
     return instances
 
 
@@ -159,10 +157,15 @@ def test_criterion_6_path_equivalence(suite_runs):
 
 
 def _project_routes(run):
-    """Independent projection of the witness onto terminal pairs."""
-    witness = run.quickest.witness
-    graph = witness.graph
-    flow = StaticFlow(tuple(Fraction(f, graph.cap_scale) for f in witness.flows))
+    """Independent projection of the final probe's flow onto terminal pairs.
+
+    The flow is re-solved on the restricted network at the reported
+    horizon; the third result says whether it rebuilds the reported
+    schedule.
+    """
+    graph, flows, _value = expansion_max_flow(run.restricted, run.quickest.horizon)
+    rebuilds = movement_rates(graph, flows, run.arc_map) == schedule_rates(run.schedule)
+    flow = StaticFlow(tuple(Fraction(f, graph.cap_scale) for f in flows))
     paths, cycles = decompose(graph, flow)
     n = len(run.restricted.nodes)
     movement_count = len(graph.movement)
@@ -182,7 +185,7 @@ def _project_routes(run):
             if e < movement_count:
                 cost += run.restricted.arcs[graph.movement[e][0]].cost
         cycle_costs.append(cost)
-    return routes, cycle_costs
+    return routes, cycle_costs, rebuilds
 
 
 def test_criterion_7_routing_uses_active_pairs(suite_runs):
@@ -190,7 +193,9 @@ def test_criterion_7_routing_uses_active_pairs(suite_runs):
     for seed, run in enumerate(suite_runs):
         if run.quickest.horizon == 0:
             continue
-        routes, cycle_costs = _project_routes(run)
+        routes, cycle_costs, rebuilds = _project_routes(run)
+        if not rebuilds:
+            failures.append((seed, "flow differs from the schedule"))
         shipped = Fraction(0)
         for source, sink, amount, cost in routes:
             shipped += amount

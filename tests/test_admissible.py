@@ -149,10 +149,5 @@ def test_stabilized_mincost_flows_project_into_admissible_set():
         run = run_quickest_mincost(net)
         bound = horizon_upper_bound(run.scaled)
         result = mincost_over_time(run.scaled, bound)
-        graph = result.witness.graph
-        used = {
-            graph.movement[i][0]
-            for i in range(len(graph.movement))
-            if result.witness.flows[i] > 0
-        }
+        used = {e.arc for e in result.schedule.arc_flows}
         assert used <= run.subnetwork.arc_indices, seed

@@ -13,16 +13,15 @@ exact value anywhere shows up here.
 import hashlib
 import json
 from fractions import Fraction
-from pathlib import Path
 
+from _brute import routed_paths
+from conftest import golden_instances
 from qmct import cheapest
 from qmct.errors import QmctError
-from qmct.generate import generate
-from qmct.io import load_instance, report_to_doc
-from qmct.network import Arc, Network
+from qmct.io import report_to_doc
+from qmct.network import Network
 from qmct.pipeline import (
     oracle_quickest_mincost,
-    routed_paths,
     run_quickest_mincost,
     scale_transits,
     solve_mincost_static,
@@ -31,39 +30,7 @@ from qmct.pipeline import (
 )
 from qmct.temporal import storage_trace
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
 END_TO_END_GOLDEN = "34db02ce24719a080308e5841a4a0fde873e633df6e81f528adba35455ad7443"
-
-
-def _rational_instances():
-    for seed in range(200):
-        net = generate(
-            seed,
-            nodes=3 + seed % 4,
-            terminals=3,
-            tau_max=seed % 3 + 1,
-            half_balance_prob=0.4,
-            negative_costs=seed % 2 == 1,
-        )
-        k = 2 + seed % 3
-        # A potential shift keeps every cycle's cost, so no negative
-        # cycle appears.
-        potential = {
-            v: Fraction((5 * i + seed) % 7 - 3, 1 + (i + seed) % 4)
-            for i, v in enumerate(net.nodes)
-        }
-        arcs = tuple(
-            Arc(
-                a.tail,
-                a.head,
-                a.capacity / (1 + i % k),
-                a.transit / k,
-                a.cost / k + potential[a.tail] - potential[a.head],
-            )
-            for i, a in enumerate(net.arcs)
-        )
-        yield Network(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
 
 
 def _plain(value):
@@ -105,9 +72,8 @@ def _answers(net: Network) -> dict:
 
 def test_end_to_end_answers_match_golden_digest():
     digest = hashlib.sha256()
-    bundled = [load_instance(path) for path in sorted(INSTANCES.glob("*.json"))]
     count = 0
-    for net in [*bundled, *_rational_instances()]:
+    for net in golden_instances():
         try:
             doc = _answers(net)
         except QmctError as exc:

@@ -1,15 +1,19 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and every
+name the package exports exists.
 
 No linter ships with the test environment, so this is a small ``ast``
 check: a name bound by an import (other than ``from __future__``) must
 appear as a name somewhere else in the module, in code or in a string
-annotation.  ``__init__.py`` is left out, since it imports to re-export.
+annotation.  ``__init__.py`` is left out, since it imports to re-export;
+its ``__all__`` is checked by star-importing it instead.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import qmct
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qmct"
 
@@ -49,3 +53,10 @@ def test_check_catches_an_unused_import():
 )
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in qmct.__all__ if not hasattr(qmct, name)] == []
+    namespace: dict = {}
+    exec("from qmct import *", namespace)
+    assert set(qmct.__all__) <= set(namespace)

@@ -61,6 +61,29 @@ def test_all_violations_collected_not_first_only():
     assert {"capacity", "transit", "self-loop", "balance"} <= kinds
 
 
+def test_violation_details_are_pinned():
+    # Every violation kind, with rational values in the messages.
+    net = Network.of(
+        ["a", "b", "c"],
+        [
+            ("a", "a", 0, -1, 0),
+            ("a", "b", "-1/2", "-3/2", 1),
+            ("b", "a", 1, 0, -2),
+            ("b", "c", "2/3", 0, 0),
+        ],
+        {"a": "3/2", "c": -1},
+    )
+    assert [(v.kind, v.detail) for v in validate(net).violations] == [
+        ("capacity", "arc 0 (a->a) has non-positive capacity 0"),
+        ("transit", "arc 0 (a->a) has negative transit -1"),
+        ("self-loop", "arc 0 (a->a) is a self-loop"),
+        ("capacity", "arc 1 (a->b) has non-positive capacity -1/2"),
+        ("transit", "arc 1 (a->b) has negative transit -3/2"),
+        ("balance", "balances sum to 1/2, expected 0"),
+        ("negative-cycle", "network contains a negative-cost cycle"),
+    ]
+
+
 def test_path_cost_and_transit(demo):
     cheap = Path((A_S2V, A_VT1))
     assert path_cost(demo, cheap) == 1

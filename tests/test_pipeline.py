@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from _brute import routed_paths
 from conftest import A_S2V, A_VT2, UNIT_BALANCES, parallel_falling_costs
 from qmct.cheapest import cheapest_paths_subnetwork
 from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
@@ -9,7 +10,6 @@ from qmct.generate import generate
 from qmct.network import Arc, Network
 from qmct.pipeline import (
     oracle_quickest_mincost,
-    routed_paths,
     run_quickest_mincost,
     scale_transits,
     solve_mincost_static,

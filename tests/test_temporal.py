@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from _brute import pair_count_horizon_bound
+from _brute import expansion_max_flow, pair_count_horizon_bound
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
@@ -410,12 +410,9 @@ def test_horizon_upper_bound_is_feasible_and_stabilizing():
 
 
 def test_feasibility_witness_routes_everything(demo):
-    from qmct.temporal import feasibility_witness
-
-    ok, witness = feasibility_witness(demo, 1)
-    assert ok
-    graph = witness.graph
-    routed = sum(f for f, tail in zip(witness.flows, graph.tails) if tail == graph.super_source)
+    assert feasible(demo, 1)
+    graph, flows, _value = expansion_max_flow(demo, 1)
+    routed = sum(f for f, tail in zip(flows, graph.tails) if tail == graph.super_source)
     assert Fraction(routed, graph.cap_scale) == demo.total_supply
 
 
@@ -431,11 +428,8 @@ def test_balances_override_without_rebuilding(demo):
 
 
 def _routed_amount(net, horizon):
-    from qmct.temporal import feasibility_witness
-
-    _, witness = feasibility_witness(net, horizon)
-    graph = witness.graph
-    routed = sum(f for f, tail in zip(witness.flows, graph.tails) if tail == graph.super_source)
+    graph, flows, _value = expansion_max_flow(net, horizon)
+    routed = sum(f for f, tail in zip(flows, graph.tails) if tail == graph.super_source)
     return Fraction(routed, graph.cap_scale)
 
 
