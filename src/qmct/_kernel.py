@@ -5,10 +5,10 @@ distances to the sink (see :func:`max_flow` for why not from the
 source); min-cost flow is successive shortest paths with potentials.
 
 :func:`label_correct` is the solver's one label-correcting routine:
-cheapest-path costs, the admissible subnetwork, the horizon bounds,
-validation's negative-cycle test and the min-cost potentials all run
-it.  It only adds and compares costs, so it is exact for ints and
-Fractions alike.  Its cycle test is the walk-length criterion of
+cheapest-path costs, the admissible subnetwork, validation's
+negative-cycle test and the min-cost potentials all run it.  It only
+adds and compares costs, so it is exact for ints and Fractions
+alike.  Its cycle test is the walk-length criterion of
 Cherkassky & Goldberg (*Negative-cycle detection algorithms*, Math.
 Prog. 1999).  Each label is the cost of its *label walk*, whose edges
 were relaxed one after another.  If a node ``x`` repeats on a label
@@ -190,7 +190,7 @@ def _blocking_flow(g: Residual, s: int, t: int, dist: list[int]) -> int:
         pointer[u] += 1
 
 
-def _residual_reachable(g: Residual, s: int) -> set[int]:
+def residual_reachable(g: Residual, s: int) -> set[int]:
     """Nodes reachable from ``s`` over edges with residual capacity."""
     to = g.to
     rem = g.rem
@@ -235,7 +235,7 @@ def max_flow(g: Residual, s: int, t: int) -> tuple[int, set[int]]:
     while True:
         dist = _sink_distances(g, s, t)
         if dist[s] < 0:
-            return value, _residual_reachable(g, s)
+            return value, residual_reachable(g, s)
         value += _blocking_flow(g, s, t, dist)
 
 
@@ -330,6 +330,38 @@ def _dijkstra(g: Residual, s: int, t: int, pi: list[int]):
     return dist, parent_edge
 
 
+def augment(g: Residual, s: int, t: int, pi: list[int], limit: int | None = None):
+    """One round of successive shortest paths: push along a cheapest path.
+
+    Runs Dijkstra on reduced costs under the potentials ``pi`` and raises
+    each ``pi[v]`` by its distance, capped at ``t``'s.  Every residual
+    edge keeps a non-negative reduced cost and the path's edges become
+    tight, so the path costs ``pi[t] - pi[s]``.  Pushes the least of
+    ``limit`` and the path's capacities (one must be finite) and returns
+    it, or returns None when ``s`` no longer reaches ``t``.
+    """
+    dist, parent_edge = _dijkstra(g, s, t, pi)
+    if dist[t] == INF:
+        return None
+    cap_at = dist[t]
+    for v in range(g.n):
+        d = dist[v]
+        pi[v] += cap_at if d > cap_at else d
+    path = []
+    amount = limit
+    v = t
+    while v != s:
+        e = parent_edge[v]
+        rem = g.rem[e]
+        if rem is not None and (amount is None or rem < amount):
+            amount = rem
+        path.append(e)
+        v = g.to[e ^ 1]
+    for e in path:
+        g.push(e, amount)
+    return amount
+
+
 def min_cost_flow(g: Residual, s: int, t: int, target: int):
     """Successive shortest paths with potentials from s to t.
 
@@ -342,46 +374,8 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int):
     pi = labels(g)
     routed = 0
     while routed < target:
-        dist, parent_edge = _dijkstra(g, s, t, pi)
-        if dist[t] == INF:
-            reachable = {v for v in range(g.n) if dist[v] < INF}
-            return routed, pi, reachable
-        cap_at = dist[t]
-        for v in range(g.n):
-            d = dist[v]
-            pi[v] += cap_at if d > cap_at else d
-        bottleneck = target - routed
-        v = t
-        while v != s:
-            e = parent_edge[v]
-            rem = g.rem[e]
-            if rem is not None and rem < bottleneck:
-                bottleneck = rem
-            v = g.to[e ^ 1]
-        v = t
-        while v != s:
-            e = parent_edge[v]
-            g.push(e, bottleneck)
-            v = g.to[e ^ 1]
-        routed += bottleneck
+        amount = augment(g, s, t, pi, target - routed)
+        if amount is None:
+            return routed, pi, residual_reachable(g, s)
+        routed += amount
     return routed, pi, None
-
-
-def wire_balances(g: Residual, balances: list[int]) -> tuple[int, int, int]:
-    """Attach a super source/sink for the given node balances.
-
-    Must be called after all regular edges are added so that edge ids of
-    regular arcs stay aligned with input order.  Returns
-    ``(super_source, super_sink, total_supply)``.  The graph must have
-    been built with two spare node slots (``n = num_nodes + 2``).
-    """
-    s = g.n - 2
-    t = g.n - 1
-    total = 0
-    for v, b in enumerate(balances):
-        if b > 0:
-            g.add(s, v, b)
-            total += b
-        elif b < 0:
-            g.add(v, t, -b)
-    return s, t, total

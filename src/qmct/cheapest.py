@@ -1,4 +1,4 @@
-"""Cheapest-path labels and cheapest-path subnetworks.
+"""Cheapest-path labels and pairwise cheapest-path costs.
 
 Arc costs may be negative as long as the network is conservative, so
 labels come from the label-correcting routine :func:`qmct._kernel.labels`
@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import _kernel
-from .errors import NoPathError
 from .network import Network, NodeId
 
 FROM_SOURCE = "from-source"
@@ -66,30 +65,6 @@ def cheapest_from(network: Network, source: NodeId) -> CostLabels:
 def cheapest_to(network: Network, sink: NodeId) -> CostLabels:
     """Cost of a cheapest path from every node to ``sink`` (reversed labeling)."""
     return _cost_labels(network, sink, TO_SINK)
-
-
-def subnetwork_arcs(
-    network: Network,
-    forward: CostLabels,
-    backward: CostLabels,
-    optimum: Fraction,
-) -> frozenset[int]:
-    """Arcs whose forward label + cost + backward label meets ``optimum`` exactly."""
-    selected = []
-    for i, arc in enumerate(network.arcs):
-        if arc.tail in forward and arc.head in backward:
-            if forward[arc.tail] + arc.cost + backward[arc.head] == optimum:
-                selected.append(i)
-    return frozenset(selected)
-
-
-def cheapest_paths_subnetwork(network: Network, source: NodeId, sink: NodeId) -> frozenset[int]:
-    """Indices of all arcs lying on at least one cheapest source-sink path."""
-    forward = cheapest_from(network, source)
-    if sink not in forward:
-        raise NoPathError(f"no path from {source!r} to {sink!r}")
-    backward = cheapest_to(network, sink)
-    return subnetwork_arcs(network, forward, backward, forward[sink])
 
 
 def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], Fraction]:

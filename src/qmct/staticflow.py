@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from . import _kernel
 from .errors import InfeasibleError
-from .network import Network
 from .rationals import as_rational, to_integers
 
 UNCAPPED = None
@@ -54,18 +53,6 @@ class FlowProblem:
     @property
     def num_arcs(self) -> int:
         return len(self.tails)
-
-
-def problem_from_network(network: Network) -> FlowProblem:
-    """Capacity/cost view of a network (transit times dropped)."""
-    idx = network.node_index
-    return FlowProblem(
-        len(network.nodes),
-        tuple(idx(a.tail) for a in network.arcs),
-        tuple(idx(a.head) for a in network.arcs),
-        tuple(a.capacity for a in network.arcs),
-        tuple(a.cost for a in network.arcs),
-    )
 
 
 @dataclass(frozen=True)
@@ -127,18 +114,6 @@ def max_flow(problem: FlowProblem, source: int, sink: int) -> MaxFlowResult:
     return MaxFlowResult(Fraction(value, denom), StaticFlow(flows), frozenset(reachable))
 
 
-def cut_capacity(problem: FlowProblem, cut_nodes: frozenset[int]) -> Fraction | None:
-    """Total capacity leaving ``cut_nodes``; None if a crossing arc is uncapacitated."""
-    total = Fraction(0)
-    for i in range(problem.num_arcs):
-        if problem.tails[i] in cut_nodes and problem.heads[i] not in cut_nodes:
-            cap = problem.capacities[i]
-            if cap is None:
-                return None
-            total += cap
-    return total
-
-
 def min_cost_flow(problem: FlowProblem, balances: Sequence[Fraction]) -> MinCostFlowResult:
     """Minimum-cost flow satisfying node balances given in node order.
 
@@ -159,9 +134,18 @@ def min_cost_flow(problem: FlowProblem, balances: Sequence[Fraction]) -> MinCost
     caps, bal_int = scaled[: problem.num_arcs], scaled[problem.num_arcs :]
     cost_denom, costs = to_integers(problem.costs)
 
-    g = _kernel.build(problem.num_nodes + 2, problem.tails, problem.heads, caps, costs)
-    super_source, super_sink, total = _kernel.wire_balances(g, bal_int)
-    routed, pi, reachable = _kernel.min_cost_flow(g, super_source, super_sink, total)
+    n = problem.num_nodes
+    # A super source n and super sink n + 1, wired in node order after the arcs.
+    wiring = [(n, v, b) if b > 0 else (v, n + 1, -b) for v, b in enumerate(bal_int) if b]
+    g = _kernel.build(
+        n + 2,
+        [*problem.tails, *(u for u, _, _ in wiring)],
+        [*problem.heads, *(v for _, v, _ in wiring)],
+        [*caps, *(b for _, _, b in wiring)],
+        [*costs, *[0] * len(wiring)],
+    )
+    total = sum(b for b in bal_int if b > 0)
+    routed, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:
         assert reachable is not None
         stranded = sorted(v for v in reachable if v < problem.num_nodes)

@@ -10,8 +10,11 @@ Holdover arcs let flow wait at any node free of charge.  Supplies are
 injected on layer 0 and demands drained from the last layer, both via
 super terminals, which makes feasibility at horizon ``T`` a max-flow
 question and minimum cost over time a min-cost-flow question on the
-expansion.  Results keep no expansion: a probe's flows live only until
-its movement copies are read back into a :class:`FlowOverTime`.
+expansion.  The quickest horizon is found by probing only at proven
+lower bounds, each in closed form from one terminal subset's shortest
+paths (:func:`quickest_transshipment`).  Results keep no expansion: a
+probe's flows live only until its movement copies are read back into a
+:class:`FlowOverTime`.
 
 Everything here reads :attr:`Network.integral`, computed once per
 network however many horizons are expanded; other balances make another
@@ -23,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from . import _kernel
-from .errors import HorizonLimitError, InfeasibleError
+from .errors import HorizonLimitError, InfeasibleError, InternalCheckError
 from .network import IntegerForm, Network, NodeId
 
 
@@ -239,44 +242,6 @@ def feasible(network: Network, horizon: int, max_layers: int | None = None) -> b
     return _solve_max(graph)[0] == graph.total_supply_scaled
 
 
-def _horizon_lower_bound(network: Network) -> int:
-    """Smallest horizon not obviously impossible by transit distance.
-
-    Every supplied source must reach some demanded sink (and vice versa);
-    a positive amount needs strictly more time than the best transit, so
-    the bound is one plus the largest of these per-terminal minima.
-    Raises :class:`InfeasibleError` when some terminal is cut off.
-    """
-    form = _integer_form(network)
-    sources = network.sources
-    sinks = network.sinks
-    idx = network.node_index
-    g = _kernel.arc_graph(len(network.nodes), zip(form.tails, form.heads, form.transits))
-    best = 0
-    sink_best: dict[NodeId, int] = {}
-    for s in sources:
-        dist = _kernel.labels(g, idx(s))
-        reachable = [dist[idx(t)] for t in sinks if dist[idx(t)] is not None]
-        if not reachable:
-            raise InfeasibleError(
-                f"supply at {s!r} cannot reach any sink",
-                certificate={"isolated": s, "side": "source"},
-            )
-        best = max(best, min(reachable))
-        for t in sinks:
-            d = dist[idx(t)]
-            if d is not None and (t not in sink_best or d < sink_best[t]):
-                sink_best[t] = d
-    for t in sinks:
-        if t not in sink_best:
-            raise InfeasibleError(
-                f"demand at {t!r} cannot be reached by any source",
-                certificate={"isolated": t, "side": "sink"},
-            )
-        best = max(best, sink_best[t])
-    return best + 1
-
-
 def horizon_upper_bound(network: Network) -> int:
     """``⌈total/u_min⌉ + (n−1)·τ_max``: feasible and cost-stabilising.
 
@@ -302,10 +267,7 @@ def horizon_upper_bound(network: Network) -> int:
     The flow's cost is Σ a_p·cost(p), the static optimum, and no flow
     over time costs less because its projection onto the arcs is a
     static transshipment of the same cost.  So the minimum cost over time
-    has stabilised at this horizon, which is what the oracle needs; and
-    when no horizon up to it is feasible, no static transshipment exists
-    and none ever will be, which is what the solver's infeasibility stop
-    needs.
+    has stabilised at this horizon, which is what the oracle needs.
     """
     # ``total`` and ``u_min`` both carry ``flow_scale``: the ceiling is exact.
     form = network.integral
@@ -316,70 +278,155 @@ def horizon_upper_bound(network: Network) -> int:
     return -(-total // min(form.capacities)) + (len(network.nodes) - 1) * tau_max
 
 
+def subset_paths(
+    network: Network, subset: AbstractSet[NodeId], need: int | None = None
+) -> tuple[list[tuple[int, int]], _kernel.Residual]:
+    """Successive shortest paths from A's sources to the sinks outside A.
+
+    Transits are the costs (non-negative, so zero potentials start the
+    paths); super source ``n`` feeds the sources in ``subset`` and super
+    sink ``n + 1`` drains the other sinks, both uncapacitated.  Returns
+    each path's ``(length, amount)`` and the residual graph.  With
+    ``need``, stops before the first path of length ``d`` with
+    ``Σ amount·(d − length) >= need``.
+    """
+    form = network.integral
+    n = len(network.nodes)
+    starts = [i for i, v in enumerate(network.nodes) if form.balances[i] > 0 and v in subset]
+    ends = [i for i, v in enumerate(network.nodes) if form.balances[i] < 0 and v not in subset]
+    extra = len(starts) + len(ends)
+    g = _kernel.build(
+        n + 2,
+        [*form.tails, *[n] * len(starts), *ends],
+        [*form.heads, *starts, *[n + 1] * len(ends)],
+        [*form.capacities, *[None] * extra],
+        [*form.transits, *[0] * extra],
+    )
+    pi = [0] * (n + 2)
+    paths: list[tuple[int, int]] = []
+    flow = weighted = 0
+    while (amount := _kernel.augment(g, n, n + 1, pi)) is not None:
+        length = pi[n + 1]
+        if need is not None and flow * length - weighted >= need:
+            break
+        paths.append((length, amount))
+        flow += amount
+        weighted += length * amount
+    return paths, g
+
+
+def _subset_horizon(network: Network, subset: AbstractSet[NodeId]) -> int:
+    """``T_A``, the least integer ``T`` with ``o^T(A) >= b(A)``.
+
+    Raises :class:`InfeasibleError` when ``b(A) > 0`` and A's sources
+    reach no sink outside A, naming the nodes they reach, which no arc
+    leaves, as ``cut_nodes``.
+    """
+    need = sum(b for v, b in zip(network.nodes, network.integral.balances) if v in subset)
+    if need <= 0:
+        return 0
+    paths, g = subset_paths(network, subset, need)
+    if not paths:
+        reached = _kernel.residual_reachable(g, len(network.nodes))
+        raise InfeasibleError(
+            "no horizon admits a transshipment: supplies in "
+            f"{sorted(subset)} cannot reach the demands outside it",
+            certificate={
+                "subset": [v for v in network.nodes if v in subset],
+                "cut_nodes": [v for i, v in enumerate(network.nodes) if i in reached],
+            },
+        )
+    flow = sum(amount for _, amount in paths)
+    return -(-(need + sum(d * amount for d, amount in paths)) // flow)
+
+
+def _violated_subset(network: Network, horizon: int, reachable: set[int]) -> set[NodeId]:
+    """A_X for the residual-reachable set X of an infeasible probe."""
+    index, last = network.node_index, (horizon - 1) * len(network.nodes)
+    sources = {s for s in network.sources if index(s) in reachable}
+    return sources | {t for t in network.sinks if last + index(t) in reachable}
+
+
 def quickest_transshipment(
     network: Network, max_layers: int | None = None
 ) -> QuickestResult:
-    """Smallest integer horizon admitting a full transshipment.
+    """Smallest integer horizon H admitting a full transshipment.
 
-    Gallops the horizon upwards from a transit-based lower bound, then
-    binary-searches the feasibility threshold; both phases use exact
-    max-flow probes on the expansion.  Raises :class:`InfeasibleError`
-    (with a cut certificate) when no horizon works.
+    Every probe is an expansion max flow at a proven lower bound on H,
+    so the first feasible one is at H.  For a terminal set A let b(A)
+    be its supply minus its demand, and o^T(A) the max flow on the
+    expansion for T with uncapacitated super arcs into the layer-0
+    copies of A's sources and out of the layer-(T−1) copies of the
+    sinks outside A.
+
+    *Criterion* (Klinz; Hoppe & Tardos, Math. OR 2000): T is feasible
+    iff b(A) <= o^T(A) for all A.  A finite cut X of the expansion
+    (super source in, super sink out) gives A_X, the sources s with
+    (s, 0) in X and the sinks t with (t, T−1) in X.  No holdover leaves
+    X, so its capacity is Σ_{s∉A_X} b_s + Σ_{t∈A_X} −b_t + M(X), M(X)
+    being the movement copies leaving X.  X also cuts the A_X problem,
+    so M(X) >= o^T(A_X) and the capacity is >= total − b(A_X) +
+    o^T(A_X).  Conversely the super source plus the source side of a
+    minimum cut of the A problem has capacity <= total − b(A) + o^T(A):
+    the least cut, the max flow, reaches the total iff no A is violated.
+
+    *Cut extraction*: the residual-reachable set X of an infeasible
+    probe is a minimum cut below the total, so o^T(A_X) <= M(X) <
+    b(A_X): b(A_X) > 0 and T_{A_X} > T.
+
+    *Temporally repeated flows* (Ford & Fulkerson 1958): with lengths
+    d_1 <= d_2 <= .. and amounts δ_i from :func:`subset_paths`,
+    o^T(A) = Σ max(0, T − d_i)·δ_i.  Let x be the flow of the paths
+    with d_i < T, a cheapest flow of its value Σ δ_i; it splits into
+    simple paths of total transit Σ d_i·δ_i, as its cycles cost 0.
+    Sending each path P at its amount during layers 0 .. T − τ(P) − 1
+    loads each arc copy with at most x_a and routes T·|x| − Σ d_i·δ_i:
+    that is ">=".  For "<=", raise the potentials π of the last round
+    by distances capped at T − π(super sink), which the next path's
+    length minus π(super sink), if any, is not below.  Now
+    0 = π(super source) <= π <= π(super sink) = T, the reduced cost
+    c_a = τ_a + π(tail) − π(head) of every residual edge is >= 0, and
+    the cut {(v, q) : π(v) <= q} crosses the copies of arc a at layers
+    π(tail) <= q < π(head) − τ_a (all within the horizon), of capacity
+    Σ u_a·max(0, −c_a).  An arc with c_a < 0 has no residual forward
+    edge, so x_a = u_a, and an arc carrying flow has a residual reverse
+    edge, so −c_a >= 0: the cut is <= Σ x_a·(−c_a), which telescopes
+    to T·|x| − Σ d_i·δ_i.
+
+    So T_A = ⌈(b(A) + Σ d_i·δ_i) / Σ δ_i⌉ over the paths found before
+    the first length d with Σ δ_i·(d − d_i) >= b(A), and T_A <= H.  The
+    search starts at the largest T_A over {s} for each source and all
+    terminals but t for each sink, and after an infeasible probe moves
+    to T_{A_X}.  A subset with b(A) > 0 and no path proves the instance
+    infeasible: :class:`InfeasibleError` names the isolated terminal
+    for the first family and otherwise the subset and ``cut_nodes``.
     """
     if not any(b > 0 for b in _integer_form(network).balances):
         return QuickestResult(0, FlowOverTime(0, ()))
 
-    t_lb = _horizon_lower_bound(network)
-    t_ub = max(horizon_upper_bound(network), t_lb)
-
-    # Only two probe results outlive their probe: the movement flows of
-    # the smallest feasible horizon so far (``hi`` only ever decreases),
-    # and the residual-reachable set of the last infeasible probe, which
-    # is the cut certificate when the search runs out of horizons.
-    feasible_probe: tuple[TimeExpandedGraph, list[int]] | None = None
-    cut: tuple[int, set[int]] = (0, set())
-
-    def probe(horizon: int) -> bool:
-        nonlocal feasible_probe, cut
+    sources, sinks = network.sources, network.sinks
+    seed = [(s, {s}, "supply at {!r} cannot reach any sink") for s in sources]
+    seed += [
+        (t, {*sources, *sinks} - {t}, "demand at {!r} cannot be reached by any source")
+        for t in sinks
+    ]
+    horizon = 0
+    for node, subset, message in seed:
+        try:
+            horizon = max(horizon, _subset_horizon(network, subset))
+        except InfeasibleError:
+            side = "source" if node in subset else "sink"
+            raise InfeasibleError(message.format(node), {"isolated": node, "side": side}) from None
+    while True:
         graph = expand(network, horizon, max_layers)
         value, flows, reachable = _solve_max(graph)
         if value == graph.total_supply_scaled:
-            feasible_probe = (graph, flows)
-            return True
-        cut = (graph.super_source, reachable)
-        return False
-
-    lo = t_lb - 1
-    hi = None
-    horizon = t_lb
-    while True:
-        if probe(horizon):
-            hi = horizon
-            break
-        lo = horizon
-        if horizon >= t_ub:
-            super_source, reachable = cut
-            stranded = sorted(
-                {v % len(network.nodes) for v in reachable if v < super_source}
-            )
-            raise InfeasibleError(
-                "no horizon admits a transshipment: supplies are cut off from demands",
-                certificate={
-                    "horizon_tried": horizon,
-                    "cut_nodes": [network.nodes[v] for v in stranded],
-                },
-            )
-        horizon = min(horizon * 2, t_ub)
-
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    assert feasible_probe is not None
-    return QuickestResult(hi, _schedule_from_movement(*feasible_probe))
+            return QuickestResult(horizon, _schedule_from_movement(graph, flows))
+        violated = _violated_subset(network, horizon, reachable)
+        bound = _subset_horizon(network, violated)
+        if bound <= horizon:
+            raise InternalCheckError(f"cut at horizon {horizon} gives bound {bound}")
+        horizon = bound
 
 
 def mincost_over_time(

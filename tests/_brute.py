@@ -10,6 +10,12 @@ probe's expansion, checks that its flow is the reported schedule, and
 splits it into paths and cycles.  The solver certifies the same
 property from reduced costs on the schedule's arcs instead
 (:func:`qmct.pipeline.check_admissible_routing`).
+
+:func:`expansion_search` is the reference for the quickest horizon: the
+gallop-and-bisect search over expansion max flows that
+:func:`qmct.temporal.quickest_transshipment` replaced by probing only at
+proven lower bounds.  The remaining helpers (cheapest-path subnetworks,
+the capacity view of a network and cut capacities) serve tests only.
 """
 
 from __future__ import annotations
@@ -18,10 +24,21 @@ from fractions import Fraction
 from itertools import combinations
 
 from qmct import _kernel, staticflow
+from qmct.cheapest import CostLabels, cheapest_from, cheapest_to
+from qmct.errors import InfeasibleError, NoPathError
 from qmct.network import Network, NodeId
 from qmct.pipeline import AlgorithmRun
 from qmct.staticflow import FlowProblem
-from qmct.temporal import FlowOverTime, TimeExpandedGraph, expand
+from qmct.temporal import (
+    FlowOverTime,
+    QuickestResult,
+    TimeExpandedGraph,
+    _integer_form,
+    _schedule_from_movement,
+    _solve_max,
+    expand,
+    horizon_upper_bound,
+)
 
 
 def simple_paths(network: Network, source: str, sink: str) -> list[tuple[int, ...]]:
@@ -184,3 +201,177 @@ def routing_admissible(run: AlgorithmRun) -> bool:
         if cost != run.pair_costs[(source, sink)]:
             return False
     return True
+
+
+def subnetwork_arcs(
+    network: Network,
+    forward: CostLabels,
+    backward: CostLabels,
+    optimum: Fraction,
+) -> frozenset[int]:
+    """Arcs whose forward label + cost + backward label meets ``optimum`` exactly."""
+    selected = []
+    for i, arc in enumerate(network.arcs):
+        if arc.tail in forward and arc.head in backward:
+            if forward[arc.tail] + arc.cost + backward[arc.head] == optimum:
+                selected.append(i)
+    return frozenset(selected)
+
+
+def cheapest_paths_subnetwork(network: Network, source: NodeId, sink: NodeId) -> frozenset[int]:
+    """Indices of all arcs lying on at least one cheapest source-sink path."""
+    forward = cheapest_from(network, source)
+    if sink not in forward:
+        raise NoPathError(f"no path from {source!r} to {sink!r}")
+    backward = cheapest_to(network, sink)
+    return subnetwork_arcs(network, forward, backward, forward[sink])
+
+
+def problem_from_network(network: Network) -> FlowProblem:
+    """Capacity/cost view of a network (transit times dropped)."""
+    idx = network.node_index
+    return FlowProblem(
+        len(network.nodes),
+        tuple(idx(a.tail) for a in network.arcs),
+        tuple(idx(a.head) for a in network.arcs),
+        tuple(a.capacity for a in network.arcs),
+        tuple(a.cost for a in network.arcs),
+    )
+
+
+def cut_capacity(problem: FlowProblem, cut_nodes: frozenset[int]) -> Fraction | None:
+    """Total capacity leaving ``cut_nodes``; None if a crossing arc is uncapacitated."""
+    total = Fraction(0)
+    for i in range(problem.num_arcs):
+        if problem.tails[i] in cut_nodes and problem.heads[i] not in cut_nodes:
+            cap = problem.capacities[i]
+            if cap is None:
+                return None
+            total += cap
+    return total
+
+
+def horizon_lower_bound(network: Network) -> int:
+    """Smallest horizon not obviously impossible by transit distance.
+
+    Every supplied source must reach some demanded sink (and vice versa);
+    a positive amount needs strictly more time than the best transit, so
+    the bound is one plus the largest of these per-terminal minima.
+    Raises :class:`InfeasibleError` when some terminal is cut off.
+    """
+    form = _integer_form(network)
+    sources = network.sources
+    sinks = network.sinks
+    idx = network.node_index
+    g = _kernel.arc_graph(len(network.nodes), zip(form.tails, form.heads, form.transits))
+    best = 0
+    sink_best: dict[NodeId, int] = {}
+    for s in sources:
+        dist = _kernel.labels(g, idx(s))
+        reachable = [dist[idx(t)] for t in sinks if dist[idx(t)] is not None]
+        if not reachable:
+            raise InfeasibleError(
+                f"supply at {s!r} cannot reach any sink",
+                certificate={"isolated": s, "side": "source"},
+            )
+        best = max(best, min(reachable))
+        for t in sinks:
+            d = dist[idx(t)]
+            if d is not None and (t not in sink_best or d < sink_best[t]):
+                sink_best[t] = d
+    for t in sinks:
+        if t not in sink_best:
+            raise InfeasibleError(
+                f"demand at {t!r} cannot be reached by any source",
+                certificate={"isolated": t, "side": "sink"},
+            )
+        best = max(best, sink_best[t])
+    return best + 1
+
+
+def expansion_search(network: Network) -> QuickestResult:
+    """Smallest integer horizon admitting a full transshipment.
+
+    Gallops the horizon upwards from a transit-based lower bound, then
+    binary-searches the feasibility threshold; both phases use exact
+    max-flow probes on the expansion.  Raises :class:`InfeasibleError`
+    (with a cut certificate) when no horizon works.
+    """
+    if not any(b > 0 for b in _integer_form(network).balances):
+        return QuickestResult(0, FlowOverTime(0, ()))
+
+    t_lb = horizon_lower_bound(network)
+    t_ub = max(horizon_upper_bound(network), t_lb)
+
+    # Only two probe results outlive their probe: the movement flows of
+    # the smallest feasible horizon so far (``hi`` only ever decreases),
+    # and the residual-reachable set of the last infeasible probe, which
+    # is the cut certificate when the search runs out of horizons.
+    feasible_probe: tuple[TimeExpandedGraph, list[int]] | None = None
+    cut: tuple[int, set[int]] = (0, set())
+
+    def probe(horizon: int) -> bool:
+        nonlocal feasible_probe, cut
+        graph = expand(network, horizon)
+        value, flows, reachable = _solve_max(graph)
+        if value == graph.total_supply_scaled:
+            feasible_probe = (graph, flows)
+            return True
+        cut = (graph.super_source, reachable)
+        return False
+
+    lo = t_lb - 1
+    hi = None
+    horizon = t_lb
+    while True:
+        if probe(horizon):
+            hi = horizon
+            break
+        lo = horizon
+        if horizon >= t_ub:
+            super_source, reachable = cut
+            stranded = sorted(
+                {v % len(network.nodes) for v in reachable if v < super_source}
+            )
+            raise InfeasibleError(
+                "no horizon admits a transshipment: supplies are cut off from demands",
+                certificate={
+                    "horizon_tried": horizon,
+                    "cut_nodes": [network.nodes[v] for v in stranded],
+                },
+            )
+        horizon = min(horizon * 2, t_ub)
+
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+
+    assert feasible_probe is not None
+    return QuickestResult(hi, _schedule_from_movement(*feasible_probe))
+
+
+def subset_expansion_flow(network: Network, subset, horizon: int) -> int:
+    """o^T(A) by brute force: the max flow on the expansion for ``horizon``
+    from the layer-0 copies of the sources in ``subset`` to the last-layer
+    copies of the sinks outside it, both wired without capacity limits;
+    in units of the network's ``flow_scale``."""
+    if horizon == 0:
+        return 0
+    graph = expand(network, horizon)
+    n = len(network.nodes)
+    keep = graph.wiring_start
+    tails, heads = list(graph.tails[:keep]), list(graph.heads[:keep])
+    for v, name in enumerate(network.nodes):
+        b = network.balances[name]
+        if b > 0 and name in subset:
+            tails.append(graph.super_source)
+            heads.append(v)
+        elif b < 0 and name not in subset:
+            tails.append((horizon - 1) * n + v)
+            heads.append(graph.super_sink)
+    caps = [*graph.capacities[:keep], *[None] * (len(tails) - keep)]
+    g = _kernel.build(graph.num_nodes, tails, heads, caps)
+    return _kernel.max_flow(g, graph.super_source, graph.super_sink)[0]

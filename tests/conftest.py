@@ -63,6 +63,16 @@ def parallel_falling_costs() -> Network:
     )
 
 
+def detour_network() -> Network:
+    """Five units over a direct arc (rate 1, transit 4) and a two-arc
+    detour (rate 1, transit 20 per arc): the quickest horizon is 9."""
+    return Network.of(
+        ["a", "b", "c"],
+        [("a", "b", 1, 4, 0), ("a", "c", 1, 20, 0), ("c", "b", 1, 20, 0)],
+        {"a": 5, "b": -5},
+    )
+
+
 def acceptance_suite() -> list[Network]:
     """The acceptance criteria's 200 seeded random instances: at most 6
     nodes, 3 sources and 3 sinks, integer data of at most 3."""

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from _brute import (
+    cheapest_paths_subnetwork,
     expansion_max_flow,
     movement_rates,
     pair_count_horizon_bound,
@@ -28,7 +29,7 @@ from conftest import (
     VARIANT_A_BALANCES,
     VARIANT_B_BALANCES,
 )
-from qmct.cheapest import cheapest_paths_subnetwork, pair_costs
+from qmct.cheapest import pair_costs
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.pipeline import (

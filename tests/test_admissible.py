@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import path_cost, simple_paths
+from _brute import cheapest_paths_subnetwork, path_cost, simple_paths
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2
 from qmct.admissible import admissible_arcs, extend
-from qmct.cheapest import cheapest_paths_subnetwork, pair_costs
+from qmct.cheapest import pair_costs
 from qmct.errors import InternalCheckError
 from qmct.generate import generate
 from qmct.network import Network

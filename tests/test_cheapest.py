@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import cheapest_simple_cost, path_cost, simple_paths
+from _brute import (
+    cheapest_paths_subnetwork,
+    cheapest_simple_cost,
+    path_cost,
+    simple_paths,
+    subnetwork_arcs,
+)
 from conftest import A_S1V, A_VT1, A_VT2
 from qmct.cheapest import (
     cheapest_from,
-    cheapest_paths_subnetwork,
     cheapest_to,
     pair_costs,
 )
@@ -133,8 +138,6 @@ def test_subnetwork_membership_matches_path_enumeration():
 
 
 def test_subnetwork_equality_is_tight(demo):
-    from qmct.cheapest import subnetwork_arcs
-
     forward = cheapest_from(demo, "s2")
     backward = cheapest_to(demo, "t1")
     optimum = forward["t1"]

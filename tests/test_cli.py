@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import demo_network, parallel_falling_costs, VARIANT_A_BALANCES
+from conftest import demo_network, detour_network, parallel_falling_costs, VARIANT_A_BALANCES
 from qmct import cli
 from qmct.io import save_instance
 from qmct.network import Network
@@ -119,6 +119,14 @@ def test_guard_exit_code(capsys, tmp_path):
     code, _, err = _run(capsys, ["solve", str(path), "--max-horizon", "5"])
     assert code == 4
     assert "guard" in err
+
+
+def test_max_horizon_equal_to_the_answer_solves(capsys, tmp_path):
+    path = tmp_path / "detour.json"
+    save_instance(detour_network(), path)
+    code, out, _ = _run(capsys, ["solve", str(path), "--max-horizon", "9"])
+    assert code == 0
+    assert json.loads(out)["horizon"]["steps"] == 9
 
 
 def test_verify_passes_on_demo(capsys, demo_file):

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import routed_paths
-from conftest import A_S2V, A_VT2, UNIT_BALANCES, parallel_falling_costs
-from qmct.cheapest import cheapest_paths_subnetwork
+from _brute import cheapest_paths_subnetwork, routed_paths
+from conftest import A_S2V, A_VT2, UNIT_BALANCES, detour_network, parallel_falling_costs
 from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
 from qmct.generate import generate
 from qmct.network import Arc, Network
@@ -188,6 +187,12 @@ def test_horizon_guard_propagates():
     net = Network.of(["a", "b"], [("a", "b", 1, 25, 0)], {"a": 1, "b": -1})
     with pytest.raises(HorizonLimitError):
         solve_quickest_mincost(net, max_layers=10)
+
+
+def test_layer_limit_equal_to_the_answer_is_enough():
+    assert solve_quickest_mincost(detour_network(), max_layers=9).horizon == 9
+    with pytest.raises(HorizonLimitError):
+        solve_quickest_mincost(detour_network(), max_layers=8)
 
 
 def test_timing_present(demo):

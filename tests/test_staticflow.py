@@ -3,17 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import min_cut_by_enumeration
+from _brute import cut_capacity, min_cut_by_enumeration, problem_from_network
 from qmct import _kernel
 from qmct.errors import InfeasibleError
 from qmct.staticflow import (
     FlowProblem,
     StaticFlow,
-    cut_capacity,
     decompose,
     max_flow,
     min_cost_flow,
-    problem_from_network,
 )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from _brute import expansion_max_flow, pair_count_horizon_bound
-from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2
+from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2, detour_network
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
 from qmct.io import load_instance
@@ -220,13 +220,26 @@ def test_quickest_hall_failure_is_certified():
     )
     with pytest.raises(InfeasibleError) as info:
         quickest_transshipment(net)
-    assert "cut_nodes" in info.value.certificate
+    certificate = info.value.certificate
+    subset, cut_nodes = set(certificate["subset"]), set(certificate["cut_nodes"])
+    assert subset == {"a", "x"} and cut_nodes == {"a", "x"}
+    # No arc leaves the cut, it holds no sink outside the subset, and the
+    # subset's supply exceeds its demand: no horizon can ever suffice.
+    assert all(a.head in cut_nodes for a in net.arcs if a.tail in cut_nodes)
+    assert not any(t in cut_nodes for t in net.sinks if t not in subset)
+    assert sum(net.balances[v] for v in subset) > 0
 
 
 def test_quickest_respects_max_layers(demo):
     net = Network.of(["a", "b"], [("a", "b", 1, 30, 0)], {"a": 1, "b": -1})
     with pytest.raises(HorizonLimitError):
         quickest_transshipment(net, max_layers=8)
+
+
+def test_quickest_fits_a_layer_limit_equal_to_its_answer():
+    assert quickest_transshipment(detour_network(), max_layers=9).horizon == 9
+    with pytest.raises(HorizonLimitError):
+        quickest_transshipment(detour_network(), max_layers=8)
 
 
 # ------------------------------------------------------- min cost over time
