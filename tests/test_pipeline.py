@@ -3,9 +3,17 @@ from fractions import Fraction
 import pytest
 
 from _brute import cheapest_paths_subnetwork, routed_paths
-from conftest import A_S2V, A_VT2, UNIT_BALANCES, detour_network, parallel_falling_costs
+from conftest import (
+    A_S2V,
+    A_VT2,
+    UNIT_BALANCES,
+    demo_network,
+    detour_network,
+    parallel_falling_costs,
+)
 from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
 from qmct.generate import generate
+from qmct.io import report_to_doc
 from qmct.network import Arc, Network
 from qmct.pipeline import (
     oracle_quickest_mincost,
@@ -163,6 +171,61 @@ def test_zero_supply_reports(demo):
         assert report.cost == 0
         assert report.all_checks_pass
     assert oracle_quickest_mincost(empty) == (0, 0)
+
+
+ZERO_SUPPLY_NETWORKS = {
+    "demo": demo_network().with_balances({}),
+    "rational transits": Network.of(
+        ["a", "b", "c"],
+        [("a", "b", 1, "1/2", 1), ("b", "c", "3/2", "1/3", -1), ("a", "c", 2, 1, 0)],
+    ),
+    "no arcs": Network.of(["a", "b"], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SUPPLY_NETWORKS))
+def test_zero_supply_report_docs(name):
+    net = ZERO_SUPPLY_NETWORKS[name]
+    scale = 6 if name == "rational transits" else 1
+    zero = {"steps": 0, "original": "0"}
+    expected = [
+        {
+            "mode": "quickest-mincost",
+            "cost": "0",
+            "horizon": zero,
+            "scale": scale,
+            "checks": {
+                "schedule_valid": True,
+                "cost_equals_transport_optimum": True,
+                "routing_admissible": True,
+            },
+            "transport_optimum": "0",
+            "subnetwork": [],
+            "schedule": {},
+        },
+        {
+            "mode": "quickest",
+            "cost": "0",
+            "horizon": zero,
+            "scale": scale,
+            "checks": {"schedule_valid": True},
+            "schedule": {},
+        },
+        {
+            "mode": "mincost-static",
+            "cost": "0",
+            "horizon": None,
+            "scale": 1,
+            "checks": {"transport_certified": True},
+            "transport_optimum": "0",
+        },
+    ]
+    docs = []
+    for solver in (solve_quickest_mincost, solve_quickest, solve_mincost_static):
+        doc = report_to_doc(solver(net), include_schedule=True)
+        del doc["timing"]
+        docs.append(doc)
+    assert docs == expected
 
 
 def test_validation_failure_raises(demo):

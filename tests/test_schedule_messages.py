@@ -1,0 +1,142 @@
+"""Pinned violation messages of :func:`qmct.temporal.verify_schedule`.
+
+Each case lists the exact messages a schedule on one small network
+draws, sorted: wording and count are part of the contract, order is
+not.  The network is ``s -> m -> t`` (transits 1 and 0, capacities 1
+and 1/2) plus a direct ``s -> t`` arc of transit 2, shipping 2 units.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from qmct.network import Network
+from qmct.temporal import ArcIntervals as A
+from qmct.temporal import FlowOverTime, verify_schedule
+
+NET = Network.of(
+    ["s", "m", "t"],
+    [("s", "m", 1, 1, 2), ("m", "t", "1/2", 0, 1), ("s", "t", 3, 2, 0)],
+    {"s": 2, "t": -2},
+)
+
+# name: (horizon, entries, cost, sorted violations)
+CASES = {
+    "clean": (4, [A(2, ((0, 2, F(1)),))], 0, []),
+    "every kind": (
+        3,
+        [
+            A(7, ((0, 1, F(1)),)),
+            A(-1, ()),
+            A(0, ((0, 1, F(-1)), (-1, 1, F(1)), (2, 2, F(1)), (2, 1, F(1)), (2, 3, F(1)))),
+            A(1, ((0, 2, F(1)),)),
+        ],
+        4,
+        [
+            "arc 0: bad interval [-1,1)",
+            "arc 0: bad interval [2,1)",
+            "arc 0: bad interval [2,2)",
+            "arc 0: inflow during [2,3) cannot arrive by horizon 3",
+            "arc 0: negative rate -1",
+            "arc 1: rate 1 exceeds capacity 1/2 during [0,1)",
+            "arc 1: rate 1 exceeds capacity 1/2 during [1,2)",
+            "node 'm': -2 units remain at horizon, expected 0",
+            "node 'm': flow deficit -1 during [0,1)",
+            "node 'm': flow deficit -2 during [1,2)",
+            "node 's': 1 units remain at horizon, expected 0",
+            "schedule references unknown arc -1",
+            "schedule references unknown arc 7",
+        ],
+    ),
+    "rate 1/7": (
+        8,
+        [A(0, ((0, 7, F(1, 7)),)), A(1, ((0, 7, F(2, 7)),))],
+        4,
+        [
+            "node 'm': -1 units remain at horizon, expected 0",
+            "node 'm': flow deficit -1 during [5,6)",
+            "node 'm': flow deficit -1 during [7,8)",
+            "node 'm': flow deficit -2/7 during [0,1)",
+            "node 'm': flow deficit -3/7 during [1,2)",
+            "node 'm': flow deficit -4/7 during [2,3)",
+            "node 'm': flow deficit -5/7 during [3,4)",
+            "node 'm': flow deficit -6/7 during [4,5)",
+            "node 'm': flow deficit -8/7 during [6,7)",
+            "node 's': 1 units remain at horizon, expected 0",
+        ],
+    ),
+    "overlapping intervals on one arc": (
+        4,
+        [
+            A(1, ((0, 3, F(1, 3)), (2, 4, F(1, 3)))),
+            A(1, ((1, 2, F(1, 4)),)),
+            A(0, ((0, 3, F(1, 2)), (0, 3, F(1, 2)))),
+        ],
+        F(95, 12),
+        [
+            "arc 1: rate 2/3 exceeds capacity 1/2 during [2,3)",
+            "arc 1: rate 7/12 exceeds capacity 1/2 during [1,2)",
+            "node 'm': 13/12 units remain at horizon, expected 0",
+            "node 'm': flow deficit -1/3 during [0,1)",
+            "node 's': -1 units remain at horizon, expected 0",
+            "node 's': flow deficit -1 during [2,3)",
+            "node 't': 23/12 units remain at horizon, expected 2",
+        ],
+    ),
+    "intervals past the horizon": (
+        4,
+        [A(0, ((5, 9, F(1)),)), A(2, ((1, 6, F(1)),))],
+        8,
+        [
+            "arc 0: inflow during [5,9) cannot arrive by horizon 4",
+            "arc 2: inflow during [1,6) cannot arrive by horizon 4",
+            "node 's': -1 units remain at horizon, expected 0",
+            "node 's': flow deficit -1 during [3,4)",
+            "node 't': 1 units remain at horizon, expected 2",
+        ],
+    ),
+    "horizon 0": (
+        0,
+        [],
+        0,
+        [
+            "node 's': 2 units remain at horizon, expected 0",
+            "node 't': 0 units remain at horizon, expected 2",
+        ],
+    ),
+    "horizon 0 with inflow": (
+        0,
+        [A(1, ((0, 1, F(1, 2)),))],
+        F(1, 2),
+        [
+            "arc 1: inflow during [0,1) cannot arrive by horizon 0",
+            "node 's': 2 units remain at horizon, expected 0",
+            "node 't': 0 units remain at horizon, expected 2",
+        ],
+    ),
+    # m is in deficit from step 0 on.  During [1,3) its inflow and
+    # outflow cancel and the deficit is reported again; from step 3 no
+    # flow touches m (a zero rate does not count) and it is not.
+    "deficit while inflow and outflow cancel": (
+        5,
+        [A(1, ((0, 3, F(1, 2)), (3, 5, F(0)))), A(0, ((0, 2, F(1, 2)),))],
+        F(7, 2),
+        [
+            "node 'm': -1/2 units remain at horizon, expected 0",
+            "node 'm': flow deficit -1/2 during [0,1)",
+            "node 'm': flow deficit -1/2 during [1,2)",
+            "node 'm': flow deficit -1/2 during [2,3)",
+            "node 's': 1 units remain at horizon, expected 0",
+            "node 't': 3/2 units remain at horizon, expected 2",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_violation_messages_are_pinned(name):
+    horizon, entries, cost, expected = CASES[name]
+    report = verify_schedule(NET, FlowOverTime(horizon, tuple(entries)))
+    assert sorted(report.violations) == expected
+    assert report.cost == cost
+    assert report.ok == (not expected)
