@@ -15,6 +15,9 @@ from fractions import Fraction
 from .network import Arc, Network
 from .staticflow import FlowProblem, max_flow
 
+# Random arcs drawn per node pair (n(n-1)/2 pairs), before the repairs.
+DENSITY = 0.55
+
 
 def _reachable_from(adj: list[list[int]], start: int) -> set[int]:
     seen = {start}
@@ -35,7 +38,6 @@ def generate(
     tau_max: int = 3,
     cap_max: int = 3,
     cost_max: int = 3,
-    density: float = 0.55,
     half_balance_prob: float = 0.25,
     negative_costs: bool = False,
 ) -> Network:
@@ -60,7 +62,7 @@ def generate(
     source_ids = sorted(picked[:k_src])
     sink_ids = sorted(picked[k_src:])
 
-    target_arcs = max(nodes - 1, round(density * nodes * (nodes - 1) / 2))
+    target_arcs = max(nodes - 1, round(DENSITY * nodes * (nodes - 1) / 2))
     endpoints: list[tuple[int, int]] = []
     # Out-neighbours of every node, kept in step with ``endpoints``.
     adj: list[list[int]] = [[] for _ in range(nodes)]

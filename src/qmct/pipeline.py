@@ -104,32 +104,6 @@ def _remap_schedule(
     return temporal.FlowOverTime(schedule.horizon, entries)
 
 
-def _trivial_report(mode: str, scale: int) -> SolveReport:
-    """Report for the null instance (no supplies at all)."""
-    mincost = mode == MODE_QUICKEST_MINCOST
-    if mincost:
-        checks = {
-            "schedule_valid": True,
-            "cost_equals_transport_optimum": True,
-            "routing_admissible": True,
-        }
-    elif mode == MODE_MINCOST_STATIC:
-        checks = {"transport_certified": True}
-    else:
-        checks = {"schedule_valid": True}
-    return SolveReport(
-        mode=mode,
-        cost=Fraction(0),
-        horizon=0,
-        horizon_original=Fraction(0),
-        scale=scale,
-        subnetwork=() if mincost else None,
-        schedule=temporal.FlowOverTime(0, ()),
-        transport_optimum=Fraction(0) if mincost or mode == MODE_MINCOST_STATIC else None,
-        checks=checks,
-    )
-
-
 def run_quickest_mincost(network: Network, max_layers: int | None = None) -> AlgorithmRun:
     """Execute the four-stage reduction and return all intermediates.
 
@@ -212,7 +186,23 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
     started = time.perf_counter()
     validate_or_raise(network)
     if network.total_supply == 0:
-        return _trivial_report(MODE_QUICKEST_MINCOST, scale_transits(network)[1])
+        # Nothing moves, and with no terminals there is no admissible
+        # subnetwork to cut out (``admissible_arcs`` would warn).
+        return SolveReport(
+            mode=MODE_QUICKEST_MINCOST,
+            cost=Fraction(0),
+            horizon=0,
+            horizon_original=Fraction(0),
+            scale=scale_transits(network)[1],
+            subnetwork=(),
+            schedule=temporal.FlowOverTime(0, ()),
+            transport_optimum=Fraction(0),
+            checks={
+                "schedule_valid": True,
+                "cost_equals_transport_optimum": True,
+                "routing_admissible": True,
+            },
+        )
     run = run_quickest_mincost(network, max_layers)
     solved = time.perf_counter()
     verification = temporal.verify_schedule(run.scaled, run.schedule)
@@ -241,8 +231,6 @@ def solve_quickest(network: Network, max_layers: int | None = None) -> SolveRepo
     started = time.perf_counter()
     validate_or_raise(network)
     scaled, scale = scale_transits(network)
-    if network.total_supply == 0:
-        return _trivial_report(MODE_QUICKEST, scale)
     quickest = temporal.quickest_transshipment(scaled, max_layers=max_layers)
     solved = time.perf_counter()
     verification = temporal.verify_schedule(scaled, quickest.schedule)
@@ -265,13 +253,6 @@ def solve_mincost_static(network: Network) -> SolveReport:
     """Transportation stage only: the minimum cost over all horizons."""
     started = time.perf_counter()
     validate_or_raise(network)
-    if network.total_supply == 0:
-        report = _trivial_report(MODE_MINCOST_STATIC, 1)
-        report.horizon = None
-        report.horizon_original = None
-        report.schedule = None
-        report.transport_optimum = Fraction(0)
-        return report
     costs = cheapest.pair_costs(network)
     instance = transport.build(network, costs)
     solution = transport.solve(instance)

@@ -24,8 +24,10 @@ already: the pipeline scales rational transit times before calling in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import AbstractSet, Sequence
 
 from . import _kernel
@@ -208,22 +210,19 @@ def expand(
 def _schedule_from_movement(
     graph: TimeExpandedGraph, movement_flows: Sequence[int]
 ) -> FlowOverTime:
-    per_arc: dict[int, dict[int, Fraction]] = {}
+    # Movement copies come layer by layer, so each arc's runs come in order.
+    runs: dict[int, list[list[int]]] = {}
     for (arc, layer), raw in zip(graph.movement, movement_flows):
         if raw:
-            per_arc.setdefault(arc, {})[layer] = Fraction(raw, graph.cap_scale)
-    entries = []
-    for arc in sorted(per_arc):
-        rates = per_arc[arc]
-        intervals: list[tuple[int, int, Fraction]] = []
-        for layer in sorted(rates):
-            rate = rates[layer]
-            if intervals and intervals[-1][1] == layer and intervals[-1][2] == rate:
-                start, _, _ = intervals[-1]
-                intervals[-1] = (start, layer + 1, rate)
+            steps = runs.setdefault(arc, [])
+            if steps and steps[-1][1:] == [layer, raw]:
+                steps[-1][1] = layer + 1
             else:
-                intervals.append((layer, layer + 1, rate))
-        entries.append(ArcIntervals(arc, tuple(intervals)))
+                steps.append([layer, layer + 1, raw])
+    entries = (
+        ArcIntervals(arc, tuple((s, e, Fraction(raw, graph.cap_scale)) for s, e, raw in runs[arc]))
+        for arc in sorted(runs)
+    )
     return FlowOverTime(graph.horizon, tuple(entries))
 
 
@@ -463,27 +462,23 @@ def mincost_over_time(
 
 def _replay(
     network: Network, schedule: FlowOverTime
-) -> tuple[list[str], Fraction, dict[NodeId, list[Fraction]]]:
-    """Simulate a schedule unit step by unit step.
+) -> tuple[list[str], Fraction, dict[NodeId, list[int]], int]:
+    """Simulate a schedule by prefix sums over the integer form.
 
-    Returns every violation, the exact cost, and the amount held at each
-    node at integer times 0..horizon.  Entries naming an unknown arc, a
-    negative rate or an empty interval are reported and left out.
+    Returns the violations, the exact cost, each node's holdings at times
+    0..horizon in units of ``1/scale``, and ``scale``.  Entries with an
+    unknown arc, a negative rate or an empty interval are reported and skipped.
     """
-    bal = network.balances
-    transits = _integer_form(network).transits
+    form = _integer_form(network)
     horizon = schedule.horizon
     violations: list[str] = []
-    # Per-arc inflow rate at each unit step, accumulated over intervals.
-    rates: dict[int, dict[int, Fraction]] = {}
+    kept: list[tuple[int, int, int, Fraction]] = []
     cost = Fraction(0)
     for entry in schedule.arc_flows:
         if not 0 <= entry.arc < len(network.arcs):
             violations.append(f"schedule references unknown arc {entry.arc}")
             continue
-        arc = network.arcs[entry.arc]
-        latest = horizon - transits[entry.arc]
-        steps = rates.setdefault(entry.arc, {})
+        latest = horizon - form.transits[entry.arc]
         for start, end, rate in entry.intervals:
             if rate < 0:
                 violations.append(f"arc {entry.arc}: negative rate {rate}")
@@ -496,47 +491,52 @@ def _replay(
                     f"arc {entry.arc}: inflow during [{start},{end}) cannot arrive "
                     f"by horizon {horizon}"
                 )
-            for step in range(start, min(end, horizon)):
-                steps[step] = steps.get(step, Fraction(0)) + rate
-            cost += arc.cost * rate * (end - start)
-    for arc_index, steps in rates.items():
-        u = network.arcs[arc_index].capacity
-        for step, rate in steps.items():
-            if rate > u:
-                violations.append(
-                    f"arc {arc_index}: rate {rate} exceeds capacity {u} "
-                    f"during [{step},{step + 1})"
+            # Inflow at or after the horizon is dropped, as is any arrival.
+            if rate and start < horizon:
+                kept.append((entry.arc, start, min(end, horizon), rate))
+            cost += network.arcs[entry.arc].cost * rate * (end - start)
+    # One scale makes the balances, capacities and every rate integers.
+    scale = math.lcm(form.flow_scale, *(rate.denominator for *_, rate in kept))
+    up = scale // form.flow_scale
+    # Per node, a difference array of its net inflow rate and the steps
+    # when flow moves through it; per arc, the changes of its inflow rate.
+    flow = [[0] * (horizon + 1) for _ in network.nodes]
+    moves: list[list[tuple[int, int]]] = [[] for _ in network.nodes]
+    arc_changes: dict[int, list[tuple[int, int]]] = {}
+    for arc, start, stop, rate in kept:
+        r = rate.numerator * (scale // rate.denominator)
+        arc_changes.setdefault(arc, []).extend([(start, r), (stop, -r)])
+        for v, shift, d in ((form.tails[arc], 0, -r), (form.heads[arc], form.transits[arc], r)):
+            lo, hi = min(start + shift, horizon), min(stop + shift, horizon)
+            flow[v][lo] += d
+            flow[v][hi] -= d
+            moves[v].append((lo, hi))
+    for arc, changes in arc_changes.items():
+        changes.sort()
+        for (lo, _), (hi, _), rate in zip(changes, changes[1:], accumulate(d for _, d in changes)):
+            if rate > form.capacities[arc] * up:
+                violations.extend(
+                    f"arc {arc}: rate {Fraction(rate, scale)} exceeds capacity "
+                    f"{network.arcs[arc].capacity} during [{q},{q + 1})"
+                    for q in range(lo, hi)
                 )
-
-    held = {v: max(bal[v], Fraction(0)) for v in network.nodes}
-    trace = {v: [held[v]] for v in network.nodes}
-    for step in range(horizon):
-        delta: dict[NodeId, Fraction] = {}
-        for arc_index, steps in rates.items():
-            arc = network.arcs[arc_index]
-            out_rate = steps.get(step)
-            if out_rate:
-                delta[arc.tail] = delta.get(arc.tail, Fraction(0)) - out_rate
-            entered = step - transits[arc_index]
-            if entered >= 0:
-                in_rate = steps.get(entered)
-                if in_rate:
-                    delta[arc.head] = delta.get(arc.head, Fraction(0)) + in_rate
-        for v, d in delta.items():
-            held[v] += d
-            if held[v] < 0:
-                violations.append(
-                    f"node {v!r}: flow deficit {held[v]} during [{step},{step + 1})"
-                )
-        for v, values in trace.items():
-            values.append(held[v])
-    for v in network.nodes:
-        expected = -bal[v] if bal[v] < 0 else Fraction(0)
-        if held[v] != expected:
-            violations.append(
-                f"node {v!r}: {held[v]} units remain at horizon, expected {expected}"
+    trace: dict[NodeId, list[int]] = {}
+    for v, name in enumerate(network.nodes):
+        b = form.balances[v] * up
+        held = list(accumulate(accumulate(flow[v][:horizon]), initial=max(b, 0)))
+        if min(held) < 0:
+            moving = {q for lo, hi in moves[v] for q in range(lo, hi)}
+            violations.extend(
+                f"node {name!r}: flow deficit {Fraction(h, scale)} during [{q},{q + 1})"
+                for q, h in enumerate(held[1:]) if h < 0 and q in moving
             )
-    return violations, cost, trace
+        if held[-1] != max(-b, 0):
+            violations.append(
+                f"node {name!r}: {Fraction(held[-1], scale)} units remain at horizon, "
+                f"expected {Fraction(max(-b, 0), scale)}"
+            )
+        trace[name] = held
+    return violations, cost, trace, scale
 
 
 def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerification:
@@ -545,7 +545,7 @@ def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerific
     Returns a report listing every violation (never raises) along with
     the exact recomputed cost.
     """
-    violations, cost, _ = _replay(network, schedule)
+    violations, cost, _, _ = _replay(network, schedule)
     return ScheduleVerification(tuple(violations), cost)
 
 
@@ -557,5 +557,5 @@ def storage_trace(
     Schedule entries that :func:`verify_schedule` rejects (unknown arcs,
     negative rates, empty intervals) are left out.
     """
-    _, _, trace = _replay(network, schedule)
-    return {v: tuple(values) for v, values in trace.items()}
+    _, _, trace, scale = _replay(network, schedule)
+    return {v: tuple(Fraction(h, scale) for h in held) for v, held in trace.items()}

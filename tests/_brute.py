@@ -14,7 +14,10 @@ property from reduced costs on the schedule's arcs instead
 :func:`expansion_search` is the reference for the quickest horizon: the
 gallop-and-bisect search over expansion max flows that
 :func:`qmct.temporal.quickest_transshipment` replaced by probing only at
-proven lower bounds.  The remaining helpers (cheapest-path subnetworks,
+proven lower bounds.  :func:`step_replay` is the reference schedule
+simulator, unit step by unit step in ``Fraction`` arithmetic, that
+:func:`qmct.temporal.verify_schedule` replaced by prefix sums over the
+integer form.  The remaining helpers (cheapest-path subnetworks,
 the capacity view of a network and cut capacities) serve tests only.
 """
 
@@ -375,3 +378,81 @@ def subset_expansion_flow(network: Network, subset, horizon: int) -> int:
     caps = [*graph.capacities[:keep], *[None] * (len(tails) - keep)]
     g = _kernel.build(graph.num_nodes, tails, heads, caps)
     return _kernel.max_flow(g, graph.super_source, graph.super_sink)[0]
+
+
+def step_replay(
+    network: Network, schedule: FlowOverTime
+) -> tuple[list[str], Fraction, dict[NodeId, list[Fraction]]]:
+    """Simulate a schedule unit step by unit step.
+
+    Returns every violation, the exact cost, and the amount held at each
+    node at integer times 0..horizon.  Entries naming an unknown arc, a
+    negative rate or an empty interval are reported and left out.
+    """
+    bal = network.balances
+    transits = _integer_form(network).transits
+    horizon = schedule.horizon
+    violations: list[str] = []
+    # Per-arc inflow rate at each unit step, accumulated over intervals.
+    rates: dict[int, dict[int, Fraction]] = {}
+    cost = Fraction(0)
+    for entry in schedule.arc_flows:
+        if not 0 <= entry.arc < len(network.arcs):
+            violations.append(f"schedule references unknown arc {entry.arc}")
+            continue
+        arc = network.arcs[entry.arc]
+        latest = horizon - transits[entry.arc]
+        steps = rates.setdefault(entry.arc, {})
+        for start, end, rate in entry.intervals:
+            if rate < 0:
+                violations.append(f"arc {entry.arc}: negative rate {rate}")
+                continue
+            if start < 0 or end <= start:
+                violations.append(f"arc {entry.arc}: bad interval [{start},{end})")
+                continue
+            if end > latest:
+                violations.append(
+                    f"arc {entry.arc}: inflow during [{start},{end}) cannot arrive "
+                    f"by horizon {horizon}"
+                )
+            for step in range(start, min(end, horizon)):
+                steps[step] = steps.get(step, Fraction(0)) + rate
+            cost += arc.cost * rate * (end - start)
+    for arc_index, steps in rates.items():
+        u = network.arcs[arc_index].capacity
+        for step, rate in steps.items():
+            if rate > u:
+                violations.append(
+                    f"arc {arc_index}: rate {rate} exceeds capacity {u} "
+                    f"during [{step},{step + 1})"
+                )
+
+    held = {v: max(bal[v], Fraction(0)) for v in network.nodes}
+    trace = {v: [held[v]] for v in network.nodes}
+    for step in range(horizon):
+        delta: dict[NodeId, Fraction] = {}
+        for arc_index, steps in rates.items():
+            arc = network.arcs[arc_index]
+            out_rate = steps.get(step)
+            if out_rate:
+                delta[arc.tail] = delta.get(arc.tail, Fraction(0)) - out_rate
+            entered = step - transits[arc_index]
+            if entered >= 0:
+                in_rate = steps.get(entered)
+                if in_rate:
+                    delta[arc.head] = delta.get(arc.head, Fraction(0)) + in_rate
+        for v, d in delta.items():
+            held[v] += d
+            if held[v] < 0:
+                violations.append(
+                    f"node {v!r}: flow deficit {held[v]} during [{step},{step + 1})"
+                )
+        for v, values in trace.items():
+            values.append(held[v])
+    for v in network.nodes:
+        expected = -bal[v] if bal[v] < 0 else Fraction(0)
+        if held[v] != expected:
+            violations.append(
+                f"node {v!r}: {held[v]} units remain at horizon, expected {expected}"
+            )
+    return violations, cost, trace

@@ -1,0 +1,45 @@
+"""The benchmark's traced run still fits the solver.
+
+``perfbench/layers.py`` wraps solver functions by module attribute and
+reads attributes off their arguments and results.  A rename in ``src/``
+or a changed result type would only show when ``perfbench/run.py
+--trace 1`` runs; these tests make it show in the test suite.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import layers  # noqa: E402
+from spans import SpanRecorder  # noqa: E402
+
+from qmct import io, pipeline  # noqa: E402
+
+
+def test_every_traced_target_resolves():
+    for module, attr, name, _ in layers.TARGETS:
+        assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
+
+
+def test_describe_hooks_run_on_a_solve_and_an_oracle_call():
+    network = io.load_instance(ROOT / "instances" / "demo.json")
+    recorder = SpanRecorder()
+    with recorder.installed(layers.TARGETS):
+        begin = time.perf_counter()
+        report = pipeline.solve_quickest_mincost(network)
+        io.report_to_doc(report, include_schedule=True)
+        assert pipeline.oracle_quickest_mincost(network) == (report.cost, report.horizon)
+        end = time.perf_counter()
+    described = {name for _, _, name, describe in layers.TARGETS if describe is not None}
+    seen = {span.name for span in recorder.spans}
+    # The solve never decomposes a static flow; every other layer runs.
+    assert seen == {name for _, _, name, _ in layers.TARGETS} - {"staticflow.decompose"}
+    for span in recorder.spans:
+        assert (span.attrs is not None) == (span.name in described), span.name
+    metrics = layers.pass_metrics(recorder.spans, begin, end)
+    assert set(metrics) >= set(layers.SELF_TIME)
+    assert metrics["temporal.probes"] >= 1
+    assert layers.largest_search(recorder.spans) == recorder.instance
