@@ -210,7 +210,7 @@ def expand(
 def _schedule_from_movement(
     graph: TimeExpandedGraph, movement_flows: Sequence[int]
 ) -> FlowOverTime:
-    # Movement copies come layer by layer, so each arc's runs come in order.
+    # Runs [start, end, flow] per arc; movement copies come layer by layer.
     runs: dict[int, list[list[int]]] = {}
     for (arc, layer), raw in zip(graph.movement, movement_flows):
         if raw:
@@ -491,15 +491,15 @@ def _replay(
                     f"arc {entry.arc}: inflow during [{start},{end}) cannot arrive "
                     f"by horizon {horizon}"
                 )
-            # Inflow at or after the horizon is dropped, as is any arrival.
+            # A zero rate moves nothing; inflow at or after H is dropped.
             if rate and start < horizon:
                 kept.append((entry.arc, start, min(end, horizon), rate))
             cost += network.arcs[entry.arc].cost * rate * (end - start)
     # One scale makes the balances, capacities and every rate integers.
     scale = math.lcm(form.flow_scale, *(rate.denominator for *_, rate in kept))
     up = scale // form.flow_scale
-    # Per node, a difference array of its net inflow rate and the steps
-    # when flow moves through it; per arc, the changes of its inflow rate.
+    # Per node, a difference array of its net inflow rate and the spans of
+    # flow through it (only there is a deficit reported); per arc, its rate changes.
     flow = [[0] * (horizon + 1) for _ in network.nodes]
     moves: list[list[tuple[int, int]]] = [[] for _ in network.nodes]
     arc_changes: dict[int, list[tuple[int, int]]] = {}
