@@ -6,11 +6,12 @@ dual value.  With a feasible dual every super-source-to-super-sink path
 has non-negative cost, and the zero-cost ones are exactly the paths a
 minimum-cost shipment plan may use.  The admissible arc set consists of
 the original arcs lying on such a zero-cost path.  Labels run on the
-extended costs scaled to integers once.
+base network's integer costs plus the terminal duals scaled to match.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,11 +29,12 @@ class ExtendedNetwork:
 
     Nodes 0..n-1 are the base nodes in order; ``super_source`` is n and
     ``super_sink`` is n+1.  Terminal arcs have zero transit and no
-    capacity bound; only their costs matter here.
+    capacity bound; only their costs matter here.  ``arcs`` lists base
+    then terminal arcs as ``(tail, head, cost)``.
     """
 
     base: Network
-    arcs: tuple[tuple[int, int, Fraction], ...]
+    terminal_arcs: tuple[tuple[int, int, Fraction], ...]
     base_arc_count: int
     super_source: int
     super_sink: int
@@ -40,6 +42,11 @@ class ExtendedNetwork:
     @property
     def num_nodes(self) -> int:
         return len(self.base.nodes) + 2
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, Fraction], ...]:
+        form, costs = self.base.integral, (a.cost for a in self.base.arcs)
+        return (*zip(form.tails, form.heads, costs), *self.terminal_arcs)
 
 
 @dataclass(frozen=True)
@@ -58,15 +65,10 @@ class Subnetwork:
 def extend(network: Network, dual: DualSolution) -> ExtendedNetwork:
     """Attach priced super terminals for the network's sources and sinks."""
     idx = network.node_index
-    arcs = [(idx(a.tail), idx(a.head), a.cost) for a in network.arcs]
     n = len(network.nodes)
-    super_source = n
-    super_sink = n + 1
-    for s in network.sources:
-        arcs.append((super_source, idx(s), -dual[s]))
-    for t in network.sinks:
-        arcs.append((idx(t), super_sink, dual[t]))
-    return ExtendedNetwork(network, tuple(arcs), len(network.arcs), super_source, super_sink)
+    terminal = [(n, idx(s), -dual[s]) for s in network.sources]
+    terminal += [(idx(t), n + 1, dual[t]) for t in network.sinks]
+    return ExtendedNetwork(network, tuple(terminal), len(network.arcs), n, n + 1)
 
 
 def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
@@ -79,9 +81,14 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     subnetwork with a warning.
     """
     n = extended.num_nodes
-    tails = [u for u, _, _ in extended.arcs]
-    heads = [v for _, v, _ in extended.arcs]
-    scale, costs = to_integers(c for _, _, c in extended.arcs)
+    form, terminal = extended.base.integral, extended.terminal_arcs
+    tails = [*form.tails, *(u for u, _, _ in terminal)]
+    heads = [*form.heads, *(v for _, v, _ in terminal)]
+    # The base costs are integers at cost_scale already; scale only the duals.
+    dual_scale, duals = to_integers(c for _, _, c in terminal)
+    scale = math.lcm(form.cost_scale, dual_scale)
+    costs = [c * (scale // form.cost_scale) for c in form.costs]
+    costs += [d * (scale // dual_scale) for d in duals]
     forward = _kernel.labels(
         _kernel.arc_graph(n, zip(tails, heads, costs)), extended.super_source
     )
@@ -101,15 +108,13 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
         _kernel.arc_graph(n, zip(heads, tails, costs)), extended.super_sink
     )
 
-    base = extended.base
     selected = []
-    for i in range(extended.base_arc_count):
-        df = forward[tails[i]]
-        db = backward[heads[i]]
-        if df is not None and db is not None and df + costs[i] + db == 0:
+    for i, (u, v, c) in enumerate(zip(form.tails, form.heads, costs)):  # the base arcs
+        df, db = forward[u], backward[v]
+        if df is not None and db is not None and df + c + db == 0:
             selected.append(i)
     subnetwork = Subnetwork(frozenset(selected), connected=True, labels=labels)
-    _assert_terminals_covered(base, subnetwork)
+    _assert_terminals_covered(extended.base, subnetwork)
     return subnetwork
 
 

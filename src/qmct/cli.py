@@ -103,9 +103,7 @@ def _cmd_solve(args) -> int:
     network = io.load_instance(args.file)
     report_doc: dict
     if args.mode == pipeline.MODE_ORACLE:
-        cost, horizon = pipeline.oracle_quickest_mincost(
-            network, max_nodes=64, max_layers=args.max_horizon
-        )
+        cost, horizon = pipeline.oracle_quickest_mincost(network, max_layers=args.max_horizon)
         report_doc = {"mode": pipeline.MODE_ORACLE, "cost": rational_str(cost), "horizon": horizon}
         print(json.dumps(report_doc, indent=2))
         return EXIT_OK
@@ -180,23 +178,12 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         if exc.certificate:
-            print(json.dumps({"certificate": _plain(exc.certificate)}, indent=2), file=sys.stderr)
+            doc = {"certificate": exc.certificate}
+            print(json.dumps(doc, indent=2, default=rational_str), file=sys.stderr)
         return EXIT_INFEASIBLE
     except HorizonLimitError as exc:
         print(f"guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
-
-
-def _plain(value):
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ ids), ``arcs`` (objects with ``tail``, ``head``, ``capacity``,
 ``transit``, ``cost``) and ``balances`` (map from node id to value;
 missing ids mean zero).  Numeric values are integers or exact strings
 ("3/2", "1.5"); JSON floats are rejected to keep arithmetic exact.
+
+:func:`network_from_doc` parses each distinct literal of a document once,
+into one shared ``Fraction``; later stages read :attr:`Network.integral`,
+and ``admissible`` scales only the terminal duals it adds.
 """
 
 from __future__ import annotations
@@ -19,10 +23,16 @@ from .network import Arc, Network
 from .rationals import as_rational, rational_str
 
 
-def _value(raw: Any, where: str, key: object) -> Fraction:
-    """``raw`` as a rational; errors name ``where.format(key)``, built only then."""
+def _value(raw: Any, where: str, key: object, memos: dict[type, dict]) -> Fraction:
+    """``raw`` as a rational, parsed once per literal; errors name ``where.format(key)``.
+
+    ``memos`` maps str and int literals per type, so True and 1.0 never hit 1.
+    """
+    memo = memos.get(type(raw))
+    if memo is not None and raw in memo:
+        return memo[raw]
     try:
-        return as_rational(raw)
+        parsed = as_rational(raw)
     except (TypeError, ValueError) as exc:
         where = where.format(key)
         if isinstance(raw, float):
@@ -30,6 +40,9 @@ def _value(raw: Any, where: str, key: object) -> Fraction:
                 f"{where}: floats are not exact; write the value as a string like \"3/2\""
             ) from None
         raise ValidationError(f"{where}: {exc}") from exc
+    if memo is not None:
+        memo[raw] = parsed
+    return parsed
 
 
 def network_from_doc(doc: Any) -> Network:
@@ -42,7 +55,7 @@ def network_from_doc(doc: Any) -> Network:
     raw_arcs = doc.get("arcs")
     if not isinstance(raw_arcs, list):
         raise ValidationError("'arcs' must be a list")
-    arcs = []
+    arcs, memos = [], {str: {}, int: {}}
     for k, item in enumerate(raw_arcs):
         if not isinstance(item, dict):
             raise ValidationError(f"arc {k} must be an object")
@@ -53,17 +66,17 @@ def network_from_doc(doc: Any) -> Network:
             raise ValidationError(f"arc {k} is missing {exc}") from exc
         arcs.append(
             Arc(
-                tail=tail,
-                head=head,
-                capacity=_value(item.get("capacity", 1), "arc {} capacity", k),
-                transit=_value(item.get("transit", 0), "arc {} transit", k),
-                cost=_value(item.get("cost", 0), "arc {} cost", k),
+                tail,
+                head,
+                _value(item.get("capacity", 1), "arc {} capacity", k, memos),
+                _value(item.get("transit", 0), "arc {} transit", k, memos),
+                _value(item.get("cost", 0), "arc {} cost", k, memos),
             )
         )
     raw_balances = doc.get("balances", {})
     if not isinstance(raw_balances, dict):
         raise ValidationError("'balances' must be an object")
-    balances = {v: _value(b, "balance of {!r}", v) for v, b in raw_balances.items()}
+    balances = {v: _value(b, "balance of {!r}", v, memos) for v, b in raw_balances.items()}
     try:
         return Network.of(nodes, arcs, balances)
     except ValueError as exc:

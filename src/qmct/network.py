@@ -23,7 +23,7 @@ from .rationals import as_rational, to_integers
 NodeId = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """Directed arc with capacity, transit time and cost coefficient."""
 
@@ -44,7 +44,8 @@ class IntegerForm:
 
     Capacities and balances are multiplied by ``flow_scale``, costs by
     ``cost_scale`` and transits by ``time_scale``; each scale is the least
-    common multiple of the denominators it clears, so every entry is exact.
+    common multiple of the denominators it clears, so every entry is exact
+    and, the scales being positive, keeps the sign of its rational.
     """
 
     tails: tuple[int, ...]
@@ -96,8 +97,7 @@ class Network:
         unknown = set(bal) - set(nodes)
         if unknown:
             raise ValueError(f"balance given for unknown node(s): {sorted(unknown)}")
-        full = {v: bal.get(v, Fraction(0)) for v in nodes}
-        return Network(tuple(nodes), built, full)
+        return Network(tuple(nodes), built, dict.fromkeys(nodes, Fraction(0)) | bal)
 
     def node_index(self, v: NodeId) -> int:
         return self._index[v]
@@ -126,15 +126,15 @@ class Network:
 
     @property
     def sources(self) -> tuple[NodeId, ...]:
-        return tuple(v for v in self.nodes if self.balances[v] > 0)
+        return tuple(v for v, b in zip(self.nodes, self.integral.balances) if b > 0)
 
     @property
     def sinks(self) -> tuple[NodeId, ...]:
-        return tuple(v for v in self.nodes if self.balances[v] < 0)
+        return tuple(v for v, b in zip(self.nodes, self.integral.balances) if b < 0)
 
     @property
     def total_supply(self) -> Fraction:
-        return sum((self.balances[v] for v in self.sources), Fraction(0))
+        return Fraction(sum(b for b in self.integral.balances if b > 0), self.integral.flow_scale)
 
     def with_arcs(self, arc_indices: Iterable[int]) -> "Network":
         """Same nodes and balances, arcs restricted to the given indices."""
@@ -201,9 +201,7 @@ def validate(network: Network) -> ValidationReport:
     Never raises: callers that need a hard failure inspect ``report.ok``.
     """
     violations: list[Violation] = []
-    # The integer form's scales are positive, so its entries keep the
-    # signs of the rationals they stand for.
-    form = network.integral
+    form = network.integral  # its entries keep the signs of the rationals
     for i, (u, v, cap, tau) in enumerate(
         zip(form.tails, form.heads, form.capacities, form.transits)
     ):

@@ -2,11 +2,11 @@
 
 All numeric quantities at the solver's interface (capacities, transit
 times, costs, balances, flow rates, horizons) are exact rationals backed
-by :class:`fractions.Fraction`.  Floats are rejected at every parsing
-boundary so that the tightness tests downstream (dual constraints,
-cheapest-path membership) can compare for equality.  Inside, the solver
-works on integers: :func:`to_integers` is the one place where rationals
-are scaled to a common denominator.
+by :class:`fractions.Fraction`; floats are rejected so that tightness
+tests (dual constraints, cheapest-path membership) compare for equality.
+A document's literals are parsed once each (``io.network_from_doc``);
+:func:`to_integers` then scales each network's values once
+(``Network.integral``), and ``admissible`` only the terminal duals.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     exact representations of the decimal literals users write.
     """
     if isinstance(value, str):
-        # Integer literals, almost every value of a generated instance,
-        # skip the Fraction constructor's regular expression.
-        digits = value[1:] if value[:1] == "-" else value
-        if digits.isascii() and digits.isdigit():
-            return Fraction(int(value))
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -17,20 +17,25 @@ gallop-and-bisect search over expansion max flows that
 proven lower bounds.  :func:`step_replay` is the reference schedule
 simulator, unit step by unit step in ``Fraction`` arithmetic, that
 :func:`qmct.temporal.verify_schedule` replaced by prefix sums over the
-integer form.  The remaining helpers (cheapest-path subnetworks,
-the capacity view of a network and cut capacities) serve tests only.
+integer form.  :func:`network_from_doc` is the reference parser: it
+turns every value of a document into its own ``Fraction``, where
+:func:`qmct.io.network_from_doc` parses each distinct literal once.
+The remaining helpers (cheapest-path subnetworks, the capacity view of
+a network and cut capacities) serve tests only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Any
 
 from qmct import _kernel, staticflow
 from qmct.cheapest import CostLabels, cheapest_from, cheapest_to
-from qmct.errors import InfeasibleError, NoPathError
-from qmct.network import Network, NodeId
+from qmct.errors import InfeasibleError, NoPathError, ValidationError
+from qmct.network import Arc, Network, NodeId
 from qmct.pipeline import AlgorithmRun
+from qmct.rationals import as_rational
 from qmct.staticflow import FlowProblem
 from qmct.temporal import (
     FlowOverTime,
@@ -456,3 +461,54 @@ def step_replay(
                 f"node {v!r}: {held[v]} units remain at horizon, expected {expected}"
             )
     return violations, cost, trace
+
+
+def _value(raw: Any, where: str, key: object) -> Fraction:
+    """``raw`` as a rational; errors name ``where.format(key)``, built only then."""
+    try:
+        return as_rational(raw)
+    except (TypeError, ValueError) as exc:
+        where = where.format(key)
+        if isinstance(raw, float):
+            raise ValidationError(
+                f"{where}: floats are not exact; write the value as a string like \"3/2\""
+            ) from None
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def network_from_doc(doc: Any) -> Network:
+    """Parse an instance document; raises ValidationError on bad shape."""
+    if not isinstance(doc, dict):
+        raise ValidationError("instance must be a JSON object")
+    nodes = doc.get("nodes")
+    if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
+        raise ValidationError("'nodes' must be a list of string ids")
+    raw_arcs = doc.get("arcs")
+    if not isinstance(raw_arcs, list):
+        raise ValidationError("'arcs' must be a list")
+    arcs = []
+    for k, item in enumerate(raw_arcs):
+        if not isinstance(item, dict):
+            raise ValidationError(f"arc {k} must be an object")
+        try:
+            tail = item["tail"]
+            head = item["head"]
+        except KeyError as exc:
+            raise ValidationError(f"arc {k} is missing {exc}") from exc
+        arcs.append(
+            Arc(
+                tail=tail,
+                head=head,
+                capacity=_value(item.get("capacity", 1), "arc {} capacity", k),
+                transit=_value(item.get("transit", 0), "arc {} transit", k),
+                cost=_value(item.get("cost", 0), "arc {} cost", k),
+            )
+        )
+    raw_balances = doc.get("balances", {})
+    if not isinstance(raw_balances, dict):
+        raise ValidationError("'balances' must be an object")
+    balances = {v: _value(b, "balance of {!r}", v) for v, b in raw_balances.items()}
+    try:
+        return Network.of(nodes, arcs, balances)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc

@@ -121,6 +121,17 @@ def test_guard_exit_code(capsys, tmp_path):
     assert "guard" in err
 
 
+def test_oracle_mode_and_verify_share_the_oracle_size_guard(capsys, tmp_path):
+    nodes = [f"v{i}" for i in range(11)]
+    arcs = [(u, v, 1, 1, 0) for u, v in zip(nodes, nodes[1:])]
+    path = tmp_path / "eleven.json"
+    save_instance(Network.of(nodes, arcs, {"v0": 1, "v10": -1}), path)
+    guard = "guard tripped: oracle size guard: 11 nodes exceeds limit 10\n"
+    for argv in (["solve", str(path), "--mode", "oracle"], ["verify", str(path)]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (4, "", guard), argv
+
+
 def test_max_horizon_equal_to_the_answer_solves(capsys, tmp_path):
     path = tmp_path / "detour.json"
     save_instance(detour_network(), path)
