@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="solve plus oracle and invariant checks")
     verify.add_argument("file")
     verify.add_argument("--max-horizon", type=int, default=None)
-    verify.add_argument("--oracle-nodes", type=int, default=10, help="size guard for the oracle")
 
     gen = sub.add_parser("generate", help="write a seeded random instance")
     gen.add_argument("--seed", type=int, required=True)
@@ -114,8 +113,7 @@ def _cmd_solve(args) -> int:
     if args.as_json:
         storage = None
         if args.storage_trace and report.schedule is not None:
-            scaled, _ = pipeline.scale_transits(network)
-            storage = temporal.storage_trace(scaled, report.schedule)
+            storage = temporal.storage_trace(network, report.schedule)
         doc = io.report_to_doc(report, include_schedule=args.emit_schedule, storage=storage)
         print(json.dumps(doc, indent=2))
     else:
@@ -138,9 +136,7 @@ def _cmd_verify(args) -> int:
     for name, ok in solved.checks.items():
         results.append((name, ok))
 
-    cost, horizon = pipeline.oracle_quickest_mincost(
-        network, max_nodes=args.oracle_nodes, max_layers=args.max_horizon
-    )
+    cost, horizon = pipeline.oracle_quickest_mincost(network, max_layers=args.max_horizon)
     results.append(("oracle_cost_match", cost == solved.cost))
     results.append(("oracle_horizon_match", horizon == solved.horizon))
 

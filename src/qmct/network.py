@@ -7,12 +7,13 @@ zero balances are intermediate nodes.  Instances are immutable after
 construction; :func:`validate` reports every violated invariant instead
 of aborting on the first.  Each network turns its rationals into
 integers once, in :attr:`Network.integral`, which every label pass and
-time expansion reads.
+time expansion reads; a restriction (:meth:`Network.with_arcs`) slices
+its parent's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -43,9 +44,11 @@ class IntegerForm:
     """A network's data as integers, arcs in order, balances per node index.
 
     Capacities and balances are multiplied by ``flow_scale``, costs by
-    ``cost_scale`` and transits by ``time_scale``; each scale is the least
-    common multiple of the denominators it clears, so every entry is exact
-    and, the scales being positive, keeps the sign of its rational.
+    ``cost_scale`` and transits by ``time_scale``; each scale is a common
+    multiple of the denominators it clears (the least one for a network
+    built from its rationals; a restriction keeps its parent's), so every
+    entry is exact and, the scales being positive, keeps the sign of its
+    rational.
     """
 
     tails: tuple[int, ...]
@@ -137,9 +140,19 @@ class Network:
         return Fraction(sum(b for b in self.integral.balances if b > 0), self.integral.flow_scale)
 
     def with_arcs(self, arc_indices: Iterable[int]) -> "Network":
-        """Same nodes and balances, arcs restricted to the given indices."""
+        """Same nodes and balances, arcs restricted to the given indices.
+
+        The restriction's integer form is a slice of this one at the same
+        scales, so its horizons count the same time steps (a subset of
+        the transits can have a smaller lcm).
+        """
         keep = sorted(set(arc_indices))
-        return Network(self.nodes, tuple(self.arcs[i] for i in keep), dict(self.balances))
+        restricted = Network(self.nodes, tuple(self.arcs[i] for i in keep), dict(self.balances))
+        form = self.integral
+        fields = ("tails", "heads", "capacities", "costs", "transits")
+        sliced = {f: tuple(getattr(form, f)[i] for i in keep) for f in fields}
+        restricted.__dict__["integral"] = replace(form, **sliced)  # what cached_property reads
+        return restricted
 
     def with_balances(self, balances: Mapping[NodeId, object]) -> "Network":
         """Same nodes and arcs, these balances (missing nodes get 0)."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import admissible, cheapest, temporal, transport
 from .errors import HorizonLimitError, InfeasibleError, ValidationError
-from .network import Arc, Network, NodeId, validate
+from .network import Network, NodeId, validate
 
 MODE_QUICKEST_MINCOST = "quickest-mincost"
 MODE_QUICKEST = "quickest"
@@ -35,10 +35,11 @@ MODE_ORACLE = "oracle"
 class SolveReport:
     """Solver output plus self-verification flags and timings.
 
-    ``horizon`` is in integer steps after transit scaling;
-    ``horizon_original`` converts back to the input's time unit
-    (``horizon / scale``).  ``subnetwork`` lists original arc indices and
-    is only present for the cost-first mode.
+    ``horizon`` counts steps of ``1/scale`` of the input's time unit,
+    ``scale`` being the network's ``time_scale`` (the lcm of its transits'
+    denominators); ``horizon_original`` is ``horizon / scale``, in the
+    input's unit.  ``subnetwork`` lists original arc indices and is only
+    present for the cost-first mode.
     """
 
     mode: str
@@ -62,8 +63,6 @@ class AlgorithmRun:
     """All intermediates of the cost-first pipeline, for verification."""
 
     network: Network
-    scaled: Network
-    scale: int
     pair_costs: dict[tuple[NodeId, NodeId], Fraction]
     instance: transport.TransportationInstance
     solution: transport.TransportSolution
@@ -82,19 +81,6 @@ def validate_or_raise(network: Network) -> None:
         raise ValidationError(f"invalid network: {details}", report.violations)
 
 
-def scale_transits(network: Network) -> tuple[Network, int]:
-    """Multiply all transit times by the least factor making them integers."""
-    form = network.integral
-    scale = form.time_scale
-    if scale == 1:
-        return network, 1
-    arcs = tuple(
-        Arc(a.tail, a.head, a.capacity, Fraction(tau), a.cost)
-        for a, tau in zip(network.arcs, form.transits)
-    )
-    return Network(network.nodes, arcs, dict(network.balances)), scale
-
-
 def _remap_schedule(
     schedule: temporal.FlowOverTime, arc_map: tuple[int, ...]
 ) -> temporal.FlowOverTime:
@@ -110,21 +96,18 @@ def run_quickest_mincost(network: Network, max_layers: int | None = None) -> Alg
     The network must be valid and must have at least one source.
     Raises :class:`InfeasibleError` when the supplies cannot be routed.
     """
-    scaled, scale = scale_transits(network)
-    costs = cheapest.pair_costs(scaled)
-    instance = transport.build(scaled, costs)
+    costs = cheapest.pair_costs(network)
+    instance = transport.build(network, costs)
     solution = transport.solve(instance)
     actives = transport.active_pairs(instance, solution.dual)
-    extended = admissible.extend(scaled, solution.dual)
+    extended = admissible.extend(network, solution.dual)
     subnetwork = admissible.admissible_arcs(extended)
     arc_map = tuple(sorted(subnetwork.arc_indices))
-    restricted = scaled.with_arcs(arc_map)
+    restricted = network.with_arcs(arc_map)
     quickest = temporal.quickest_transshipment(restricted, max_layers=max_layers)
     schedule = _remap_schedule(quickest.schedule, arc_map)
     return AlgorithmRun(
         network=network,
-        scaled=scaled,
-        scale=scale,
         pair_costs=costs,
         instance=instance,
         solution=solution,
@@ -166,7 +149,7 @@ def check_admissible_routing(run: AlgorithmRun) -> bool:
     some routed path or cycle, and every source and sink ends a routed
     path because all supplies are routed, so (i) and (ii) follow.
     """
-    network = run.scaled
+    network = run.network
     index = network.node_index
     labels = run.subnetwork.labels
     dual = run.solution.dual
@@ -185,6 +168,7 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
     """Minimum-cost transshipment over time with the least possible horizon."""
     started = time.perf_counter()
     validate_or_raise(network)
+    scale = network.integral.time_scale
     if network.total_supply == 0:
         # Nothing moves, and with no terminals there is no admissible
         # subnetwork to cut out (``admissible_arcs`` would warn).
@@ -193,7 +177,7 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
             cost=Fraction(0),
             horizon=0,
             horizon_original=Fraction(0),
-            scale=scale_transits(network)[1],
+            scale=scale,
             subnetwork=(),
             schedule=temporal.FlowOverTime(0, ()),
             transport_optimum=Fraction(0),
@@ -205,7 +189,7 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
         )
     run = run_quickest_mincost(network, max_layers)
     solved = time.perf_counter()
-    verification = temporal.verify_schedule(run.scaled, run.schedule)
+    verification = temporal.verify_schedule(network, run.schedule)
     checks = {
         "schedule_valid": verification.ok,
         "cost_equals_transport_optimum": verification.cost == run.solution.optimum,
@@ -216,8 +200,8 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
         mode=MODE_QUICKEST_MINCOST,
         cost=verification.cost,
         horizon=run.quickest.horizon,
-        horizon_original=Fraction(run.quickest.horizon, run.scale),
-        scale=run.scale,
+        horizon_original=Fraction(run.quickest.horizon, scale),
+        scale=scale,
         subnetwork=run.arc_map,
         schedule=run.schedule,
         transport_optimum=run.solution.optimum,
@@ -230,10 +214,10 @@ def solve_quickest(network: Network, max_layers: int | None = None) -> SolveRepo
     """Quickest transshipment ignoring costs; reports the realized cost."""
     started = time.perf_counter()
     validate_or_raise(network)
-    scaled, scale = scale_transits(network)
-    quickest = temporal.quickest_transshipment(scaled, max_layers=max_layers)
+    scale = network.integral.time_scale
+    quickest = temporal.quickest_transshipment(network, max_layers=max_layers)
     solved = time.perf_counter()
-    verification = temporal.verify_schedule(scaled, quickest.schedule)
+    verification = temporal.verify_schedule(network, quickest.schedule)
     done = time.perf_counter()
     return SolveReport(
         mode=MODE_QUICKEST,
@@ -299,14 +283,13 @@ def oracle_quickest_mincost(
             limit=max_nodes,
         )
     validate_or_raise(network)
-    scaled, _scale = scale_transits(network)
-    if scaled.total_supply == 0:
+    if network.total_supply == 0:
         return Fraction(0), 0
-    bound = temporal.horizon_upper_bound(scaled)
-    stabilized = temporal.mincost_over_time(scaled, bound, max_layers=max_layers)
+    bound = temporal.horizon_upper_bound(network)
+    stabilized = temporal.mincost_over_time(network, bound, max_layers=max_layers)
     for horizon in range(bound + 1):
         try:
-            probe = temporal.mincost_over_time(scaled, horizon, max_layers=max_layers)
+            probe = temporal.mincost_over_time(network, horizon, max_layers=max_layers)
         except InfeasibleError:
             continue
         if probe.cost == stabilized.cost:

@@ -12,10 +12,25 @@ A document's literals are parsed once each (``io.network_from_doc``);
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable
 
 Rational = Fraction
+
+# ``Fraction("1e99999999999")`` computes ``10**99999999999`` for minutes.
+# Exponents are bounded by Python's default limit on the digits of an int
+# parsed from text, which ``Fraction`` already applies to mantissas.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _exponent_too_large(text: str) -> bool:
+    match = _EXPONENT.search(text)
+    try:  # int() reads signs, underscores and non-ASCII digits as Fraction does
+        return match is not None and abs(int(match[1])) > MAX_EXPONENT
+    except ValueError:  # more digits than int() parses
+        return True
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -26,6 +41,8 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     exact representations of the decimal literals users write.
     """
     if isinstance(value, str):
+        if _exponent_too_large(value):
+            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

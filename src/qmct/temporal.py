@@ -18,8 +18,10 @@ probe's flows live only until its movement copies are read back into a
 
 Everything here reads :attr:`Network.integral`, computed once per
 network however many horizons are expanded; other balances make another
-network (:meth:`Network.with_balances`).  Transits must be integers
-already: the pipeline scales rational transit times before calling in.
+network (:meth:`Network.with_balances`).  Time is counted in steps of
+``1/time_scale`` of the input's time unit, so a transit ``τ`` takes
+``τ·time_scale`` steps; horizons, layers and schedule times are all in
+those steps, the unit of every report's ``horizon`` and ``scale``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import AbstractSet, Sequence
 
 from . import _kernel
 from .errors import HorizonLimitError, InfeasibleError, InternalCheckError
-from .network import IntegerForm, Network, NodeId
+from .network import Network, NodeId
 
 
 @dataclass(frozen=True)
@@ -112,18 +114,6 @@ class ScheduleVerification:
         return not self.violations
 
 
-def _integer_form(network: Network) -> IntegerForm:
-    """The network's integer form, whose transits must need no scaling."""
-    form = network.integral
-    if form.time_scale != 1:
-        i, arc = next((i, a) for i, a in enumerate(network.arcs) if a.transit.denominator != 1)
-        raise ValueError(
-            f"arc {i} has non-integer transit {arc.transit}; "
-            "scale transit times before time expansion"
-        )
-    return form
-
-
 def expand(
     network: Network, horizon: int, max_layers: int | None = None
 ) -> TimeExpandedGraph:
@@ -140,7 +130,7 @@ def expand(
             requested=horizon,
             limit=max_layers,
         )
-    form = _integer_form(network)
+    form = network.integral
     transits, arc_tails = form.transits, form.tails
     caps_int, costs_int = form.capacities, form.costs
     n = len(network.nodes)
@@ -273,8 +263,7 @@ def horizon_upper_bound(network: Network) -> int:
     total = sum(b for b in form.balances if b > 0)
     if total == 0 or not network.arcs:
         return 0
-    tau_max = max(_integer_form(network).transits)
-    return -(-total // min(form.capacities)) + (len(network.nodes) - 1) * tau_max
+    return -(-total // min(form.capacities)) + (len(network.nodes) - 1) * max(form.transits)
 
 
 def subset_paths(
@@ -400,7 +389,7 @@ def quickest_transshipment(
     infeasible: :class:`InfeasibleError` names the isolated terminal
     for the first family and otherwise the subset and ``cut_nodes``.
     """
-    if not any(b > 0 for b in _integer_form(network).balances):
+    if not any(b > 0 for b in network.integral.balances):
         return QuickestResult(0, FlowOverTime(0, ()))
 
     sources, sinks = network.sources, network.sinks
@@ -469,7 +458,7 @@ def _replay(
     0..horizon in units of ``1/scale``, and ``scale``.  Entries with an
     unknown arc, a negative rate or an empty interval are reported and skipped.
     """
-    form = _integer_form(network)
+    form = network.integral
     horizon = schedule.horizon
     violations: list[str] = []
     kept: list[tuple[int, int, int, Fraction]] = []

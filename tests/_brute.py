@@ -22,6 +22,11 @@ turns every value of a document into its own ``Fraction``, where
 :func:`qmct.io.network_from_doc` parses each distinct literal once.
 The remaining helpers (cheapest-path subnetworks, the capacity view of
 a network and cut capacities) serve tests only.
+
+:func:`scale_transits` is the reference for counting time in steps of
+``1/time_scale``: it builds a second network whose transits are the
+integer step counts, which the solver once did before every time
+expansion and now reads from :attr:`qmct.network.Network.integral`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from qmct.temporal import (
     FlowOverTime,
     QuickestResult,
     TimeExpandedGraph,
-    _integer_form,
     _schedule_from_movement,
     _solve_max,
     expand,
@@ -104,6 +108,19 @@ def min_cut_by_enumeration(problem: FlowProblem, source: int, sink: int) -> Frac
                 best = total
     assert best is not None, "no finite cut exists"
     return best
+
+
+def scale_transits(network: Network) -> tuple[Network, int]:
+    """Multiply all transit times by the least factor making them integers."""
+    form = network.integral
+    scale = form.time_scale
+    if scale == 1:
+        return network, 1
+    arcs = tuple(
+        Arc(a.tail, a.head, a.capacity, Fraction(tau), a.cost)
+        for a, tau in zip(network.arcs, form.transits)
+    )
+    return Network(network.nodes, arcs, dict(network.balances)), scale
 
 
 def pair_count_horizon_bound(network: Network) -> int:
@@ -267,7 +284,7 @@ def horizon_lower_bound(network: Network) -> int:
     the bound is one plus the largest of these per-terminal minima.
     Raises :class:`InfeasibleError` when some terminal is cut off.
     """
-    form = _integer_form(network)
+    form = network.integral
     sources = network.sources
     sinks = network.sinks
     idx = network.node_index
@@ -305,7 +322,7 @@ def expansion_search(network: Network) -> QuickestResult:
     max-flow probes on the expansion.  Raises :class:`InfeasibleError`
     (with a cut certificate) when no horizon works.
     """
-    if not any(b > 0 for b in _integer_form(network).balances):
+    if not any(b > 0 for b in network.integral.balances):
         return QuickestResult(0, FlowOverTime(0, ()))
 
     t_lb = horizon_lower_bound(network)
@@ -395,7 +412,7 @@ def step_replay(
     negative rate or an empty interval are reported and left out.
     """
     bal = network.balances
-    transits = _integer_form(network).transits
+    transits = network.integral.transits
     horizon = schedule.horizon
     violations: list[str] = []
     # Per-arc inflow rate at each unit step, accumulated over intervals.

@@ -143,7 +143,7 @@ def test_criterion_5_oracle_equivalence(suite):
 def test_criterion_6_path_equivalence(suite_runs):
     failures = []
     for seed, run in enumerate(suite_runs):
-        net = run.scaled
+        net = run.network
         admissible_set = run.subnetwork.arc_indices
         for s in net.sources:
             for t in net.sinks:
@@ -204,7 +204,7 @@ def test_criterion_7_routing_uses_active_pairs(suite_runs):
                 failures.append((seed, "inactive pair", source, sink))
             elif cost != run.pair_costs[(source, sink)]:
                 failures.append((seed, "non-cheapest path", source, sink, cost))
-        if shipped != run.scaled.total_supply:
+        if shipped != run.network.total_supply:
             failures.append((seed, "lost flow", shipped))
         for cost in cycle_costs:
             if cost != 0:
@@ -215,7 +215,7 @@ def test_criterion_7_routing_uses_active_pairs(suite_runs):
 def test_criterion_8_monotone_and_stabilizing(suite_runs):
     failures = []
     for seed, run in enumerate(suite_runs):
-        net = run.scaled
+        net = run.network
         # Scan up to the looser pair-count bound, so that the scan also
         # covers horizons past the solver's own bound.
         bound = horizon_upper_bound(net)

@@ -147,7 +147,7 @@ def test_stabilized_mincost_flows_project_into_admissible_set():
     for seed in range(30):
         net = generate(seed, nodes=5, terminals=3)
         run = run_quickest_mincost(net)
-        bound = horizon_upper_bound(run.scaled)
-        result = mincost_over_time(run.scaled, bound)
+        bound = horizon_upper_bound(run.network)
+        result = mincost_over_time(run.network, bound)
         used = {e.arc for e in result.schedule.arc_flows}
         assert used <= run.subnetwork.arc_indices, seed

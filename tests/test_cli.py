@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qmct
 from conftest import demo_network, detour_network, parallel_falling_costs, VARIANT_A_BALANCES
 from qmct import cli
 from qmct.io import save_instance
@@ -103,6 +108,25 @@ def test_validation_exit_code(capsys, tmp_path):
     code, _, err = _run(capsys, ["solve", str(path)])
     assert code == 3
     assert "validation error" in err
+
+
+def test_huge_exponent_is_rejected_without_parsing(tmp_path):
+    # Fraction("1e99999999999") would compute 10**99999999999; run in a
+    # subprocess with a timeout so that a regression fails instead of hanging.
+    path = tmp_path / "huge.json"
+    arc = {"tail": "s", "head": "t", "capacity": "1e99999999999", "transit": 1, "cost": 0}
+    path.write_text(json.dumps({"nodes": ["s", "t"], "arcs": [arc], "balances": {"s": 1, "t": -1}}))
+    src = str(Path(qmct.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qmct.cli", "solve", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "arc 0 capacity: exponent of '1e99999999999' exceeds 4300" in done.stderr
 
 
 def test_bad_json_exit_code(capsys, tmp_path):

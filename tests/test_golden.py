@@ -23,7 +23,6 @@ from qmct.network import Network
 from qmct.pipeline import (
     oracle_quickest_mincost,
     run_quickest_mincost,
-    scale_transits,
     solve_mincost_static,
     solve_quickest,
     solve_quickest_mincost,
@@ -51,13 +50,12 @@ def _key(key) -> str:
 
 def _answers(net: Network) -> dict:
     doc: dict = {}
-    scaled, _ = scale_transits(net)
     for solver in (solve_quickest_mincost, solve_quickest, solve_mincost_static):
         report = solver(net)
         out = report_to_doc(report, include_schedule=True)
         del out["timing"]
         if report.schedule is not None:
-            out["storage"] = storage_trace(scaled, report.schedule)
+            out["storage"] = storage_trace(net, report.schedule)
         doc[report.mode] = out
     doc["pair_costs"] = cheapest.pair_costs(net)
     doc["from"] = {s: cheapest.cheapest_from(net, s).values for s in net.sources}

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import qmct.network
 from _brute import cheapest_paths_subnetwork, routed_paths
 from conftest import (
     A_S2V,
@@ -18,11 +19,11 @@ from qmct.network import Arc, Network
 from qmct.pipeline import (
     oracle_quickest_mincost,
     run_quickest_mincost,
-    scale_transits,
     solve_mincost_static,
     solve_quickest,
     solve_quickest_mincost,
 )
+from qmct.rationals import to_integers
 from qmct.temporal import horizon_upper_bound, mincost_over_time
 
 
@@ -78,9 +79,8 @@ def test_report_invariants_on_generated_instances():
 
 def test_cost_stabilizes_at_static_optimum(demo_variant_a):
     report = solve_quickest_mincost(demo_variant_a)
-    scaled, _ = scale_transits(demo_variant_a)
-    bound = horizon_upper_bound(scaled)
-    assert report.cost == mincost_over_time(scaled, bound).cost
+    bound = horizon_upper_bound(demo_variant_a)
+    assert report.cost == mincost_over_time(demo_variant_a, bound).cost
 
 
 def test_routed_paths_use_active_pairs(demo_variant_a):
@@ -88,7 +88,7 @@ def test_routed_paths_use_active_pairs(demo_variant_a):
     routes, clean = routed_paths(run)
     assert clean
     total = sum((amount for _, _, amount, _ in routes), Fraction(0))
-    assert total == run.scaled.total_supply
+    assert total == run.network.total_supply
     for source, sink, _amount, cost in routes:
         assert (source, sink) in run.actives
         assert cost == run.pair_costs[(source, sink)]
@@ -324,6 +324,40 @@ def test_oracle_agreement_with_fractional_data():
             continue
         assert report.all_checks_pass, seed
         assert (report.cost, report.horizon) == oracle_quickest_mincost(frac), seed
+
+
+def _half_and_third_transits() -> Network:
+    # Time scale 6; only the cost-0 arc, of transit 1/2, is admissible.
+    return Network.of(
+        ["s", "t"], [("s", "t", 1, "1/2", 0), ("s", "t", 1, "1/3", 5)], {"s": 1, "t": -1}
+    )
+
+
+def test_restricted_network_keeps_the_parent_time_scale():
+    # Alone, the admissible arc's transit has lcm 2: a restriction that
+    # recomputed its scales would count half-steps, answer 2 against
+    # scale 6 and fail its own schedule check.
+    net = _half_and_third_transits()
+    report = solve_quickest_mincost(net)
+    assert report.all_checks_pass, report.checks
+    assert report.subnetwork == (0,)
+    assert (report.horizon, report.scale, report.horizon_original) == (4, 6, Fraction(2, 3))
+    assert oracle_quickest_mincost(net) == (report.cost, report.horizon)
+
+
+def test_a_solve_computes_one_integer_form(monkeypatch):
+    # One integer form from Fractions: flows, costs and transits of the
+    # input.  The restricted network slices it instead of scaling again.
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return to_integers(values)
+
+    net = _half_and_third_transits()
+    monkeypatch.setattr(qmct.network, "to_integers", counted)
+    solve_quickest_mincost(net)
+    assert len(calls) == 3
 
 
 def test_parallel_arcs_are_supported():

@@ -17,7 +17,7 @@ from qmct import temporal
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.network import Arc, Network
-from qmct.pipeline import run_quickest_mincost, scale_transits
+from qmct.pipeline import run_quickest_mincost
 
 
 def _instances(count: int):
@@ -60,7 +60,7 @@ def test_matches_the_expansion_search_on_scaled_and_restricted_networks():
         rational += any(a.transit.denominator > 1 for a in net.arcs)
         negative += any(a.cost < 0 for a in net.arcs)
         zero_transit += any(a.transit == 0 for a in net.arcs)
-        networks = [scale_transits(net)[0]]
+        networks = [net]
         try:
             networks.append(run_quickest_mincost(net).restricted)
         except InfeasibleError:
@@ -94,8 +94,7 @@ def _need(network: Network, subset) -> int:
 
 def test_closed_form_matches_the_expansion_max_flow():
     checked = 0
-    for net in _instances(60):
-        network = scale_transits(net)[0]
+    for network in _instances(60):
         for subset in _terminal_subsets(network):
             need = _need(network, subset)
             try:
@@ -120,8 +119,7 @@ def test_closed_form_matches_the_expansion_max_flow():
 
 def test_every_infeasible_probe_names_a_violated_subset():
     probes = 0
-    for net in _instances(120):
-        network = scale_transits(net)[0]
+    for network in _instances(120):
         try:
             answer = temporal.quickest_transshipment(network).horizon
         except InfeasibleError:

@@ -1,10 +1,10 @@
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qmct.rationals import as_rational, common_denominator, rational_str
+from qmct.rationals import MAX_EXPONENT, as_rational, common_denominator, rational_str
 
 
 def test_parses_fraction_strings():
@@ -53,7 +53,19 @@ literal_st = st.one_of(
 
 
 @given(literal_st)
+@example("1e4300")
+@example("-1E-4_301")
+@example("\u0663e\u0664\u0663\u0660\u0661 ")
 def test_integer_fast_path_agrees_with_fraction(text):
+    # The exponent as Fraction reads it.  Above the bound, Fraction would
+    # compute 10**exponent (for "7e121212121212", without end), so the
+    # reference expects ValueError instead.  The examples stay small
+    # enough that Fraction still returns if the bound is ever dropped.
+    match = _RATIONAL_FORMAT.match(text)
+    if match and match["exp"] and abs(int(match["exp"])) > MAX_EXPONENT:
+        with pytest.raises(ValueError):
+            as_rational(text)
+        return
     try:
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -15,7 +15,7 @@ from _brute import step_replay
 from conftest import acceptance_suite, golden_instances
 from qmct.errors import QmctError
 from qmct.network import Network
-from qmct.pipeline import scale_transits, solve_quickest, solve_quickest_mincost
+from qmct.pipeline import solve_quickest, solve_quickest_mincost
 from qmct.temporal import ArcIntervals, FlowOverTime, storage_trace, verify_schedule
 
 MUTANTS_PER_SCHEDULE = 2
@@ -23,10 +23,9 @@ MUTANTS_PER_SCHEDULE = 2
 
 def _solved_schedules():
     for net in [*golden_instances(), *acceptance_suite()]:
-        scaled, _ = scale_transits(net)
         for solver in (solve_quickest_mincost, solve_quickest):
             try:
-                yield scaled, solver(net).schedule
+                yield net, solver(net).schedule
             except QmctError:
                 continue
 

@@ -37,8 +37,8 @@ def _runs(networks):
 
 
 def _reduced_cost(run, i):
-    arc = run.scaled.arcs[i]
-    index = run.scaled.node_index
+    arc = run.network.arcs[i]
+    index = run.network.node_index
     tail = run.subnetwork.labels[index(arc.tail)]
     head = run.subnetwork.labels[index(arc.head)]
     if tail is None or head is None:
@@ -66,7 +66,7 @@ def test_certificate_rejects_an_entry_moved_onto_a_costly_arc():
         assert check_admissible_routing(run)
         costly = [
             i
-            for i in range(len(run.scaled.arcs))
+            for i in range(len(run.network.arcs))
             if i not in run.subnetwork.arc_indices and _reduced_cost(run, i) not in (None, 0)
         ]
         if not costly:
@@ -99,7 +99,7 @@ def test_certificate_rejects_a_costly_zero_transit_circulation():
         run, schedule=FlowOverTime(horizon, (*run.schedule.arc_flows, *loop))
     )
     # Still a valid schedule, only a dearer one.
-    verification = verify_schedule(run.scaled, mutated.schedule)
+    verification = verify_schedule(run.network, mutated.schedule)
     assert verification.ok
     assert verification.cost == run.solution.optimum + 2 * horizon
     assert not check_admissible_routing(mutated)
@@ -109,7 +109,7 @@ def test_certificate_rejects_a_raised_source_dual():
     raised = 0
     for run in _runs(acceptance_suite()[:40]):
         dual = run.solution.dual.values
-        for s in run.scaled.sources:
+        for s in run.network.sources:
             shifted = DualSolution({**dual, s: dual[s] + Fraction(1, 7)})
             mutated = replace(run, solution=replace(run.solution, dual=shifted))
             assert not check_admissible_routing(mutated), (run.network, s)

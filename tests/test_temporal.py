@@ -1,18 +1,19 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from _brute import expansion_max_flow, pair_count_horizon_bound
+from _brute import expansion_max_flow, pair_count_horizon_bound, scale_transits
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2, detour_network
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
 from qmct.io import load_instance
 from qmct.network import Arc, Network
-from qmct.pipeline import scale_transits, solve_quickest, solve_quickest_mincost
+from qmct.pipeline import solve_quickest, solve_quickest_mincost
 from qmct.temporal import (
     ArcIntervals,
     FlowOverTime,
@@ -73,10 +74,14 @@ def test_expand_rejects_negative_horizon(demo):
         expand(demo, -1)
 
 
-def test_expand_rejects_fractional_transit():
-    net = Network.of(["a", "b"], [("a", "b", 1, "1/2", 0)], {"a": 1, "b": -1})
-    with pytest.raises(ValueError):
-        expand(net, 2)
+def test_expand_counts_steps_of_the_time_scale():
+    # Transit 1/2 at time scale 2 is one step: the expansion is that of
+    # the same network with the transit doubled, the network field aside.
+    half = Network.of(["a", "b"], [("a", "b", 1, "1/2", 0)], {"a": 1, "b": -1})
+    doubled = Network.of(["a", "b"], [("a", "b", 1, 1, 0)], {"a": 1, "b": -1})
+    assert half.integral.time_scale == 2
+    for horizon in range(4):
+        assert replace(expand(half, horizon), network=doubled) == expand(doubled, horizon)
 
 
 # Digest of every ``TimeExpandedGraph`` field (the network aside) at
@@ -88,7 +93,7 @@ EXPANSION_GOLDEN = "48aa6148740657f02972dd20dace2d50af8f716d207fd0133e2db7884428
 
 def _expansion_instances():
     for path in sorted(INSTANCES.glob("*.json")):
-        yield scale_transits(load_instance(path))[0]
+        yield load_instance(path)
     for seed in range(10):
         yield generate(seed, nodes=6, terminals=3, tau_max=4, negative_costs=seed % 2 == 1)
     for seed in range(10):
@@ -362,9 +367,8 @@ def test_storage_trace_matches_golden_digest():
     digest = hashlib.sha256()
     count = 0
     for net in _storage_instances():
-        scaled, _ = scale_transits(net)
         for solver in (solve_quickest_mincost, solve_quickest):
-            trace = storage_trace(scaled, solver(net).schedule)
+            trace = storage_trace(net, solver(net).schedule)
             doc = {v: [str(x) for x in held] for v, held in trace.items()}
             digest.update(json.dumps(doc, sort_keys=True).encode())
         count += 1
@@ -413,12 +417,12 @@ def test_horizon_upper_bound_is_feasible_and_stabilizing():
         rational += any(a.transit.denominator > 1 for a in net.arcs)
         zero_transit += any(a.transit == 0 for a in net.arcs)
         negative += any(a.cost < 0 for a in net.arcs)
-        scaled, _ = scale_transits(net)
-        bound = horizon_upper_bound(scaled)
-        assert feasible(scaled, bound), net
+        bound = horizon_upper_bound(net)
+        assert feasible(net, bound), net
         optimum = run_quickest_mincost(net).solution.optimum
-        assert mincost_over_time(scaled, bound).cost == optimum, net
-        assert bound <= pair_count_horizon_bound(scaled), net
+        assert mincost_over_time(net, bound).cost == optimum, net
+        # The pair-count formula sums transits, so it reads them in steps.
+        assert bound <= pair_count_horizon_bound(scale_transits(net)[0]), net
     assert min(rational, zero_transit, negative) >= 40, (rational, zero_transit, negative)
 
 
