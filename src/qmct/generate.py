@@ -12,8 +12,9 @@ import random
 from collections import deque
 from fractions import Fraction
 
+from . import _kernel
 from .network import Arc, Network
-from .staticflow import FlowProblem, max_flow
+from .rationals import to_integers
 
 # Random arcs drawn per node pair (n(n-1)/2 pairs), before the repairs.
 DENSITY = 0.55
@@ -107,33 +108,38 @@ def generate(
             return Fraction(rng.randint(1, 2 * cap_max), 2)
         return Fraction(rng.randint(1, cap_max))
 
-    supplies = {s: tentative() for s in source_ids}
-    demands = {t: tentative() for t in sink_ids}
+    wanted = [tentative() for _ in range(k_src + k_snk)]
 
     # Project tentative balances onto the pair-reachability structure so
-    # the final instance is guaranteed routable.
-    pair_arcs: list[tuple[int, int, None]] = []
+    # the final instance is guaranteed routable: a max flow from a super
+    # source n (wired to source i with its supply) to a super sink n + 1
+    # (wired from sink k_src + j with its demand) over uncapacitated
+    # pair arcs i -> k_src + j.
+    pair_tails: list[int] = []
+    pair_heads: list[int] = []
     for i, s in enumerate(source_ids):
         reach = _reachable_from(adj, s)
         for j, t in enumerate(sink_ids):
             if t in reach:
-                pair_arcs.append((i, k_src + j, None))
-    super_source = k_src + k_snk
-    super_sink = super_source + 1
-    wiring = [(super_source, i, supplies[s]) for i, s in enumerate(source_ids)]
-    wiring += [(k_src + j, super_sink, demands[t]) for j, t in enumerate(sink_ids)]
-    problem = FlowProblem.of(super_sink + 1, pair_arcs + wiring)
-    result = max_flow(problem, super_source, super_sink)
+                pair_tails.append(i)
+                pair_heads.append(k_src + j)
+    n = k_src + k_snk
+    scale, caps = to_integers(wanted)
+    g = _kernel.build(
+        n + 2,
+        [*pair_tails, *[n] * k_src, *range(k_src, n)],
+        [*pair_heads, *range(k_src), *[n + 1] * k_snk],
+        [*[None] * len(pair_tails), *caps],
+    )
+    _kernel.max_flow(g, n, n + 1)
+    flows = g.rem[2 * len(pair_tails) + 1 :: 2]
 
     balances: dict[str, Fraction] = {}
-    offset = len(pair_arcs)
     for i, s in enumerate(source_ids):
-        amount = result.flow.values[offset + i]
-        if amount > 0:
-            balances[names[s]] = amount
+        if flows[i] > 0:
+            balances[names[s]] = Fraction(flows[i], scale)
     for j, t in enumerate(sink_ids):
-        amount = result.flow.values[offset + k_src + j]
-        if amount > 0:
-            balances[names[t]] = -amount
+        if flows[k_src + j] > 0:
+            balances[names[t]] = -Fraction(flows[k_src + j], scale)
 
     return Network.of(names, arcs, balances)

@@ -64,6 +64,9 @@ def network_from_doc(doc: Any) -> Network:
             head = item["head"]
         except KeyError as exc:
             raise ValidationError(f"arc {k} is missing {exc}") from exc
+        if not isinstance(tail, str) or not isinstance(head, str):
+            end = "head" if isinstance(tail, str) else "tail"
+            raise ValidationError(f"arc {k} {end} must be a string node id")
         arcs.append(
             Arc(
                 tail,

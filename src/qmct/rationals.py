@@ -16,8 +16,6 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-Rational = Fraction
-
 # ``Fraction("1e99999999999")`` computes ``10**99999999999`` for minutes.
 # Exponents are bounded by Python's default limit on the digits of an int
 # parsed from text, which ``Fraction`` already applies to mantissas.

@@ -3,7 +3,10 @@
 The bipartite instance connects every source-sink pair that is joined by
 a path, with the pair's cheapest-path cost as arc cost and unlimited
 capacity.  Solving it yields the primal shipment plan, an optimal dual
-vector on the terminals, and the set of active (tight) pairs.
+vector on the terminals, and the set of active (tight) pairs.  The
+solve scales supplies, demands and pair costs to integers once and runs
+the integer min-cost flow of :mod:`qmct._kernel`; shipments, duals and
+the optimum come back as exact ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from . import _kernel
 from .errors import InfeasibleError, InternalCheckError
 from .network import Network, NodeId
-from .staticflow import FlowProblem, min_cost_flow
+from .rationals import to_integers
 
 
 @dataclass(frozen=True)
@@ -99,39 +103,52 @@ def build(
     )
 
 
-def _bipartite_problem(instance: TransportationInstance) -> FlowProblem:
-    p = len(instance.sources)
-    return FlowProblem(
-        num_nodes=p + len(instance.sinks),
-        tails=tuple(i for i, _ in instance.pairs),
-        heads=tuple(p + j for _, j in instance.pairs),
-        capacities=(None,) * len(instance.pairs),
-        costs=instance.costs,
-    )
-
-
 def solve(instance: TransportationInstance) -> TransportSolution:
     """Optimal shipments plus an optimal dual, both certified exactly.
 
-    The dual is extracted from the min-cost-flow potentials and then
-    checked outright: feasibility on every pair, strong duality against
-    the primal cost, and pairwise complementary slackness.  Any failure
-    is a solver bug and raises :class:`InternalCheckError`.
+    Sources are kernel nodes ``0..p-1`` and sinks ``p..p+q-1``; a super
+    source ``p+q`` feeds every source its supply and every sink drains
+    its demand into a super sink ``p+q+1``.  Supplies and demands are
+    scaled by one common denominator and pair costs by another.  The
+    shipments are the pair arcs' integer flows unscaled, and the dual
+    of a terminal is its negated min-cost potential unscaled.
 
-    Raises :class:`InfeasibleError` with a deficient terminal subset when
-    the supplies cannot be matched to the demands.
+    The dual is then checked outright: feasibility on every pair, strong
+    duality against the primal cost, and pairwise complementary
+    slackness.  Any failure is a solver bug and raises
+    :class:`InternalCheckError`.
+
+    Raises :class:`ValueError` when supplies and demands have different
+    totals, and :class:`InfeasibleError` with a deficient terminal
+    subset (the sources and sinks still reachable in the residual graph
+    once routing stops short) when the supplies cannot be matched to the
+    demands.
     """
-    problem = _bipartite_problem(instance)
     p = len(instance.sources)
-    balances = list(instance.supplies) + [-d for d in instance.demands]
-    try:
-        result = min_cost_flow(problem, balances)
-    except InfeasibleError as exc:
-        reachable = set(exc.certificate.get("cut_nodes", ()))
-        stranded_sources = tuple(instance.sources[i] for i in sorted(reachable) if i < p)
-        served_sinks = tuple(instance.sinks[j - p] for j in sorted(reachable) if j >= p)
-        supply = sum((instance.supplies[i] for i in reachable if i < p), Fraction(0))
-        demand = sum((instance.demands[j - p] for j in reachable if j >= p), Fraction(0))
+    q = len(instance.sinks)
+    imbalance = sum(instance.supplies, Fraction(0)) - sum(instance.demands, Fraction(0))
+    if imbalance != 0:
+        raise ValueError(f"balances sum to {imbalance}, expected 0")
+    flow_scale, amounts = to_integers([*instance.supplies, *instance.demands])
+    cost_scale, costs = to_integers(instance.costs)
+
+    m = len(instance.pairs)
+    n = p + q
+    g = _kernel.build(
+        n + 2,
+        [*(i for i, _ in instance.pairs), *[n] * p, *range(p, n)],
+        [*(p + j for _, j in instance.pairs), *range(p), *[n + 1] * q],
+        [*[None] * m, *amounts],
+        [*costs, *[0] * n],
+    )
+    total = sum(amounts[:p])
+    routed, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
+    if routed < total:
+        cut = sorted(v for v in reachable if v < n)
+        stranded_sources = tuple(instance.sources[i] for i in cut if i < p)
+        served_sinks = tuple(instance.sinks[j - p] for j in cut if j >= p)
+        supply = sum((instance.supplies[i] for i in cut if i < p), Fraction(0))
+        demand = sum((instance.demands[j - p] for j in cut if j >= p), Fraction(0))
         raise InfeasibleError(
             f"transportation infeasible: sources {stranded_sources} supply {supply} "
             f"but can only reach demand {demand}",
@@ -141,18 +158,15 @@ def solve(instance: TransportationInstance) -> TransportSolution:
                 "supply": supply,
                 "demand": demand,
             },
-        ) from exc
+        )
 
-    dual_values: dict[NodeId, Fraction] = {}
-    for i, s in enumerate(instance.sources):
-        dual_values[s] = result.potentials[i]
-    for j, t in enumerate(instance.sinks):
-        dual_values[t] = result.potentials[p + j]
-    dual = DualSolution(dual_values)
-
-    shipments = result.flow.values
-    _assert_optimality(instance, shipments, dual, result.cost)
-    return TransportSolution(instance, shipments, dual, result.cost)
+    flows = g.rem[1 : 2 * m : 2]
+    shipments = tuple(Fraction(f, flow_scale) for f in flows)
+    terminals = (*instance.sources, *instance.sinks)
+    dual = DualSolution({v: Fraction(-pi[k], cost_scale) for k, v in enumerate(terminals)})
+    optimum = Fraction(sum(c * f for c, f in zip(costs, flows)), cost_scale * flow_scale)
+    _assert_optimality(instance, shipments, dual, optimum)
+    return TransportSolution(instance, shipments, dual, optimum)
 
 
 def _assert_optimality(

@@ -27,21 +27,30 @@ a network and cut capacities) serve tests only.
 ``1/time_scale``: it builds a second network whose transits are the
 integer step counts, which the solver once did before every time
 expansion and now reads from :attr:`qmct.network.Network.integral`.
+
+:class:`FlowProblem`, :func:`max_flow` and :func:`min_cost_flow` are the
+rational static flow API the solver once routed its static solves
+through: each parses its values, scales them to integers and unscales
+the kernel's results.  :func:`transport_solve` is the transportation
+solve over it, the reference for :func:`qmct.transport.solve`, which
+scales once and calls the kernel itself; :func:`qmct.generate.generate`
+does the same in place of :func:`max_flow`.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from qmct import _kernel, staticflow
 from qmct.cheapest import CostLabels, cheapest_from, cheapest_to
 from qmct.errors import InfeasibleError, NoPathError, ValidationError
 from qmct.network import Arc, Network, NodeId
 from qmct.pipeline import AlgorithmRun
-from qmct.rationals import as_rational
-from qmct.staticflow import FlowProblem
+from qmct.rationals import as_rational, to_integers
 from qmct.temporal import (
     FlowOverTime,
     QuickestResult,
@@ -51,6 +60,212 @@ from qmct.temporal import (
     expand,
     horizon_upper_bound,
 )
+from qmct.transport import (
+    DualSolution,
+    TransportationInstance,
+    TransportSolution,
+    _assert_optimality,
+)
+
+
+@dataclass(frozen=True)
+class FlowProblem:
+    """A directed graph with capacities and costs, nodes indexed 0..n-1.
+
+    ``capacities[i] is None`` marks an uncapacitated arc; such values are
+    only compared, never used in arithmetic.
+    """
+
+    num_nodes: int
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    capacities: tuple[Fraction | None, ...]
+    costs: tuple[Fraction, ...]
+
+    @staticmethod
+    def of(num_nodes: int, arcs: Iterable[tuple]) -> "FlowProblem":
+        """Build from tuples ``(tail, head, capacity[, cost])``."""
+        tails, heads, caps, costs = [], [], [], []
+        for entry in arcs:
+            tail, head, cap = entry[0], entry[1], entry[2]
+            cost = entry[3] if len(entry) > 3 else 0
+            tails.append(tail)
+            heads.append(head)
+            caps.append(None if cap is None else as_rational(cap))
+            costs.append(as_rational(cost))
+        return FlowProblem(
+            num_nodes, tuple(tails), tuple(heads), tuple(caps), tuple(costs)
+        )
+
+    @property
+    def num_arcs(self) -> int:
+        return len(self.tails)
+
+
+@dataclass(frozen=True)
+class StaticFlow:
+    """Per-arc flow values aligned with a FlowProblem's arc order.
+
+    Solvers return Fractions; :func:`decompose` also takes integers.
+    """
+
+    values: tuple[Fraction | int, ...]
+
+
+@dataclass(frozen=True)
+class MaxFlowResult:
+    value: Fraction
+    flow: StaticFlow
+    cut_nodes: frozenset[int]
+
+
+@dataclass(frozen=True)
+class MinCostFlowResult:
+    flow: StaticFlow
+    potentials: tuple[Fraction, ...]
+    cost: Fraction
+
+
+def _uncapped_path_exists(problem: FlowProblem, source: int, sink: int) -> bool:
+    adj: list[list[int]] = [[] for _ in range(problem.num_nodes)]
+    for i in range(problem.num_arcs):
+        if problem.capacities[i] is None:
+            adj[problem.tails[i]].append(problem.heads[i])
+    seen = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        if u == sink:
+            return True
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return False
+
+
+def max_flow(problem: FlowProblem, source: int, sink: int) -> MaxFlowResult:
+    """Maximum flow from source to sink with a min-cut certificate.
+
+    ``cut_nodes`` is the source side of a minimum cut (the nodes still
+    reachable in the final residual graph).
+    """
+    if source == sink:
+        raise ValueError("max_flow: source and sink coincide")
+    if _uncapped_path_exists(problem, source, sink):
+        raise ValueError("max_flow: unbounded (a fully uncapacitated path exists)")
+    denom, caps = to_integers(problem.capacities)
+    g = _kernel.build(problem.num_nodes, problem.tails, problem.heads, caps)
+    value, reachable = _kernel.max_flow(g, source, sink)
+    flows = tuple(Fraction(f, denom) for f in g.rem[1::2])
+    return MaxFlowResult(Fraction(value, denom), StaticFlow(flows), frozenset(reachable))
+
+
+def min_cost_flow(problem: FlowProblem, balances: Sequence[Fraction]) -> MinCostFlowResult:
+    """Minimum-cost flow satisfying node balances given in node order.
+
+    Costs must be conservative.  Returns the flow, node potentials
+    certifying optimality (``cost - pi[tail] + pi[head] >= 0`` on every
+    residual arc), and the exact total cost.  Raises
+    :class:`InfeasibleError` with a violated-cut certificate when the
+    balances cannot be routed.
+    """
+    bal = [as_rational(b) for b in balances]
+    if len(bal) != problem.num_nodes:
+        raise ValueError("balances length does not match node count")
+    total_balance = sum(bal, Fraction(0))
+    if total_balance != 0:
+        raise ValueError(f"balances sum to {total_balance}, expected 0")
+
+    cap_denom, scaled = to_integers([*problem.capacities, *bal])
+    caps, bal_int = scaled[: problem.num_arcs], scaled[problem.num_arcs :]
+    cost_denom, costs = to_integers(problem.costs)
+
+    n = problem.num_nodes
+    # A super source n and super sink n + 1, wired in node order after the arcs.
+    wiring = [(n, v, b) if b > 0 else (v, n + 1, -b) for v, b in enumerate(bal_int) if b]
+    g = _kernel.build(
+        n + 2,
+        [*problem.tails, *(u for u, _, _ in wiring)],
+        [*problem.heads, *(v for _, v, _ in wiring)],
+        [*caps, *(b for _, _, b in wiring)],
+        [*costs, *[0] * len(wiring)],
+    )
+    total = sum(b for b in bal_int if b > 0)
+    routed, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
+    if routed < total:
+        assert reachable is not None
+        stranded = sorted(v for v in reachable if v < problem.num_nodes)
+        deficit = Fraction(total - routed, cap_denom)
+        raise InfeasibleError(
+            f"balances cannot be routed: {deficit} units stranded",
+            certificate={
+                "cut_nodes": stranded,
+                "deficit": deficit,
+                "routed": Fraction(routed, cap_denom),
+                "required": Fraction(total, cap_denom),
+            },
+        )
+    flows = tuple(Fraction(f, cap_denom) for f in g.rem[1 : 2 * problem.num_arcs : 2])
+    potentials = tuple(Fraction(-pi[v], cost_denom) for v in range(problem.num_nodes))
+    cost = sum((c * f for c, f in zip(problem.costs, flows)), Fraction(0))
+    return MinCostFlowResult(StaticFlow(flows), potentials, cost)
+
+
+def _bipartite_problem(instance: TransportationInstance) -> FlowProblem:
+    p = len(instance.sources)
+    return FlowProblem(
+        num_nodes=p + len(instance.sinks),
+        tails=tuple(i for i, _ in instance.pairs),
+        heads=tuple(p + j for _, j in instance.pairs),
+        capacities=(None,) * len(instance.pairs),
+        costs=instance.costs,
+    )
+
+
+def transport_solve(instance: TransportationInstance) -> TransportSolution:
+    """Optimal shipments plus an optimal dual, both certified exactly.
+
+    The dual is extracted from the min-cost-flow potentials and then
+    checked outright: feasibility on every pair, strong duality against
+    the primal cost, and pairwise complementary slackness.  Any failure
+    is a solver bug and raises :class:`InternalCheckError`.
+
+    Raises :class:`InfeasibleError` with a deficient terminal subset when
+    the supplies cannot be matched to the demands.
+    """
+    problem = _bipartite_problem(instance)
+    p = len(instance.sources)
+    balances = list(instance.supplies) + [-d for d in instance.demands]
+    try:
+        result = min_cost_flow(problem, balances)
+    except InfeasibleError as exc:
+        reachable = set(exc.certificate.get("cut_nodes", ()))
+        stranded_sources = tuple(instance.sources[i] for i in sorted(reachable) if i < p)
+        served_sinks = tuple(instance.sinks[j - p] for j in sorted(reachable) if j >= p)
+        supply = sum((instance.supplies[i] for i in reachable if i < p), Fraction(0))
+        demand = sum((instance.demands[j - p] for j in reachable if j >= p), Fraction(0))
+        raise InfeasibleError(
+            f"transportation infeasible: sources {stranded_sources} supply {supply} "
+            f"but can only reach demand {demand}",
+            certificate={
+                "deficient_sources": stranded_sources,
+                "reachable_sinks": served_sinks,
+                "supply": supply,
+                "demand": demand,
+            },
+        ) from exc
+
+    dual_values: dict[NodeId, Fraction] = {}
+    for i, s in enumerate(instance.sources):
+        dual_values[s] = result.potentials[i]
+    for j, t in enumerate(instance.sinks):
+        dual_values[t] = result.potentials[p + j]
+    dual = DualSolution(dual_values)
+
+    shipments = result.flow.values
+    _assert_optimality(instance, shipments, dual, result.cost)
+    return TransportSolution(instance, shipments, dual, result.cost)
 
 
 def simple_paths(network: Network, source: str, sink: str) -> list[tuple[int, ...]]:
@@ -196,7 +411,7 @@ def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction
     """
     graph, flows, _value = expansion_max_flow(run.restricted, run.quickest.horizon)
     assert movement_rates(graph, flows) == schedule_rates(run.quickest.schedule)
-    paths, cycles = staticflow.decompose(graph, staticflow.StaticFlow(flows))
+    paths, cycles = staticflow.decompose(graph, flows)
     n = len(run.restricted.nodes)
     movement = graph.movement
     form = run.restricted.integral

@@ -38,7 +38,7 @@ from qmct.pipeline import (
     solve_quickest,
     solve_quickest_mincost,
 )
-from qmct.staticflow import StaticFlow, decompose
+from qmct.staticflow import decompose
 from qmct.temporal import feasible, horizon_upper_bound, mincost_over_time
 from qmct.transport import build, dual_objective, is_dual_feasible, solve
 
@@ -166,7 +166,7 @@ def _project_routes(run):
     """
     graph, flows, _value = expansion_max_flow(run.restricted, run.quickest.horizon)
     rebuilds = movement_rates(graph, flows, run.arc_map) == schedule_rates(run.schedule)
-    flow = StaticFlow(tuple(Fraction(f, graph.cap_scale) for f in flows))
+    flow = tuple(Fraction(f, graph.cap_scale) for f in flows)
     paths, cycles = decompose(graph, flow)
     n = len(run.restricted.nodes)
     movement_count = len(graph.movement)

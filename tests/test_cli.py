@@ -129,6 +129,22 @@ def test_huge_exponent_is_rejected_without_parsing(tmp_path):
     assert "arc 0 capacity: exponent of '1e99999999999' exceeds 4300" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "arc, message",
+    [
+        ({"tail": ["a"], "head": "b"}, "arc 0 tail must be a string node id"),
+        ({"tail": "a", "head": {"id": "b"}}, "arc 0 head must be a string node id"),
+        ({"tail": 1, "head": "b"}, "arc 0 tail must be a string node id"),
+    ],
+)
+def test_non_string_arc_endpoint_is_a_validation_error(capsys, tmp_path, arc, message):
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps({"nodes": ["a", "b"], "arcs": [arc]}))
+    code, _, err = _run(capsys, ["solve", str(path)])
+    assert code == 3
+    assert err == f"validation error: {message}\n"
+
+
 def test_bad_json_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")

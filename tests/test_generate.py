@@ -83,7 +83,7 @@ def test_tiny_node_count_rejected():
         generate(1, nodes=1)
 
 
-# Balances come from whichever maximum flow ``staticflow.max_flow``
+# Balances come from whichever maximum flow ``_kernel.max_flow``
 # returns on the pair-reachability graph, so a max-flow change that picks
 # another optimal flow changes the instances silently.  The digests pin
 # 150 instances per option set: the defaults and the options of the two

@@ -1,11 +1,17 @@
-"""Every module of the package uses every name it imports, and every
-name the package exports exists.
+"""Every module of the package uses every name it imports, every name
+it defines is used somewhere, and every name the package exports exists.
 
-No linter ships with the test environment, so this is a small ``ast``
-check: a name bound by an import (other than ``from __future__``) must
+No linter ships with the test environment, so these are small ``ast``
+checks.  A name bound by an import (other than ``from __future__``) must
 appear as a name somewhere else in the module, in code or in a string
 annotation.  ``__init__.py`` is left out, since it imports to re-export;
 its ``__all__`` is checked by star-importing it instead.
+
+A function, class or variable defined at module level in the package
+must be loaded somewhere in the package, the tests or the benchmark
+harness: read as a name, as an attribute, imported by name, or written
+as a string (``__all__`` entries and the harness's patch targets are
+strings).  Dunder names are exempt.
 """
 
 import ast
@@ -15,7 +21,9 @@ import pytest
 
 import qmct
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qmct"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qmct"
+USERS = (SRC, ROOT / "tests", ROOT / "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,6 +61,60 @@ def test_check_catches_an_unused_import():
 )
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """Module-level functions, classes and assigned names, with their lines."""
+    defined: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    return {
+        name: line
+        for name, line in defined.items()
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def loaded_names(source: str) -> set[str]:
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.alias):
+            loaded.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            loaded.add(node.value)
+    return loaded
+
+
+def test_dead_name_check_catches_an_unloaded_definition():
+    source = "X = 1\nY = 2\n__all__ = ['f']\n\ndef f():\n    return Y\n\nclass C:\n    pass\n"
+    loaded = loaded_names(source)
+    assert [name for name in defined_names(source) if name not in loaded] == ["X", "C"]
+    assert {"C", "X"} <= loaded_names("from m import C\nm.X\n")
+
+
+def test_every_defined_name_is_loaded_somewhere():
+    loaded: set[str] = set()
+    for folder in USERS:
+        for path in folder.glob("*.py"):
+            loaded |= loaded_names(path.read_text())
+    dead = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in defined_names(path.read_text()).items()
+        if name not in loaded
+    ]
+    assert dead == []
 
 
 def test_every_exported_name_resolves():

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import cut_capacity, min_cut_by_enumeration, problem_from_network
-from qmct import _kernel
-from qmct.errors import InfeasibleError
-from qmct.staticflow import (
+from _brute import (
     FlowProblem,
-    StaticFlow,
-    decompose,
+    cut_capacity,
     max_flow,
     min_cost_flow,
+    min_cut_by_enumeration,
+    problem_from_network,
 )
+from qmct import _kernel
+from qmct.errors import InfeasibleError
+from qmct.staticflow import decompose
 
 
 def _check_residual_optimality(problem, result):
@@ -348,16 +349,14 @@ def test_potentials_certify_on_demo_network(demo):
 
 def test_decompose_single_path():
     problem = FlowProblem.of(3, [(0, 1, 5), (1, 2, 5)])
-    flow = StaticFlow((Fraction(3), Fraction(3)))
-    paths, cycles = decompose(problem, flow)
+    paths, cycles = decompose(problem, (Fraction(3), Fraction(3)))
     assert paths == [((0, 1), Fraction(3))]
     assert cycles == []
 
 
 def test_decompose_circulation_only():
     problem = FlowProblem.of(2, [(0, 1, 2), (1, 0, 2)])
-    flow = StaticFlow((Fraction(2), Fraction(2)))
-    paths, cycles = decompose(problem, flow)
+    paths, cycles = decompose(problem, (Fraction(2), Fraction(2)))
     assert paths == []
     assert len(cycles) == 1
     assert set(cycles[0][0]) == {0, 1}
@@ -367,9 +366,7 @@ def test_decompose_circulation_only():
 def test_decompose_demo_static_projection(demo):
     # A static unit routing of the demo supplies over zero-transit arcs.
     problem = problem_from_network(demo)
-    flow = StaticFlow(
-        (Fraction(1), Fraction(1), Fraction(0), Fraction(1), Fraction(1))
-    )
+    flow = (Fraction(1), Fraction(1), Fraction(0), Fraction(1), Fraction(1))
     paths, cycles = decompose(problem, flow)
     assert cycles == []
     assert len(paths) == 2
@@ -414,8 +411,7 @@ def test_decompose_superposition_random():
             net[problem.heads[i]] -= f
         if sum(x > 0 for x in net) >= 3 and sum(x < 0 for x in net) >= 3:
             many_terminals += 1
-        flow = StaticFlow(tuple(values))
-        paths, cycles = decompose(problem, flow)
+        paths, cycles = decompose(problem, values)
         rebuilt = [Fraction(0)] * problem.num_arcs
         for arcs_seq, amount in paths + cycles:
             for i in arcs_seq:

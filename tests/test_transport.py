@@ -1,14 +1,16 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from _brute import FlowProblem, max_flow, transport_solve
 from conftest import demo_network
 from qmct import admissible, temporal
 from qmct.cheapest import pair_costs
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.network import Network
-from qmct.staticflow import FlowProblem, max_flow
 from qmct.transport import (
     DualSolution,
     active_pairs,
@@ -270,3 +272,94 @@ def test_demo_unit_balances_have_genuinely_different_duals(demo):
         subnets.append(subnet.arc_indices)
     assert subnets[0] != subnets[1]
     assert outcomes[0] == outcomes[1] == (Fraction(0), 2)
+
+
+def _outcome(solver, instance):
+    """What a solve answers: shipments, dual and optimum, or its error."""
+    try:
+        solution = solver(instance)
+    except (InfeasibleError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "certificate", None)
+    return solution.shipments, solution.dual.values, solution.optimum
+
+
+def _split(total: Fraction, parts: int, rng: random.Random) -> list[Fraction]:
+    """``total`` as ``parts`` positive rationals with denominators up to 7."""
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(parts)]
+    scale = total / sum(weights)
+    return [w * scale for w in weights]
+
+
+def _hall_violation(net, rng: random.Random):
+    """Balances on ``net``'s terminals under which a source that misses
+    some sink supplies more than the sinks it reaches demand; None when
+    every source reaches every sink."""
+    instance = build(net, pair_costs(net))
+    sources, sinks = instance.sources, instance.sinks
+    for i, s in enumerate(sources):
+        reached = {sinks[j] for k, j in instance.pairs if k == i}
+        missed = [t for t in sinks if t not in reached]
+        if not missed:
+            continue
+        demand = dict(zip(sinks, _split(Fraction(rng.randint(2, 12), 2), len(sinks), rng)))
+        short = sum((demand[t] for t in missed), Fraction(0))
+        balances = {t: -d for t, d in demand.items()}
+        balances[s] = sum((demand[t] for t in reached), Fraction(0)) + short / 2
+        others = [v for v in sources if v != s]
+        balances.update(zip(others, _split(short / 2, len(others), rng)))
+        return net.with_balances(balances)
+    return None
+
+
+def test_solve_matches_rational_reference():
+    # transport.solve scales once and calls the kernel; the reference
+    # goes through the rational FlowProblem/min_cost_flow layer it
+    # replaced.  Both must answer alike, infeasible instances included.
+    rng = random.Random(41)
+    checked = infeasible = rational = negative = 0
+    for seed in range(600):
+        net = generate(
+            seed,
+            nodes=4 + seed % 9,
+            terminals=1 + seed % 4,
+            tau_max=2,
+            negative_costs=seed % 2 == 1,
+            half_balance_prob=0.5,
+        )
+        variants = [net]
+        if seed % 3 == 0:
+            supplies = _split(Fraction(rng.randint(1, 20), rng.randint(1, 3)), len(net.sources), rng)
+            demands = _split(sum(supplies, Fraction(0)), len(net.sinks), rng)
+            balances = dict(zip(net.sources, supplies))
+            balances.update((t, -d) for t, d in zip(net.sinks, demands))
+            variants.append(net.with_balances(balances))
+        violated = _hall_violation(net, rng)
+        if violated is not None:
+            variants.append(violated)
+        for variant in variants:
+            instance = build(variant, pair_costs(variant))
+            if seed % 5 == 0:
+                ratio = Fraction(rng.randint(1, 5), rng.randint(2, 7))
+                instance = dataclasses.replace(
+                    instance, costs=tuple(c * ratio for c in instance.costs)
+                )
+            expected = _outcome(transport_solve, instance)
+            assert _outcome(solve, instance) == expected, seed
+            checked += 1
+            infeasible += expected[0] is InfeasibleError
+            rational += any(b.denominator > 2 for b in variant.balances.values())
+            negative += any(c < 0 for c in instance.costs)
+    assert checked >= 800 and infeasible >= 20, (checked, infeasible)
+    assert rational >= 100 and negative >= 100, (rational, negative)
+
+
+@pytest.mark.parametrize("side, total", [("supplies", "1/3"), ("demands", "-1/3")])
+def test_solve_rejects_unequal_totals_like_the_reference(demo, side, total):
+    instance = build(demo, pair_costs(demo))
+    amounts = getattr(instance, side)
+    unequal = dataclasses.replace(
+        instance, **{side: (amounts[0] + Fraction(1, 3), *amounts[1:])}
+    )
+    expected = _outcome(transport_solve, unequal)
+    assert expected[:2] == (ValueError, f"balances sum to {total}, expected 0")
+    assert _outcome(solve, unequal) == expected
