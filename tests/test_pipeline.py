@@ -24,7 +24,16 @@ from qmct.pipeline import (
     solve_quickest_mincost,
 )
 from qmct.rationals import to_integers
-from qmct.temporal import horizon_upper_bound, mincost_over_time
+from qmct.temporal import (
+    FlowOverTime,
+    MincostOverTimeResult,
+    QuickestResult,
+    feasible,
+    horizon_upper_bound,
+    mincost_over_time,
+    quickest_transshipment,
+    storage_trace,
+)
 
 
 def test_quickest_mode_golden(demo):
@@ -226,6 +235,38 @@ def test_zero_supply_report_docs(name):
         del doc["timing"]
         docs.append(doc)
     assert docs == expected
+
+
+ZERO_SUPPLY_PROBES = {
+    **ZERO_SUPPLY_NETWORKS,
+    "rational capacities and costs": Network.of(
+        ["a", "b", "c"],
+        [("a", "b", "1/2", 1, "3/4"), ("b", "c", "5/3", 2, "-1/6"), ("c", "a", "7/2", 0, "2/5")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SUPPLY_PROBES))
+def test_zero_supply_stages_answer_nothing_to_move(name):
+    # Each stage answers a zero-supply instance the way it answers any
+    # other: feasible at every horizon, cost 0, nothing scheduled.
+    net = ZERO_SUPPLY_PROBES[name]
+    for horizon in range(4):
+        assert feasible(net, horizon)
+        assert mincost_over_time(net, horizon) == MincostOverTimeResult(
+            Fraction(0), FlowOverTime(horizon, ())
+        )
+    assert quickest_transshipment(net) == QuickestResult(0, FlowOverTime(0, ()))
+    assert oracle_quickest_mincost(net) == (0, 0)
+    at_zero = {v: (Fraction(0),) for v in net.nodes}
+    for solver in (solve_quickest_mincost, solve_quickest):
+        assert storage_trace(net, solver(net).schedule) == at_zero
+
+
+def test_mincost_over_time_at_horizon_zero_is_infeasible(demo):
+    with pytest.raises(InfeasibleError) as caught:
+        mincost_over_time(demo, 0)
+    assert caught.value.certificate["horizon"] == 0
 
 
 def test_validation_failure_raises(demo):
