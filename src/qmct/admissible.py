@@ -5,7 +5,8 @@ value, and every demand node is wired to a super sink at cost plus its
 dual value.  With a feasible dual every super-source-to-super-sink path
 has non-negative cost, and the zero-cost ones are exactly the paths a
 minimum-cost shipment plan may use.  The admissible arc set consists of
-the original arcs lying on such a zero-cost path.  Labels run on the
+the original arcs lying on such a zero-cost path: none without terminals,
+and none with a warning when terminals cannot connect.  Labels run on the
 base network's integer costs plus the terminal duals scaled to match.
 """
 
@@ -78,7 +79,7 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     negative optimum means the supplied dual was infeasible and a
     positive one that no pair is tight, both of which indicate a bug in
     the calling pipeline.  An unreachable super sink yields an empty
-    subnetwork with a warning.
+    subnetwork, with a warning only when terminals exist but cannot connect.
     """
     n = extended.num_nodes
     form, terminal = extended.base.integral, extended.terminal_arcs
@@ -97,7 +98,8 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     )
     opt = forward[extended.super_sink]
     if opt is None:
-        warnings.warn("super sink unreachable; admissible subnetwork is empty", stacklevel=2)
+        if terminal:
+            warnings.warn("super sink unreachable; admissible subnetwork is empty", stacklevel=2)
         return Subnetwork(frozenset(), connected=False, labels=labels)
     if opt != 0:
         cost = Fraction(opt, scale)

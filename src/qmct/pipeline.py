@@ -169,24 +169,6 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
     started = time.perf_counter()
     validate_or_raise(network)
     scale = network.integral.time_scale
-    if network.total_supply == 0:
-        # Nothing moves, and with no terminals there is no admissible
-        # subnetwork to cut out (``admissible_arcs`` would warn).
-        return SolveReport(
-            mode=MODE_QUICKEST_MINCOST,
-            cost=Fraction(0),
-            horizon=0,
-            horizon_original=Fraction(0),
-            scale=scale,
-            subnetwork=(),
-            schedule=temporal.FlowOverTime(0, ()),
-            transport_optimum=Fraction(0),
-            checks={
-                "schedule_valid": True,
-                "cost_equals_transport_optimum": True,
-                "routing_admissible": True,
-            },
-        )
     run = run_quickest_mincost(network, max_layers)
     solved = time.perf_counter()
     verification = temporal.verify_schedule(network, run.schedule)
@@ -283,8 +265,6 @@ def oracle_quickest_mincost(
             limit=max_nodes,
         )
     validate_or_raise(network)
-    if network.total_supply == 0:
-        return Fraction(0), 0
     bound = temporal.horizon_upper_bound(network)
     stabilized = temporal.mincost_over_time(network, bound, max_layers=max_layers)
     for horizon in range(bound + 1):

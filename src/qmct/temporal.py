@@ -226,8 +226,6 @@ def _solve_max(graph: TimeExpandedGraph) -> tuple[int, list[int], set[int]]:
 def feasible(network: Network, horizon: int, max_layers: int | None = None) -> bool:
     """True when all supplies can reach their demands within the horizon."""
     graph = expand(network, horizon, max_layers)
-    if graph.total_supply_scaled == 0 or horizon == 0:
-        return graph.total_supply_scaled == 0
     return _solve_max(graph)[0] == graph.total_supply_scaled
 
 
@@ -389,9 +387,6 @@ def quickest_transshipment(
     infeasible: :class:`InfeasibleError` names the isolated terminal
     for the first family and otherwise the subset and ``cut_nodes``.
     """
-    if not any(b > 0 for b in network.integral.balances):
-        return QuickestResult(0, FlowOverTime(0, ()))
-
     sources, sinks = network.sources, network.sinks
     seed = [(s, {s}, "supply at {!r} cannot reach any sink") for s in sources]
     seed += [
@@ -420,17 +415,14 @@ def quickest_transshipment(
 def mincost_over_time(
     network: Network, horizon: int, max_layers: int | None = None
 ) -> MincostOverTimeResult:
-    """Minimum-cost transshipment within a fixed integer horizon."""
+    """Minimum-cost transshipment within a fixed integer horizon.
+
+    Too small a horizon, 0 included, raises :class:`InfeasibleError`
+    with the horizon and the undelivered deficit as its certificate.
+    """
     graph = expand(network, horizon, max_layers)
-    if graph.total_supply_scaled == 0:
-        return MincostOverTimeResult(Fraction(0), FlowOverTime(horizon, ()))
-    if horizon == 0:
-        raise InfeasibleError(
-            "positive supply cannot move within a zero horizon",
-            certificate={"horizon": 0},
-        )
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities, graph.costs)
-    routed, _, reachable = _kernel.min_cost_flow(
+    routed, _, _ = _kernel.min_cost_flow(
         g, graph.super_source, graph.super_sink, graph.total_supply_scaled
     )
     if routed < graph.total_supply_scaled:

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -90,11 +91,22 @@ def test_non_optimal_dual_is_rejected_loudly(demo):
         admissible_arcs(extend(pricey, zero))
 
 
-def test_unreachable_super_sink_warns_and_returns_empty():
+def test_no_terminals_returns_empty_without_warning():
+    # A zero-supply instance: nothing to route, nothing to warn about.
     lonely = Network.of(["s", "t"], [], {})
-    # No sources or sinks at all: the super sink cannot be reached.
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         subnet = admissible_arcs(extend(lonely, DualSolution({})))
+    assert subnet.arc_indices == frozenset()
+    assert not subnet.connected
+
+
+def test_unconnectable_terminals_warn_and_return_empty():
+    # Terminals exist but no arc joins them: the super sink cannot be reached.
+    cut_off = Network.of(["s", "t"], [], {"s": 1, "t": -1})
+    zero = DualSolution({"s": Fraction(0), "t": Fraction(0)})
+    with pytest.warns(UserWarning, match="super sink unreachable"):
+        subnet = admissible_arcs(extend(cut_off, zero))
     assert subnet.arc_indices == frozenset()
     assert not subnet.connected
 

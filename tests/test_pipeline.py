@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,18 @@ def test_zero_supply_stages_answer_nothing_to_move(name):
     at_zero = {v: (Fraction(0),) for v in net.nodes}
     for solver in (solve_quickest_mincost, solve_quickest):
         assert storage_trace(net, solver(net).schedule) == at_zero
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SUPPLY_NETWORKS))
+def test_zero_supply_runs_every_stage_without_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_quickest_mincost(ZERO_SUPPLY_NETWORKS[name])
+    assert run.subnetwork.arc_indices == frozenset()
+    assert run.arc_map == ()
+    assert run.solution.dual.values == {}
+    assert run.solution.optimum == 0
+    assert run.quickest.horizon == 0
 
 
 def test_mincost_over_time_at_horizon_zero_is_infeasible(demo):
