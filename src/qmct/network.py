@@ -67,8 +67,8 @@ class Network:
     """Immutable directed network with node balances.
 
     ``sources`` and ``sinks`` are derived from the balance signs.  The
-    constructor only checks representability (arcs reference known
-    nodes); semantic invariants are checked by :func:`validate`.
+    constructor only checks representability (arc endpoints are string
+    ids of known nodes); semantic invariants are checked by :func:`validate`.
     """
 
     nodes: tuple[NodeId, ...]
@@ -80,7 +80,10 @@ class Network:
         index = {v: i for i, v in enumerate(self.nodes)}
         if len(index) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        for arc in self.arcs:
+        for k, arc in enumerate(self.arcs):
+            if not isinstance(arc.tail, str) or not isinstance(arc.head, str):
+                end = "head" if isinstance(arc.tail, str) else "tail"
+                raise ValueError(f"arc {k} {end} must be a string node id")
             if arc.tail not in index or arc.head not in index:
                 raise ValueError(f"arc {arc.tail}->{arc.head} references unknown node")
         for v in self.balances:
@@ -97,9 +100,6 @@ class Network:
         """Build a network from plain tuples ``(tail, head, capacity, transit, cost)``."""
         built = tuple(a if isinstance(a, Arc) else Arc.of(*a) for a in arcs)
         bal = {v: as_rational(x) for v, x in (balances or {}).items()}
-        unknown = set(bal) - set(nodes)
-        if unknown:
-            raise ValueError(f"balance given for unknown node(s): {sorted(unknown)}")
         return Network(tuple(nodes), built, dict.fromkeys(nodes, Fraction(0)) | bal)
 
     def node_index(self, v: NodeId) -> int:

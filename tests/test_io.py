@@ -129,3 +129,11 @@ def test_schedule_doc_lists_intervals(demo_variant_a):
     assert all(isinstance(k, str) for k in doc)
     total = sum(len(v) for v in doc.values())
     assert total >= 1
+
+
+def test_bad_value_is_reported_before_a_bad_endpoint():
+    # Values are parsed with the arcs; endpoint types are checked by Network.
+    doc = {"nodes": ["a", "b"], "arcs": [{"tail": 1, "head": "b", "capacity": 1.5}]}
+    with pytest.raises(ValidationError) as caught:
+        network_from_doc(doc)
+    assert str(caught.value) == f"arc 0 capacity: {FLOATS}"

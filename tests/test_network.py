@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import A_S2T2, A_S2V, A_VT1
-from qmct.network import Network, Path, path_cost, path_transit, validate
+from qmct.network import Arc, Network, Path, path_cost, path_transit, validate
 
 
 def test_demo_network_is_valid(demo):
@@ -111,6 +111,27 @@ def test_constructor_rejects_unknown_nodes():
     with pytest.raises(ValueError):
         Network.of(["a", "a"], [], {})
     with pytest.raises(ValueError):
+        Network.of(["a"], [], {"ghost": 1})
+
+
+@pytest.mark.parametrize(
+    "tail, head, message",
+    [
+        (["a"], "b", "arc 0 tail must be a string node id"),
+        ("a", {"id": "b"}, "arc 0 head must be a string node id"),
+        (1, "b", "arc 0 tail must be a string node id"),
+    ],
+)
+def test_constructor_rejects_non_string_endpoints(tail, head, message):
+    with pytest.raises(ValueError) as built_of:
+        Network.of(["a", "b"], [(tail, head, 1, 0, 0)])
+    with pytest.raises(ValueError) as built:
+        Network(("a", "b"), (Arc.of(tail, head, 1, 0, 0),), {})
+    assert str(built_of.value) == str(built.value) == message
+
+
+def test_unknown_balance_is_named_once():
+    with pytest.raises(ValueError, match="^balance given for unknown node 'ghost'$"):
         Network.of(["a"], [], {"ghost": 1})
 
 
