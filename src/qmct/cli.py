@@ -6,7 +6,8 @@ Subcommands:
             invariant checks; exit 0 only if everything passes
   generate  write a seeded random instance file
 
-Exit codes: 0 success, 2 infeasible, 3 validation failure, 4 horizon or
+Exit codes: 0 success, 2 infeasible, 3 validation failure (an invalid
+or unreadable instance file, or an out-of-range option), 4 horizon or
 size guard tripped.
 """
 
@@ -146,15 +147,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    network = generate(
-        args.seed,
-        nodes=args.nodes,
-        terminals=args.terminals,
-        tau_max=args.tau_max,
-        cap_max=args.cap_max,
-        cost_max=args.cost_max,
-        negative_costs=args.negative_costs,
-    )
+    try:
+        network = generate(
+            args.seed,
+            nodes=args.nodes,
+            terminals=args.terminals,
+            tau_max=args.tau_max,
+            cap_max=args.cap_max,
+            cost_max=args.cost_max,
+            negative_costs=args.negative_costs,
+        )
+    except ValueError as exc:  # an out-of-range option, named by its keyword
+        raise ValidationError(str(exc)) from exc
     io.save_instance(network, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -163,6 +167,8 @@ def _cmd_generate(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "max_horizon", None) is not None and args.max_horizon < 0:
+            raise ValidationError(f"--max-horizon must be at least 0, got {args.max_horizon}")
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "verify":

@@ -50,10 +50,14 @@ def generate(
     in [0, cost_max].  With ``negative_costs`` a random node potential is
     folded into the costs, which produces negative coefficients but can
     never create a negative cycle.  Balances may be half-integral with
-    probability ``half_balance_prob`` per terminal.
+    probability ``half_balance_prob`` per terminal.  Raises
+    :class:`ValueError`, naming the argument, when ``nodes`` < 2,
+    ``cap_max`` < 1 or ``tau_max`` or ``cost_max`` is negative.
     """
-    if nodes < 2:
-        raise ValueError("need at least two nodes")
+    least = {"nodes": 2, "cap_max": 1, "tau_max": 0, "cost_max": 0}
+    for name, value in zip(least, (nodes, cap_max, tau_max, cost_max)):
+        if value < least[name]:
+            raise ValueError(f"{name} must be at least {least[name]}, got {value}")
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(nodes)]
     per_side = max(1, min(terminals, nodes // 2))

@@ -108,6 +108,8 @@ def load_instance(path: str | Path) -> Network:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from exc
     return network_from_doc(doc)
 
 

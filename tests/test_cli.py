@@ -253,3 +253,42 @@ def test_generate_is_deterministic(capsys, tmp_path):
     for target in (p1, p2):
         _run(capsys, ["generate", "--seed", "5", "--out", str(target)])
     assert p1.read_text() == p2.read_text()
+
+
+
+# Each argv, with "{dir}" standing for a scratch directory holding the
+# files below, and a fragment of the one line it must print on stderr.
+GEN = ["generate", "--seed", "1", "--out", "{dir}/generated.json"]
+BAD_INVOCATIONS = {
+    "missing file": (["solve", "{dir}/missing.json"], "cannot read (No such file or directory)"),
+    "directory": (["solve", "{dir}"], "cannot read (Is a directory)"),
+    "nodes 1": ([*GEN, "--nodes", "1"], "nodes must be at least 2, got 1"),
+    "cap-max 0": ([*GEN, "--cap-max", "0"], "cap_max must be at least 1, got 0"),
+    "tau-max -1": ([*GEN, "--tau-max", "-1"], "tau_max must be at least 0, got -1"),
+    "cost-max -1": ([*GEN, "--cost-max", "-1"], "cost_max must be at least 0, got -1"),
+    "solve max-horizon -1": (
+        ["solve", "{dir}/demo.json", "--max-horizon", "-1"], "--max-horizon must be at least 0"
+    ),
+    "verify max-horizon -1": (
+        ["verify", "{dir}/demo.json", "--max-horizon", "-1"], "--max-horizon must be at least 0"
+    ),
+    "non-string endpoint": (["solve", "{dir}/endpoint.json"], "arc 0 tail must be a string node id"),
+    "JSON float": (["solve", "{dir}/float.json"], "arc 0 cost: floats are not exact"),
+    "bad JSON": (["solve", "{dir}/broken.json"], "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INVOCATIONS))
+def test_bad_input_exits_with_one_message_and_no_traceback(capsys, tmp_path, case):
+    argv, fragment = BAD_INVOCATIONS[case]
+    save_instance(demo_network(), tmp_path / "demo.json")
+    arc = {"tail": "a", "head": "b"}
+    for name, doc in (("endpoint", {**arc, "tail": 1}), ("float", {**arc, "cost": 0.5})):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"nodes": ["a", "b"], "arcs": [doc]}))
+    (tmp_path / "broken.json").write_text("{")
+    code, _, err = _run(capsys, [a.replace("{dir}", str(tmp_path)) for a in argv])
+    assert code in (2, 3, 4), err
+    assert err.startswith(("validation error:", "infeasible:", "guard tripped:")), err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and fragment in err, err
+    assert not (tmp_path / "generated.json").exists()

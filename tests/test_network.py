@@ -121,6 +121,7 @@ def test_constructor_rejects_unknown_nodes():
         ("a", {"id": "b"}, "arc 0 head must be a string node id"),
         (1, "b", "arc 0 tail must be a string node id"),
     ],
+    ids=["list tail", "dict head", "int tail"],
 )
 def test_constructor_rejects_non_string_endpoints(tail, head, message):
     with pytest.raises(ValueError) as built_of:
