@@ -255,8 +255,7 @@ def test_generate_is_deterministic(capsys, tmp_path):
     assert p1.read_text() == p2.read_text()
 
 
-
-# Each argv, with "{dir}" standing for a scratch directory holding the
+# Each argv, with "{dir}" standing for the test's directory holding the
 # files below, and a fragment of the one line it must print on stderr.
 GEN = ["generate", "--seed", "1", "--out", "{dir}/generated.json"]
 BAD_INVOCATIONS = {

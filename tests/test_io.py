@@ -131,4 +131,3 @@ def test_schedule_doc_lists_intervals(demo_variant_a):
     assert all(isinstance(k, str) for k in doc)
     total = sum(len(v) for v in doc.values())
     assert total >= 1
-
