@@ -35,6 +35,13 @@ the kernel's results.  :func:`transport_solve` is the transportation
 solve over it, the reference for :func:`qmct.transport.solve`, which
 scales once and calls the kernel itself; :func:`qmct.generate.generate`
 does the same in place of :func:`max_flow`.
+
+:func:`stabilised_oracle` is the reference for
+:func:`qmct.pipeline.oracle_quickest_mincost`: it takes its target cost
+from a min-cost flow over the expansion at
+:func:`qmct.temporal.horizon_upper_bound` and scans min-cost flows from
+horizon zero, where the oracle takes the static optimum as its target
+and scans max flows up to the first feasible horizon.
 """
 
 from __future__ import annotations
@@ -47,9 +54,9 @@ from typing import Any, Iterable, Sequence
 
 from qmct import _kernel, staticflow
 from qmct.cheapest import CostLabels, cheapest_from, cheapest_to
-from qmct.errors import InfeasibleError, NoPathError, ValidationError
+from qmct.errors import HorizonLimitError, InfeasibleError, NoPathError, ValidationError
 from qmct.network import Arc, Network, NodeId
-from qmct.pipeline import AlgorithmRun
+from qmct.pipeline import AlgorithmRun, validate_or_raise
 from qmct.rationals import as_rational, to_integers
 from qmct.temporal import (
     FlowOverTime,
@@ -59,6 +66,7 @@ from qmct.temporal import (
     _solve_max,
     expand,
     horizon_upper_bound,
+    mincost_over_time,
 )
 from qmct.transport import (
     DualSolution,
@@ -744,3 +752,34 @@ def network_from_doc(doc: Any) -> Network:
         return Network.of(nodes, arcs, balances)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+
+
+def stabilised_oracle(
+    network: Network,
+    max_nodes: int = 10,
+    max_layers: int | None = None,
+) -> tuple[Fraction, int]:
+    """(cost, horizon) from the stabilised min-cost flow at the bound.
+
+    Computes the minimum cost over time at :func:`horizon_upper_bound`,
+    then scans horizons from zero for the first one whose minimum cost
+    over time equals it.  Trips the ``max_layers`` guard whenever the
+    bound exceeds it.
+    """
+    if len(network.nodes) > max_nodes:
+        raise HorizonLimitError(
+            f"oracle size guard: {len(network.nodes)} nodes exceeds limit {max_nodes}",
+            requested=len(network.nodes),
+            limit=max_nodes,
+        )
+    validate_or_raise(network)
+    bound = horizon_upper_bound(network)
+    stabilized = mincost_over_time(network, bound, max_layers=max_layers)
+    for horizon in range(bound + 1):
+        try:
+            probe = mincost_over_time(network, horizon, max_layers=max_layers)
+        except InfeasibleError:
+            continue
+        if probe.cost == stabilized.cost:
+            return stabilized.cost, horizon
+    raise AssertionError("unreachable: stabilized horizon must satisfy its own cost")
