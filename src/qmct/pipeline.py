@@ -8,11 +8,13 @@ of the built-in verification checks: schedule validity, cost agreement
 with the transportation optimum, and admissibility of the routed paths,
 certified by complementary slackness on the arcs the schedule uses.
 
-The oracle answers the same question by brute force on time expansions
-alone: take the stabilized cost at a provably large horizon, then scan
-horizons from zero for the first one achieving it.  It shares only the
-static-flow kernel with the main path, which makes it a meaningful
-cross-check.
+The oracle answers the same question by brute force.  Its target is the
+static optimum, from one min-cost flow on the network with capacities
+ignored; it then scans time expansions for the first horizon whose
+minimum cost over time reaches that target, with max flows up to the
+first feasible horizon and min-cost flows from there.  It shares only
+the flow kernels and the time expansions with the main path, which
+makes it a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import admissible, cheapest, temporal, transport
-from .errors import HorizonLimitError, InfeasibleError, ValidationError
+from . import _kernel, admissible, cheapest, temporal, transport
+from .errors import HorizonLimitError, InternalCheckError, ValidationError
 from .network import Network, NodeId, validate
 
 MODE_QUICKEST_MINCOST = "quickest-mincost"
@@ -237,6 +239,35 @@ def solve_mincost_static(network: Network) -> SolveReport:
     )
 
 
+def _static_optimum(network: Network) -> Fraction | None:
+    """Minimum cost of a static transshipment with arc capacities ignored.
+
+    One min-cost flow on the integer form from super source ``n``, with
+    an arc of capacity b into each source, to super sink ``n + 1``, with
+    an arc of capacity −b out of each sink.  None when the supplies
+    cannot all be routed.
+    """
+    form = network.integral
+    n = len(network.nodes)
+    sources = [v for v, b in enumerate(form.balances) if b > 0]
+    sinks = [v for v, b in enumerate(form.balances) if b < 0]
+    wiring = [*(form.balances[v] for v in sources), *(-form.balances[v] for v in sinks)]
+    g = _kernel.build(
+        n + 2,
+        [*form.tails, *[n] * len(sources), *sinks],
+        [*form.heads, *sources, *[n + 1] * len(sinks)],
+        [*[None] * len(form.tails), *wiring],
+        [*form.costs, *[0] * len(wiring)],
+    )
+    total = sum(wiring[: len(sources)])
+    routed, _, _ = _kernel.min_cost_flow(g, n, n + 1, total)
+    if routed < total:
+        return None
+    # Only the network's own arcs have nonzero cost; zip stops after them.
+    cost = sum(c * f for c, f in zip(form.costs, g.rem[1::2]))
+    return Fraction(cost, form.flow_scale * form.cost_scale)
+
+
 def oracle_quickest_mincost(
     network: Network,
     max_nodes: int = 10,
@@ -244,19 +275,33 @@ def oracle_quickest_mincost(
 ) -> tuple[Fraction, int]:
     """Brute-force (cost, horizon) via time expansions only.
 
-    Computes the stabilized minimum cost at
-    :func:`temporal.horizon_upper_bound`, ⌈total/u_min⌉ + (n−1)·τ_max,
-    then linearly scans horizons from zero for the first one that
-    achieves it.  At that horizon a temporally repeated flow along the
-    simple paths of a cheapest static transshipment fits every capacity
-    and arrives in time, so the minimum cost over time equals the static
-    optimum there and at every later horizon (proof in the bound's
-    docstring).  The stabilising min-cost flow on that expansion is the
-    oracle's largest single cost, which is why the horizon is the
-    smallest the proof allows rather than one charging a path's transit
-    per source-sink pair.  Deliberately ignores the transportation-dual
-    machinery so it can serve as an independent cross-check; guarded by
-    ``max_nodes`` because the scan is pseudo-polynomial.
+    The target is the static optimum: the least cost of a static
+    transshipment with arc capacities ignored, from one min-cost flow.
+    The horizon is the first one whose minimum cost over time reaches
+    it, found by max flows up to the first feasible horizon and min-cost
+    flows from there.  That horizon is the answer:
+
+    - No flow over time costs less than the target, because its
+      projection onto the arcs is a static transshipment of the same
+      cost.
+    - The minimum cost over time never rises with the horizon: a flow
+      feasible for T is feasible for T + 1 once it holds at the sinks.
+    - It equals the target at :func:`temporal.horizon_upper_bound`,
+      ⌈total/u_min⌉ + (n−1)·τ_max (proof in the bound's docstring).
+
+    So the costs from the first feasible horizon on fall to the target
+    and stay there, and the first horizon that reaches it is the least
+    one at which the minimum cost is attained.  The bound caps the scan;
+    passing it raises :class:`InternalCheckError`.  When no static
+    transshipment exists no horizon is feasible, and the min-cost flow
+    at the bound raises the :class:`InfeasibleError`.
+
+    Deliberately ignores the pair costs, transportation dual and
+    admissible subnetwork, sharing only the flow kernels and time
+    expansions with the main path, so it can serve as an independent
+    cross-check.  Guarded by ``max_nodes`` because the scan is
+    pseudo-polynomial, and by ``max_layers`` on every expansion it
+    builds, so the layer guard trips only when the scan passes it.
     """
     if len(network.nodes) > max_nodes:
         raise HorizonLimitError(
@@ -266,12 +311,13 @@ def oracle_quickest_mincost(
         )
     validate_or_raise(network)
     bound = temporal.horizon_upper_bound(network)
-    stabilized = temporal.mincost_over_time(network, bound, max_layers=max_layers)
+    target = _static_optimum(network)
+    if target is None:
+        temporal.mincost_over_time(network, bound, max_layers=max_layers)
+        raise InternalCheckError(f"statically infeasible network is feasible at horizon {bound}")
+    reached = False
     for horizon in range(bound + 1):
-        try:
-            probe = temporal.mincost_over_time(network, horizon, max_layers=max_layers)
-        except InfeasibleError:
-            continue
-        if probe.cost == stabilized.cost:
-            return stabilized.cost, horizon
-    raise AssertionError("unreachable: stabilized horizon must satisfy its own cost")
+        reached = reached or temporal.feasible(network, horizon, max_layers)
+        if reached and temporal.mincost_over_time(network, horizon, max_layers).cost == target:
+            return target, horizon
+    raise InternalCheckError(f"minimum cost over time is above {target} at horizon {bound}")

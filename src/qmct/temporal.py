@@ -254,7 +254,8 @@ def horizon_upper_bound(network: Network) -> int:
     The flow's cost is Σ a_p·cost(p), the static optimum, and no flow
     over time costs less because its projection onto the arcs is a
     static transshipment of the same cost.  So the minimum cost over time
-    has stabilised at this horizon, which is what the oracle needs.
+    has reached the static optimum at this horizon, which caps the
+    oracle's scan for the first horizon that reaches it.
     """
     # ``total`` and ``u_min`` both carry ``flow_scale``: the ceiling is exact.
     form = network.integral

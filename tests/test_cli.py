@@ -8,7 +8,8 @@ import pytest
 
 import qmct
 from conftest import demo_network, detour_network, parallel_falling_costs, VARIANT_A_BALANCES
-from qmct import cli
+from qmct import cli, pipeline
+from qmct.errors import HorizonLimitError
 from qmct.io import save_instance
 from qmct.network import Network
 
@@ -202,9 +203,9 @@ def test_verify_and_oracle_on_parallel_arcs_with_falling_costs(capsys, tmp_path)
 
 
 def test_verify_fits_the_oracle_under_max_horizon(capsys, tmp_path):
-    # Four reachable source-sink pairs through one middle node.  The
-    # oracle's stabilising horizon is 2 + 4 * 5 = 22 layers; charging a
-    # path's transit per pair would ask for 2 + 4 * 4 * 5 = 82.
+    # Four reachable source-sink pairs through one middle node; the answer
+    # is 11 steps.  The oracle's scan stops at the answer, so a layer limit
+    # equal to it is enough, though its bound is 2 + 4 * 5 = 22 layers.
     net = Network.of(
         ["s1", "s2", "m", "t1", "t2"],
         [
@@ -217,11 +218,17 @@ def test_verify_fits_the_oracle_under_max_horizon(capsys, tmp_path):
     )
     path = tmp_path / "fan.json"
     save_instance(net, path)
-    code, out, err = _run(capsys, ["verify", str(path), "--max-horizon", "30"])
+    assert pipeline.oracle_quickest_mincost(net, max_layers=11) == (0, 11)
+    with pytest.raises(HorizonLimitError):
+        pipeline.oracle_quickest_mincost(net, max_layers=10)
+    code, out, err = _run(capsys, ["verify", str(path), "--max-horizon", "11"])
     assert code == 0, err
     lines = out.splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS ") for line in lines)
+    code, out, err = _run(capsys, ["verify", str(path), "--max-horizon", "10"])
+    assert (code, out) == (4, "")
+    assert err.startswith("guard tripped: ")
 
 
 def test_verify_rejects_invalid(capsys, tmp_path):
@@ -291,3 +298,4 @@ def test_bad_input_exits_with_one_message_and_no_traceback(capsys, tmp_path, cas
     assert "Traceback" not in err
     assert err.count("\n") == 1 and fragment in err, err
     assert not (tmp_path / "generated.json").exists()
+

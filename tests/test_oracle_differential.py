@@ -38,7 +38,8 @@ def _small():
 
 def _rational():
     for seed in range(200):
-        net = generate(seed, nodes=3 + seed % 5, terminals=3, tau_max=3, negative_costs=seed % 3 == 0)
+        negative = seed % 3 == 0
+        net = generate(seed, nodes=3 + seed % 5, terminals=3, tau_max=3, negative_costs=negative)
         k = 2 + seed % 2
         arcs = tuple(
             Arc(a.tail, a.head, a.capacity / (1 + i % 3), a.transit / k, a.cost / 2)

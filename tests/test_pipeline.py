@@ -9,8 +9,10 @@ from conftest import (
     A_S2V,
     A_VT2,
     UNIT_BALANCES,
+    acceptance_suite,
     demo_network,
     detour_network,
+    golden_instances,
     parallel_falling_costs,
 )
 from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
@@ -18,6 +20,7 @@ from qmct.generate import generate
 from qmct.io import report_to_doc
 from qmct.network import Arc, Network
 from qmct.pipeline import (
+    _static_optimum,
     oracle_quickest_mincost,
     run_quickest_mincost,
     solve_mincost_static,
@@ -316,6 +319,17 @@ def test_timing_present(demo):
     report = solve_quickest_mincost(demo)
     assert "solve" in report.timing
     assert report.timing["solve"] >= 0
+
+
+def test_static_optimum_is_the_cost_over_time_at_the_bound():
+    # The oracle's target is the static optimum, and the bound's proof says
+    # the minimum cost over time has reached it at the bound.
+    instances = [*golden_instances(), *acceptance_suite()]
+    assert len(instances) == 403
+    for net in instances:
+        target = _static_optimum(net)
+        assert target == solve_mincost_static(net).cost, net
+        assert mincost_over_time(net, horizon_upper_bound(net)).cost == target, net
 
 
 def test_oracle_agreement_with_negative_costs():
