@@ -7,8 +7,8 @@ Subcommands:
   generate  write a seeded random instance file
 
 Exit codes: 0 success, 2 infeasible, 3 validation failure (an invalid
-or unreadable instance file, or an out-of-range option), 4 horizon or
-size guard tripped.
+or unreadable instance file, a usage error or an out-of-range option),
+4 horizon or size guard tripped.
 """
 
 from __future__ import annotations
@@ -34,8 +34,15 @@ _SOLVERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as validation errors: argparse's exit 2 means infeasible here."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmct",
         description="Exact quickest minimum-cost transshipment solver",
     )
@@ -165,8 +172,8 @@ def _cmd_generate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if getattr(args, "max_horizon", None) is not None and args.max_horizon < 0:
             raise ValidationError(f"--max-horizon must be at least 0, got {args.max_horizon}")
         if args.command == "solve":

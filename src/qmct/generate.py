@@ -52,15 +52,16 @@ def generate(
     never create a negative cycle.  Balances may be half-integral with
     probability ``half_balance_prob`` per terminal.  Raises
     :class:`ValueError`, naming the argument, when ``nodes`` < 2,
-    ``cap_max`` < 1 or ``tau_max`` or ``cost_max`` is negative.
+    ``terminals`` or ``cap_max`` < 1 or ``tau_max`` or ``cost_max`` is
+    negative.
     """
-    least = {"nodes": 2, "cap_max": 1, "tau_max": 0, "cost_max": 0}
-    for name, value in zip(least, (nodes, cap_max, tau_max, cost_max)):
+    least = {"nodes": 2, "terminals": 1, "cap_max": 1, "tau_max": 0, "cost_max": 0}
+    for name, value in zip(least, (nodes, terminals, cap_max, tau_max, cost_max)):
         if value < least[name]:
             raise ValueError(f"{name} must be at least {least[name]}, got {value}")
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(nodes)]
-    per_side = max(1, min(terminals, nodes // 2))
+    per_side = min(terminals, nodes // 2)
     k_src = rng.randint(1, per_side)
     k_snk = rng.randint(1, per_side)
     picked = rng.sample(range(nodes), k_src + k_snk)

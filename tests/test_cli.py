@@ -269,6 +269,13 @@ BAD_INVOCATIONS = {
     "missing file": (["solve", "{dir}/missing.json"], "cannot read (No such file or directory)"),
     "directory": (["solve", "{dir}"], "cannot read (Is a directory)"),
     "nodes 1": ([*GEN, "--nodes", "1"], "nodes must be at least 2, got 1"),
+    "terminals 0": ([*GEN, "--terminals", "0"], "terminals must be at least 1, got 0"),
+    "missing seed": (
+        ["generate", "--out", "{dir}/generated.json"],
+        "qmct generate: the following arguments are required: --seed",
+    ),
+    "nodes abc": ([*GEN, "--nodes", "abc"], "argument --nodes: invalid int value: 'abc'"),
+    "no command": ([], "qmct: the following arguments are required: command"),
     "cap-max 0": ([*GEN, "--cap-max", "0"], "cap_max must be at least 1, got 0"),
     "tau-max -1": ([*GEN, "--tau-max", "-1"], "tau_max must be at least 0, got -1"),
     "cost-max -1": ([*GEN, "--cost-max", "-1"], "cost_max must be at least 0, got -1"),
@@ -299,3 +306,9 @@ def test_bad_input_exits_with_one_message_and_no_traceback(capsys, tmp_path, cas
     assert err.count("\n") == 1 and fragment in err, err
     assert not (tmp_path / "generated.json").exists()
 
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["--help"])
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qmct")

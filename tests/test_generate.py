@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,17 @@ def test_balances_sum_to_zero():
 def test_tiny_node_count_rejected():
     with pytest.raises(ValueError):
         generate(1, nodes=1)
+
+
+@pytest.mark.parametrize("terminals", [0, -2])
+def test_terminals_below_one_rejected_before_drawing(monkeypatch, terminals):
+    def no_draws(seed):
+        raise AssertionError("a random generator was created")
+
+    monkeypatch.setattr(random, "Random", no_draws)
+    with pytest.raises(ValueError) as caught:
+        generate(1, terminals=terminals)
+    assert str(caught.value) == f"terminals must be at least 1, got {terminals}"
 
 
 # Balances come from whichever maximum flow ``_kernel.max_flow``
