@@ -251,15 +251,15 @@ def _static_optimum(network: Network) -> Fraction | None:
     n = len(network.nodes)
     sources = [v for v, b in enumerate(form.balances) if b > 0]
     sinks = [v for v, b in enumerate(form.balances) if b < 0]
-    wiring = [*(form.balances[v] for v in sources), *(-form.balances[v] for v in sinks)]
+    terminals = [*sources, *sinks]
     g = _kernel.build(
         n + 2,
         [*form.tails, *[n] * len(sources), *sinks],
         [*form.heads, *sources, *[n + 1] * len(sinks)],
-        [*[None] * len(form.tails), *wiring],
-        [*form.costs, *[0] * len(wiring)],
+        [*[None] * len(form.tails), *(abs(form.balances[v]) for v in terminals)],
+        [*form.costs, *[0] * len(terminals)],
     )
-    total = sum(wiring[: len(sources)])
+    total = sum(form.balances[v] for v in sources)
     routed, _, _ = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:
         return None
