@@ -71,6 +71,41 @@ class Residual:
         self.adj[v].append(e + 1)
         return e
 
+    def add_nodes(self, count: int) -> None:
+        self.adj.extend([] for _ in range(count))
+        self.n += count
+
+    def add_arcs(self, tails, heads, caps, costs=None) -> int:
+        """Append arcs in bulk and return the first one's forward edge.
+
+        Same edges, and the same order in every adjacency list, as
+        calling :meth:`add` once per arc.  ``tails``, ``heads``, ``caps``
+        and ``costs`` are sequences of equal length; no ``costs`` means 0.
+        """
+        first = len(self.to)
+        m2 = 2 * len(tails)
+        to = [0] * m2
+        to[0::2] = heads
+        to[1::2] = tails
+        rem = [0] * m2
+        rem[0::2] = caps
+        cost = [0] * m2
+        if costs is not None:
+            cost[0::2] = costs
+            cost[1::2] = [-w for w in costs]
+        # An empty graph, as in :func:`build`, takes the lists without a copy.
+        if first:
+            self.to += to
+            self.rem += rem
+            self.cost += cost
+        else:
+            self.to, self.rem, self.cost = to, rem, cost
+        adj = self.adj
+        for e, u, v in zip(range(first, first + m2, 2), tails, heads):
+            adj[u].append(e)
+            adj[v].append(e + 1)
+        return first
+
     def push(self, e: int, amount: int) -> None:
         rem = self.rem
         if rem[e] is not None:
@@ -82,25 +117,11 @@ class Residual:
 def build(n: int, tails, heads, caps, costs=None) -> Residual:
     """Arc ``k`` as edges ``2k`` and ``2k+1``, filled in bulk.
 
-    Same edges, and the same order in every adjacency list, as calling
-    :meth:`Residual.add` once per arc.  The flow on arc ``k`` is then
-    ``rem[2k + 1]``, so ``rem[1::2]`` reads all of them.
+    The flow on arc ``k`` is then ``rem[2k + 1]``, so ``rem[1::2]``
+    reads all of them.
     """
     g = Residual(n)
-    m2 = 2 * len(tails)
-    g.to = [0] * m2
-    g.to[0::2] = heads
-    g.to[1::2] = tails
-    g.rem = [0] * m2
-    g.rem[0::2] = caps
-    g.cost = [0] * m2
-    if costs is not None:
-        g.cost[0::2] = costs
-        g.cost[1::2] = [-w for w in costs]
-    adj = g.adj
-    for e, u, v in zip(range(0, m2, 2), tails, heads):
-        adj[u].append(e)
-        adj[v].append(e + 1)
+    g.add_arcs(tails, heads, caps, costs)
     return g
 
 
@@ -208,11 +229,11 @@ def residual_reachable(g: Residual, s: int) -> set[int]:
     return {v for v in range(g.n) if seen[v]}
 
 
-def max_flow(g: Residual, s: int, t: int) -> tuple[int, set[int]]:
+def max_flow(g: Residual, s: int, t: int) -> int:
     """Maximum s-t flow by Dinic's blocking-flow method.
 
-    Returns ``(value, reachable)``, where ``reachable`` is the set of
-    nodes reachable from ``s`` in the final residual graph: the source
+    Augments the flow already in ``g`` and returns the value it adds.
+    :func:`residual_reachable` from ``s`` afterwards gives the source
     side of a minimum cut.
 
     Each phase labels nodes by their residual distance *to the sink*
@@ -235,7 +256,7 @@ def max_flow(g: Residual, s: int, t: int) -> tuple[int, set[int]]:
     while True:
         dist = _sink_distances(g, s, t)
         if dist[s] < 0:
-            return value, residual_reachable(g, s)
+            return value
         value += _blocking_flow(g, s, t, dist)
 
 

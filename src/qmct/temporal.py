@@ -219,7 +219,8 @@ def _schedule_from_movement(
 def _solve_max(graph: TimeExpandedGraph) -> tuple[int, list[int], set[int]]:
     """Max-flow value, the movement copies' flows and the residual cut."""
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
-    value, reachable = _kernel.max_flow(g, graph.super_source, graph.super_sink)
+    value = _kernel.max_flow(g, graph.super_source, graph.super_sink)
+    reachable = _kernel.residual_reachable(g, graph.super_source)
     return value, g.rem[1 : 2 * len(graph.movement) : 2], reachable
 
 

@@ -164,7 +164,8 @@ def max_flow(problem: FlowProblem, source: int, sink: int) -> MaxFlowResult:
         raise ValueError("max_flow: unbounded (a fully uncapacitated path exists)")
     denom, caps = to_integers(problem.capacities)
     g = _kernel.build(problem.num_nodes, problem.tails, problem.heads, caps)
-    value, reachable = _kernel.max_flow(g, source, sink)
+    value = _kernel.max_flow(g, source, sink)
+    reachable = _kernel.residual_reachable(g, source)
     flows = tuple(Fraction(f, denom) for f in g.rem[1::2])
     return MaxFlowResult(Fraction(value, denom), StaticFlow(flows), frozenset(reachable))
 
@@ -380,7 +381,7 @@ def expansion_max_flow(
     every expansion arc (scaled by ``graph.cap_scale``) and its value."""
     graph = expand(network, horizon)
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
-    value, _reachable = _kernel.max_flow(g, graph.super_source, graph.super_sink)
+    value = _kernel.max_flow(g, graph.super_source, graph.super_sink)
     return graph, tuple(g.rem[1::2]), value
 
 
@@ -622,7 +623,7 @@ def subset_expansion_flow(network: Network, subset, horizon: int) -> int:
             heads.append(graph.super_sink)
     caps = [*graph.capacities[:keep], *[None] * (len(tails) - keep)]
     g = _kernel.build(graph.num_nodes, tails, heads, caps)
-    return _kernel.max_flow(g, graph.super_source, graph.super_sink)[0]
+    return _kernel.max_flow(g, graph.super_source, graph.super_sink)
 
 
 def step_replay(
