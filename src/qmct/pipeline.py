@@ -10,11 +10,11 @@ certified by complementary slackness on the arcs the schedule uses.
 
 The oracle answers the same question by brute force.  Its target is the
 static optimum, from one min-cost flow on the network with capacities
-ignored; it then scans time expansions for the first horizon whose
-minimum cost over time reaches that target, with max flows up to the
-first feasible horizon and min-cost flows from there.  It shares only
-the flow kernels and the time expansions with the main path, which
-makes it a meaningful cross-check.
+ignored; it then grows one time expansion a layer at a time for the
+first horizon whose minimum cost over time reaches that target, with
+max flows up to the first feasible horizon and min-cost flows from
+there.  It builds its own expansion and shares only the flow kernels
+with the main path, which makes it a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -239,13 +239,15 @@ def solve_mincost_static(network: Network) -> SolveReport:
     )
 
 
-def _static_optimum(network: Network) -> Fraction | None:
+def _static_optimum(network: Network) -> Fraction:
     """Minimum cost of a static transshipment with arc capacities ignored.
 
     One min-cost flow on the integer form from super source ``n``, with
     an arc of capacity b into each source, to super sink ``n + 1``, with
-    an arc of capacity −b out of each sink.  None when the supplies
-    cannot all be routed.
+    an arc of capacity −b out of each sink.  When it routes r short of
+    the total supply, raises the :class:`InfeasibleError` of the
+    expansion at :func:`temporal.horizon_upper_bound`, whose max flow is
+    r (proof in :func:`oracle_quickest_mincost`).
     """
     form = network.integral
     n = len(network.nodes)
@@ -262,7 +264,8 @@ def _static_optimum(network: Network) -> Fraction | None:
     total = sum(form.balances[v] for v in sources)
     routed, _, _ = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:
-        return None
+        deficit = Fraction(total - routed, form.flow_scale)
+        raise temporal._too_small(temporal.horizon_upper_bound(network), deficit)
     # Only the network's own arcs have nonzero cost; zip stops after them.
     cost = sum(c * f for c, f in zip(form.costs, g.rem[1::2]))
     return Fraction(cost, form.flow_scale * form.cost_scale)
@@ -278,8 +281,7 @@ def oracle_quickest_mincost(
     The target is the static optimum: the least cost of a static
     transshipment with arc capacities ignored, from one min-cost flow.
     The horizon is the first one whose minimum cost over time reaches
-    it, found by max flows up to the first feasible horizon and min-cost
-    flows from there.  That horizon is the answer:
+    it.  That horizon is the answer:
 
     - No flow over time costs less than the target, because its
       projection onto the arcs is a static transshipment of the same
@@ -291,17 +293,30 @@ def oracle_quickest_mincost(
 
     So the costs from the first feasible horizon on fall to the target
     and stay there, and the first horizon that reaches it is the least
-    one at which the minimum cost is attained.  The bound caps the scan;
-    passing it raises :class:`InternalCheckError`.  When no static
-    transshipment exists no horizon is feasible, and the min-cost flow
-    at the bound raises the :class:`InfeasibleError`.
+    one at which the minimum cost is attained.
+
+    The scan grows one time expansion a layer at a time from horizon 0.
+    Up to the first feasible horizon each layer costs one max flow,
+    which augments the flow left by the last one; from there each costs
+    a min-cost flow from scratch on the same graph.  The bound caps the
+    scan; passing it raises :class:`InternalCheckError`.
+
+    When the static flow routes r short of the total supply, no horizon
+    is feasible, and the :class:`InfeasibleError` names the bound and
+    the deficit ``total − r`` without expanding: the expansion's max
+    flow at the bound is exactly r.  It is at most r, because the
+    projection of a flow over time is a static flow of the same value,
+    capacities ignored, and r is the most such a flow routes.  It is at
+    least r, because the bound's temporally repeated flow (see its
+    docstring) sends the paths of a static flow of value r within the
+    bound.
 
     Deliberately ignores the pair costs, transportation dual and
-    admissible subnetwork, sharing only the flow kernels and time
-    expansions with the main path, so it can serve as an independent
-    cross-check.  Guarded by ``max_nodes`` because the scan is
-    pseudo-polynomial, and by ``max_layers`` on every expansion it
-    builds, so the layer guard trips only when the scan passes it.
+    admissible subnetwork, and builds its own expansion, sharing only
+    the flow kernels with the main path, so it can serve as an
+    independent cross-check.  Guarded by ``max_nodes`` because the scan
+    is pseudo-polynomial, and by ``max_layers`` on the expansion it
+    grows, so the layer guard trips only when the scan passes it.
     """
     if len(network.nodes) > max_nodes:
         raise HorizonLimitError(
@@ -312,12 +327,9 @@ def oracle_quickest_mincost(
     validate_or_raise(network)
     bound = temporal.horizon_upper_bound(network)
     target = _static_optimum(network)
-    if target is None:
-        temporal.mincost_over_time(network, bound, max_layers=max_layers)
-        raise InternalCheckError(f"statically infeasible network is feasible at horizon {bound}")
-    reached = False
-    for horizon in range(bound + 1):
-        reached = reached or temporal.feasible(network, horizon, max_layers)
-        if reached and temporal.mincost_over_time(network, horizon, max_layers).cost == target:
-            return target, horizon
-    raise InternalCheckError(f"minimum cost over time is above {target} at horizon {bound}")
+    expansion = temporal._GrowingExpansion(network, max_layers)
+    while expansion.max_flow() < expansion.total or expansion.min_cost() != target:
+        if expansion.horizon == bound:
+            raise InternalCheckError(f"minimum cost over time is above {target} at horizon {bound}")
+        expansion.grow()
+    return target, expansion.horizon

@@ -14,7 +14,8 @@ expansion.  The quickest horizon is found by probing only at proven
 lower bounds, each in closed form from one terminal subset's shortest
 paths (:func:`quickest_transshipment`).  Results keep no expansion: a
 probe's flows live only until its movement copies are read back into a
-:class:`FlowOverTime`.
+:class:`FlowOverTime`.  The oracle's scan over consecutive horizons
+instead grows one expansion in place (:class:`_GrowingExpansion`).
 
 Everything here reads :attr:`Network.integral`, computed once per
 network however many horizons are expanded; other balances make another
@@ -27,6 +28,7 @@ those steps, the unit of every report's ``horizon`` and ``scale``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -114,6 +116,15 @@ class ScheduleVerification:
         return not self.violations
 
 
+def _layer_guard(horizon: int, max_layers: int | None) -> None:
+    if max_layers is not None and horizon > max_layers:
+        raise HorizonLimitError(
+            f"expansion with {horizon} layers exceeds the limit of {max_layers}",
+            requested=horizon,
+            limit=max_layers,
+        )
+
+
 def expand(
     network: Network, horizon: int, max_layers: int | None = None
 ) -> TimeExpandedGraph:
@@ -124,12 +135,7 @@ def expand(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    if max_layers is not None and horizon > max_layers:
-        raise HorizonLimitError(
-            f"expansion with {horizon} layers exceeds the limit of {max_layers}",
-            requested=horizon,
-            limit=max_layers,
-        )
+    _layer_guard(horizon, max_layers)
     form = network.integral
     transits, arc_tails = form.transits, form.tails
     caps_int, costs_int = form.capacities, form.costs
@@ -414,6 +420,14 @@ def quickest_transshipment(
         horizon = bound
 
 
+def _too_small(horizon: int, deficit: Fraction) -> InfeasibleError:
+    """The error for a horizon at which ``deficit`` units cannot arrive."""
+    return InfeasibleError(
+        f"horizon {horizon} too small: {deficit} units cannot arrive in time",
+        certificate={"horizon": horizon, "deficit": deficit},
+    )
+
+
 def mincost_over_time(
     network: Network, horizon: int, max_layers: int | None = None
 ) -> MincostOverTimeResult:
@@ -428,11 +442,7 @@ def mincost_over_time(
         g, graph.super_source, graph.super_sink, graph.total_supply_scaled
     )
     if routed < graph.total_supply_scaled:
-        deficit = Fraction(graph.total_supply_scaled - routed, graph.cap_scale)
-        raise InfeasibleError(
-            f"horizon {horizon} too small: {deficit} units cannot arrive in time",
-            certificate={"horizon": horizon, "deficit": deficit},
-        )
+        raise _too_small(horizon, Fraction(graph.total_supply_scaled - routed, graph.cap_scale))
     movement_flows = g.rem[1 : 2 * len(graph.movement) : 2]
     schedule = _schedule_from_movement(graph, movement_flows)
     # Only movement copies have nonzero cost; zip stops after them.
@@ -441,6 +451,114 @@ def mincost_over_time(
         graph.cap_scale * graph.cost_scale,
     )
     return MincostOverTimeResult(cost, schedule)
+
+
+class _GrowingExpansion:
+    """The time expansion of a network, grown in place one layer at a time.
+
+    The oracle scans horizons on one residual graph instead of expanding
+    the network afresh for each.  The super source and super sink are
+    nodes 0 and 1 at every horizon, and the copy of node ``v`` at layer
+    ``q`` is node ``2 + q·n + v``.  At :attr:`horizon` T the arcs are
+    those of ``expand(network, T)``, in another order, plus each sink's
+    spent drains from the layers below T − 1, whose capacity is 0.
+
+    *Growth* (:meth:`grow`) from T to T+1 appends the n copies of layer
+    T, the holdovers from layer T−1 into them, the movement copies whose
+    head is at layer T (arc a from layer T − τ_a, when that is ≥ 0) and,
+    for each sink t, a drain of capacity −b(t) from (t, T) to the super
+    sink; the first growth also joins the super source to the sources'
+    layer-0 copies.  Each movement copy of ``expand(network, T+1)`` has
+    its head at some layer q ≤ T and was appended with layer q, and its
+    holdovers and drains are the ones listed, so the arc sets agree.
+    The drain from (t, T−1) is spent: its capacity and its flow f become
+    0, and f moves onto the new holdover out of (t, T−1) and the new
+    drain out of (t, T).  Both copies still conserve flow, the new drain
+    carries f ≤ −b(t), and no other arc changes, so the flow stays valid
+    and keeps its value.  :meth:`max_flow` at T+1 therefore only has to
+    augment the flow left at T.
+    """
+
+    def __init__(self, network: Network, max_layers: int | None = None):
+        _layer_guard(0, max_layers)
+        form = network.integral
+        n = len(network.nodes)
+        self.n = n
+        self.max_layers = max_layers
+        self.horizon = 0
+        self.scales = (form.flow_scale, form.cost_scale)
+        self.supplies = [(v, b) for v, b in enumerate(form.balances) if b > 0]
+        self.demands = [(v, -b) for v, b in enumerate(form.balances) if b < 0]
+        self.total = sum(b for _, b in self.supplies)
+        self.routed = 0
+        # Arcs by transit: layer T appends the movement copies of a prefix.
+        order = sorted(range(len(form.tails)), key=form.transits.__getitem__)
+        self.transits = [form.transits[a] for a in order]
+        self.tail_shift = [form.tails[a] - form.transits[a] * n for a in order]
+        self.heads = [form.heads[a] for a in order]
+        self.arc_caps = [form.capacities[a] for a in order]
+        self.arc_costs = [form.costs[a] for a in order]
+        self.graph = _kernel.Residual(2)
+        # Per arc of the graph: capacity and cost, for min_cost's resets.
+        self.caps: list[int | None] = []
+        self.costs: list[int] = []
+        # Forward edge of each sink's live drain, in ``demands`` order.
+        self.drains: Sequence[int] = ()
+
+    def grow(self) -> None:
+        """Add layer :attr:`horizon`; the guard as :func:`expand`'s."""
+        layer = self.horizon
+        _layer_guard(layer + 1, self.max_layers)
+        n, g = self.n, self.graph
+        base = 2 + layer * n
+        g.add_nodes(n)
+        held = range(base - n, base) if layer else range(0)
+        live = bisect_right(self.transits, layer)
+        sinks = [v for v, _ in self.demands]
+        tails = [*held, *(base + d for d in self.tail_shift[:live]), *(base + v for v in sinks)]
+        heads = [*(u + n for u in held), *(base + v for v in self.heads[:live]), *[1] * len(sinks)]
+        caps = [*[None] * len(held), *self.arc_caps[:live], *(d for _, d in self.demands)]
+        costs = [*[0] * len(held), *self.arc_costs[:live], *[0] * len(sinks)]
+        if not layer:
+            tails += [0] * len(self.supplies)
+            heads += [2 + v for v, _ in self.supplies]
+            caps += [b for _, b in self.supplies]
+            costs += [0] * len(self.supplies)
+        first = g.add_arcs(tails, heads, caps, costs)
+        self.caps += caps
+        self.costs += costs
+        start = first + 2 * (len(held) + live)
+        drains = range(start, start + 2 * len(sinks), 2)
+        rem = g.rem
+        for old, new, v in zip(self.drains, drains, sinks):
+            f = rem[old + 1]
+            rem[old] = rem[old + 1] = self.caps[old // 2] = 0
+            rem[first + 2 * v + 1] = f
+            rem[new] -= f
+            rem[new + 1] = f
+        self.drains = drains
+        self.horizon = layer + 1
+
+    def max_flow(self) -> int:
+        """Augment the current flow to a maximum one and return its value."""
+        self.routed += _kernel.max_flow(self.graph, 0, 1)
+        return self.routed
+
+    def min_cost(self) -> Fraction:
+        """The minimum cost over time at :attr:`horizon`, from a zero flow.
+
+        Raises :class:`InfeasibleError` where :func:`mincost_over_time`
+        does, with the same message and certificate.
+        """
+        rem = [0] * (2 * len(self.caps))
+        rem[0::2] = self.caps
+        self.graph.rem = rem
+        self.routed, _, _ = _kernel.min_cost_flow(self.graph, 0, 1, self.total)
+        flow_scale, cost_scale = self.scales
+        if self.routed < self.total:
+            raise _too_small(self.horizon, Fraction(self.total - self.routed, flow_scale))
+        # Only movement copies have nonzero cost.
+        return Fraction(sum(c * f for c, f in zip(self.costs, rem[1::2])), flow_scale * cost_scale)
 
 
 def _replay(

@@ -9,7 +9,7 @@ import pytest
 import qmct
 from conftest import demo_network, detour_network, parallel_falling_costs, VARIANT_A_BALANCES
 from qmct import cli, pipeline
-from qmct.errors import HorizonLimitError
+from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.io import save_instance
 from qmct.network import Network
 
@@ -160,6 +160,26 @@ def test_guard_exit_code(capsys, tmp_path):
     code, _, err = _run(capsys, ["solve", str(path), "--max-horizon", "5"])
     assert code == 4
     assert "guard" in err
+
+
+def test_oracle_reports_static_infeasibility_under_max_horizon(capsys, tmp_path):
+    # No arc leaves the source, so no horizon is feasible.  The oracle's
+    # static flow proves it before any expansion, so a layer limit far
+    # below the bound (1 + 2 * 5 = 11) raises the same InfeasibleError.
+    net = Network.of(["a", "b", "c"], [("b", "c", 1, 5, 0)], {"a": 1, "c": -1})
+    path = tmp_path / "stranded.json"
+    save_instance(net, path)
+    with pytest.raises(InfeasibleError) as free:
+        pipeline.oracle_quickest_mincost(net)
+    with pytest.raises(InfeasibleError) as guarded:
+        pipeline.oracle_quickest_mincost(net, max_layers=3)
+    assert str(free.value) == str(guarded.value) == (
+        "horizon 11 too small: 1 units cannot arrive in time"
+    )
+    assert free.value.certificate == guarded.value.certificate == {"horizon": 11, "deficit": 1}
+    code, out, err = _run(capsys, ["solve", str(path), "--mode", "oracle", "--max-horizon", "3"])
+    assert (code, out) == (2, "")
+    assert "horizon 11 too small" in err
 
 
 def test_oracle_mode_and_verify_share_the_oracle_size_guard(capsys, tmp_path):
