@@ -483,13 +483,13 @@ class _GrowingExpansion:
         _layer_guard(0, max_layers)
         form = network.integral
         n = len(network.nodes)
+        self.form = form
         self.n = n
         self.max_layers = max_layers
         self.horizon = 0
-        self.scales = (form.flow_scale, form.cost_scale)
-        self.supplies = [(v, b) for v, b in enumerate(form.balances) if b > 0]
-        self.demands = [(v, -b) for v, b in enumerate(form.balances) if b < 0]
-        self.total = sum(b for _, b in self.supplies)
+        self.sources = [v for v, b in enumerate(form.balances) if b > 0]
+        self.sinks = [v for v, b in enumerate(form.balances) if b < 0]
+        self.total = sum(form.balances[v] for v in self.sources)
         self.routed = 0
         # Arcs by transit: layer T appends the movement copies of a prefix.
         order = sorted(range(len(form.tails)), key=form.transits.__getitem__)
@@ -502,7 +502,7 @@ class _GrowingExpansion:
         # Per arc of the graph: capacity and cost, for min_cost's resets.
         self.caps: list[int | None] = []
         self.costs: list[int] = []
-        # Forward edge of each sink's live drain, in ``demands`` order.
+        # Forward edge of each sink's live drain, in ``sinks`` order.
         self.drains: Sequence[int] = ()
 
     def grow(self) -> None:
@@ -514,16 +514,17 @@ class _GrowingExpansion:
         g.add_nodes(n)
         held = range(base - n, base) if layer else range(0)
         live = bisect_right(self.transits, layer)
-        sinks = [v for v, _ in self.demands]
+        sinks, balances = self.sinks, self.form.balances
         tails = [*held, *(base + d for d in self.tail_shift[:live]), *(base + v for v in sinks)]
         heads = [*(u + n for u in held), *(base + v for v in self.heads[:live]), *[1] * len(sinks)]
-        caps = [*[None] * len(held), *self.arc_caps[:live], *(d for _, d in self.demands)]
+        caps = [*[None] * len(held), *self.arc_caps[:live], *(-balances[v] for v in sinks)]
         costs = [*[0] * len(held), *self.arc_costs[:live], *[0] * len(sinks)]
         if not layer:
-            tails += [0] * len(self.supplies)
-            heads += [2 + v for v, _ in self.supplies]
-            caps += [b for _, b in self.supplies]
-            costs += [0] * len(self.supplies)
+            sources = self.sources
+            tails += [0] * len(sources)
+            heads += [2 + v for v in sources]
+            caps += [balances[v] for v in sources]
+            costs += [0] * len(sources)
         first = g.add_arcs(tails, heads, caps, costs)
         self.caps += caps
         self.costs += costs
@@ -554,11 +555,12 @@ class _GrowingExpansion:
         rem[0::2] = self.caps
         self.graph.rem = rem
         self.routed, _, _ = _kernel.min_cost_flow(self.graph, 0, 1, self.total)
-        flow_scale, cost_scale = self.scales
+        form = self.form
         if self.routed < self.total:
-            raise _too_small(self.horizon, Fraction(self.total - self.routed, flow_scale))
+            raise _too_small(self.horizon, Fraction(self.total - self.routed, form.flow_scale))
         # Only movement copies have nonzero cost.
-        return Fraction(sum(c * f for c, f in zip(self.costs, rem[1::2])), flow_scale * cost_scale)
+        cost = sum(c * f for c, f in zip(self.costs, rem[1::2]))
+        return Fraction(cost, form.flow_scale * form.cost_scale)
 
 
 def _replay(

@@ -39,7 +39,8 @@ def _crosscheck():
 
 def _rational():
     for seed in range(100):
-        net = generate(seed, nodes=3 + seed % 5, terminals=3, tau_max=3, negative_costs=seed % 2 == 0)
+        negative = seed % 2 == 0
+        net = generate(seed, nodes=3 + seed % 5, terminals=3, tau_max=3, negative_costs=negative)
         k = 2 + seed % 2
         arcs = tuple(
             Arc(a.tail, a.head, a.capacity / (1 + i % 3), a.transit / k, a.cost / 2)

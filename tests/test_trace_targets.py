@@ -24,6 +24,14 @@ def test_every_traced_target_resolves():
         assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
 
 
+def _has_ancestor(spans, span, name):
+    while span.parent is not None:
+        span = spans[span.parent]
+        if span.name == name:
+            return True
+    return False
+
+
 def test_describe_hooks_run_on_a_solve_and_an_oracle_call():
     network = io.load_instance(ROOT / "instances" / "demo.json")
     recorder = SpanRecorder()
@@ -40,15 +48,9 @@ def test_describe_hooks_run_on_a_solve_and_an_oracle_call():
     skipped = {"staticflow.decompose", "temporal.mincost"}
     assert seen == {name for _, _, name, _ in layers.TARGETS} - skipped
     # The oracle's kernel work is still traced, under the oracle's span.
-    def under_oracle(span):
-        while span.parent is not None:
-            span = recorder.spans[span.parent]
-            if span.name == "pipeline.oracle":
-                return True
-        return False
-
-    kernels = {span.name for span in recorder.spans if under_oracle(span)}
-    assert kernels >= {"kernel.max_flow", "kernel.min_cost_flow"}
+    spans = recorder.spans
+    under_oracle = {s.name for s in spans if _has_ancestor(spans, s, "pipeline.oracle")}
+    assert under_oracle >= {"kernel.max_flow", "kernel.min_cost_flow"}
     for span in recorder.spans:
         assert (span.attrs is not None) == (span.name in described), span.name
     metrics = layers.pass_metrics(recorder.spans, begin, end)
