@@ -328,8 +328,15 @@ def oracle_quickest_mincost(
     bound = temporal.horizon_upper_bound(network)
     target = _static_optimum(network)
     expansion = temporal._GrowingExpansion(network, max_layers)
-    while expansion.max_flow() < expansion.total or expansion.min_cost() != target:
+
+    def grow() -> None:
         if expansion.horizon == bound:
             raise InternalCheckError(f"minimum cost over time is above {target} at horizon {bound}")
         expansion.grow()
+
+    while expansion.routed < expansion.total:
+        grow()
+        expansion.max_flow()
+    while expansion.min_cost() != target:
+        grow()
     return target, expansion.horizon
