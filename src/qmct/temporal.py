@@ -499,14 +499,17 @@ class _GrowingExpansion:
         self.arc_caps = [form.capacities[a] for a in order]
         self.arc_costs = [form.costs[a] for a in order]
         self.graph = _kernel.Residual(2)
-        # Per arc of the graph: capacity and cost, for min_cost's resets.
+        # Each arc's capacity in the graph, for min_cost's resets.
         self.caps: list[int | None] = []
-        self.costs: list[int] = []
         # Forward edge of each sink's live drain, in ``sinks`` order.
         self.drains: Sequence[int] = ()
 
     def grow(self) -> None:
-        """Add layer :attr:`horizon`; the guard as :func:`expand`'s."""
+        """Append layer :attr:`horizon` and move the drains onto it.
+
+        Raises :class:`HorizonLimitError` where :func:`expand` would for
+        the new horizon.
+        """
         layer = self.horizon
         _layer_guard(layer + 1, self.max_layers)
         n, g = self.n, self.graph
@@ -527,7 +530,6 @@ class _GrowingExpansion:
             costs += [0] * len(sources)
         first = g.add_arcs(tails, heads, caps, costs)
         self.caps += caps
-        self.costs += costs
         start = first + 2 * (len(held) + live)
         drains = range(start, start + 2 * len(sinks), 2)
         rem = g.rem
@@ -559,7 +561,7 @@ class _GrowingExpansion:
         if self.routed < self.total:
             raise _too_small(self.horizon, Fraction(self.total - self.routed, form.flow_scale))
         # Only movement copies have nonzero cost.
-        cost = sum(c * f for c, f in zip(self.costs, rem[1::2]))
+        cost = sum(c * f for c, f in zip(self.graph.cost[0::2], rem[1::2]))
         return Fraction(cost, form.flow_scale * form.cost_scale)
 
 
