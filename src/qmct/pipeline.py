@@ -314,9 +314,12 @@ def oracle_quickest_mincost(
     Deliberately ignores the pair costs, transportation dual and
     admissible subnetwork, and builds its own expansion, sharing only
     the flow kernels with the main path, so it can serve as an
-    independent cross-check.  Guarded by ``max_nodes`` because the scan
-    is pseudo-polynomial, and by ``max_layers`` on the expansion it
-    grows, so the layer guard trips only when the scan passes it.
+    independent cross-check.  For the same reason its expansion is the
+    full one: it keeps the copies that :func:`temporal.expand` prunes
+    as unusable, so it does not rest on that pruning's proof.  Guarded
+    by ``max_nodes`` because the scan is pseudo-polynomial, and by
+    ``max_layers`` on the expansion it grows, so the layer guard trips
+    only when the scan passes it.
     """
     if len(network.nodes) > max_nodes:
         raise HorizonLimitError(

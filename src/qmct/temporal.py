@@ -10,12 +10,14 @@ Holdover arcs let flow wait at any node free of charge.  Supplies are
 injected on layer 0 and demands drained from the last layer, both via
 super terminals, which makes feasibility at horizon ``T`` a max-flow
 question and minimum cost over time a min-cost-flow question on the
-expansion.  The quickest horizon is found by probing only at proven
+expansion.  :func:`expand` builds only the copies that some flow could
+use: those reached from a source in time and reaching a sink by the
+horizon.  The quickest horizon is found by probing only at proven
 lower bounds, each in closed form from one terminal subset's shortest
 paths (:func:`quickest_transshipment`).  Results keep no expansion: a
 probe's flows live only until its movement copies are read back into a
 :class:`FlowOverTime`.  The oracle's scan over consecutive horizons
-instead grows one expansion in place (:class:`_GrowingExpansion`).
+instead grows one full expansion in place (:class:`_GrowingExpansion`).
 
 Everything here reads :attr:`Network.integral`, computed once per
 network however many horizons are expanded; other balances make another
@@ -44,10 +46,12 @@ class TimeExpandedGraph:
     """Static expansion of a network over an integer horizon.
 
     Node copy ``(v, layer)`` has index ``layer * n + v``; the super
-    source and super sink occupy the last two indices.  Arc order is
-    movement copies first (aligned with ``movement``), then holdover
-    arcs, then terminal wiring.  Capacities and costs are stored scaled
-    to integers; ``cap_scale``/``cost_scale`` restore rationals.
+    source and super sink occupy the last two indices, so ``num_nodes``
+    is ``n·T + 2`` however many copies are dropped, and a dropped copy
+    is an isolated node.  Arc order is movement copies first (aligned
+    with ``movement``), then holdover arcs, then terminal wiring.
+    Capacities and costs are stored scaled to integers;
+    ``cap_scale``/``cost_scale`` restore rationals.
     """
 
     network: Network
@@ -125,10 +129,66 @@ def _layer_guard(horizon: int, max_layers: int | None) -> None:
         )
 
 
+def _least_transits(network: Network) -> tuple[list[int | None], list[int | None]]:
+    """``e(v)`` and ``ℓ(v)``: the least transit in steps from any source
+    to v and from v to any sink, None where there is no path."""
+    form = network.integral
+    n = len(network.nodes)
+    sources = [v for v, b in enumerate(form.balances) if b > 0]
+    sinks = [v for v, b in enumerate(form.balances) if b < 0]
+    arcs = list(zip(form.tails, form.heads, form.transits))
+    # Node n is a root joined at no cost to the sources, or, with every
+    # arc reversed, to the sinks.
+    forward = _kernel.arc_graph(n + 1, [*arcs, *((n, s, 0) for s in sources)])
+    reverse = ((w, u, tau) for u, w, tau in arcs)
+    backward = _kernel.arc_graph(n + 1, [*reverse, *((n, t, 0) for t in sinks)])
+    return _kernel.labels(forward, n)[:n], _kernel.labels(backward, n)[:n]
+
+
 def expand(
     network: Network, horizon: int, max_layers: int | None = None
 ) -> TimeExpandedGraph:
-    """Build the time expansion for an integer horizon.
+    """Build the live part of the time expansion for an integer horizon.
+
+    Let ``e(v)`` be the least transit from any source to v and ``ℓ(v)``
+    the least transit from v to any sink, ∞ without a path (transits are
+    non-negative).  Flow sent into the super source reaches copy
+    ``(v, q)`` only if ``e(v) <= q``, and flow at ``(v, q)`` reaches the
+    super sink only if ``q + ℓ(v) <= T − 1``.  So the movement copy of arc
+    ``a = (u, w)`` at layer q is kept iff ``e(u) <= q`` and ``q + τ_a +
+    ℓ(w) <= T − 1``, the holdover ``(v, q) → (v, q+1)`` iff ``e(v) <= q``
+    and ``q + 1 + ℓ(v) <= T − 1``, and every terminal wiring arc is kept.
+    Conversely, a copy kept lies on the path that joins a source to its
+    tail's copy by least transits, waits, crosses it and reaches a sink
+    in time; so the kept copies are exactly those on some super source
+    → super sink path of the full expansion.  Dropped copies leave
+    isolated nodes; numbering and order are those of the full expansion
+    with the dropped arcs left out.
+
+    Nothing a caller reads changes.  In the full expansion let R be the
+    nodes the super source reaches and L those that reach the super
+    sink.  No arc leaves R and none enters L from outside, so the kept
+    movement copies and holdovers, the arcs from R into L, join nodes of
+    R ∩ L.  Both kernels augment along residual super source → super
+    sink paths, and such a path never leaves R and, ending in L, never
+    leaves L, as long as only kept arcs carry flow (their reverse edges
+    stay inside R ∩ L); so its forward edges are kept arcs, and by
+    induction every flow the kernels reach on the full expansion uses
+    kept arcs only.  Hence:
+
+    - the max-flow values agree, and so do min costs: the min-cost flow
+      that successive shortest paths find on the full expansion, which
+      has no negative cycle as the network has none, is a flow of the
+      kept part;
+    - Dinic (:func:`_kernel.max_flow`) makes the same augmentations: the
+      shortest residual path to the super sink from a node of R is one
+      such path, so the levels that its blocking flow reads are the same,
+      and its search from the super source steps only along kept edges,
+      which each node lists in the same order;
+    - the residual-reachable set after it agrees on every node of L, as
+      a residual path into L never leaves it.  Every sink's last copy is
+      in L, and a source copy outside L keeps its wiring arc, which
+      carries no flow, so A_X (:func:`_violated_subset`) is the same.
 
     Raises :class:`HorizonLimitError` when the layer count would exceed
     ``max_layers``.
@@ -140,32 +200,34 @@ def expand(
     transits, arc_tails = form.transits, form.tails
     caps_int, costs_int = form.capacities, form.costs
     n = len(network.nodes)
+    # No path counts as ∞; the horizon is far enough to keep no copy.
+    early, late = ([horizon if d is None else d for d in ds] for ds in _least_transits(network))
     # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
     head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
 
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int | None] = []
-    costs: list[int] = []
-    movement: list[tuple[int, int]] = []
-
+    # Copy ``(layer, i)`` of arc i is kept for starts[i] <= layer < stops[i],
+    # sorted layer by layer, arcs in order, as the key ``layer·m + i``.
+    m = len(network.arcs)
+    starts = [early[u] for u in arc_tails]
+    stops = [horizon - tau - late[w] for tau, w in zip(transits, form.heads)]
+    keys = sorted(
+        layer * m + i for i, (a, b) in enumerate(zip(starts, stops)) for layer in range(a, b)
+    )
+    copies = [divmod(key, m) for key in keys]
+    tails = [layer * n + arc_tails[i] for layer, i in copies]
+    heads = [layer * n + head_shift[i] for layer, i in copies]
+    caps: list[int | None] = [caps_int[i] for _, i in copies]
+    costs = [costs_int[i] for _, i in copies]
+    movement = [(i, layer) for layer, i in copies]
+    # Holdover ``(v, q) → (v, q+1)`` for early[v] <= q < T − 1 − late[v],
+    # listed by its tail, the copy ``q·n + v``.
     last_layer = horizon - 1
-    arc_range = range(len(network.arcs))
-    for layer in range(horizon):
-        offset = layer * n
-        slack = last_layer - layer
-        live = [i for i in arc_range if transits[i] <= slack]
-        tails.extend([offset + arc_tails[i] for i in live])
-        heads.extend([offset + head_shift[i] for i in live])
-        caps.extend([caps_int[i] for i in live])
-        costs.extend([costs_int[i] for i in live])
-        movement.extend([(i, layer) for i in live])
+    waits = sorted(q * n + v for v in range(n) for q in range(early[v], last_layer - late[v]))
     holdover_start = len(tails)
-    waits = max(horizon - 1, 0) * n
-    tails.extend(range(waits))
-    heads.extend(range(n, n + waits))
-    caps.extend([None] * waits)
-    costs.extend([0] * waits)
+    tails += waits
+    heads += [u + n for u in waits]
+    caps += [None] * len(waits)
+    costs += [0] * len(waits)
 
     super_source = n * horizon
     super_sink = super_source + 1
@@ -460,15 +522,17 @@ class _GrowingExpansion:
     the network afresh for each.  The super source and super sink are
     nodes 0 and 1 at every horizon, and the copy of node ``v`` at layer
     ``q`` is node ``2 + q·n + v``.  At :attr:`horizon` T the arcs are
-    those of ``expand(network, T)``, in another order, plus each sink's
-    spent drains from the layers below T − 1, whose capacity is 0.
+    those of the full expansion for T, every copy that arrives by T, in
+    another order, plus each sink's spent drains from the layers below
+    T − 1, whose capacity is 0.  Unlike :func:`expand` it keeps the
+    copies that no flow can use.
 
     *Growth* (:meth:`grow`) from T to T+1 appends the n copies of layer
     T, the holdovers from layer T−1 into them, the movement copies whose
     head is at layer T (arc a from layer T − τ_a, when that is ≥ 0) and,
     for each sink t, a drain of capacity −b(t) from (t, T) to the super
     sink; the first growth also joins the super source to the sources'
-    layer-0 copies.  Each movement copy of ``expand(network, T+1)`` has
+    layer-0 copies.  Each movement copy of the full expansion for T+1 has
     its head at some layer q ≤ T and was appended with layer q, and its
     holdovers and drains are the ones listed, so the arc sets agree.
     The drain from (t, T−1) is spent: its capacity and its flow f become
@@ -501,6 +565,8 @@ class _GrowingExpansion:
         self.graph = _kernel.Residual(2)
         # Each arc's capacity in the graph, for min_cost's resets.
         self.caps: list[int | None] = []
+        # Forward edges of the movement copies with nonzero cost.
+        self.costly_edges: list[int] = []
         # Forward edge of each sink's live drain, in ``sinks`` order.
         self.drains: Sequence[int] = ()
 
@@ -530,7 +596,9 @@ class _GrowingExpansion:
             costs += [0] * len(sources)
         first = g.add_arcs(tails, heads, caps, costs)
         self.caps += caps
-        start = first + 2 * (len(held) + live)
+        moves = first + 2 * len(held)
+        self.costly_edges += [moves + 2 * j for j, c in enumerate(self.arc_costs[:live]) if c]
+        start = moves + 2 * live
         drains = range(start, start + 2 * len(sinks), 2)
         rem = g.rem
         for old, new, v in zip(self.drains, drains, sinks):
@@ -560,8 +628,7 @@ class _GrowingExpansion:
         form = self.form
         if self.routed < self.total:
             raise _too_small(self.horizon, Fraction(self.total - self.routed, form.flow_scale))
-        # Only movement copies have nonzero cost.
-        cost = sum(c * f for c, f in zip(self.graph.cost[0::2], rem[1::2]))
+        cost = sum(self.graph.cost[e] * rem[e + 1] for e in self.costly_edges)
         return Fraction(cost, form.flow_scale * form.cost_scale)
 
 

@@ -23,6 +23,13 @@ turns every value of a document into its own ``Fraction``, where
 The remaining helpers (cheapest-path subnetworks, the capacity view of
 a network and cut capacities) serve tests only.
 
+:func:`full_expand` is the reference time expansion, every copy that
+arrives by the horizon, which :func:`qmct.temporal.expand` replaced by
+the copies on some super source → super sink path;
+:func:`expansion_max_flow`, :func:`expansion_search` and
+:func:`subset_expansion_flow` build it, so that they do not rest on the
+pruning.
+
 :func:`scale_transits` is the reference for counting time in steps of
 ``1/time_scale``: it builds a second network whose transits are the
 integer step counts, which the solver once did before every time
@@ -62,9 +69,9 @@ from qmct.temporal import (
     FlowOverTime,
     QuickestResult,
     TimeExpandedGraph,
+    _layer_guard,
     _schedule_from_movement,
     _solve_max,
-    expand,
     horizon_upper_bound,
     mincost_over_time,
 )
@@ -374,12 +381,89 @@ def pair_count_horizon_bound(network: Network) -> int:
     return -(-total // u_min) + pairs * (len(network.nodes) - 1) * tau_max
 
 
+def full_expand(
+    network: Network, horizon: int, max_layers: int | None = None
+) -> TimeExpandedGraph:
+    """The full time expansion for an integer horizon: every movement
+    copy that arrives by the horizon and every holdover, in the order
+    and numbering of :func:`qmct.temporal.expand`, which keeps only the
+    copies on some super source → super sink path of this one."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    _layer_guard(horizon, max_layers)
+    form = network.integral
+    transits, arc_tails = form.transits, form.tails
+    caps_int, costs_int = form.capacities, form.costs
+    n = len(network.nodes)
+    # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
+    head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
+
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int | None] = []
+    costs: list[int] = []
+    movement: list[tuple[int, int]] = []
+
+    last_layer = horizon - 1
+    arc_range = range(len(network.arcs))
+    for layer in range(horizon):
+        offset = layer * n
+        slack = last_layer - layer
+        live = [i for i in arc_range if transits[i] <= slack]
+        tails.extend([offset + arc_tails[i] for i in live])
+        heads.extend([offset + head_shift[i] for i in live])
+        caps.extend([caps_int[i] for i in live])
+        costs.extend([costs_int[i] for i in live])
+        movement.extend([(i, layer) for i in live])
+    holdover_start = len(tails)
+    waits = max(horizon - 1, 0) * n
+    tails.extend(range(waits))
+    heads.extend(range(n, n + waits))
+    caps.extend([None] * waits)
+    costs.extend([0] * waits)
+
+    super_source = n * horizon
+    super_sink = super_source + 1
+    wiring_start = len(tails)
+    total_scaled = sum(b for b in form.balances if b > 0)
+    if horizon > 0:
+        for v, b in enumerate(form.balances):
+            if b > 0:
+                tails.append(super_source)
+                heads.append(v)
+                caps.append(b)
+                costs.append(0)
+            elif b < 0:
+                tails.append(last_layer * n + v)
+                heads.append(super_sink)
+                caps.append(-b)
+                costs.append(0)
+
+    return TimeExpandedGraph(
+        network=network,
+        horizon=horizon,
+        num_nodes=super_sink + 1,
+        tails=tuple(tails),
+        heads=tuple(heads),
+        capacities=tuple(caps),
+        costs=tuple(costs),
+        movement=tuple(movement),
+        holdover_start=holdover_start,
+        wiring_start=wiring_start,
+        super_source=super_source,
+        super_sink=super_sink,
+        cap_scale=form.flow_scale,
+        cost_scale=form.cost_scale,
+        total_supply_scaled=total_scaled,
+    )
+
+
 def expansion_max_flow(
     network: Network, horizon: int
 ) -> tuple[TimeExpandedGraph, tuple[int, ...], int]:
     """Max flow on the time expansion: the graph, the integer flow of
     every expansion arc (scaled by ``graph.cap_scale``) and its value."""
-    graph = expand(network, horizon)
+    graph = full_expand(network, horizon)
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
     value = _kernel.max_flow(g, graph.super_source, graph.super_sink)
     return graph, tuple(g.rem[1::2]), value
@@ -561,7 +645,7 @@ def expansion_search(network: Network) -> QuickestResult:
 
     def probe(horizon: int) -> bool:
         nonlocal feasible_probe, cut
-        graph = expand(network, horizon)
+        graph = full_expand(network, horizon)
         value, flows, reachable = _solve_max(graph)
         if value == graph.total_supply_scaled:
             feasible_probe = (graph, flows)
@@ -609,7 +693,7 @@ def subset_expansion_flow(network: Network, subset, horizon: int) -> int:
     in units of the network's ``flow_scale``."""
     if horizon == 0:
         return 0
-    graph = expand(network, horizon)
+    graph = full_expand(network, horizon)
     n = len(network.nodes)
     keep = graph.wiring_start
     tails, heads = list(graph.tails[:keep]), list(graph.heads[:keep])

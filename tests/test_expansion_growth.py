@@ -2,8 +2,9 @@
 
 At every horizon from 0 to three past the answer, the warm-started max
 flow of :class:`qmct.temporal._GrowingExpansion` must route what a max
-flow on ``expand(net, T)`` routes, and its min-cost flow must cost what
-:func:`qmct.temporal.mincost_over_time` costs, or raise the same error.
+flow on the full expansion for T routes, and its min-cost flow must
+cost what :func:`qmct.temporal.mincost_over_time` costs, or raise the
+same error.
 One expansion grows with max flows only, as the oracle's scan up to the
 first feasible horizon does; another grows with a min-cost flow at every
 horizon.

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from _brute import expansion_max_flow, pair_count_horizon_bound, scale_transits
+from _brute import expansion_max_flow, full_expand, pair_count_horizon_bound, scale_transits
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2, detour_network
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
@@ -87,8 +87,11 @@ def test_expand_counts_steps_of_the_time_scale():
 # Digest of every ``TimeExpandedGraph`` field (the network aside) at
 # horizons 0-12, for the bundled instances and 20 generated ones, half
 # of them with rational capacities and costs, so that a rewrite of
-# ``expand`` that moves, drops or rescales any arc shows up.
+# ``expand`` that moves, drops or rescales any arc shows up.  The first
+# pins the full expansion of ``_brute.full_expand``, the second the
+# pruned one of ``expand``.
 EXPANSION_GOLDEN = "48aa6148740657f02972dd20dace2d50af8f716d207fd0133e2db7884428e0f1"
+PRUNED_EXPANSION_GOLDEN = "cfb93812e97441729cc363a403c5f22d55ee0acd6602e98836b035dc276b21eb"
 
 
 def _expansion_instances():
@@ -105,12 +108,12 @@ def _expansion_instances():
         yield Network(net.nodes, arcs, dict(net.balances))
 
 
-def test_expansion_matches_golden_digest():
+def _expansion_digest(build) -> str:
     digest = hashlib.sha256()
     count = 0
     for net in _expansion_instances():
         for horizon in range(13):
-            graph = expand(net, horizon)
+            graph = build(net, horizon)
             fields = [
                 graph.horizon,
                 graph.num_nodes,
@@ -132,7 +135,15 @@ def test_expansion_matches_golden_digest():
             digest.update(json.dumps(fields).encode())
         count += 1
     assert count == 23
-    assert digest.hexdigest() == EXPANSION_GOLDEN
+    return digest.hexdigest()
+
+
+def test_expansion_matches_golden_digest():
+    assert _expansion_digest(full_expand) == EXPANSION_GOLDEN
+
+
+def test_pruned_expansion_matches_golden_digest():
+    assert _expansion_digest(expand) == PRUNED_EXPANSION_GOLDEN
 
 
 def test_expansion_size_bound(demo):
