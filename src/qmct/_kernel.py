@@ -23,10 +23,10 @@ how often a label falls is no such test: parallel arcs of falling
 negative cost lower a label many times without any cycle.
 
 Private module.  Capacities, balances and costs are plain integers:
-callers read a network's :attr:`~qmct.network.Network.integral` form, or
-scale other rational data with :func:`qmct.rationals.to_integers`, and
-unscale results on the way out.  A capacity of ``None`` means
-uncapacitated; it is only ever compared against, never used in arithmetic.
+callers read a network's :attr:`~qmct.network.Network.integral` form
+(``generate`` scales the balances it draws), and unscale results on the
+way out.  A capacity of ``None`` means uncapacitated; it is only ever
+compared against, never used in arithmetic.
 """
 
 from __future__ import annotations

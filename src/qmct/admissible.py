@@ -6,13 +6,13 @@ dual value.  With a feasible dual every super-source-to-super-sink path
 has non-negative cost, and the zero-cost ones are exactly the paths a
 minimum-cost shipment plan may use.  The admissible arc set consists of
 the original arcs lying on such a zero-cost path: none without terminals,
-and none with a warning when terminals cannot connect.  Labels run on the
-base network's integer costs plus the terminal duals scaled to match.
+and none with a warning when terminals cannot connect.  The duals are
+integers at the network's ``cost_scale`` already, so labels run on the
+base network's integer costs and the duals as they are.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import _kernel
 from .errors import InternalCheckError
 from .network import Network
-from .rationals import to_integers
 from .transport import DualSolution
 
 
@@ -30,12 +29,12 @@ class ExtendedNetwork:
 
     Nodes 0..n-1 are the base nodes in order; ``super_source`` is n and
     ``super_sink`` is n+1.  Terminal arcs have zero transit and no
-    capacity bound; only their costs matter here.  ``arcs`` lists base
-    then terminal arcs as ``(tail, head, cost)``.
+    capacity bound; only their costs matter here.  ``terminal_arcs`` are
+    ``(tail, head, cost)`` with costs at the base network's ``cost_scale``.
     """
 
     base: Network
-    terminal_arcs: tuple[tuple[int, int, Fraction], ...]
+    terminal_arcs: tuple[tuple[int, int, int], ...]
     base_arc_count: int
     super_source: int
     super_sink: int
@@ -44,23 +43,19 @@ class ExtendedNetwork:
     def num_nodes(self) -> int:
         return len(self.base.nodes) + 2
 
-    @property
-    def arcs(self) -> tuple[tuple[int, int, Fraction], ...]:
-        form, costs = self.base.integral, (a.cost for a in self.base.arcs)
-        return (*zip(form.tails, form.heads, costs), *self.terminal_arcs)
-
 
 @dataclass(frozen=True)
 class Subnetwork:
     """Original-arc subset; super-terminal arcs are never included.
 
     ``labels`` are the cheapest-path costs from the super source that
-    cut the subset out, one per base node (``None`` when unreached).
+    cut the subset out, at the network's ``cost_scale``, one per base
+    node (``None`` when unreached).
     """
 
     arc_indices: frozenset[int]
     connected: bool
-    labels: tuple[Fraction | None, ...]
+    labels: tuple[int | None, ...]
 
 
 def extend(network: Network, dual: DualSolution) -> ExtendedNetwork:
@@ -85,24 +80,18 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     form, terminal = extended.base.integral, extended.terminal_arcs
     tails = [*form.tails, *(u for u, _, _ in terminal)]
     heads = [*form.heads, *(v for _, v, _ in terminal)]
-    # The base costs are integers at cost_scale already; scale only the duals.
-    dual_scale, duals = to_integers(c for _, _, c in terminal)
-    scale = math.lcm(form.cost_scale, dual_scale)
-    costs = [c * (scale // form.cost_scale) for c in form.costs]
-    costs += [d * (scale // dual_scale) for d in duals]
+    costs = [*form.costs, *(c for _, _, c in terminal)]
     forward = _kernel.labels(
         _kernel.arc_graph(n, zip(tails, heads, costs)), extended.super_source
     )
-    labels = tuple(
-        None if d is None else Fraction(d, scale) for d in forward[: len(extended.base.nodes)]
-    )
+    labels = tuple(forward[: len(extended.base.nodes)])
     opt = forward[extended.super_sink]
     if opt is None:
         if terminal:
             warnings.warn("super sink unreachable; admissible subnetwork is empty", stacklevel=2)
         return Subnetwork(frozenset(), connected=False, labels=labels)
     if opt != 0:
-        cost = Fraction(opt, scale)
+        cost = Fraction(opt, form.cost_scale)
         raise InternalCheckError(
             f"cheapest extended path costs {cost}, expected 0 for an optimal dual"
         )

@@ -2,10 +2,10 @@
 
 Arc costs may be negative as long as the network is conservative, so
 labels come from the label-correcting routine :func:`qmct._kernel.labels`
-rather than from Dijkstra.  Labels run on the integer costs of
-:attr:`Network.integral <qmct.network.Network.integral>` and become
-exact Fractions only where they are returned.  A reachable negative
-cycle, which validation excludes, raises
+rather than from Dijkstra.  Labels run on, and are returned as, the
+integer costs of :attr:`Network.integral <qmct.network.Network.integral>`
+at its ``cost_scale``.  A reachable negative cycle, which validation
+excludes, raises
 :class:`~qmct.errors.InternalCheckError`.  Unreachable nodes are
 represented by absence from the label map, never by a sentinel value.
 """
@@ -13,7 +13,6 @@ represented by absence from the label map, never by a sentinel value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from . import _kernel
@@ -27,19 +26,20 @@ TO_SINK = "to-sink"
 class CostLabels:
     """Cheapest-path costs from (or to) a fixed endpoint.
 
-    ``values`` holds one entry per reachable node; nodes absent from the
-    map are unreachable.  ``direction`` says whether costs are measured
-    from the origin outwards or towards the target.
+    ``values`` holds one integer cost at the network's ``cost_scale`` per
+    reachable node; nodes absent from the map are unreachable.
+    ``direction`` says whether costs are measured from the origin
+    outwards or towards the target.
     """
 
     origin: NodeId
     direction: str
-    values: Mapping[NodeId, Fraction]
+    values: Mapping[NodeId, int]
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self.values
 
-    def __getitem__(self, node: NodeId) -> Fraction:
+    def __getitem__(self, node: NodeId) -> int:
         return self.values[node]
 
 
@@ -52,8 +52,7 @@ def _graph(network: Network, reverse: bool = False) -> _kernel.Residual:
 def _cost_labels(network: Network, origin: NodeId, direction: str) -> CostLabels:
     g = _graph(network, reverse=direction == TO_SINK)
     dist = _kernel.labels(g, network.node_index(origin))
-    scale = network.integral.cost_scale
-    values = {v: Fraction(d, scale) for v, d in zip(network.nodes, dist) if d is not None}
+    values = {v: d for v, d in zip(network.nodes, dist) if d is not None}
     return CostLabels(origin, direction, values)
 
 
@@ -67,21 +66,20 @@ def cheapest_to(network: Network, sink: NodeId) -> CostLabels:
     return _cost_labels(network, sink, TO_SINK)
 
 
-def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], Fraction]:
-    """Cheapest-path cost for every source-sink pair connected by a path.
+def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], int]:
+    """Cheapest-path cost, at ``cost_scale``, for every connected source-sink pair.
 
     Pairs with no connecting path are absent from the result.  One label
     graph serves every source.
     """
     g = _graph(network)
     idx = network.node_index
-    scale = network.integral.cost_scale
     sinks = network.sinks
-    costs: dict[tuple[NodeId, NodeId], Fraction] = {}
+    costs: dict[tuple[NodeId, NodeId], int] = {}
     for s in network.sources:
         dist = _kernel.labels(g, idx(s))
         for t in sinks:
             d = dist[idx(t)]
             if d is not None:
-                costs[(s, t)] = Fraction(d, scale)
+                costs[(s, t)] = d
     return costs

@@ -7,8 +7,8 @@ Subcommands:
   generate  write a seeded random instance file
 
 Exit codes: 0 success, 2 infeasible, 3 validation failure (an invalid
-or unreadable instance file, a usage error or an out-of-range option),
-4 horizon or size guard tripped.
+or unreadable instance file, an unwritable output path, a usage error
+or an out-of-range option), 4 horizon or size guard tripped.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ missing ids mean zero).  Numeric values are integers or exact strings
 ("3/2", "1.5"); JSON floats are rejected to keep arithmetic exact.
 
 :func:`network_from_doc` parses each distinct literal of a document once,
-into one shared ``Fraction``; later stages read :attr:`Network.integral`,
-and ``admissible`` scales only the terminal duals it adds.
+into one shared ``Fraction``; every later stage reads the integers of
+:attr:`Network.integral` at its scales, and no stage scales again.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def network_to_doc(network: Network) -> dict:
 
 def load_instance(path: str | Path) -> Network:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # nested too deeply
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc.strerror})") from exc
@@ -114,9 +114,12 @@ def load_instance(path: str | Path) -> Network:
 
 
 def save_instance(network: Network, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        json.dump(network_to_doc(network), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(network_to_doc(network), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write ({exc.strerror})") from exc
 
 
 def schedule_to_doc(schedule) -> dict:

@@ -62,10 +62,11 @@ class SolveReport:
 
 @dataclass
 class AlgorithmRun:
-    """All intermediates of the cost-first pipeline, for verification."""
+    """All intermediates of the cost-first pipeline, for verification;
+    pair costs, dual and labels are integers at the network's ``cost_scale``."""
 
     network: Network
-    pair_costs: dict[tuple[NodeId, NodeId], Fraction]
+    pair_costs: dict[tuple[NodeId, NodeId], int]
     instance: transport.TransportationInstance
     solution: transport.TransportSolution
     actives: frozenset[tuple[NodeId, NodeId]]
@@ -149,19 +150,20 @@ def check_admissible_routing(run: AlgorithmRun) -> bool:
     labels, so each one is 0 and both inequalities hold with equality.
     Zero-cost cycles give the same result.  Every scheduled arc lies on
     some routed path or cycle, and every source and sink ends a routed
-    path because all supplies are routed, so (i) and (ii) follow.
+    path because all supplies are routed, so (i) and (ii) follow.  Both
+    compare integers at the network's ``cost_scale``.
     """
     network = run.network
-    index = network.node_index
+    index, form = network.node_index, network.integral
     labels = run.subnetwork.labels
     dual = run.solution.dual
     for v in (*network.sources, *network.sinks):
         if labels[index(v)] != -dual[v]:
             return False
     for entry in run.schedule.arc_flows:
-        arc = network.arcs[entry.arc]
-        tail, head = labels[index(arc.tail)], labels[index(arc.head)]
-        if tail is None or head is None or tail + arc.cost != head:
+        a = entry.arc
+        tail, head = labels[form.tails[a]], labels[form.heads[a]]
+        if tail is None or head is None or tail + form.costs[a] != head:
             return False
     return True
 

@@ -5,8 +5,11 @@ times, costs, balances, flow rates, horizons) are exact rationals backed
 by :class:`fractions.Fraction`; floats are rejected so that tightness
 tests (dual constraints, cheapest-path membership) compare for equality.
 A document's literals are parsed once each (``io.network_from_doc``);
-:func:`to_integers` then scales each network's values once
-(``Network.integral``), and ``admissible`` only the terminal duals.
+:func:`to_integers` then scales each network's values once, in
+``Network.integral``.  The static stages and the time expansions run on
+those integers at the network's scales; ``Fraction``s are made again
+only where a value leaves the solver.  The only other caller is
+``generate``, which scales the balances it draws.
 """
 
 from __future__ import annotations

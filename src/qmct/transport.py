@@ -3,10 +3,11 @@
 The bipartite instance connects every source-sink pair that is joined by
 a path, with the pair's cheapest-path cost as arc cost and unlimited
 capacity.  Solving it yields the primal shipment plan, an optimal dual
-vector on the terminals, and the set of active (tight) pairs.  The
-solve scales supplies, demands and pair costs to integers once and runs
-the integer min-cost flow of :mod:`qmct._kernel`; shipments, duals and
-the optimum come back as exact ``Fraction``s.
+vector on the terminals, and the set of active (tight) pairs.  Amounts,
+shipments included, are the integers of :attr:`Network.integral
+<qmct.network.Network.integral>` at its ``flow_scale``, and costs and
+duals at its ``cost_scale``, so the kernel's min-cost flow runs on them
+as they are; only the optimum and error messages are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Mapping
 from . import _kernel
 from .errors import InfeasibleError, InternalCheckError
 from .network import Network, NodeId
-from .rationals import to_integers
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,19 @@ class TransportationInstance:
     """Bipartite shipment problem with uncapacitated pair arcs.
 
     ``pairs[k] = (i, j)`` connects ``sources[i]`` to ``sinks[j]`` at cost
-    ``costs[k]``.  ``supplies`` and ``demands`` are both positive numbers
-    and sum to the same total.
+    ``costs[k]``.  ``supplies`` and ``demands`` are positive and sum to
+    the same total.  Amounts are integers at ``flow_scale`` and costs at
+    ``cost_scale``.
     """
 
     sources: tuple[NodeId, ...]
-    supplies: tuple[Fraction, ...]
+    supplies: tuple[int, ...]
     sinks: tuple[NodeId, ...]
-    demands: tuple[Fraction, ...]
+    demands: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
-    costs: tuple[Fraction, ...]
+    costs: tuple[int, ...]
+    flow_scale: int
+    cost_scale: int
 
     def pair_nodes(self, k: int) -> tuple[NodeId, NodeId]:
         i, j = self.pairs[k]
@@ -44,26 +47,28 @@ class TransportationInstance:
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Dual values on terminal nodes; feasible when y[s] - y[t] <= cost(s,t)."""
+    """Dual values on terminal nodes, integers at the instance's ``cost_scale``;
+    feasible when y[s] - y[t] <= cost(s,t)."""
 
-    values: Mapping[NodeId, Fraction]
+    values: Mapping[NodeId, int]
 
-    def __getitem__(self, node: NodeId) -> Fraction:
+    def __getitem__(self, node: NodeId) -> int:
         return self.values[node]
 
 
 @dataclass(frozen=True)
 class TransportSolution:
     instance: TransportationInstance
-    shipments: tuple[Fraction, ...]
+    shipments: tuple[int, ...]
     dual: DualSolution
     optimum: Fraction
 
 
 def build(
-    network: Network, costs: Mapping[tuple[NodeId, NodeId], Fraction]
+    network: Network, costs: Mapping[tuple[NodeId, NodeId], int]
 ) -> TransportationInstance:
-    """Assemble the bipartite instance from pairwise cheapest-path costs.
+    """Assemble the bipartite instance from pairwise cheapest-path costs
+    at the network's ``cost_scale``, with its integer balances.
 
     Raises :class:`InfeasibleError` naming the first terminal that has no
     usable pair at all (a source that reaches no sink, or a sink no
@@ -74,7 +79,7 @@ def build(
     source_pos = {s: i for i, s in enumerate(sources)}
     sink_pos = {t: j for j, t in enumerate(sinks)}
     pairs: list[tuple[int, int]] = []
-    pair_costs: list[Fraction] = []
+    pair_costs: list[int] = []
     for (s, t), c in costs.items():
         if s in source_pos and t in sink_pos:
             pairs.append((source_pos[s], sink_pos[t]))
@@ -93,13 +98,16 @@ def build(
                 f"no source can reach sink {t!r}",
                 certificate={"isolated": t, "side": "sink"},
             )
+    form, idx = network.integral, network.node_index
     return TransportationInstance(
         sources=sources,
-        supplies=tuple(network.balances[s] for s in sources),
+        supplies=tuple(form.balances[idx(s)] for s in sources),
         sinks=sinks,
-        demands=tuple(-network.balances[t] for t in sinks),
+        demands=tuple(-form.balances[idx(t)] for t in sinks),
         pairs=tuple(pairs),
         costs=tuple(pair_costs),
+        flow_scale=form.flow_scale,
+        cost_scale=form.cost_scale,
     )
 
 
@@ -108,10 +116,9 @@ def solve(instance: TransportationInstance) -> TransportSolution:
 
     Sources are kernel nodes ``0..p-1`` and sinks ``p..p+q-1``; a super
     source ``p+q`` feeds every source its supply and every sink drains
-    its demand into a super sink ``p+q+1``.  Supplies and demands are
-    scaled by one common denominator and pair costs by another.  The
-    shipments are the pair arcs' integer flows unscaled, and the dual
-    of a terminal is its negated min-cost potential unscaled.
+    its demand into a super sink ``p+q+1``.  The shipments are the pair
+    arcs' flows, and the dual of a terminal is its negated min-cost
+    potential, both at the instance's scales.
 
     The dual is then checked outright: feasibility on every pair, strong
     duality against the primal cost, and pairwise complementary
@@ -126,11 +133,11 @@ def solve(instance: TransportationInstance) -> TransportSolution:
     """
     p = len(instance.sources)
     q = len(instance.sinks)
-    imbalance = sum(instance.supplies, Fraction(0)) - sum(instance.demands, Fraction(0))
+    flow_scale = instance.flow_scale
+    total = sum(instance.supplies)
+    imbalance = total - sum(instance.demands)
     if imbalance != 0:
-        raise ValueError(f"balances sum to {imbalance}, expected 0")
-    flow_scale, amounts = to_integers([*instance.supplies, *instance.demands])
-    cost_scale, costs = to_integers(instance.costs)
+        raise ValueError(f"balances sum to {Fraction(imbalance, flow_scale)}, expected 0")
 
     m = len(instance.pairs)
     n = p + q
@@ -138,17 +145,16 @@ def solve(instance: TransportationInstance) -> TransportSolution:
         n + 2,
         [*(i for i, _ in instance.pairs), *[n] * p, *range(p, n)],
         [*(p + j for _, j in instance.pairs), *range(p), *[n + 1] * q],
-        [*[None] * m, *amounts],
-        [*costs, *[0] * n],
+        [*[None] * m, *instance.supplies, *instance.demands],
+        [*instance.costs, *[0] * n],
     )
-    total = sum(amounts[:p])
     routed, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:
         cut = sorted(v for v in reachable if v < n)
         stranded_sources = tuple(instance.sources[i] for i in cut if i < p)
         served_sinks = tuple(instance.sinks[j - p] for j in cut if j >= p)
-        supply = sum((instance.supplies[i] for i in cut if i < p), Fraction(0))
-        demand = sum((instance.demands[j - p] for j in cut if j >= p), Fraction(0))
+        supply = Fraction(sum(instance.supplies[i] for i in cut if i < p), flow_scale)
+        demand = Fraction(sum(instance.demands[j - p] for j in cut if j >= p), flow_scale)
         raise InfeasibleError(
             f"transportation infeasible: sources {stranded_sources} supply {supply} "
             f"but can only reach demand {demand}",
@@ -160,27 +166,25 @@ def solve(instance: TransportationInstance) -> TransportSolution:
             },
         )
 
-    flows = g.rem[1 : 2 * m : 2]
-    shipments = tuple(Fraction(f, flow_scale) for f in flows)
+    shipments = tuple(g.rem[1 : 2 * m : 2])
     terminals = (*instance.sources, *instance.sinks)
-    dual = DualSolution({v: Fraction(-pi[k], cost_scale) for k, v in enumerate(terminals)})
-    optimum = Fraction(sum(c * f for c, f in zip(costs, flows)), cost_scale * flow_scale)
+    dual = DualSolution({v: -pi[k] for k, v in enumerate(terminals)})
+    cost = sum(c * f for c, f in zip(instance.costs, shipments))
+    optimum = Fraction(cost, instance.cost_scale * flow_scale)
     _assert_optimality(instance, shipments, dual, optimum)
     return TransportSolution(instance, shipments, dual, optimum)
 
 
 def _assert_optimality(
     instance: TransportationInstance,
-    shipments: tuple[Fraction, ...],
+    shipments: tuple[int, ...],
     dual: DualSolution,
     primal_cost: Fraction,
 ) -> None:
-    for k in range(len(instance.pairs)):
-        s, t = instance.pair_nodes(k)
-        slack = instance.costs[k] - dual[s] + dual[t]
+    for (s, t, slack), shipped in zip(_slacks(instance, dual), shipments):
         if slack < 0:
             raise InternalCheckError(f"extracted dual infeasible on pair {s}->{t}")
-        if shipments[k] > 0 and slack != 0:
+        if shipped > 0 and slack != 0:
             raise InternalCheckError(f"complementary slackness violated on pair {s}->{t}")
     objective = dual_objective(instance, dual)
     if objective != primal_cost:
@@ -190,19 +194,22 @@ def _assert_optimality(
 
 
 def dual_objective(instance: TransportationInstance, dual: DualSolution) -> Fraction:
-    total = Fraction(0)
-    for i, s in enumerate(instance.sources):
-        total += instance.supplies[i] * dual[s]
-    for j, t in enumerate(instance.sinks):
-        total -= instance.demands[j] * dual[t]
-    return total
+    """Σ supply·y_s − Σ demand·y_t, as an exact value."""
+    total = sum(b * dual[s] for s, b in zip(instance.sources, instance.supplies))
+    total -= sum(d * dual[t] for t, d in zip(instance.sinks, instance.demands))
+    return Fraction(total, instance.flow_scale * instance.cost_scale)
+
+
+def _slacks(
+    instance: TransportationInstance, dual: DualSolution
+) -> list[tuple[NodeId, NodeId, int]]:
+    """``(s, t, cost(s,t) − y[s] + y[t])`` for every pair, in order."""
+    ends = map(instance.pair_nodes, range(len(instance.pairs)))
+    return [(s, t, c - dual[s] + dual[t]) for (s, t), c in zip(ends, instance.costs)]
 
 
 def is_dual_feasible(instance: TransportationInstance, dual: DualSolution) -> bool:
-    return all(
-        dual[instance.pair_nodes(k)[0]] - dual[instance.pair_nodes(k)[1]] <= instance.costs[k]
-        for k in range(len(instance.pairs))
-    )
+    return all(slack >= 0 for _, _, slack in _slacks(instance, dual))
 
 
 def active_pairs(
@@ -213,11 +220,7 @@ def active_pairs(
     The dual must be feasible for the instance; passing an infeasible
     vector is a contract violation.
     """
-    if not is_dual_feasible(instance, dual):
+    slacks = _slacks(instance, dual)
+    if any(slack < 0 for _, _, slack in slacks):
         raise ValueError("active_pairs: dual is not feasible for this instance")
-    tight = []
-    for k in range(len(instance.pairs)):
-        s, t = instance.pair_nodes(k)
-        if dual[s] - dual[t] == instance.costs[k]:
-            tight.append((s, t))
-    return frozenset(tight)
+    return frozenset((s, t) for s, t, slack in slacks if slack == 0)

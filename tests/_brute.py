@@ -40,7 +40,7 @@ rational static flow API the solver once routed its static solves
 through: each parses its values, scales them to integers and unscales
 the kernel's results.  :func:`transport_solve` is the transportation
 solve over it, the reference for :func:`qmct.transport.solve`, which
-scales once and calls the kernel itself; :func:`qmct.generate.generate`
+runs the kernel on the network's integers as they are; :func:`qmct.generate.generate`
 does the same in place of :func:`max_flow`.
 
 :func:`stabilised_oracle` is the reference for
@@ -54,7 +54,7 @@ and scans max flows up to the first feasible horizon.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Sequence
@@ -239,8 +239,25 @@ def _bipartite_problem(instance: TransportationInstance) -> FlowProblem:
     )
 
 
+def _fractional(instance: TransportationInstance) -> TransportationInstance:
+    """The instance with its integers read as the Fractions they stand for."""
+    flow, cost = instance.flow_scale, instance.cost_scale
+    return replace(
+        instance,
+        supplies=tuple(Fraction(b, flow) for b in instance.supplies),
+        demands=tuple(Fraction(d, flow) for d in instance.demands),
+        costs=tuple(Fraction(c, cost) for c in instance.costs),
+        flow_scale=1,
+        cost_scale=1,
+    )
+
+
 def transport_solve(instance: TransportationInstance) -> TransportSolution:
     """Optimal shipments plus an optimal dual, both certified exactly.
+
+    The instance's integers are read once as the Fractions they stand
+    for; from there the solve runs on Fractions, and its shipments, dual
+    and optimum are Fractions.
 
     The dual is extracted from the min-cost-flow potentials and then
     checked outright: feasibility on every pair, strong duality against
@@ -250,6 +267,7 @@ def transport_solve(instance: TransportationInstance) -> TransportSolution:
     Raises :class:`InfeasibleError` with a deficient terminal subset when
     the supplies cannot be matched to the demands.
     """
+    instance = _fractional(instance)
     problem = _bipartite_problem(instance)
     p = len(instance.sources)
     balances = list(instance.supplies) + [-d for d in instance.demands]
@@ -531,7 +549,7 @@ def routing_admissible(run: AlgorithmRun) -> bool:
     for source, sink, _amount, cost in routes:
         if (source, sink) not in run.actives:
             return False
-        if cost != run.pair_costs[(source, sink)]:
+        if cost * run.network.integral.cost_scale != run.pair_costs[(source, sink)]:
             return False
     return True
 
@@ -540,13 +558,14 @@ def subnetwork_arcs(
     network: Network,
     forward: CostLabels,
     backward: CostLabels,
-    optimum: Fraction,
+    optimum: int,
 ) -> frozenset[int]:
-    """Arcs whose forward label + cost + backward label meets ``optimum`` exactly."""
+    """Arcs whose forward label + cost + backward label meets ``optimum``
+    exactly, all at the network's ``cost_scale``."""
     selected = []
-    for i, arc in enumerate(network.arcs):
+    for i, (arc, cost) in enumerate(zip(network.arcs, network.integral.costs)):
         if arc.tail in forward and arc.head in backward:
-            if forward[arc.tail] + arc.cost + backward[arc.head] == optimum:
+            if forward[arc.tail] + cost + backward[arc.head] == optimum:
                 selected.append(i)
     return frozenset(selected)
 

@@ -145,12 +145,13 @@ def test_criterion_6_path_equivalence(suite_runs):
     for seed, run in enumerate(suite_runs):
         net = run.network
         admissible_set = run.subnetwork.arc_indices
+        scale = net.integral.cost_scale  # the unit of the pair costs
         for s in net.sources:
             for t in net.sinks:
                 active = (s, t) in run.actives
                 cheapest = run.pair_costs.get((s, t))
                 for p in simple_paths(net, s, t):
-                    is_admissible = active and path_cost(net, p) == cheapest
+                    is_admissible = active and path_cost(net, p) * scale == cheapest
                     contained = set(p) <= admissible_set
                     if is_admissible != contained:
                         failures.append((seed, s, t, p))
@@ -202,7 +203,7 @@ def test_criterion_7_routing_uses_active_pairs(suite_runs):
             shipped += amount
             if (source, sink) not in run.actives:
                 failures.append((seed, "inactive pair", source, sink))
-            elif cost != run.pair_costs[(source, sink)]:
+            elif cost * run.network.integral.cost_scale != run.pair_costs[(source, sink)]:
                 failures.append((seed, "non-cheapest path", source, sink, cost))
         if shipped != run.network.total_supply:
             failures.append((seed, "lost flow", shipped))

@@ -1,5 +1,4 @@
 import warnings
-from fractions import Fraction
 
 import pytest
 
@@ -13,15 +12,14 @@ from qmct.network import Network
 from qmct.temporal import quickest_transshipment
 from qmct.transport import DualSolution, active_pairs, build, solve
 
-PRINTED_DUAL = DualSolution(
-    {"s1": Fraction(0), "s2": Fraction(1), "t1": Fraction(0), "t2": Fraction(1)}
-)
+# The demo's costs are integers, so its cost_scale is 1.
+PRINTED_DUAL = DualSolution({"s1": 0, "s2": 1, "t1": 0, "t2": 1})
 
 
 def test_extend_prices_terminal_arcs(demo):
     extended = extend(demo, PRINTED_DUAL)
     assert extended.base_arc_count == 5
-    terminal = extended.arcs[5:]
+    terminal = extended.terminal_arcs
     n = len(demo.nodes)
     super_source, super_sink = n, n + 1
     priced = {(t, h): c for t, h, c in terminal}
@@ -32,9 +30,9 @@ def test_extend_prices_terminal_arcs(demo):
 
 
 def test_extend_with_zero_dual(demo):
-    zero = DualSolution({v: Fraction(0) for v in ("s1", "s2", "t1", "t2")})
+    zero = DualSolution({v: 0 for v in ("s1", "s2", "t1", "t2")})
     extended = extend(demo, zero)
-    assert all(c == 0 for _, _, c in extended.arcs[5:])
+    assert all(c == 0 for _, _, c in extended.terminal_arcs)
 
 
 def test_variant_a_drops_only_the_fan_out_arc(demo_variant_a):
@@ -86,7 +84,7 @@ def test_non_optimal_dual_is_rejected_loudly(demo):
     # Feasible but non-optimal for a strictly positive instance: the
     # cheapest extended path then costs more than zero.
     pricey = Network.of(["s", "t"], [("s", "t", 1, 0, 3)], {"s": 1, "t": -1})
-    zero = DualSolution({"s": Fraction(0), "t": Fraction(0)})
+    zero = DualSolution({"s": 0, "t": 0})
     with pytest.raises(InternalCheckError):
         admissible_arcs(extend(pricey, zero))
 
@@ -104,7 +102,7 @@ def test_no_terminals_returns_empty_without_warning():
 def test_unconnectable_terminals_warn_and_return_empty():
     # Terminals exist but no arc joins them: the super sink cannot be reached.
     cut_off = Network.of(["s", "t"], [], {"s": 1, "t": -1})
-    zero = DualSolution({"s": Fraction(0), "t": Fraction(0)})
+    zero = DualSolution({"s": 0, "t": 0})
     with pytest.warns(UserWarning, match="super sink unreachable"):
         subnet = admissible_arcs(extend(cut_off, zero))
     assert subnet.arc_indices == frozenset()
@@ -116,20 +114,10 @@ def test_zero_cost_optimum_on_extended_network(demo_variant_a):
 
     solution = solve(build(demo_variant_a, pair_costs(demo_variant_a)))
     extended = extend(demo_variant_a, solution.dual)
-    dist = labels(arc_graph(extended.num_nodes, extended.arcs), extended.super_source)
+    form = demo_variant_a.integral
+    arcs = [*zip(form.tails, form.heads, form.costs), *extended.terminal_arcs]
+    dist = labels(arc_graph(extended.num_nodes, arcs), extended.super_source)
     assert dist[extended.super_sink] == 0
-
-
-def _admissible_by_definition(net, instance, dual):
-    """Path-level reference: union of arcs of admissible simple paths."""
-    actives = active_pairs(instance, dual)
-    costs = pair_costs(net)
-    arcs = set()
-    for s, t in actives:
-        for p in simple_paths(net, s, t):
-            if path_cost(net, p) == costs[(s, t)]:
-                arcs |= set(p)
-    return arcs
 
 
 def test_path_equivalence_on_generated_instances():
@@ -142,10 +130,12 @@ def test_path_equivalence_on_generated_instances():
         subnet = admissible_arcs(extend(net, solution.dual))
         actives = active_pairs(instance, solution.dual)
         costs = pair_costs(net)
+        scale = net.integral.cost_scale
         for s in net.sources:
             for t in net.sinks:
                 for p in simple_paths(net, s, t):
-                    admissible_path = (s, t) in actives and path_cost(net, p) == costs[(s, t)]
+                    cheapest = path_cost(net, p) * scale == costs[(s, t)]
+                    admissible_path = (s, t) in actives and cheapest
                     contained = set(p) <= subnet.arc_indices
                     assert admissible_path == contained, (seed, s, t, p)
 

@@ -42,10 +42,10 @@ def test_two_arc_path_with_negative_cost():
 
 def test_labels_satisfy_triangle_inequality(demo):
     labels = cheapest_from(demo, "s2")
-    for arc in demo.arcs:
+    for arc, cost in zip(demo.arcs, demo.integral.costs):  # at cost_scale, like the labels
         if arc.tail in labels:
             assert arc.head in labels
-            assert labels[arc.head] <= labels[arc.tail] + arc.cost
+            assert labels[arc.head] <= labels[arc.tail] + cost
 
 
 def test_backward_labels(demo):
@@ -112,7 +112,7 @@ def test_pair_costs_match_brute_force_enumeration():
                 if expected is None:
                     assert (s, t) not in computed
                 else:
-                    assert computed[(s, t)] == expected
+                    assert computed[(s, t)] == expected * net.integral.cost_scale
 
 
 def test_subnetwork_membership_matches_path_enumeration():
@@ -142,9 +142,9 @@ def test_subnetwork_equality_is_tight(demo):
     backward = cheapest_to(demo, "t1")
     optimum = forward["t1"]
     selected = subnetwork_arcs(demo, forward, backward, optimum)
-    for i, arc in enumerate(demo.arcs):
+    for i, (arc, cost) in enumerate(zip(demo.arcs, demo.integral.costs)):
         if arc.tail in forward and arc.head in backward:
-            value = forward[arc.tail] + arc.cost + backward[arc.head]
+            value = forward[arc.tail] + cost + backward[arc.head]
             if i in selected:
                 assert value == optimum
             else:

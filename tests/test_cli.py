@@ -308,6 +308,14 @@ BAD_INVOCATIONS = {
     "non-string endpoint": (["solve", "{dir}/endpoint.json"], "arc 0 tail must be a string node id"),
     "JSON float": (["solve", "{dir}/float.json"], "arc 0 cost: floats are not exact"),
     "bad JSON": (["solve", "{dir}/broken.json"], "not valid JSON"),
+    "not UTF-8": (["solve", "{dir}/binary.json"], "not valid JSON ('utf-8' codec can't decode"),
+    "deep JSON": (
+        ["solve", "{dir}/deep.json"], "not valid JSON (maximum recursion depth exceeded"
+    ),
+    "missing out dir": (
+        ["generate", "--seed", "1", "--out", "{dir}/missing/generated.json"],
+        "cannot write (No such file or directory)",
+    ),
 }
 
 
@@ -319,6 +327,8 @@ def test_bad_input_exits_with_one_message_and_no_traceback(capsys, tmp_path, cas
     for name, doc in (("endpoint", {**arc, "tail": 1}), ("float", {**arc, "cost": 0.5})):
         (tmp_path / f"{name}.json").write_text(json.dumps({"nodes": ["a", "b"], "arcs": [doc]}))
     (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00garbage")
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
     code, _, err = _run(capsys, [a.replace("{dir}", str(tmp_path)) for a in argv])
     assert code in (2, 3, 4), err
     assert err.startswith(("validation error:", "infeasible:", "guard tripped:")), err

@@ -78,11 +78,18 @@ def _documents(net: Network) -> tuple[dict, dict]:
             moved["storage"] = storage_trace(net, report.schedule)
         answers[report.mode] = out
         schedules[report.mode] = moved
-    answers["pair_costs"] = cheapest.pair_costs(net)
-    answers["from"] = {s: cheapest.cheapest_from(net, s).values for s in net.sources}
-    answers["to"] = {t: cheapest.cheapest_to(net, t).values for t in net.sinks}
+    # Pair costs, labels and duals are integers at cost_scale; the
+    # digests pin the rationals they stand for.
+    scale = net.integral.cost_scale
+
+    def rational(values: dict) -> dict:
+        return {k: Fraction(v, scale) for k, v in values.items()}
+
+    answers["pair_costs"] = rational(cheapest.pair_costs(net))
+    answers["from"] = {s: rational(cheapest.cheapest_from(net, s).values) for s in net.sources}
+    answers["to"] = {t: rational(cheapest.cheapest_to(net, t).values) for t in net.sinks}
     run = run_quickest_mincost(net)
-    answers["dual"] = run.solution.dual.values
+    answers["dual"] = rational(run.solution.dual.values)
     answers["subnetwork"] = run.subnetwork.arc_indices
     schedules["routes"] = routed_paths(run)
     answers["oracle"] = oracle_quickest_mincost(net)

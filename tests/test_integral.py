@@ -1,9 +1,10 @@
 """The integer form of a network, and the label passes that read it.
 
-The label passes used to run on Fraction costs.  Each is checked here
-against that computation, restated on top of ``_kernel.labels`` with
-the network's Fraction costs, on networks with rational and negative
-costs.
+The label passes used to run on Fraction costs.  They now run on, and
+return, integers at the network's ``cost_scale``.  Each is checked here
+against the Fraction computation, restated on top of ``_kernel.labels``
+with the network's Fraction costs, on networks with rational and
+negative costs.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _brute import transport_solve
 from qmct import _kernel, admissible, cheapest, transport
 from qmct.errors import InternalCheckError
 from qmct.generate import generate
@@ -109,25 +111,33 @@ def _fraction_arcs(net, reverse=False):
 
 
 def _fraction_admissible(extended):
-    """``admissible_arcs`` on Fraction labels: an arc set, or the failure."""
-    n = extended.num_nodes
-    forward = _fraction_labels(list(extended.arcs), n, extended.super_source)
+    """``admissible_arcs`` on Fraction labels: (arc set, labels), or the failure.
+
+    The terminal arcs' integer duals are read at the base network's
+    ``cost_scale`` and the base arcs' costs as the network's Fractions.
+    """
+    net, n = extended.base, extended.num_nodes
+    scale = net.integral.cost_scale
+    arcs = _fraction_arcs(net)
+    arcs += [(u, v, Fraction(c, scale)) for u, v, c in extended.terminal_arcs]
+    forward = _fraction_labels(arcs, n, extended.super_source)
     opt = forward[extended.super_sink]
     if opt is None:
         return "unreachable"
     if opt != 0:
         return f"cheapest extended path costs {opt}, expected 0 for an optimal dual"
-    reverse = [(v, u, c) for u, v, c in extended.arcs]
+    reverse = [(v, u, c) for u, v, c in arcs]
     backward = _fraction_labels(reverse, n, extended.super_sink)
     selected = set()
-    for i, (u, v, c) in enumerate(extended.arcs[: extended.base_arc_count]):
+    for i, (u, v, c) in enumerate(arcs[: extended.base_arc_count]):
         if forward[u] is not None and backward[v] is not None:
             if forward[u] + c + backward[v] == opt:
                 selected.add(i)
-    return frozenset(selected)
+    return frozenset(selected), tuple(forward[: len(net.nodes)])
 
 
 def _admissible(extended):
+    """``admissible_arcs``: (arc set, labels), or the failure."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -137,7 +147,24 @@ def _admissible(extended):
     if caught:
         assert not sub.arc_indices and not sub.connected
         return "unreachable"
-    return sub.arc_indices
+    return sub.arc_indices, sub.labels
+
+
+def _scaled(value, scale):
+    """A reference Fraction at ``scale``; it must come out an integer."""
+    if value is None:
+        return None
+    assert (value * scale).denominator == 1
+    return int(value * scale)
+
+
+def _same(got, reference, scale):
+    """The integer answer equals the Fraction reference times ``scale``."""
+    if isinstance(reference, str):
+        return got == reference
+    arcs, labels = got
+    assert all(d is None or type(d) is int for d in labels)
+    return arcs == reference[0] and labels == tuple(_scaled(d, scale) for d in reference[1])
 
 
 def test_label_passes_match_fraction_labels():
@@ -147,6 +174,7 @@ def test_label_passes_match_fraction_labels():
         seen["rational"] += any(a.cost.denominator > 1 for a in net.arcs)
         n = len(net.nodes)
         idx = net.node_index
+        scale = net.integral.cost_scale
         forward = {v: _fraction_labels(_fraction_arcs(net), n, idx(v)) for v in net.nodes}
         backward = {
             v: _fraction_labels(_fraction_arcs(net, reverse=True), n, idx(v)) for v in net.nodes
@@ -156,33 +184,37 @@ def test_label_passes_match_fraction_labels():
                 ("from", cheapest.cheapest_from(net, v), forward[v]),
                 ("to", cheapest.cheapest_to(net, v), backward[v]),
             ]:
-                want = {w: d for w, d in zip(net.nodes, expected) if d is not None}
+                want = {w: _scaled(d, scale) for w, d in zip(net.nodes, expected) if d is not None}
                 assert labels.values == want, (direction, v, net)
-                assert all(type(d) is Fraction for d in labels.values.values())
+                assert all(type(d) is int for d in labels.values.values())
         costs = cheapest.pair_costs(net)
         want = {
-            (s, t): forward[s][idx(t)]
+            (s, t): _scaled(forward[s][idx(t)], scale)
             for s in net.sources
             for t in net.sinks
             if forward[s][idx(t)] is not None
         }
         assert costs == want, net
-        assert all(type(d) is Fraction for d in costs.values())
+        assert all(type(d) is int for d in costs.values())
 
         instance = transport.build(net, costs)
         dual = transport.solve(instance).dual
+        reference = transport_solve(instance).dual.values
+        assert dual.values == {v: _scaled(y, scale) for v, y in reference.items()}, net
+        assert all(type(y) is int for y in dual.values.values())
         extended = admissible.extend(net, dual)
         got = _admissible(extended)
-        assert got == _fraction_admissible(extended), net
-        seen["kept"] += isinstance(got, frozenset)
-        # Raising one source's dual takes 1/7 off every extended path
-        # through it, so the cheapest one costs -1/7 and both versions
-        # must reject the dual with the same message.
+        assert _same(got, _fraction_admissible(extended), scale), net
+        seen["kept"] += isinstance(got, tuple)
+        # Raising one source's dual by one unit at cost_scale takes
+        # 1/cost_scale off every extended path through it, so the
+        # cheapest one costs -1/cost_scale and both versions must reject
+        # the dual with the same message.
         shifted = dict(dual.values)
-        shifted[net.sources[0]] += Fraction(1, 7)
+        shifted[net.sources[0]] += 1
         extended = admissible.extend(net, transport.DualSolution(shifted))
         got = _admissible(extended)
-        assert got == _fraction_admissible(extended), net
+        assert _same(got, _fraction_admissible(extended), scale), net
         seen["rejected"] += isinstance(got, str)
     assert seen["kept"] == seen["rejected"] == 240, seen
     assert min(seen["negative"], seen["rational"]) >= 200, seen

@@ -37,13 +37,13 @@ def _runs(networks):
 
 
 def _reduced_cost(run, i):
-    arc = run.network.arcs[i]
-    index = run.network.node_index
-    tail = run.subnetwork.labels[index(arc.tail)]
-    head = run.subnetwork.labels[index(arc.head)]
+    """At the network's ``cost_scale``, like the labels."""
+    form = run.network.integral
+    tail = run.subnetwork.labels[form.tails[i]]
+    head = run.subnetwork.labels[form.heads[i]]
     if tail is None or head is None:
         return None
-    return tail + arc.cost - head
+    return tail + form.costs[i] - head
 
 
 def test_certificate_agrees_with_decomposition():
@@ -110,7 +110,7 @@ def test_certificate_rejects_a_raised_source_dual():
     for run in _runs(acceptance_suite()[:40]):
         dual = run.solution.dual.values
         for s in run.network.sources:
-            shifted = DualSolution({**dual, s: dual[s] + Fraction(1, 7)})
+            shifted = DualSolution({**dual, s: dual[s] + 1})  # one unit at cost_scale
             mutated = replace(run, solution=replace(run.solution, dual=shifted))
             assert not check_admissible_routing(mutated), (run.network, s)
             raised += 1

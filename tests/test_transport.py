@@ -275,12 +275,16 @@ def test_demo_unit_balances_have_genuinely_different_duals(demo):
 
 
 def _outcome(solver, instance):
-    """What a solve answers: shipments, dual and optimum, or its error."""
+    """What a solve answers: shipments, dual and optimum as Fractions, or its error."""
     try:
         solution = solver(instance)
     except (InfeasibleError, ValueError) as exc:
         return type(exc), str(exc), getattr(exc, "certificate", None)
-    return solution.shipments, solution.dual.values, solution.optimum
+    # The reference's instance holds Fractions at scales 1.
+    flow, cost = solution.instance.flow_scale, solution.instance.cost_scale
+    shipments = tuple(Fraction(f, flow) for f in solution.shipments)
+    dual = {v: Fraction(y, cost) for v, y in solution.dual.values.items()}
+    return shipments, dual, solution.optimum
 
 
 def _split(total: Fraction, parts: int, rng: random.Random) -> list[Fraction]:
@@ -312,9 +316,9 @@ def _hall_violation(net, rng: random.Random):
 
 
 def test_solve_matches_rational_reference():
-    # transport.solve scales once and calls the kernel; the reference
-    # goes through the rational FlowProblem/min_cost_flow layer it
-    # replaced.  Both must answer alike, infeasible instances included.
+    # transport.solve runs the kernel on the network's integers; the
+    # reference goes through the rational FlowProblem/min_cost_flow layer
+    # it replaced.  Both must answer alike, infeasible instances included.
     rng = random.Random(41)
     checked = infeasible = rational = negative = 0
     for seed in range(600):
@@ -338,10 +342,12 @@ def test_solve_matches_rational_reference():
             variants.append(violated)
         for variant in variants:
             instance = build(variant, pair_costs(variant))
-            if seed % 5 == 0:
-                ratio = Fraction(rng.randint(1, 5), rng.randint(2, 7))
+            if seed % 5 == 0:  # the same costs times a rational ratio
+                up, down = rng.randint(1, 5), rng.randint(2, 7)
                 instance = dataclasses.replace(
-                    instance, costs=tuple(c * ratio for c in instance.costs)
+                    instance,
+                    costs=tuple(c * up for c in instance.costs),
+                    cost_scale=instance.cost_scale * down,
                 )
             expected = _outcome(transport_solve, instance)
             assert _outcome(solve, instance) == expected, seed
@@ -355,11 +361,16 @@ def test_solve_matches_rational_reference():
 
 @pytest.mark.parametrize("side, total", [("supplies", "1/3"), ("demands", "-1/3")])
 def test_solve_rejects_unequal_totals_like_the_reference(demo, side, total):
+    # Every amount times 3 at three times the flow scale, plus one unit on one side.
     instance = build(demo, pair_costs(demo))
-    amounts = getattr(instance, side)
-    unequal = dataclasses.replace(
-        instance, **{side: (amounts[0] + Fraction(1, 3), *amounts[1:])}
+    thirds = dataclasses.replace(
+        instance,
+        supplies=tuple(3 * b for b in instance.supplies),
+        demands=tuple(3 * d for d in instance.demands),
+        flow_scale=3 * instance.flow_scale,
     )
+    amounts = getattr(thirds, side)
+    unequal = dataclasses.replace(thirds, **{side: (amounts[0] + 1, *amounts[1:])})
     expected = _outcome(transport_solve, unequal)
     assert expected[:2] == (ValueError, f"balances sum to {total}, expected 0")
     assert _outcome(solve, unequal) == expected
