@@ -2,7 +2,8 @@
 
 Max flow is Dinic's blocking-flow method with levels taken as residual
 distances to the sink (see :func:`max_flow` for why not from the
-source); min-cost flow is successive shortest paths with potentials.
+source); min-cost flow is successive shortest paths with potentials,
+and reports the cost of the flow it pushes from those potentials.
 
 :func:`label_correct` is the solver's one label-correcting routine:
 cheapest-path costs, the admissible subnetwork, validation's
@@ -387,16 +388,19 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int):
     """Successive shortest paths with potentials from s to t.
 
     Pushes as much flow as possible up to ``target``.  Returns
-    ``(routed, pi, reachable)`` where ``pi`` are potentials satisfying
-    ``cost[e] + pi[u] - pi[v] >= 0`` for every residual edge ``(u, v)``
-    with remaining capacity, and ``reachable`` is the residual-reachable
-    set from ``s`` when routing stopped short (else None).
+    ``(routed, cost, pi, reachable)``.  ``cost`` sums amount·(pi[t] −
+    pi[s]), each round's path cost (see :func:`augment`), and is the cost
+    of the flow in ``g`` because every caller starts from a zero flow.
+    ``pi`` satisfy ``cost[e] + pi[u] - pi[v] >= 0`` on every residual
+    edge ``(u, v)`` with remaining capacity; ``reachable`` is the
+    residual-reachable set from ``s`` when routing stopped short (else None).
     """
     pi = labels(g)
-    routed = 0
+    routed = cost = 0
     while routed < target:
         amount = augment(g, s, t, pi, target - routed)
         if amount is None:
-            return routed, pi, residual_reachable(g, s)
+            return routed, cost, pi, residual_reachable(g, s)
         routed += amount
-    return routed, pi, None
+        cost += amount * (pi[t] - pi[s])
+    return routed, cost, pi, None

@@ -106,9 +106,24 @@ def _print_text_report(report: pipeline.SolveReport) -> None:
         print(f"check {name}: {'pass' if passed else 'FAIL'}")
 
 
+def _reject_dropped_flags(args) -> None:
+    """Raise :class:`ValidationError` for a flag the chosen report leaves out."""
+    flags = {"--emit-schedule": args.emit_schedule, "--storage-trace": args.storage_trace}
+    reason = "--text prints no schedule or storage"
+    if args.mode == pipeline.MODE_ORACLE:
+        flags = {"--text": not args.as_json, **flags}
+        reason = "--mode oracle prints only its cost and horizon, as JSON"
+    elif args.mode == pipeline.MODE_MINCOST_STATIC:
+        reason = "--mode mincost-static has no schedule"
+    elif args.as_json:
+        return
+    if dropped := [flag for flag, on in flags.items() if on]:
+        raise ValidationError(f"{reason}: drop {' and '.join(dropped)}")
+
+
 def _cmd_solve(args) -> int:
+    _reject_dropped_flags(args)
     network = io.load_instance(args.file)
-    report_doc: dict
     if args.mode == pipeline.MODE_ORACLE:
         cost, horizon = pipeline.oracle_quickest_mincost(network, max_layers=args.max_horizon)
         report_doc = {"mode": pipeline.MODE_ORACLE, "cost": rational_str(cost), "horizon": horizon}
@@ -119,9 +134,7 @@ def _cmd_solve(args) -> int:
     else:
         report = _SOLVERS[args.mode](network, max_layers=args.max_horizon)
     if args.as_json:
-        storage = None
-        if args.storage_trace and report.schedule is not None:
-            storage = temporal.storage_trace(network, report.schedule)
+        storage = temporal.storage_trace(network, report.schedule) if args.storage_trace else None
         doc = io.report_to_doc(report, include_schedule=args.emit_schedule, storage=storage)
         print(json.dumps(doc, indent=2))
     else:

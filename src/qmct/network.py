@@ -48,7 +48,8 @@ class IntegerForm:
     multiple of the denominators it clears (the least one for a network
     built from its rationals; a restriction keeps its parent's), so every
     entry is exact and, the scales being positive, keeps the sign of its
-    rational.
+    rational.  ``sources`` and ``sinks`` list the nodes of positive and
+    negative balance by index, and ``supply`` totals the positive ones.
     """
 
     tails: tuple[int, ...]
@@ -60,6 +61,9 @@ class IntegerForm:
     flow_scale: int
     cost_scale: int
     time_scale: int
+    sources: tuple[int, ...]
+    sinks: tuple[int, ...]
+    supply: int
 
 
 @dataclass(frozen=True)
@@ -115,29 +119,34 @@ class Network:
         )
         cost_scale, costs = to_integers(a.cost for a in arcs)
         time_scale, transits = to_integers(a.transit for a in arcs)
+        balances = flows[m:]
+        sources = tuple(v for v, b in enumerate(balances) if b > 0)
         return IntegerForm(
             tuple(index[a.tail] for a in arcs),
             tuple(index[a.head] for a in arcs),
             flows[:m],
-            flows[m:],
+            balances,
             costs,
             transits,
             flow_scale,
             cost_scale,
             time_scale,
+            sources,
+            tuple(v for v, b in enumerate(balances) if b < 0),
+            sum(balances[v] for v in sources),
         )
 
     @property
     def sources(self) -> tuple[NodeId, ...]:
-        return tuple(v for v, b in zip(self.nodes, self.integral.balances) if b > 0)
+        return tuple(self.nodes[v] for v in self.integral.sources)
 
     @property
     def sinks(self) -> tuple[NodeId, ...]:
-        return tuple(v for v, b in zip(self.nodes, self.integral.balances) if b < 0)
+        return tuple(self.nodes[v] for v in self.integral.sinks)
 
     @property
     def total_supply(self) -> Fraction:
-        return Fraction(sum(b for b in self.integral.balances if b > 0), self.integral.flow_scale)
+        return Fraction(self.integral.supply, self.integral.flow_scale)
 
     def with_arcs(self, arc_indices: Iterable[int]) -> "Network":
         """Same nodes and balances, arcs restricted to the given indices.

@@ -253,23 +253,18 @@ def _static_optimum(network: Network) -> Fraction:
     """
     form = network.integral
     n = len(network.nodes)
-    sources = [v for v, b in enumerate(form.balances) if b > 0]
-    sinks = [v for v, b in enumerate(form.balances) if b < 0]
-    terminals = [*sources, *sinks]
+    sources, sinks = form.sources, form.sinks
     g = _kernel.build(
         n + 2,
         [*form.tails, *[n] * len(sources), *sinks],
         [*form.heads, *sources, *[n + 1] * len(sinks)],
-        [*[None] * len(form.tails), *(abs(form.balances[v]) for v in terminals)],
-        [*form.costs, *[0] * len(terminals)],
+        [*[None] * len(form.tails), *(abs(form.balances[v]) for v in (*sources, *sinks))],
+        [*form.costs, *[0] * (len(sources) + len(sinks))],
     )
-    total = sum(form.balances[v] for v in sources)
-    routed, _, _ = _kernel.min_cost_flow(g, n, n + 1, total)
-    if routed < total:
-        deficit = Fraction(total - routed, form.flow_scale)
+    routed, cost, _, _ = _kernel.min_cost_flow(g, n, n + 1, form.supply)
+    if routed < form.supply:
+        deficit = Fraction(form.supply - routed, form.flow_scale)
         raise temporal._too_small(temporal.horizon_upper_bound(network), deficit)
-    # Only the network's own arcs have nonzero cost; zip stops after them.
-    cost = sum(c * f for c, f in zip(form.costs, g.rem[1::2]))
     return Fraction(cost, form.flow_scale * form.cost_scale)
 
 
@@ -339,7 +334,7 @@ def oracle_quickest_mincost(
             raise InternalCheckError(f"minimum cost over time is above {target} at horizon {bound}")
         expansion.grow()
 
-    while expansion.routed < expansion.total:
+    while expansion.routed < network.integral.supply:
         grow()
         expansion.max_flow()
     while expansion.min_cost() != target:

@@ -134,20 +134,16 @@ def _least_transits(network: Network) -> tuple[list[int | None], list[int | None
     to v and from v to any sink, None where there is no path."""
     form = network.integral
     n = len(network.nodes)
-    sources = [v for v, b in enumerate(form.balances) if b > 0]
-    sinks = [v for v, b in enumerate(form.balances) if b < 0]
     arcs = list(zip(form.tails, form.heads, form.transits))
     # Node n is a root joined at no cost to the sources, or, with every
     # arc reversed, to the sinks.
-    forward = _kernel.arc_graph(n + 1, [*arcs, *((n, s, 0) for s in sources)])
+    forward = _kernel.arc_graph(n + 1, [*arcs, *((n, s, 0) for s in form.sources)])
     reverse = ((w, u, tau) for u, w, tau in arcs)
-    backward = _kernel.arc_graph(n + 1, [*reverse, *((n, t, 0) for t in sinks)])
+    backward = _kernel.arc_graph(n + 1, [*reverse, *((n, t, 0) for t in form.sinks)])
     return _kernel.labels(forward, n)[:n], _kernel.labels(backward, n)[:n]
 
 
-def expand(
-    network: Network, horizon: int, max_layers: int | None = None
-) -> TimeExpandedGraph:
+def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     """Build the live part of the time expansion for an integer horizon.
 
     Let ``e(v)`` be the least transit from any source to v and ``ℓ(v)``
@@ -189,13 +185,9 @@ def expand(
       a residual path into L never leaves it.  Every sink's last copy is
       in L, and a source copy outside L keeps its wiring arc, which
       carries no flow, so A_X (:func:`_violated_subset`) is the same.
-
-    Raises :class:`HorizonLimitError` when the layer count would exceed
-    ``max_layers``.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    _layer_guard(horizon, max_layers)
     form = network.integral
     transits, arc_tails = form.transits, form.tails
     caps_int, costs_int = form.capacities, form.costs
@@ -232,7 +224,6 @@ def expand(
     super_source = n * horizon
     super_sink = super_source + 1
     wiring_start = len(tails)
-    total_scaled = sum(b for b in form.balances if b > 0)
     if horizon > 0:
         for v, b in enumerate(form.balances):
             if b > 0:
@@ -261,7 +252,7 @@ def expand(
         super_sink=super_sink,
         cap_scale=form.flow_scale,
         cost_scale=form.cost_scale,
-        total_supply_scaled=total_scaled,
+        total_supply_scaled=form.supply,
     )
 
 
@@ -292,9 +283,9 @@ def _solve_max(graph: TimeExpandedGraph) -> tuple[int, list[int], set[int]]:
     return value, g.rem[1 : 2 * len(graph.movement) : 2], reachable
 
 
-def feasible(network: Network, horizon: int, max_layers: int | None = None) -> bool:
+def feasible(network: Network, horizon: int) -> bool:
     """True when all supplies can reach their demands within the horizon."""
-    graph = expand(network, horizon, max_layers)
+    graph = expand(network, horizon)
     return _solve_max(graph)[0] == graph.total_supply_scaled
 
 
@@ -326,12 +317,12 @@ def horizon_upper_bound(network: Network) -> int:
     has reached the static optimum at this horizon, which caps the
     oracle's scan for the first horizon that reaches it.
     """
-    # ``total`` and ``u_min`` both carry ``flow_scale``: the ceiling is exact.
+    # ``total`` is the form's ``supply``; it and ``u_min`` both carry
+    # ``flow_scale``, so the ceiling is exact.
     form = network.integral
-    total = sum(b for b in form.balances if b > 0)
-    if total == 0 or not network.arcs:
+    if form.supply == 0 or not network.arcs:
         return 0
-    return -(-total // min(form.capacities)) + (len(network.nodes) - 1) * max(form.transits)
+    return -(-form.supply // min(form.capacities)) + (len(network.nodes) - 1) * max(form.transits)
 
 
 def subset_paths(
@@ -346,10 +337,10 @@ def subset_paths(
     ``need``, stops before the first path of length ``d`` with
     ``Σ amount·(d − length) >= need``.
     """
-    form = network.integral
-    n = len(network.nodes)
-    starts = [i for i, v in enumerate(network.nodes) if form.balances[i] > 0 and v in subset]
-    ends = [i for i, v in enumerate(network.nodes) if form.balances[i] < 0 and v not in subset]
+    form, nodes = network.integral, network.nodes
+    n = len(nodes)
+    starts = [s for s in form.sources if nodes[s] in subset]
+    ends = [t for t in form.sinks if nodes[t] not in subset]
     extra = len(starts) + len(ends)
     g = _kernel.build(
         n + 2,
@@ -403,9 +394,7 @@ def _violated_subset(network: Network, horizon: int, reachable: set[int]) -> set
     return sources | {t for t in network.sinks if last + index(t) in reachable}
 
 
-def quickest_transshipment(
-    network: Network, max_layers: int | None = None
-) -> QuickestResult:
+def quickest_transshipment(network: Network, max_layers: int | None = None) -> QuickestResult:
     """Smallest integer horizon H admitting a full transshipment.
 
     Every probe is an expansion max flow at a proven lower bound on H,
@@ -456,6 +445,9 @@ def quickest_transshipment(
     to T_{A_X}.  A subset with b(A) > 0 and no path proves the instance
     infeasible: :class:`InfeasibleError` names the isolated terminal
     for the first family and otherwise the subset and ``cut_nodes``.
+    A probe above ``max_layers`` raises :class:`HorizonLimitError` before
+    its expansion is built, and its ``requested`` horizon, a proven
+    lower bound on H, shows that H exceeds the limit.
     """
     sources, sinks = network.sources, network.sinks
     seed = [(s, {s}, "supply at {!r} cannot reach any sink") for s in sources]
@@ -471,7 +463,8 @@ def quickest_transshipment(
             side = "source" if node in subset else "sink"
             raise InfeasibleError(message.format(node), {"isolated": node, "side": side}) from None
     while True:
-        graph = expand(network, horizon, max_layers)
+        _layer_guard(horizon, max_layers)
+        graph = expand(network, horizon)
         value, flows, reachable = _solve_max(graph)
         if value == graph.total_supply_scaled:
             return QuickestResult(horizon, _schedule_from_movement(graph, flows))
@@ -490,29 +483,20 @@ def _too_small(horizon: int, deficit: Fraction) -> InfeasibleError:
     )
 
 
-def mincost_over_time(
-    network: Network, horizon: int, max_layers: int | None = None
-) -> MincostOverTimeResult:
+def mincost_over_time(network: Network, horizon: int) -> MincostOverTimeResult:
     """Minimum-cost transshipment within a fixed integer horizon.
 
     Too small a horizon, 0 included, raises :class:`InfeasibleError`
     with the horizon and the undelivered deficit as its certificate.
     """
-    graph = expand(network, horizon, max_layers)
+    graph = expand(network, horizon)
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities, graph.costs)
-    routed, _, _ = _kernel.min_cost_flow(
-        g, graph.super_source, graph.super_sink, graph.total_supply_scaled
-    )
-    if routed < graph.total_supply_scaled:
-        raise _too_small(horizon, Fraction(graph.total_supply_scaled - routed, graph.cap_scale))
-    movement_flows = g.rem[1 : 2 * len(graph.movement) : 2]
-    schedule = _schedule_from_movement(graph, movement_flows)
-    # Only movement copies have nonzero cost; zip stops after them.
-    cost = Fraction(
-        sum(c * f for c, f in zip(graph.costs, movement_flows)),
-        graph.cap_scale * graph.cost_scale,
-    )
-    return MincostOverTimeResult(cost, schedule)
+    total = graph.total_supply_scaled
+    routed, cost, _, _ = _kernel.min_cost_flow(g, graph.super_source, graph.super_sink, total)
+    if routed < total:
+        raise _too_small(horizon, Fraction(total - routed, graph.cap_scale))
+    schedule = _schedule_from_movement(graph, g.rem[1 : 2 * len(graph.movement) : 2])
+    return MincostOverTimeResult(Fraction(cost, graph.cap_scale * graph.cost_scale), schedule)
 
 
 class _GrowingExpansion:
@@ -540,20 +524,16 @@ class _GrowingExpansion:
     drain out of (t, T).  Both copies still conserve flow, the new drain
     carries f ≤ −b(t), and no other arc changes, so the flow stays valid
     and keeps its value.  :meth:`max_flow` at T+1 therefore only has to
-    augment the flow left at T.
+    augment the flow left at T.  The layer guard is checked at
+    construction and before each growth.
     """
 
     def __init__(self, network: Network, max_layers: int | None = None):
         _layer_guard(0, max_layers)
-        form = network.integral
-        n = len(network.nodes)
-        self.form = form
-        self.n = n
+        self.form = form = network.integral
+        self.n = n = len(network.nodes)
         self.max_layers = max_layers
         self.horizon = 0
-        self.sources = [v for v, b in enumerate(form.balances) if b > 0]
-        self.sinks = [v for v, b in enumerate(form.balances) if b < 0]
-        self.total = sum(form.balances[v] for v in self.sources)
         self.routed = 0
         # Arcs by transit: layer T appends the movement copies of a prefix.
         order = sorted(range(len(form.tails)), key=form.transits.__getitem__)
@@ -565,16 +545,14 @@ class _GrowingExpansion:
         self.graph = _kernel.Residual(2)
         # Each arc's capacity in the graph, for min_cost's resets.
         self.caps: list[int | None] = []
-        # Forward edges of the movement copies with nonzero cost.
-        self.costly_edges: list[int] = []
-        # Forward edge of each sink's live drain, in ``sinks`` order.
+        # Forward edge of each sink's live drain, in ``form.sinks`` order.
         self.drains: Sequence[int] = ()
 
     def grow(self) -> None:
         """Append layer :attr:`horizon` and move the drains onto it.
 
-        Raises :class:`HorizonLimitError` where :func:`expand` would for
-        the new horizon.
+        Raises :class:`HorizonLimitError` when the new horizon exceeds
+        ``max_layers``.
         """
         layer = self.horizon
         _layer_guard(layer + 1, self.max_layers)
@@ -583,22 +561,20 @@ class _GrowingExpansion:
         g.add_nodes(n)
         held = range(base - n, base) if layer else range(0)
         live = bisect_right(self.transits, layer)
-        sinks, balances = self.sinks, self.form.balances
+        sinks, balances = self.form.sinks, self.form.balances
         tails = [*held, *(base + d for d in self.tail_shift[:live]), *(base + v for v in sinks)]
         heads = [*(u + n for u in held), *(base + v for v in self.heads[:live]), *[1] * len(sinks)]
         caps = [*[None] * len(held), *self.arc_caps[:live], *(-balances[v] for v in sinks)]
         costs = [*[0] * len(held), *self.arc_costs[:live], *[0] * len(sinks)]
         if not layer:
-            sources = self.sources
+            sources = self.form.sources
             tails += [0] * len(sources)
             heads += [2 + v for v in sources]
             caps += [balances[v] for v in sources]
             costs += [0] * len(sources)
         first = g.add_arcs(tails, heads, caps, costs)
         self.caps += caps
-        moves = first + 2 * len(held)
-        self.costly_edges += [moves + 2 * j for j, c in enumerate(self.arc_costs[:live]) if c]
-        start = moves + 2 * live
+        start = first + 2 * (len(held) + live)
         drains = range(start, start + 2 * len(sinks), 2)
         rem = g.rem
         for old, new, v in zip(self.drains, drains, sinks):
@@ -618,17 +594,18 @@ class _GrowingExpansion:
     def min_cost(self) -> Fraction:
         """The minimum cost over time at :attr:`horizon`, from a zero flow.
 
-        Raises :class:`InfeasibleError` where :func:`mincost_over_time`
-        does, with the same message and certificate.
+        Resets every residual capacity to its arc's, so the kernel's cost
+        is that of the whole flow.  Raises :class:`InfeasibleError` where
+        :func:`mincost_over_time` does, with the same message and
+        certificate.
         """
         rem = [0] * (2 * len(self.caps))
         rem[0::2] = self.caps
         self.graph.rem = rem
-        self.routed, _, _ = _kernel.min_cost_flow(self.graph, 0, 1, self.total)
         form = self.form
-        if self.routed < self.total:
-            raise _too_small(self.horizon, Fraction(self.total - self.routed, form.flow_scale))
-        cost = sum(self.graph.cost[e] * rem[e + 1] for e in self.costly_edges)
+        self.routed, cost, _, _ = _kernel.min_cost_flow(self.graph, 0, 1, form.supply)
+        if self.routed < form.supply:
+            raise _too_small(self.horizon, Fraction(form.supply - self.routed, form.flow_scale))
         return Fraction(cost, form.flow_scale * form.cost_scale)
 
 

@@ -148,7 +148,7 @@ def solve(instance: TransportationInstance) -> TransportSolution:
         [*[None] * m, *instance.supplies, *instance.demands],
         [*instance.costs, *[0] * n],
     )
-    routed, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
+    routed, _, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:
         cut = sorted(v for v in reachable if v < n)
         stranded_sources = tuple(instance.sources[i] for i in cut if i < p)
@@ -169,6 +169,7 @@ def solve(instance: TransportationInstance) -> TransportSolution:
     shipments = tuple(g.rem[1 : 2 * m : 2])
     terminals = (*instance.sources, *instance.sinks)
     dual = DualSolution({v: -pi[k] for k, v in enumerate(terminals)})
+    # Read off the shipments: the primal side of the duality certificate.
     cost = sum(c * f for c, f in zip(instance.costs, shipments))
     optimum = Fraction(cost, instance.cost_scale * flow_scale)
     _assert_optimality(instance, shipments, dual, optimum)

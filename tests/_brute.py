@@ -69,7 +69,6 @@ from qmct.temporal import (
     FlowOverTime,
     QuickestResult,
     TimeExpandedGraph,
-    _layer_guard,
     _schedule_from_movement,
     _solve_max,
     horizon_upper_bound,
@@ -208,7 +207,7 @@ def min_cost_flow(problem: FlowProblem, balances: Sequence[Fraction]) -> MinCost
         [*costs, *[0] * len(wiring)],
     )
     total = sum(b for b in bal_int if b > 0)
-    routed, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
+    routed, _, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:
         assert reachable is not None
         stranded = sorted(v for v in reachable if v < problem.num_nodes)
@@ -399,16 +398,13 @@ def pair_count_horizon_bound(network: Network) -> int:
     return -(-total // u_min) + pairs * (len(network.nodes) - 1) * tau_max
 
 
-def full_expand(
-    network: Network, horizon: int, max_layers: int | None = None
-) -> TimeExpandedGraph:
+def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
     """The full time expansion for an integer horizon: every movement
     copy that arrives by the horizon and every holdover, in the order
     and numbering of :func:`qmct.temporal.expand`, which keeps only the
     copies on some super source → super sink path of this one."""
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    _layer_guard(horizon, max_layers)
     form = network.integral
     transits, arc_tails = form.transits, form.tails
     caps_int, costs_int = form.capacities, form.costs
@@ -858,17 +854,12 @@ def network_from_doc(doc: Any) -> Network:
         raise ValidationError(str(exc)) from exc
 
 
-def stabilised_oracle(
-    network: Network,
-    max_nodes: int = 10,
-    max_layers: int | None = None,
-) -> tuple[Fraction, int]:
+def stabilised_oracle(network: Network, max_nodes: int = 10) -> tuple[Fraction, int]:
     """(cost, horizon) from the stabilised min-cost flow at the bound.
 
     Computes the minimum cost over time at :func:`horizon_upper_bound`,
     then scans horizons from zero for the first one whose minimum cost
-    over time equals it.  Trips the ``max_layers`` guard whenever the
-    bound exceeds it.
+    over time equals it.
     """
     if len(network.nodes) > max_nodes:
         raise HorizonLimitError(
@@ -878,10 +869,10 @@ def stabilised_oracle(
         )
     validate_or_raise(network)
     bound = horizon_upper_bound(network)
-    stabilized = mincost_over_time(network, bound, max_layers=max_layers)
+    stabilized = mincost_over_time(network, bound)
     for horizon in range(bound + 1):
         try:
-            probe = mincost_over_time(network, horizon, max_layers=max_layers)
+            probe = mincost_over_time(network, horizon)
         except InfeasibleError:
             continue
         if probe.cost == stabilized.cost:

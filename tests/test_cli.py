@@ -305,6 +305,24 @@ BAD_INVOCATIONS = {
     "verify max-horizon -1": (
         ["verify", "{dir}/demo.json", "--max-horizon", "-1"], "--max-horizon must be at least 0"
     ),
+    "text with schedule and storage": (
+        ["solve", "{dir}/demo.json", "--text", "--emit-schedule", "--storage-trace"],
+        "--text prints no schedule or storage: drop --emit-schedule and --storage-trace",
+    ),
+    "oracle text with schedule": (
+        ["solve", "{dir}/demo.json", "--mode", "oracle", "--text", "--emit-schedule"],
+        "--mode oracle prints only its cost and horizon, as JSON: "
+        "drop --text and --emit-schedule",
+    ),
+    "oracle text": (
+        ["solve", "{dir}/demo.json", "--mode", "oracle", "--text"],
+        "--mode oracle prints only its cost and horizon, as JSON: drop --text",
+    ),
+    "static with schedule and storage": (
+        ["solve", "{dir}/demo.json", "--mode", "mincost-static"]
+        + ["--emit-schedule", "--storage-trace"],
+        "--mode mincost-static has no schedule: drop --emit-schedule and --storage-trace",
+    ),
     "non-string endpoint": (["solve", "{dir}/endpoint.json"], "arc 0 tail must be a string node id"),
     "JSON float": (["solve", "{dir}/float.json"], "arc 0 cost: floats are not exact"),
     "bad JSON": (["solve", "{dir}/broken.json"], "not valid JSON"),

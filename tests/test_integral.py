@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _brute import transport_solve
+from conftest import golden_instances
 from qmct import _kernel, admissible, cheapest, transport
 from qmct.errors import InternalCheckError
 from qmct.generate import generate
@@ -67,6 +68,26 @@ def test_integer_form_scales_every_value_exactly(net):
             assert type(k) is int and k == x * scale
     assert form.tails == tuple(net.node_index(a.tail) for a in net.arcs)
     assert form.heads == tuple(net.node_index(a.head) for a in net.arcs)
+    _assert_terminals_match_balance_signs(net)
+    _assert_terminals_match_balance_signs(net.with_arcs(range(0, len(net.arcs), 2)))
+
+
+def _assert_terminals_match_balance_signs(net):
+    """The form's terminals and supply, against a scan of the balances."""
+    form = net.integral
+    bals = form.balances
+    assert form.sources == tuple(v for v, b in enumerate(bals) if b > 0)
+    assert form.sinks == tuple(v for v, b in enumerate(bals) if b < 0)
+    assert form.supply == sum(b for b in bals if b > 0)
+    assert net.total_supply == sum(b for b in net.balances.values() if b > 0)
+    assert net.sources == tuple(v for v in net.nodes if net.balances[v] > 0)
+    assert net.sinks == tuple(v for v in net.nodes if net.balances[v] < 0)
+
+
+def test_golden_terminals_match_balance_signs():
+    for net in golden_instances():
+        _assert_terminals_match_balance_signs(net)
+        _assert_terminals_match_balance_signs(net.with_arcs(range(1, len(net.arcs), 2)))
 
 
 # ------------------------------------------- labels against Fractions

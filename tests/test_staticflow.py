@@ -344,6 +344,37 @@ def test_potentials_certify_on_demo_network(demo):
     _check_residual_optimality(problem, result)
 
 
+def test_kernel_min_cost_flow_reports_the_cost_of_its_flow():
+    # Costs ``w + p[u] - p[v]`` with ``w >= 0`` are often negative but
+    # leave no negative cycle.  Targets: zero, up to the max flow, above it.
+    rng = random.Random(2718)
+    seen = {"negative": 0, "parallel": 0, "short": 0, "zero": 0}
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        p = [rng.randint(-5, 5) for _ in range(n)]
+        arcs = []
+        for _ in range(rng.randint(1, 12)):
+            u, v = rng.sample(range(n), 2)
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                arcs.append((u, v, rng.randint(1, 5), rng.randint(0, 6) + p[u] - p[v]))
+        seen["negative"] += any(c < 0 for *_, c in arcs)
+        seen["parallel"] += len({(u, v) for u, v, *_ in arcs}) < len(arcs)
+
+        def graph():
+            return _kernel.build(n, *(list(column) for column in zip(*arcs)))
+
+        most = _kernel.max_flow(graph(), 0, n - 1)
+        for target in (0, rng.randint(0, most), most + rng.randint(1, 5)):
+            g = graph()
+            routed, cost, _, reachable = _kernel.min_cost_flow(g, 0, n - 1, target)
+            assert routed == min(target, most)
+            assert (reachable is None) == (routed == target)
+            assert cost == sum(g.cost[e] * g.rem[e + 1] for e in range(0, len(g.to), 2))
+            seen["short"] += routed < target
+            seen["zero"] += target == 0
+    assert min(seen.values()) >= 100, seen
+
+
 # -------------------------------------------------------------- decompose
 
 

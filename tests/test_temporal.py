@@ -9,6 +9,7 @@ import pytest
 
 from _brute import expansion_max_flow, full_expand, pair_count_horizon_bound, scale_transits
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2, detour_network
+from qmct import temporal
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
 from qmct.io import load_instance
@@ -153,9 +154,25 @@ def test_expansion_size_bound(demo):
         assert graph.num_arcs <= (m + n) * (horizon + 1)
 
 
-def test_max_layers_guard(demo):
-    with pytest.raises(HorizonLimitError):
-        expand(demo, 11, max_layers=10)
+def test_quickest_guards_each_probe_before_expanding(monkeypatch):
+    # The search probes horizons 11, 13, 17 and 25 on the generated
+    # network, and 9 alone on the detour network.
+    cases = [(generate(251, nodes=8, terminals=4, tau_max=5), 25), (detour_network(), 9)]
+    for net, quickest in cases:
+        assert quickest_transshipment(net).horizon == quickest
+        for limit in range(quickest):
+            built = []
+
+            def recording(network, horizon, *rest):
+                built.append(horizon)
+                return expand(network, horizon, *rest)
+
+            monkeypatch.setattr(temporal, "expand", recording)
+            with pytest.raises(HorizonLimitError) as caught:
+                quickest_transshipment(net, max_layers=limit)
+            monkeypatch.undo()
+            assert limit < caught.value.requested <= quickest
+            assert all(horizon <= limit for horizon in built), (limit, built)
 
 
 # ------------------------------------------------------------ feasibility
