@@ -76,8 +76,8 @@ class Residual:
         self.adj.extend([] for _ in range(count))
         self.n += count
 
-    def add_arcs(self, tails, heads, caps, costs=None) -> int:
-        """Append arcs in bulk and return the first one's forward edge.
+    def add_arcs(self, tails, heads, caps, costs=None) -> None:
+        """Append arcs in bulk; the existing edges and their flows stay as they are.
 
         Same edges, and the same order in every adjacency list, as
         calling :meth:`add` once per arc.  ``tails``, ``heads``, ``caps``
@@ -105,7 +105,6 @@ class Residual:
         for e, u, v in zip(range(first, first + m2, 2), tails, heads):
             adj[u].append(e)
             adj[v].append(e + 1)
-        return first
 
     def push(self, e: int, amount: int) -> None:
         rem = self.rem

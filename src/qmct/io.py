@@ -106,7 +106,7 @@ def load_instance(path: str | Path) -> Network:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # nested too deeply
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc.strerror})") from exc

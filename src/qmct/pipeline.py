@@ -67,7 +67,6 @@ class AlgorithmRun:
 
     network: Network
     pair_costs: dict[tuple[NodeId, NodeId], int]
-    instance: transport.TransportationInstance
     solution: transport.TransportSolution
     actives: frozenset[tuple[NodeId, NodeId]]
     subnetwork: admissible.Subnetwork
@@ -112,7 +111,6 @@ def run_quickest_mincost(network: Network, max_layers: int | None = None) -> Alg
     return AlgorithmRun(
         network=network,
         pair_costs=costs,
-        instance=instance,
         solution=solution,
         actives=actives,
         subnetwork=subnetwork,
@@ -292,11 +290,11 @@ def oracle_quickest_mincost(
     and stay there, and the first horizon that reaches it is the least
     one at which the minimum cost is attained.
 
-    The scan grows one time expansion a layer at a time from horizon 0.
-    Up to the first feasible horizon each layer costs one max flow,
-    which augments the flow left by the last one; from there each costs
-    a min-cost flow from scratch on the same graph.  The bound caps the
-    scan; passing it raises :class:`InternalCheckError`.
+    The scan grows one time expansion from horizon 0 by appending a
+    layer at a time.  Up to the first feasible horizon each layer costs
+    one max flow, which augments the flow left by the last one; from
+    there each costs a min-cost flow from scratch on the same graph.
+    The bound caps the scan; passing it raises :class:`InternalCheckError`.
 
     When the static flow routes r short of the total supply, no horizon
     is feasible, and the :class:`InfeasibleError` names the bound and

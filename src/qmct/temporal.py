@@ -50,11 +50,10 @@ class TimeExpandedGraph:
     is ``n·T + 2`` however many copies are dropped, and a dropped copy
     is an isolated node.  Arc order is movement copies first (aligned
     with ``movement``), then holdover arcs, then terminal wiring.
-    Capacities and costs are stored scaled to integers;
-    ``cap_scale``/``cost_scale`` restore rationals.
+    Capacities and costs are integers at the scales of the network's
+    :attr:`~Network.integral` form, the one owner of scales and supply.
     """
 
-    network: Network
     horizon: int
     num_nodes: int
     tails: tuple[int, ...]
@@ -66,9 +65,6 @@ class TimeExpandedGraph:
     wiring_start: int
     super_source: int
     super_sink: int
-    cap_scale: int
-    cost_scale: int
-    total_supply_scaled: int
 
     @property
     def num_arcs(self) -> int:
@@ -89,13 +85,6 @@ class FlowOverTime:
 
     horizon: int
     arc_flows: tuple[ArcIntervals, ...]
-
-    def cost(self, network: Network) -> Fraction:
-        total = Fraction(0)
-        for entry in self.arc_flows:
-            amount = sum((Fraction(e - s) * r for s, e, r in entry.intervals), Fraction(0))
-            total += network.arcs[entry.arc].cost * amount
-        return total
 
 
 @dataclass(frozen=True)
@@ -238,7 +227,6 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
                 costs.append(0)
 
     return TimeExpandedGraph(
-        network=network,
         horizon=horizon,
         num_nodes=super_sink + 1,
         tails=tuple(tails),
@@ -250,14 +238,11 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
         wiring_start=wiring_start,
         super_source=super_source,
         super_sink=super_sink,
-        cap_scale=form.flow_scale,
-        cost_scale=form.cost_scale,
-        total_supply_scaled=form.supply,
     )
 
 
 def _schedule_from_movement(
-    graph: TimeExpandedGraph, movement_flows: Sequence[int]
+    graph: TimeExpandedGraph, movement_flows: Sequence[int], flow_scale: int
 ) -> FlowOverTime:
     # Runs [start, end, flow] per arc; movement copies come layer by layer.
     runs: dict[int, list[list[int]]] = {}
@@ -269,7 +254,7 @@ def _schedule_from_movement(
             else:
                 steps.append([layer, layer + 1, raw])
     entries = (
-        ArcIntervals(arc, tuple((s, e, Fraction(raw, graph.cap_scale)) for s, e, raw in runs[arc]))
+        ArcIntervals(arc, tuple((s, e, Fraction(raw, flow_scale)) for s, e, raw in runs[arc]))
         for arc in sorted(runs)
     )
     return FlowOverTime(graph.horizon, tuple(entries))
@@ -285,8 +270,7 @@ def _solve_max(graph: TimeExpandedGraph) -> tuple[int, list[int], set[int]]:
 
 def feasible(network: Network, horizon: int) -> bool:
     """True when all supplies can reach their demands within the horizon."""
-    graph = expand(network, horizon)
-    return _solve_max(graph)[0] == graph.total_supply_scaled
+    return _solve_max(expand(network, horizon))[0] == network.integral.supply
 
 
 def horizon_upper_bound(network: Network) -> int:
@@ -455,7 +439,7 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
         (t, {*sources, *sinks} - {t}, "demand at {!r} cannot be reached by any source")
         for t in sinks
     ]
-    horizon = 0
+    form, horizon = network.integral, 0
     for node, subset, message in seed:
         try:
             horizon = max(horizon, _subset_horizon(network, subset))
@@ -466,8 +450,8 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
         _layer_guard(horizon, max_layers)
         graph = expand(network, horizon)
         value, flows, reachable = _solve_max(graph)
-        if value == graph.total_supply_scaled:
-            return QuickestResult(horizon, _schedule_from_movement(graph, flows))
+        if value == form.supply:
+            return QuickestResult(horizon, _schedule_from_movement(graph, flows, form.flow_scale))
         violated = _violated_subset(network, horizon, reachable)
         bound = _subset_horizon(network, violated)
         if bound <= horizon:
@@ -489,67 +473,75 @@ def mincost_over_time(network: Network, horizon: int) -> MincostOverTimeResult:
     Too small a horizon, 0 included, raises :class:`InfeasibleError`
     with the horizon and the undelivered deficit as its certificate.
     """
-    graph = expand(network, horizon)
+    graph, form = expand(network, horizon), network.integral
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities, graph.costs)
-    total = graph.total_supply_scaled
+    total, scale = form.supply, form.flow_scale
     routed, cost, _, _ = _kernel.min_cost_flow(g, graph.super_source, graph.super_sink, total)
     if routed < total:
-        raise _too_small(horizon, Fraction(total - routed, graph.cap_scale))
-    schedule = _schedule_from_movement(graph, g.rem[1 : 2 * len(graph.movement) : 2])
-    return MincostOverTimeResult(Fraction(cost, graph.cap_scale * graph.cost_scale), schedule)
+        raise _too_small(horizon, Fraction(total - routed, scale))
+    schedule = _schedule_from_movement(graph, g.rem[1 : 2 * len(graph.movement) : 2], scale)
+    return MincostOverTimeResult(Fraction(cost, scale * form.cost_scale), schedule)
 
 
 class _GrowingExpansion:
     """The time expansion of a network, grown in place one layer at a time.
 
     The oracle scans horizons on one residual graph instead of expanding
-    the network afresh for each.  The super source and super sink are
-    nodes 0 and 1 at every horizon, and the copy of node ``v`` at layer
-    ``q`` is node ``2 + q·n + v``.  At :attr:`horizon` T the arcs are
-    those of the full expansion for T, every copy that arrives by T, in
-    another order, plus each sink's spent drains from the layers below
-    T − 1, whose capacity is 0.  Unlike :func:`expand` it keeps the
-    copies that no flow can use.
+    the network afresh for each.  With k sinks, the super source and
+    super sink are nodes 0 and 1, sink t's *collector* ``c_t`` is one of
+    nodes 2 .. k+1, in ``form.sinks`` order, and the copy of node ``v``
+    at layer ``q`` is node ``2 + k + q·n + v``.  The collectors are made
+    at construction, each with an arc ``c_t →`` super sink of capacity
+    −b(t).  Unlike :func:`expand` the grower keeps the copies that no
+    flow can use.
 
     *Growth* (:meth:`grow`) from T to T+1 appends the n copies of layer
     T, the holdovers from layer T−1 into them, the movement copies whose
     head is at layer T (arc a from layer T − τ_a, when that is ≥ 0) and,
-    for each sink t, a drain of capacity −b(t) from (t, T) to the super
-    sink; the first growth also joins the super source to the sources'
-    layer-0 copies.  Each movement copy of the full expansion for T+1 has
-    its head at some layer q ≤ T and was appended with layer q, and its
-    holdovers and drains are the ones listed, so the arc sets agree.
-    The drain from (t, T−1) is spent: its capacity and its flow f become
-    0, and f moves onto the new holdover out of (t, T−1) and the new
-    drain out of (t, T).  Both copies still conserve flow, the new drain
-    carries f ≤ −b(t), and no other arc changes, so the flow stays valid
-    and keeps its value.  :meth:`max_flow` at T+1 therefore only has to
-    augment the flow left at T.  The layer guard is checked at
-    construction and before each growth.
+    for each sink t, an uncapacitated arc of cost 0 from (t, T) into
+    ``c_t``; the first growth also joins the super source to the
+    sources' layer-0 copies.  Each movement copy of the full expansion
+    F_{T+1} has its head at some layer q ≤ T and was appended with layer
+    q, and its holdovers are the ones listed.  So at horizon T the graph
+    is F_T with each drain (t, T−1) → super sink replaced by the arcs
+    (t, q) → ``c_t`` for q < T and ``c_t`` → super sink.
+
+    *Same answers.*  A flow of F_T maps onto the graph by sending each
+    drain's flow through (t, T−1) → ``c_t``.  Conversely, flow entering
+    ``c_t`` from (t, q) can instead wait at t along the free,
+    uncapacitated holdovers up to (t, T−1) and drain there, and at most
+    −b(t) leaves ``c_t`` in all, the drain's capacity.  Both maps keep a
+    flow's value and cost, so the max-flow values, the min costs and the
+    deficits of :func:`_too_small` agree with those of F_T at every T.
+    A growth adds nodes and arcs and changes no existing one, so the flow
+    left at T stays valid at T+1, and :meth:`max_flow` there only has to
+    augment it.  The layer guard is checked at construction and before
+    each growth.
     """
 
     def __init__(self, network: Network, max_layers: int | None = None):
         _layer_guard(0, max_layers)
         self.form = form = network.integral
-        self.n = n = len(network.nodes)
+        self.n = len(network.nodes)
         self.max_layers = max_layers
         self.horizon = 0
         self.routed = 0
         # Arcs by transit: layer T appends the movement copies of a prefix.
         order = sorted(range(len(form.tails)), key=form.transits.__getitem__)
         self.transits = [form.transits[a] for a in order]
-        self.tail_shift = [form.tails[a] - form.transits[a] * n for a in order]
+        self.tail_shift = [form.tails[a] - form.transits[a] * self.n for a in order]
         self.heads = [form.heads[a] for a in order]
         self.arc_caps = [form.capacities[a] for a in order]
         self.arc_costs = [form.costs[a] for a in order]
-        self.graph = _kernel.Residual(2)
+        # Sink t's collector, in ``form.sinks`` order; layer 0 starts after them.
+        self.collectors = range(2, 2 + len(form.sinks))
         # Each arc's capacity in the graph, for min_cost's resets.
-        self.caps: list[int | None] = []
-        # Forward edge of each sink's live drain, in ``form.sinks`` order.
-        self.drains: Sequence[int] = ()
+        self.caps: list[int | None] = [-form.balances[t] for t in form.sinks]
+        k = len(self.collectors)
+        self.graph = _kernel.build(2 + k, self.collectors, [1] * k, self.caps)
 
     def grow(self) -> None:
-        """Append layer :attr:`horizon` and move the drains onto it.
+        """Append layer :attr:`horizon` and its arcs into the collectors.
 
         Raises :class:`HorizonLimitError` when the new horizon exceeds
         ``max_layers``.
@@ -557,33 +549,23 @@ class _GrowingExpansion:
         layer = self.horizon
         _layer_guard(layer + 1, self.max_layers)
         n, g = self.n, self.graph
-        base = 2 + layer * n
+        base = self.collectors.stop + layer * n
         g.add_nodes(n)
         held = range(base - n, base) if layer else range(0)
         live = bisect_right(self.transits, layer)
-        sinks, balances = self.form.sinks, self.form.balances
-        tails = [*held, *(base + d for d in self.tail_shift[:live]), *(base + v for v in sinks)]
-        heads = [*(u + n for u in held), *(base + v for v in self.heads[:live]), *[1] * len(sinks)]
-        caps = [*[None] * len(held), *self.arc_caps[:live], *(-balances[v] for v in sinks)]
+        sinks = self.form.sinks
+        tails = [*held, *(base + d for d in self.tail_shift[:live]), *(base + t for t in sinks)]
+        heads = [*(u + n for u in held), *(base + v for v in self.heads[:live]), *self.collectors]
+        caps = [*[None] * len(held), *self.arc_caps[:live], *[None] * len(sinks)]
         costs = [*[0] * len(held), *self.arc_costs[:live], *[0] * len(sinks)]
         if not layer:
-            sources = self.form.sources
+            sources, balances = self.form.sources, self.form.balances
             tails += [0] * len(sources)
-            heads += [2 + v for v in sources]
+            heads += [self.collectors.stop + v for v in sources]
             caps += [balances[v] for v in sources]
             costs += [0] * len(sources)
-        first = g.add_arcs(tails, heads, caps, costs)
+        g.add_arcs(tails, heads, caps, costs)
         self.caps += caps
-        start = first + 2 * (len(held) + live)
-        drains = range(start, start + 2 * len(sinks), 2)
-        rem = g.rem
-        for old, new, v in zip(self.drains, drains, sinks):
-            f = rem[old + 1]
-            rem[old] = rem[old + 1] = self.caps[old // 2] = 0
-            rem[first + 2 * v + 1] = f
-            rem[new] -= f
-            rem[new + 1] = f
-        self.drains = drains
         self.horizon = layer + 1
 
     def max_flow(self) -> int:

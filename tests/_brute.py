@@ -439,7 +439,6 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
     super_source = n * horizon
     super_sink = super_source + 1
     wiring_start = len(tails)
-    total_scaled = sum(b for b in form.balances if b > 0)
     if horizon > 0:
         for v, b in enumerate(form.balances):
             if b > 0:
@@ -454,7 +453,6 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
                 costs.append(0)
 
     return TimeExpandedGraph(
-        network=network,
         horizon=horizon,
         num_nodes=super_sink + 1,
         tails=tuple(tails),
@@ -466,9 +464,6 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
         wiring_start=wiring_start,
         super_source=super_source,
         super_sink=super_sink,
-        cap_scale=form.flow_scale,
-        cost_scale=form.cost_scale,
-        total_supply_scaled=total_scaled,
     )
 
 
@@ -476,7 +471,7 @@ def expansion_max_flow(
     network: Network, horizon: int
 ) -> tuple[TimeExpandedGraph, tuple[int, ...], int]:
     """Max flow on the time expansion: the graph, the integer flow of
-    every expansion arc (scaled by ``graph.cap_scale``) and its value."""
+    every expansion arc (at the network's ``flow_scale``) and its value."""
     graph = full_expand(network, horizon)
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
     value = _kernel.max_flow(g, graph.super_source, graph.super_sink)
@@ -484,16 +479,15 @@ def expansion_max_flow(
 
 
 def movement_rates(
-    graph: TimeExpandedGraph, flows, arc_map: tuple[int, ...] | None = None
+    graph: TimeExpandedGraph, flows, flow_scale: int, arc_map: tuple[int, ...] | None = None
 ) -> dict[tuple[int, int], Fraction]:
     """Nonzero inflow rate per (arc, step) carried by the movement copies,
-    arcs renumbered through ``arc_map`` when one is given."""
+    whose integer ``flows`` are at ``flow_scale``, arcs renumbered
+    through ``arc_map`` when one is given."""
     rates = {}
     for (arc, layer), f in zip(graph.movement, flows):
         if f:
-            rates[(arc if arc_map is None else arc_map[arc], layer)] = Fraction(
-                f, graph.cap_scale
-            )
+            rates[(arc if arc_map is None else arc_map[arc], layer)] = Fraction(f, flow_scale)
     return rates
 
 
@@ -517,11 +511,11 @@ def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction
     decomposed as they are, and only the routed amounts are unscaled.
     """
     graph, flows, _value = expansion_max_flow(run.restricted, run.quickest.horizon)
-    assert movement_rates(graph, flows) == schedule_rates(run.quickest.schedule)
+    form = run.restricted.integral
+    assert movement_rates(graph, flows, form.flow_scale) == schedule_rates(run.quickest.schedule)
     paths, cycles = staticflow.decompose(graph, flows)
     n = len(run.restricted.nodes)
     movement = graph.movement
-    form = run.restricted.integral
 
     def cost(arc_seq: tuple[int, ...]) -> Fraction:
         legs = (movement[e][0] for e in arc_seq if e < len(movement))
@@ -531,7 +525,7 @@ def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction
     for arc_seq, amount in paths:
         source = run.restricted.nodes[graph.heads[arc_seq[0]] % n]
         sink = run.restricted.nodes[graph.tails[arc_seq[-1]] % n]
-        routes.append((source, sink, Fraction(amount, graph.cap_scale), cost(arc_seq)))
+        routes.append((source, sink, Fraction(amount, form.flow_scale), cost(arc_seq)))
     clean = all(cost(arc_seq) == 0 for arc_seq, _amount in cycles)
     return routes, clean
 
@@ -662,7 +656,7 @@ def expansion_search(network: Network) -> QuickestResult:
         nonlocal feasible_probe, cut
         graph = full_expand(network, horizon)
         value, flows, reachable = _solve_max(graph)
-        if value == graph.total_supply_scaled:
+        if value == network.integral.supply:
             feasible_probe = (graph, flows)
             return True
         cut = (graph.super_source, reachable)
@@ -698,7 +692,8 @@ def expansion_search(network: Network) -> QuickestResult:
             lo = mid
 
     assert feasible_probe is not None
-    return QuickestResult(hi, _schedule_from_movement(*feasible_probe))
+    graph, flows = feasible_probe
+    return QuickestResult(hi, _schedule_from_movement(graph, flows, network.integral.flow_scale))
 
 
 def subset_expansion_flow(network: Network, subset, horizon: int) -> int:

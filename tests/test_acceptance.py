@@ -166,8 +166,9 @@ def _project_routes(run):
     schedule.
     """
     graph, flows, _value = expansion_max_flow(run.restricted, run.quickest.horizon)
-    rebuilds = movement_rates(graph, flows, run.arc_map) == schedule_rates(run.schedule)
-    flow = tuple(Fraction(f, graph.cap_scale) for f in flows)
+    scale = run.restricted.integral.flow_scale
+    rebuilds = movement_rates(graph, flows, scale, run.arc_map) == schedule_rates(run.schedule)
+    flow = tuple(Fraction(f, scale) for f in flows)
     paths, cycles = decompose(graph, flow)
     n = len(run.restricted.nodes)
     movement_count = len(graph.movement)

@@ -330,6 +330,9 @@ BAD_INVOCATIONS = {
     "deep JSON": (
         ["solve", "{dir}/deep.json"], "not valid JSON (maximum recursion depth exceeded"
     ),
+    "huge JSON integer": (
+        ["solve", "{dir}/huge.json"], "not valid JSON (Exceeds the limit (4300 digits)"
+    ),
     "missing out dir": (
         ["generate", "--seed", "1", "--out", "{dir}/missing/generated.json"],
         "cannot write (No such file or directory)",
@@ -347,6 +350,8 @@ def test_bad_input_exits_with_one_message_and_no_traceback(capsys, tmp_path, cas
     (tmp_path / "broken.json").write_text("{")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00garbage")
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    huge = json.dumps({"nodes": ["a", "b"], "arcs": [{**arc, "capacity": 0}]})
+    (tmp_path / "huge.json").write_text(huge.replace('"capacity": 0', '"capacity": ' + "9" * 5000))
     code, _, err = _run(capsys, [a.replace("{dir}", str(tmp_path)) for a in argv])
     assert code in (2, 3, 4), err
     assert err.startswith(("validation error:", "infeasible:", "guard tripped:")), err

@@ -7,7 +7,8 @@ cost what :func:`qmct.temporal.mincost_over_time` costs, or raise the
 same error.
 One expansion grows with max flows only, as the oracle's scan up to the
 first feasible horizon does; another grows with a min-cost flow at every
-horizon.
+horizon.  A growth only appends: every residual capacity and arc
+capacity from before it is unchanged after it.
 """
 
 from fractions import Fraction
@@ -88,8 +89,11 @@ def test_growth_matches_a_fresh_expansion_per_horizon(kind):
             expected = _min_cost_or_error(lambda: mincost_over_time(net, horizon).cost)
             assert _min_cost_or_error(by_min_cost.min_cost) == expected, (kind, seen, horizon)
             raising += not isinstance(expected, Fraction)
-            by_max_flow.grow()
-            by_min_cost.grow()
+            for expansion in (by_max_flow, by_min_cost):
+                rem, caps = list(expansion.graph.rem), list(expansion.caps)
+                expansion.grow()
+                assert expansion.graph.rem[: len(rem)] == rem, (kind, seen, horizon)
+                assert expansion.caps[: len(caps)] == caps, (kind, seen, horizon)
         seen += 1
         zero_transit += 0 in net.integral.transits
         rescaled += net.integral.time_scale > 1

@@ -107,7 +107,7 @@ def test_expand_keeps_exactly_the_copies_on_a_path():
                 assert pruned.movement == tuple(m for m, k in zip(full.movement, keep) if k)
                 assert pruned.holdover_start == len(pruned.movement)
                 assert pruned.wiring_start == pruned.num_arcs - (full.num_arcs - full.wiring_start)
-                for name in ("num_nodes", "super_source", "super_sink", "total_supply_scaled"):
+                for name in ("num_nodes", "super_source", "super_sink"):
                     assert getattr(pruned, name) == getattr(full, name)
                 checked += 1
                 dropped += full.num_arcs - pruned.num_arcs

@@ -12,9 +12,15 @@ must be loaded somewhere in the package, the tests or the benchmark
 harness: read as a name, as an attribute, imported by name, or written
 as a string (``__all__`` entries and the harness's patch targets are
 strings).  Dunder names are exempt.
+
+The ``test`` extra of ``pyproject.toml`` lists exactly the modules
+outside the standard library that the tests and the benchmark harness
+import, so installing it is enough to collect both.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +121,28 @@ def test_every_defined_name_is_loaded_somewhere():
         if name not in loaded
     ]
     assert dead == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports absolutely."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_the_test_extra_lists_what_the_tests_import():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        extra = tomllib.load(handle)["project"]["optional-dependencies"]["test"]
+    listed = {re.match(r"\w+", entry)[0] for entry in extra}  # the name before any version
+    paths = [path for folder in USERS[1:] for path in folder.glob("*.py")]
+    imported = set().union(*(imported_modules(path.read_text()) for path in paths))
+    imported -= {*sys.stdlib_module_names, "qmct", *(path.stem for path in paths)}
+    assert (sorted(imported - listed), sorted(listed - imported)) == ([], [])
 
 
 def test_every_exported_name_resolves():

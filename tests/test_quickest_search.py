@@ -127,7 +127,7 @@ def test_every_infeasible_probe_names_a_violated_subset():
         for horizon in range(1, answer):
             graph = temporal.expand(network, horizon)
             value, _flows, reachable = temporal._solve_max(graph)
-            assert value < graph.total_supply_scaled
+            assert value < network.integral.supply
             subset = temporal._violated_subset(network, horizon, reachable)
             need = _need(network, subset)
             assert need > 0, (network, horizon, subset)

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from _brute import expansion_max_flow, full_expand, pair_count_horizon_bound, scale_transits
+from _brute import (
+    expansion_max_flow,
+    full_expand,
+    movement_rates,
+    pair_count_horizon_bound,
+    scale_transits,
+)
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2, detour_network
 from qmct import temporal
 from qmct.errors import HorizonLimitError, InfeasibleError
@@ -59,7 +65,7 @@ def test_expand_zero_horizon(demo):
     graph = expand(demo, 0)
     assert graph.movement == ()
     assert graph.num_nodes == 2  # just the super terminals
-    assert graph.total_supply_scaled > 0
+    assert graph.num_arcs == 0
 
 
 def test_expand_drops_arcs_slower_than_horizon():
@@ -77,20 +83,21 @@ def test_expand_rejects_negative_horizon(demo):
 
 def test_expand_counts_steps_of_the_time_scale():
     # Transit 1/2 at time scale 2 is one step: the expansion is that of
-    # the same network with the transit doubled, the network field aside.
+    # the same network with the transit doubled, at the same scales.
     half = Network.of(["a", "b"], [("a", "b", 1, "1/2", 0)], {"a": 1, "b": -1})
     doubled = Network.of(["a", "b"], [("a", "b", 1, 1, 0)], {"a": 1, "b": -1})
     assert half.integral.time_scale == 2
+    assert replace(half.integral, transits=(1,), time_scale=1) == doubled.integral
     for horizon in range(4):
-        assert replace(expand(half, horizon), network=doubled) == expand(doubled, horizon)
+        assert expand(half, horizon) == expand(doubled, horizon)
 
 
-# Digest of every ``TimeExpandedGraph`` field (the network aside) at
-# horizons 0-12, for the bundled instances and 20 generated ones, half
-# of them with rational capacities and costs, so that a rewrite of
-# ``expand`` that moves, drops or rescales any arc shows up.  The first
-# pins the full expansion of ``_brute.full_expand``, the second the
-# pruned one of ``expand``.
+# Digest of every ``TimeExpandedGraph`` field, with the network's flow
+# scale, cost scale and supply, at horizons 0-12, for the bundled
+# instances and 20 generated ones, half of them with rational capacities
+# and costs, so that a rewrite of ``expand`` that moves, drops or
+# rescales any arc shows up.  The first pins the full expansion of
+# ``_brute.full_expand``, the second the pruned one of ``expand``.
 EXPANSION_GOLDEN = "48aa6148740657f02972dd20dace2d50af8f716d207fd0133e2db7884428e0f1"
 PRUNED_EXPANSION_GOLDEN = "cfb93812e97441729cc363a403c5f22d55ee0acd6602e98836b035dc276b21eb"
 
@@ -114,7 +121,7 @@ def _expansion_digest(build) -> str:
     count = 0
     for net in _expansion_instances():
         for horizon in range(13):
-            graph = build(net, horizon)
+            graph, form = build(net, horizon), net.integral
             fields = [
                 graph.horizon,
                 graph.num_nodes,
@@ -127,9 +134,9 @@ def _expansion_digest(build) -> str:
                 graph.wiring_start,
                 graph.super_source,
                 graph.super_sink,
-                graph.cap_scale,
-                graph.cost_scale,
-                graph.total_supply_scaled,
+                form.flow_scale,
+                form.cost_scale,
+                form.supply,
             ]
             assert all(type(c) is int for c in graph.costs)
             assert all(c is None or type(c) is int for c in graph.capacities)
@@ -207,14 +214,14 @@ def test_zero_balances_always_feasible(demo):
 def test_quickest_on_full_demo(demo):
     result = quickest_transshipment(demo)
     assert result.horizon == 1
-    assert result.schedule.cost(demo) == 1
+    assert verify_schedule(demo, result.schedule).cost == 1
 
 
 def test_quickest_on_variant_a_subnetwork(demo_variant_a):
     restricted = demo_variant_a.with_arcs([A_S1V, A_S2V, A_S2T2, A_VT1])
     result = quickest_transshipment(restricted)
     assert result.horizon == 2
-    assert result.schedule.cost(restricted) == Fraction(1, 2)
+    assert verify_schedule(restricted, result.schedule).cost == Fraction(1, 2)
 
 
 def test_quickest_single_path_matches_closed_form():
@@ -319,7 +326,10 @@ def test_schedules_verify_across_generated_instances():
         result = quickest_transshipment(net)
         report = verify_schedule(net, result.schedule)
         assert report.ok, (seed, report.violations)
-        assert report.cost == result.schedule.cost(net)
+        # The cost of the expansion's max flow, which the schedule reads back.
+        graph, flows, _value = expansion_max_flow(net, result.horizon)
+        rates = movement_rates(graph, flows, net.integral.flow_scale)
+        assert report.cost == sum(net.arcs[arc].cost * rate for (arc, _), rate in rates.items())
 
 
 def test_overloaded_rate_is_flagged(demo):
@@ -458,7 +468,7 @@ def test_feasibility_witness_routes_everything(demo):
     assert feasible(demo, 1)
     graph, flows, _value = expansion_max_flow(demo, 1)
     routed = sum(f for f, tail in zip(flows, graph.tails) if tail == graph.super_source)
-    assert Fraction(routed, graph.cap_scale) == demo.total_supply
+    assert Fraction(routed, demo.integral.flow_scale) == demo.total_supply
 
 
 def test_balances_override_without_rebuilding(demo):
@@ -475,7 +485,7 @@ def test_balances_override_without_rebuilding(demo):
 def _routed_amount(net, horizon):
     graph, flows, _value = expansion_max_flow(net, horizon)
     routed = sum(f for f, tail in zip(flows, graph.tails) if tail == graph.super_source)
-    return Fraction(routed, graph.cap_scale)
+    return Fraction(routed, net.integral.flow_scale)
 
 
 def test_unit_grid_routes_as_much_as_any_finer_grid():

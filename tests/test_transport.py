@@ -242,7 +242,7 @@ def test_downstream_result_invariant_under_dual_choice():
             subnet = admissible.admissible_arcs(admissible.extend(net, dual))
             restricted = net.with_arcs(subnet.arc_indices)
             result = temporal.quickest_transshipment(restricted)
-            schedule_cost = result.schedule.cost(restricted)
+            schedule_cost = temporal.verify_schedule(restricted, result.schedule).cost
             outcome = (schedule_cost, result.horizon)
             if baseline is None:
                 baseline = outcome
@@ -268,7 +268,8 @@ def test_demo_unit_balances_have_genuinely_different_duals(demo):
         subnet = admissible.admissible_arcs(admissible.extend(demo, dual))
         restricted = demo.with_arcs(subnet.arc_indices)
         result = temporal.quickest_transshipment(restricted)
-        outcomes.append((result.schedule.cost(restricted), result.horizon))
+        cost = temporal.verify_schedule(restricted, result.schedule).cost
+        outcomes.append((cost, result.horizon))
         subnets.append(subnet.arc_indices)
     assert subnets[0] != subnets[1]
     assert outcomes[0] == outcomes[1] == (Fraction(0), 2)
