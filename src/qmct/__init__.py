@@ -13,7 +13,6 @@ from .errors import (
     HorizonLimitError,
     InfeasibleError,
     InternalCheckError,
-    NoPathError,
     QmctError,
     ValidationError,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "InfeasibleError",
     "InternalCheckError",
     "Network",
-    "NoPathError",
     "Path",
     "QmctError",
     "SolveReport",

@@ -5,11 +5,16 @@ distances to the sink (see :func:`max_flow` for why not from the
 source); min-cost flow is successive shortest paths with potentials,
 and reports the cost of the flow it pushes from those potentials.
 
-:func:`label_correct` is the solver's one label-correcting routine:
-cheapest-path costs, the admissible subnetwork, validation's
-negative-cycle test and the min-cost potentials all run it.  It only
-adds and compares costs, so it is exact for ints and Fractions
-alike.  Its cycle test is the walk-length criterion of
+:func:`label_correct` is the solver's one label-correcting routine,
+and every pass of it starts from *seeds*: starting labels of chosen
+nodes, as if an implicit root were joined to each at that cost.
+Cheapest-path costs seed their origin at 0; the admissible subnetwork
+seeds each source at minus its dual and, on the reversed graph, each
+sink at its dual; the time expansion's least-transit pruning seeds the
+sources and, reversed, the sinks at 0; validation's negative-cycle test
+and the min-cost potentials seed every node at 0.  It only adds and
+compares costs, so it is exact for ints and Fractions alike.  Its
+cycle test is the walk-length criterion of
 Cherkassky & Goldberg (*Negative-cycle detection algorithms*, Math.
 Prog. 1999).  Each label is the cost of its *label walk*, whose edges
 were relaxed one after another.  If a node ``x`` repeats on a label
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterable
+from typing import Mapping
 
 from .errors import InternalCheckError
 
@@ -48,7 +53,7 @@ class Residual:
     :func:`build`), edge ``2k+1`` its reverse.  ``rem[e]`` is the
     remaining capacity (``None`` = unbounded) and ``rem[e ^ 1]`` of a
     forward edge equals the flow currently on it.  The solver's costs are
-    ints; label graphs (:func:`arc_graph`) also take Fractions.
+    ints; :func:`label_correct` also takes Fractions.
     """
 
     __slots__ = ("n", "to", "rem", "cost", "adj")
@@ -260,12 +265,12 @@ def max_flow(g: Residual, s: int, t: int) -> int:
         value += _blocking_flow(g, s, t, dist)
 
 
-def label_correct(g: Residual, start: int | None = None) -> list | None:
+def label_correct(g: Residual, seeds: Mapping[int, object] | None = None) -> list | None:
     """FIFO label-correcting labels over the edges with remaining capacity.
 
-    Labels grow from ``start``, or, when ``start`` is None, from an
-    implicit zero-cost root joined to every node, so that every label
-    starts at 0.  Nodes ``start`` does not reach get None.  Returns None
+    Labels grow as if from an implicit root joined to each node of
+    ``seeds`` at the cost it maps to, or, when ``seeds`` is None, to
+    every node at cost 0.  Nodes no seed reaches get None.  Returns None
     instead of the labels when a negative cycle is reachable, that is,
     when a label's walk (root edge not counted) would reach ``n`` edges.
     """
@@ -274,13 +279,14 @@ def label_correct(g: Residual, start: int | None = None) -> list | None:
     rem = g.rem
     cost = g.cost
     adj = g.adj
-    if start is None:
+    if seeds is None:
         dist: list = [0] * n
         queue = deque(range(n))
     else:
         dist = [None] * n
-        dist[start] = 0
-        queue = deque([start])
+        for v, d in seeds.items():
+            dist[v] = d
+        queue = deque(seeds)
     queued = [d is not None for d in dist]
     walk = [0] * n
     while queue:
@@ -304,25 +310,16 @@ def label_correct(g: Residual, start: int | None = None) -> list | None:
     return dist
 
 
-def labels(g: Residual, start: int | None = None) -> list:
+def labels(g: Residual, seeds: Mapping[int, object] | None = None) -> list:
     """:func:`label_correct` for callers that have excluded negative cycles.
 
     Validation rejects networks with a negative cycle, so meeting one
     here means a solver bug: raises :class:`InternalCheckError`.
     """
-    dist = label_correct(g, start)
+    dist = label_correct(g, seeds)
     if dist is None:
         raise InternalCheckError("negative cycle reached during labeling")
     return dist
-
-
-def arc_graph(n: int, arcs: Iterable[tuple]) -> Residual:
-    """One uncapacitated edge per ``(tail, head, cost)`` arc, for labelling."""
-    arcs = list(arcs)
-    tails = [u for u, _, _ in arcs]
-    heads = [v for _, v, _ in arcs]
-    costs = [c for _, _, c in arcs]
-    return build(n, tails, heads, [None] * len(arcs), costs)
 
 
 def _dijkstra(g: Residual, s: int, t: int, pi: list[int]):

@@ -8,7 +8,9 @@ minimum-cost shipment plan may use.  The admissible arc set consists of
 the original arcs lying on such a zero-cost path: none without terminals,
 and none with a warning when terminals cannot connect.  The duals are
 integers at the network's ``cost_scale`` already, so labels run on the
-base network's integer costs and the duals as they are.
+base network's integer costs and the duals as they are: the forward
+pass seeds each source at minus its dual and the backward pass each
+sink at its dual, so neither super node is ever built.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from . import _kernel
 from .errors import InternalCheckError
@@ -25,23 +28,20 @@ from .transport import DualSolution
 
 @dataclass(frozen=True)
 class ExtendedNetwork:
-    """Base network plus priced super terminals, indexed for labeling.
+    """Base network plus priced super terminals.
 
-    Nodes 0..n-1 are the base nodes in order; ``super_source`` is n and
-    ``super_sink`` is n+1.  Terminal arcs have zero transit and no
-    capacity bound; only their costs matter here.  ``terminal_arcs`` are
-    ``(tail, head, cost)`` with costs at the base network's ``cost_scale``.
+    A super source joins each source at minus its dual, and each sink
+    joins a super sink at its dual: ``source_costs`` and ``sink_costs``
+    map base node indices to these costs, at the base network's
+    ``cost_scale``.  Terminal arcs have zero transit and no capacity
+    bound; only their costs matter here, and label passes start from
+    them as seeds rather than from super nodes.
     """
 
     base: Network
-    terminal_arcs: tuple[tuple[int, int, int], ...]
+    source_costs: Mapping[int, int]
+    sink_costs: Mapping[int, int]
     base_arc_count: int
-    super_source: int
-    super_sink: int
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.base.nodes) + 2
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,9 @@ class Subnetwork:
 def extend(network: Network, dual: DualSolution) -> ExtendedNetwork:
     """Attach priced super terminals for the network's sources and sinks."""
     idx = network.node_index
-    n = len(network.nodes)
-    terminal = [(n, idx(s), -dual[s]) for s in network.sources]
-    terminal += [(idx(t), n + 1, dual[t]) for t in network.sinks]
-    return ExtendedNetwork(network, tuple(terminal), len(network.arcs), n, n + 1)
+    source_costs = {idx(s): -dual[s] for s in network.sources}
+    sink_costs = {idx(t): dual[t] for t in network.sinks}
+    return ExtendedNetwork(network, source_costs, sink_costs, len(network.arcs))
 
 
 def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
@@ -76,18 +75,18 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     the calling pipeline.  An unreachable super sink yields an empty
     subnetwork, with a warning only when terminals exist but cannot connect.
     """
-    n = extended.num_nodes
-    form, terminal = extended.base.integral, extended.terminal_arcs
-    tails = [*form.tails, *(u for u, _, _ in terminal)]
-    heads = [*form.heads, *(v for _, v, _ in terminal)]
-    costs = [*form.costs, *(c for _, _, c in terminal)]
+    form = extended.base.integral
+    n = len(extended.base.nodes)
+    caps = [None] * len(form.costs)
     forward = _kernel.labels(
-        _kernel.arc_graph(n, zip(tails, heads, costs)), extended.super_source
+        _kernel.build(n, form.tails, form.heads, caps, form.costs), extended.source_costs
     )
-    labels = tuple(forward[: len(extended.base.nodes)])
-    opt = forward[extended.super_sink]
+    labels = tuple(forward)
+    # The super sink's label: the cheapest entry through a priced sink arc.
+    sinks = extended.sink_costs.items()
+    opt = min((forward[t] + c for t, c in sinks if forward[t] is not None), default=None)
     if opt is None:
-        if terminal:
+        if extended.source_costs or extended.sink_costs:
             warnings.warn("super sink unreachable; admissible subnetwork is empty", stacklevel=2)
         return Subnetwork(frozenset(), connected=False, labels=labels)
     if opt != 0:
@@ -96,11 +95,11 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
             f"cheapest extended path costs {cost}, expected 0 for an optimal dual"
         )
     backward = _kernel.labels(
-        _kernel.arc_graph(n, zip(heads, tails, costs)), extended.super_sink
+        _kernel.build(n, form.heads, form.tails, caps, form.costs), extended.sink_costs
     )
 
     selected = []
-    for i, (u, v, c) in enumerate(zip(form.tails, form.heads, costs)):  # the base arcs
+    for i, (u, v, c) in enumerate(zip(form.tails, form.heads, form.costs)):
         df, db = forward[u], backward[v]
         if df is not None and db is not None and df + c + db == 0:
             selected.append(i)

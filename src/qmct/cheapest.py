@@ -46,12 +46,12 @@ class CostLabels:
 def _graph(network: Network, reverse: bool = False) -> _kernel.Residual:
     form = network.integral
     ends = (form.heads, form.tails) if reverse else (form.tails, form.heads)
-    return _kernel.arc_graph(len(network.nodes), zip(*ends, form.costs))
+    return _kernel.build(len(network.nodes), *ends, [None] * len(form.costs), form.costs)
 
 
 def _cost_labels(network: Network, origin: NodeId, direction: str) -> CostLabels:
     g = _graph(network, reverse=direction == TO_SINK)
-    dist = _kernel.labels(g, network.node_index(origin))
+    dist = _kernel.labels(g, {network.node_index(origin): 0})
     values = {v: d for v, d in zip(network.nodes, dist) if d is not None}
     return CostLabels(origin, direction, values)
 
@@ -77,7 +77,7 @@ def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], int]:
     sinks = network.sinks
     costs: dict[tuple[NodeId, NodeId], int] = {}
     for s in network.sources:
-        dist = _kernel.labels(g, idx(s))
+        dist = _kernel.labels(g, {idx(s): 0})
         for t in sinks:
             d = dist[idx(t)]
             if d is not None:

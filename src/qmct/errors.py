@@ -15,10 +15,6 @@ class ValidationError(QmctError):
         self.violations = violations
 
 
-class NoPathError(QmctError):
-    """A required path between two nodes does not exist."""
-
-
 class InfeasibleError(QmctError):
     """Supplies cannot be routed to demands.
 

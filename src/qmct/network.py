@@ -244,9 +244,11 @@ def validate(network: Network) -> ValidationReport:
     if total != 0:
         violations.append(Violation("balance", f"balances sum to {total}, expected 0"))
 
-    # Self-loops are reported above; the cycle test runs on the rest.
-    indexed = ((u, v, c) for u, v, c in zip(form.tails, form.heads, form.costs) if u != v)
-    if _kernel.label_correct(_kernel.arc_graph(len(network.nodes), indexed)) is None:
+    # Self-loops are reported above; a capacity of 0 keeps them out of
+    # the cycle test, and every other arc is uncapacitated in it.
+    caps = [0 if u == v else None for u, v in zip(form.tails, form.heads)]
+    g = _kernel.build(len(network.nodes), form.tails, form.heads, caps, form.costs)
+    if _kernel.label_correct(g) is None:
         violations.append(Violation("negative-cycle", "network contains a negative-cost cycle"))
 
     return ValidationReport(tuple(violations))

@@ -47,13 +47,16 @@ class SolveReport:
     mode: str
     cost: Fraction
     horizon: int | None
-    horizon_original: Fraction | None
     scale: int
     subnetwork: tuple[int, ...] | None
     schedule: temporal.FlowOverTime | None
     transport_optimum: Fraction | None
     checks: dict[str, bool] = field(default_factory=dict)
     timing: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def horizon_original(self) -> Fraction | None:
+        return None if self.horizon is None else Fraction(self.horizon, self.scale)
 
     @property
     def all_checks_pass(self) -> bool:
@@ -170,7 +173,6 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
     """Minimum-cost transshipment over time with the least possible horizon."""
     started = time.perf_counter()
     validate_or_raise(network)
-    scale = network.integral.time_scale
     run = run_quickest_mincost(network, max_layers)
     solved = time.perf_counter()
     verification = temporal.verify_schedule(network, run.schedule)
@@ -184,8 +186,7 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
         mode=MODE_QUICKEST_MINCOST,
         cost=verification.cost,
         horizon=run.quickest.horizon,
-        horizon_original=Fraction(run.quickest.horizon, scale),
-        scale=scale,
+        scale=network.integral.time_scale,
         subnetwork=run.arc_map,
         schedule=run.schedule,
         transport_optimum=run.solution.optimum,
@@ -198,7 +199,6 @@ def solve_quickest(network: Network, max_layers: int | None = None) -> SolveRepo
     """Quickest transshipment ignoring costs; reports the realized cost."""
     started = time.perf_counter()
     validate_or_raise(network)
-    scale = network.integral.time_scale
     quickest = temporal.quickest_transshipment(network, max_layers=max_layers)
     solved = time.perf_counter()
     verification = temporal.verify_schedule(network, quickest.schedule)
@@ -207,8 +207,7 @@ def solve_quickest(network: Network, max_layers: int | None = None) -> SolveRepo
         mode=MODE_QUICKEST,
         cost=verification.cost,
         horizon=quickest.horizon,
-        horizon_original=Fraction(quickest.horizon, scale),
-        scale=scale,
+        scale=network.integral.time_scale,
         subnetwork=None,
         schedule=quickest.schedule,
         transport_optimum=None,
@@ -229,7 +228,6 @@ def solve_mincost_static(network: Network) -> SolveReport:
         mode=MODE_MINCOST_STATIC,
         cost=solution.optimum,
         horizon=None,
-        horizon_original=None,
         scale=1,
         subnetwork=None,
         schedule=None,

@@ -123,13 +123,13 @@ def _least_transits(network: Network) -> tuple[list[int | None], list[int | None
     to v and from v to any sink, None where there is no path."""
     form = network.integral
     n = len(network.nodes)
-    arcs = list(zip(form.tails, form.heads, form.transits))
-    # Node n is a root joined at no cost to the sources, or, with every
-    # arc reversed, to the sinks.
-    forward = _kernel.arc_graph(n + 1, [*arcs, *((n, s, 0) for s in form.sources)])
-    reverse = ((w, u, tau) for u, w, tau in arcs)
-    backward = _kernel.arc_graph(n + 1, [*reverse, *((n, t, 0) for t in form.sinks)])
-    return _kernel.labels(forward, n)[:n], _kernel.labels(backward, n)[:n]
+    caps = [None] * len(form.transits)
+    forward = _kernel.build(n, form.tails, form.heads, caps, form.transits)
+    backward = _kernel.build(n, form.heads, form.tails, caps, form.transits)
+    return (
+        _kernel.labels(forward, dict.fromkeys(form.sources, 0)),
+        _kernel.labels(backward, dict.fromkeys(form.sinks, 0)),
+    )
 
 
 def expand(network: Network, horizon: int) -> TimeExpandedGraph:

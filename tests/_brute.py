@@ -61,7 +61,7 @@ from typing import Any, Iterable, Sequence
 
 from qmct import _kernel, staticflow
 from qmct.cheapest import CostLabels, cheapest_from, cheapest_to
-from qmct.errors import HorizonLimitError, InfeasibleError, NoPathError, ValidationError
+from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
 from qmct.network import Arc, Network, NodeId
 from qmct.pipeline import AlgorithmRun, validate_or_raise
 from qmct.rationals import as_rational, to_integers
@@ -560,6 +560,10 @@ def subnetwork_arcs(
     return frozenset(selected)
 
 
+class NoPathError(Exception):
+    """No path joins the two nodes :func:`cheapest_paths_subnetwork` was given."""
+
+
 def cheapest_paths_subnetwork(network: Network, source: NodeId, sink: NodeId) -> frozenset[int]:
     """Indices of all arcs lying on at least one cheapest source-sink path."""
     forward = cheapest_from(network, source)
@@ -605,11 +609,12 @@ def horizon_lower_bound(network: Network) -> int:
     sources = network.sources
     sinks = network.sinks
     idx = network.node_index
-    g = _kernel.arc_graph(len(network.nodes), zip(form.tails, form.heads, form.transits))
+    caps = [None] * len(form.transits)
+    g = _kernel.build(len(network.nodes), form.tails, form.heads, caps, form.transits)
     best = 0
     sink_best: dict[NodeId, int] = {}
     for s in sources:
-        dist = _kernel.labels(g, idx(s))
+        dist = _kernel.labels(g, {idx(s): 0})
         reachable = [dist[idx(t)] for t in sinks if dist[idx(t)] is not None]
         if not reachable:
             raise InfeasibleError(

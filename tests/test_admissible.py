@@ -19,20 +19,16 @@ PRINTED_DUAL = DualSolution({"s1": 0, "s2": 1, "t1": 0, "t2": 1})
 def test_extend_prices_terminal_arcs(demo):
     extended = extend(demo, PRINTED_DUAL)
     assert extended.base_arc_count == 5
-    terminal = extended.terminal_arcs
-    n = len(demo.nodes)
-    super_source, super_sink = n, n + 1
-    priced = {(t, h): c for t, h, c in terminal}
-    assert priced[(super_source, demo.node_index("s1"))] == 0
-    assert priced[(super_source, demo.node_index("s2"))] == -1
-    assert priced[(demo.node_index("t1"), super_sink)] == 0
-    assert priced[(demo.node_index("t2"), super_sink)] == 1
+    idx = demo.node_index
+    assert extended.source_costs == {idx("s1"): 0, idx("s2"): -1}
+    assert extended.sink_costs == {idx("t1"): 0, idx("t2"): 1}
 
 
 def test_extend_with_zero_dual(demo):
     zero = DualSolution({v: 0 for v in ("s1", "s2", "t1", "t2")})
     extended = extend(demo, zero)
-    assert all(c == 0 for _, _, c in extended.terminal_arcs)
+    assert all(c == 0 for c in extended.source_costs.values())
+    assert all(c == 0 for c in extended.sink_costs.values())
 
 
 def test_variant_a_drops_only_the_fan_out_arc(demo_variant_a):
@@ -110,14 +106,18 @@ def test_unconnectable_terminals_warn_and_return_empty():
 
 
 def test_zero_cost_optimum_on_extended_network(demo_variant_a):
-    from qmct._kernel import arc_graph, labels
+    from qmct import _kernel
 
     solution = solve(build(demo_variant_a, pair_costs(demo_variant_a)))
     extended = extend(demo_variant_a, solution.dual)
     form = demo_variant_a.integral
-    arcs = [*zip(form.tails, form.heads, form.costs), *extended.terminal_arcs]
-    dist = labels(arc_graph(extended.num_nodes, arcs), extended.super_source)
-    assert dist[extended.super_sink] == 0
+    # The super source and super sink as explicit nodes n and n+1.
+    n = len(demo_variant_a.nodes)
+    tails = [*form.tails, *(n for _ in extended.source_costs), *extended.sink_costs]
+    heads = [*form.heads, *extended.source_costs, *(n + 1 for _ in extended.sink_costs)]
+    costs = [*form.costs, *extended.source_costs.values(), *extended.sink_costs.values()]
+    g = _kernel.build(n + 2, tails, heads, [None] * len(costs), costs)
+    assert _kernel.labels(g, {n: 0})[n + 1] == 0
 
 
 def test_path_equivalence_on_generated_instances():

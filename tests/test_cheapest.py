@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from _brute import (
+    NoPathError,
     cheapest_paths_subnetwork,
     cheapest_simple_cost,
     path_cost,
@@ -16,7 +17,6 @@ from qmct.cheapest import (
     cheapest_to,
     pair_costs,
 )
-from qmct.errors import NoPathError
 from qmct.generate import generate
 from qmct.network import Network
 
@@ -152,7 +152,7 @@ def test_subnetwork_equality_is_tight(demo):
 
 
 def test_labels_raise_on_reachable_negative_cycle():
-    from qmct._kernel import arc_graph, labels
+    from qmct._kernel import build, labels
     from qmct.errors import InternalCheckError
 
     net = Network.of(
@@ -162,6 +162,6 @@ def test_labels_raise_on_reachable_negative_cycle():
     )
     with pytest.raises(InternalCheckError):
         cheapest_from(net, "a")
-    g = arc_graph(3, [(0, 1, Fraction(1)), (1, 2, Fraction(-2)), (2, 1, Fraction(1))])
+    g = build(3, [0, 1, 2], [1, 2, 1], [None] * 3, [Fraction(1), Fraction(-2), Fraction(1)])
     with pytest.raises(InternalCheckError):
-        labels(g, 0)
+        labels(g, {0: 0})

@@ -121,8 +121,9 @@ def _rational_networks():
 
 
 def _fraction_labels(arcs, n, start):
-    """Labels on Fraction costs, as every label pass computed them before."""
-    return _kernel.labels(_kernel.arc_graph(n, arcs), start)
+    """Labels from ``start`` on Fraction costs, as every label pass computed them before."""
+    tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
+    return _kernel.labels(_kernel.build(n, tails, heads, [None] * len(costs), costs), {start: 0})
 
 
 def _fraction_arcs(net, reverse=False):
@@ -136,19 +137,22 @@ def _fraction_admissible(extended):
 
     The terminal arcs' integer duals are read at the base network's
     ``cost_scale`` and the base arcs' costs as the network's Fractions.
+    The super source and super sink are explicit nodes ``n`` and ``n+1``.
     """
-    net, n = extended.base, extended.num_nodes
+    net = extended.base
+    n = len(net.nodes)
     scale = net.integral.cost_scale
     arcs = _fraction_arcs(net)
-    arcs += [(u, v, Fraction(c, scale)) for u, v, c in extended.terminal_arcs]
-    forward = _fraction_labels(arcs, n, extended.super_source)
-    opt = forward[extended.super_sink]
+    arcs += [(n, v, Fraction(c, scale)) for v, c in extended.source_costs.items()]
+    arcs += [(u, n + 1, Fraction(c, scale)) for u, c in extended.sink_costs.items()]
+    forward = _fraction_labels(arcs, n + 2, n)
+    opt = forward[n + 1]
     if opt is None:
         return "unreachable"
     if opt != 0:
         return f"cheapest extended path costs {opt}, expected 0 for an optimal dual"
     reverse = [(v, u, c) for u, v, c in arcs]
-    backward = _fraction_labels(reverse, n, extended.super_sink)
+    backward = _fraction_labels(reverse, n + 2, n + 1)
     selected = set()
     for i, (u, v, c) in enumerate(arcs[: extended.base_arc_count]):
         if forward[u] is not None and backward[v] is not None:

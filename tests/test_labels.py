@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmct._kernel import arc_graph, label_correct
+from qmct._kernel import build, label_correct
 from qmct.network import Network, validate
 
 nx = pytest.importorskip("networkx")
@@ -47,6 +47,12 @@ def _random_arcs(rng: random.Random, n: int, fractions: bool, plant_cycle: bool)
     return arcs
 
 
+def _graph(n, arcs):
+    """One uncapacitated edge per ``(tail, head, cost)`` arc."""
+    tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
+    return build(n, tails, heads, [None] * len(costs), costs)
+
+
 def _networkx(n, arcs):
     graph = nx.MultiDiGraph()
     graph.add_nodes_from(range(n))
@@ -70,11 +76,11 @@ def test_labels_match_networkx_in_both_start_modes():
     for trial in range(300):
         n = rng.randint(2, 7)
         arcs = _random_arcs(rng, n, fractions=trial % 2 == 1, plant_cycle=trial % 3 == 0)
-        g = arc_graph(n, arcs)
+        g = _graph(n, arcs)
         graph = _networkx(n, arcs)
         for start in range(n):
             expected = _expected(graph, start, n)
-            assert label_correct(g, start) == expected, (trial, start, arcs)
+            assert label_correct(g, {start: 0}) == expected, (trial, start, arcs)
             if expected is None:
                 seen["cycle"] += 1
             else:
@@ -89,6 +95,31 @@ def test_labels_match_networkx_in_both_start_modes():
         assert (expected is None) == nx.negative_edge_cycle(graph)
         seen["root-cycle"] += expected is None
     assert min(seen.values()) >= 30, seen
+
+
+def test_seeded_pass_equals_an_explicit_root():
+    # Seeds ``{v: c}`` label like a root node with an arc of cost ``c``
+    # to each seed ``v``, labelled from the root by networkx's
+    # Bellman-Ford, with the root's own label dropped.
+    rng = random.Random(29)
+    seen = {"cycle": 0, "clean": 0, "unreached": 0, "lowered-seed": 0}
+    for trial in range(1200):
+        n = rng.randint(2, 7)
+        fractions = trial % 2 == 1
+        arcs = _random_arcs(rng, n, fractions=fractions, plant_cycle=trial % 4 == 0)
+        unit = Fraction(1, 6) if fractions else 1
+        seeds = {v: rng.randint(-12, 12) * unit for v in rng.sample(range(n), rng.randint(1, n))}
+        rooted = _networkx(n, arcs)
+        rooted.add_edges_from(("root", v, {"weight": c}) for v, c in seeds.items())
+        expected = _expected(rooted, "root", n)
+        assert label_correct(_graph(n, arcs), seeds) == expected, (trial, seeds, arcs)
+        if expected is None:
+            seen["cycle"] += 1
+        else:
+            seen["clean"] += 1
+            seen["unreached"] += expected.count(None)
+            seen["lowered-seed"] += any(expected[v] < c for v, c in seeds.items())
+    assert min(seen.values()) >= 100, seen
 
 
 def test_validate_finds_negative_cycles_like_networkx():

@@ -149,16 +149,6 @@ def test_build_matches_per_arc_add():
             expected.cost,
             expected.adj,
         ), trial
-        labelled = _kernel.Residual(n)
-        for u, v, _cap, cost in arcs:
-            labelled.add(u, v, None, cost)
-        g = _kernel.arc_graph(n, [(u, v, cost) for u, v, _cap, cost in arcs])
-        assert (g.to, g.rem, g.cost, g.adj) == (
-            labelled.to,
-            labelled.rem,
-            labelled.cost,
-            labelled.adj,
-        ), trial
 
 
 def test_fractional_capacities_exact():
