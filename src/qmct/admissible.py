@@ -60,10 +60,10 @@ class Subnetwork:
 
 def extend(network: Network, dual: DualSolution) -> ExtendedNetwork:
     """Attach priced super terminals for the network's sources and sinks."""
-    idx = network.node_index
-    source_costs = {idx(s): -dual[s] for s in network.sources}
-    sink_costs = {idx(t): dual[t] for t in network.sinks}
-    return ExtendedNetwork(network, source_costs, sink_costs, len(network.arcs))
+    form, nodes = network.integral, network.nodes
+    source_costs = {s: -dual[nodes[s]] for s in form.sources}
+    sink_costs = {t: dual[nodes[t]] for t in form.sinks}
+    return ExtendedNetwork(network, source_costs, sink_costs, len(form.tails))
 
 
 def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
@@ -112,11 +112,12 @@ def _assert_terminals_covered(network: Network, subnetwork: Subnetwork) -> None:
     """Every supplied source must keep an outgoing admissible arc (and
     every demanded sink an incoming one); anything else means the
     transportation stage produced an inconsistent dual."""
-    with_out = {network.arcs[i].tail for i in subnetwork.arc_indices}
-    with_in = {network.arcs[i].head for i in subnetwork.arc_indices}
-    for s in network.sources:
+    form, nodes = network.integral, network.nodes
+    with_out = {form.tails[i] for i in subnetwork.arc_indices}
+    with_in = {form.heads[i] for i in subnetwork.arc_indices}
+    for s in form.sources:
         if s not in with_out:
-            raise InternalCheckError(f"source {s!r} has supply but no admissible out-arc")
-    for t in network.sinks:
+            raise InternalCheckError(f"source {nodes[s]!r} has supply but no admissible out-arc")
+    for t in form.sinks:
         if t not in with_in:
-            raise InternalCheckError(f"sink {t!r} has demand but no admissible in-arc")
+            raise InternalCheckError(f"sink {nodes[t]!r} has demand but no admissible in-arc")

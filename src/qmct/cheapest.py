@@ -72,14 +72,11 @@ def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], int]:
     Pairs with no connecting path are absent from the result.  One label
     graph serves every source.
     """
-    g = _graph(network)
-    idx = network.node_index
-    sinks = network.sinks
+    g, form, nodes = _graph(network), network.integral, network.nodes
     costs: dict[tuple[NodeId, NodeId], int] = {}
-    for s in network.sources:
-        dist = _kernel.labels(g, {idx(s): 0})
-        for t in sinks:
-            d = dist[idx(t)]
-            if d is not None:
-                costs[(s, t)] = d
+    for s in form.sources:
+        dist = _kernel.labels(g, {s: 0})
+        for t in form.sinks:
+            if dist[t] is not None:
+                costs[(nodes[s], nodes[t])] = dist[t]
     return costs

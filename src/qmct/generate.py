@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 
 from . import _kernel
-from .network import Arc, Network
+from .network import Network
 from .rationals import to_integers
 
 # Random arcs drawn per node pair (n(n-1)/2 pairs), before the repairs.
@@ -98,15 +98,7 @@ def generate(
     arcs = []
     for u, v in endpoints:
         cost = rng.randint(0, cost_max) + potential[u] - potential[v]
-        arcs.append(
-            Arc.of(
-                names[u],
-                names[v],
-                rng.randint(1, cap_max),
-                rng.randint(0, tau_max),
-                cost,
-            )
-        )
+        arcs.append((names[u], names[v], rng.randint(1, cap_max), rng.randint(0, tau_max), cost))
 
     def tentative() -> Fraction:
         if rng.random() < half_balance_prob:
@@ -139,12 +131,8 @@ def generate(
     _kernel.max_flow(g, n, n + 1)
     flows = g.rem[2 * len(pair_tails) + 1 :: 2]
 
-    balances: dict[str, Fraction] = {}
-    for i, s in enumerate(source_ids):
-        if flows[i] > 0:
-            balances[names[s]] = Fraction(flows[i], scale)
-    for j, t in enumerate(sink_ids):
-        if flows[k_src + j] > 0:
-            balances[names[t]] = -Fraction(flows[k_src + j], scale)
+    signs = [1] * k_src + [-1] * k_snk
+    terminals = zip([*source_ids, *sink_ids], signs, flows)
+    balances = {names[v]: Fraction(sign * f, scale) for v, sign, f in terminals if f}
 
     return Network.of(names, arcs, balances)

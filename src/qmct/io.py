@@ -6,9 +6,10 @@ ids), ``arcs`` (objects with ``tail``, ``head``, ``capacity``,
 missing ids mean zero).  Numeric values are integers or exact strings
 ("3/2", "1.5"); JSON floats are rejected to keep arithmetic exact.
 
-:func:`network_from_doc` parses each distinct literal of a document once,
-into one shared ``Fraction``; every later stage reads the integers of
-:attr:`Network.integral` at its scales, and no stage scales again.
+:func:`network_from_doc` parses each distinct string literal once and
+keeps ints as they are; ``Network.of`` scales them into the network's
+integer form, which every later stage reads and :func:`network_to_doc`
+writes back as text.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ValidationError
-from .network import Arc, Network
+from .network import Network
 from .rationals import as_rational, rational_str
 
 
-def _value(raw: Any, where: str, key: object, memos: dict[type, dict]) -> Fraction:
-    """``raw`` as a rational, parsed once per literal; errors name ``where.format(key)``.
-
-    ``memos`` maps str and int literals per type, so True and 1.0 never hit 1.
-    """
-    memo = memos.get(type(raw))
-    if memo is not None and raw in memo:
+def _value(raw: Any, where: str, key: object, memo: dict[str, int | Fraction]) -> int | Fraction:
+    """``raw`` as an exact value: an int as it is, a string parsed once per
+    document (``memo``), to an int when whole; errors name ``where.format(key)``."""
+    if type(raw) is int:
+        return raw
+    if type(raw) is str and raw in memo:
         return memo[raw]
     try:
         parsed = as_rational(raw)
@@ -40,8 +40,8 @@ def _value(raw: Any, where: str, key: object, memos: dict[type, dict]) -> Fracti
                 f"{where}: floats are not exact; write the value as a string like \"3/2\""
             ) from None
         raise ValidationError(f"{where}: {exc}") from exc
-    if memo is not None:
-        memo[raw] = parsed
+    if type(raw) is str:
+        memo[raw] = parsed = parsed.numerator if parsed.denominator == 1 else parsed
     return parsed
 
 
@@ -55,7 +55,7 @@ def network_from_doc(doc: Any) -> Network:
     raw_arcs = doc.get("arcs")
     if not isinstance(raw_arcs, list):
         raise ValidationError("'arcs' must be a list")
-    arcs, memos = [], {str: {}, int: {}}
+    arcs, memo = [], {}
     for k, item in enumerate(raw_arcs):
         if not isinstance(item, dict):
             raise ValidationError(f"arc {k} must be an object")
@@ -65,40 +65,41 @@ def network_from_doc(doc: Any) -> Network:
         except KeyError as exc:
             raise ValidationError(f"arc {k} is missing {exc}") from exc
         arcs.append(
-            Arc(
+            (
                 tail,
                 head,
-                _value(item.get("capacity", 1), "arc {} capacity", k, memos),
-                _value(item.get("transit", 0), "arc {} transit", k, memos),
-                _value(item.get("cost", 0), "arc {} cost", k, memos),
+                _value(item.get("capacity", 1), "arc {} capacity", k, memo),
+                _value(item.get("transit", 0), "arc {} transit", k, memo),
+                _value(item.get("cost", 0), "arc {} cost", k, memo),
             )
         )
     raw_balances = doc.get("balances", {})
     if not isinstance(raw_balances, dict):
         raise ValidationError("'balances' must be an object")
-    balances = {v: _value(b, "balance of {!r}", v, memos) for v, b in raw_balances.items()}
+    balances = {v: _value(b, "balance of {!r}", v, memo) for v, b in raw_balances.items()}
     try:
         return Network.of(nodes, arcs, balances)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
 
+def _text(value: int, scale: int) -> str:
+    """``value / scale`` as :func:`rational_str` writes it."""
+    return str(value) if scale == 1 else str(Fraction(value, scale))
+
+
 def network_to_doc(network: Network) -> dict:
+    form, nodes = network.integral, network.nodes
+    flow, time, cost = form.flow_scale, form.time_scale, form.cost_scale
+    columns = zip(form.tails, form.heads, form.capacities, form.transits, form.costs)
     return {
-        "nodes": list(network.nodes),
+        "nodes": list(nodes),
         "arcs": [
-            {
-                "tail": a.tail,
-                "head": a.head,
-                "capacity": rational_str(a.capacity),
-                "transit": rational_str(a.transit),
-                "cost": rational_str(a.cost),
-            }
-            for a in network.arcs
+            {"tail": nodes[u], "head": nodes[w], "capacity": _text(c, flow),
+             "transit": _text(t, time), "cost": _text(k, cost)}
+            for u, w, c, t, k in columns
         ],
-        "balances": {
-            v: rational_str(b) for v, b in network.balances.items() if b != 0
-        },
+        "balances": {v: _text(b, flow) for v, b in zip(nodes, form.balances) if b},
     }
 
 

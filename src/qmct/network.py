@@ -3,25 +3,27 @@
 A :class:`Network` is a directed graph with per-arc capacity, transit
 time and cost, plus a balance on every node: positive balances are
 supplies (the node is a source), negative balances are demands (a sink),
-zero balances are intermediate nodes.  Instances are immutable after
-construction; :func:`validate` reports every violated invariant instead
-of aborting on the first.  Each network turns its rationals into
-integers once, in :attr:`Network.integral`, which every label pass and
-time expansion reads; a restriction (:meth:`Network.with_arcs`) slices
-its parent's.
+zero balances are intermediate nodes.  A network stores its node ids and
+its :class:`IntegerForm`, which :meth:`Network.of` builds from values
+and every stage reads; a restriction (:meth:`Network.with_arcs`) slices
+its parent's.  :func:`validate` reports every violated invariant
+instead of aborting on the first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import _kernel
 from .rationals import as_rational, to_integers
 
 NodeId = str
+_ARC_ROW = attrgetter("tail", "head", "capacity", "transit", "cost")
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +39,10 @@ class Arc:
     @staticmethod
     def of(tail: NodeId, head: NodeId, capacity, transit, cost) -> "Arc":
         return Arc(tail, head, as_rational(capacity), as_rational(transit), as_rational(cost))
+
+
+def _exact(value) -> int | Fraction:
+    return value if type(value) is int else as_rational(value)
 
 
 @dataclass(frozen=True)
@@ -68,32 +74,16 @@ class IntegerForm:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable directed network with node balances.
+    """Immutable directed network with node balances, stored as its integer form.
 
-    ``sources`` and ``sinks`` are derived from the balance signs.  The
-    constructor only checks representability (arc endpoints are string
-    ids of known nodes); semantic invariants are checked by :func:`validate`.
+    :meth:`of` builds one from values.  It checks only representability
+    (arc endpoints are string ids of known nodes); semantic invariants
+    are checked by :func:`validate`.  ``arcs`` and ``balances`` rebuild
+    the values as ``Fraction``s on first use; no solve reads them.
     """
 
     nodes: tuple[NodeId, ...]
-    arcs: tuple[Arc, ...]
-    balances: Mapping[NodeId, Fraction]
-    _index: Mapping[NodeId, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.nodes)}
-        if len(index) != len(self.nodes):
-            raise ValueError("duplicate node ids")
-        for k, arc in enumerate(self.arcs):
-            if not isinstance(arc.tail, str) or not isinstance(arc.head, str):
-                end = "head" if isinstance(arc.tail, str) else "tail"
-                raise ValueError(f"arc {k} {end} must be a string node id")
-            if arc.tail not in index or arc.head not in index:
-                raise ValueError(f"arc {arc.tail}->{arc.head} references unknown node")
-        for v in self.balances:
-            if v not in index:
-                raise ValueError(f"balance given for unknown node {v!r}")
-        object.__setattr__(self, "_index", index)
+    integral: IntegerForm
 
     @staticmethod
     def of(
@@ -101,30 +91,41 @@ class Network:
         arcs: Iterable[tuple | Arc],
         balances: Mapping[NodeId, object] | None = None,
     ) -> "Network":
-        """Build a network from plain tuples ``(tail, head, capacity, transit, cost)``."""
-        built = tuple(a if isinstance(a, Arc) else Arc.of(*a) for a in arcs)
-        bal = {v: as_rational(x) for v, x in (balances or {}).items()}
-        return Network(tuple(nodes), built, dict.fromkeys(nodes, Fraction(0)) | bal)
-
-    def node_index(self, v: NodeId) -> int:
-        return self._index[v]
-
-    @cached_property
-    def integral(self) -> IntegerForm:
-        """The integer form, computed on first use and then kept (the
-        network never changes, so it never goes stale)."""
-        arcs, index, m = self.arcs, self._index, len(self.arcs)
-        flow_scale, flows = to_integers(
-            [*(a.capacity for a in arcs), *(self.balances.get(v, 0) for v in self.nodes)]
-        )
-        cost_scale, costs = to_integers(a.cost for a in arcs)
-        time_scale, transits = to_integers(a.transit for a in arcs)
-        balances = flows[m:]
+        """Build a network from ``Arc``s or tuples ``(tail, head, capacity, transit, cost)``:
+        plain ints stay ints, any other value is read by :func:`as_rational` (a
+        ``Fraction`` as it is), and each column is scaled to integers once."""
+        nodes = tuple(nodes)
+        rows = [_ARC_ROW(a) if isinstance(a, Arc) else a for a in arcs]
+        tails, heads, *values = zip(*rows, strict=True) if rows else ((),) * 5
+        if not {*map(type, chain(*values))} <= {int, Fraction}:
+            # Arc by arc, so that the first bad value is the one named.
+            rows = [(t, h, *map(_exact, v)) for t, h, *v in rows]
+            tails, heads, *values = zip(*rows)
+        caps, transits, costs = values
+        bal = {v: _exact(x) for v, x in (balances or {}).items()}
+        index = {v: i for i, v in enumerate(nodes)}
+        if len(index) != len(nodes):
+            raise ValueError("duplicate node ids")
+        strings = {*map(type, tails), *map(type, heads)} <= {str}
+        if not (strings and index.keys() >= {*tails, *heads}):  # name the first bad arc
+            for k, (tail, head) in enumerate(zip(tails, heads)):
+                if not isinstance(tail, str) or not isinstance(head, str):
+                    end = "head" if isinstance(tail, str) else "tail"
+                    raise ValueError(f"arc {k} {end} must be a string node id")
+                if tail not in index or head not in index:
+                    raise ValueError(f"arc {tail}->{head} references unknown node")
+        for v in bal:
+            if v not in index:
+                raise ValueError(f"balance given for unknown node {v!r}")
+        flow_scale, flows = to_integers([*caps, *(bal.get(v, 0) for v in nodes)])
+        cost_scale, costs = to_integers(costs)
+        time_scale, transits = to_integers(transits)
+        caps, balances = flows[: len(caps)], flows[len(caps) :]
         sources = tuple(v for v, b in enumerate(balances) if b > 0)
-        return IntegerForm(
-            tuple(index[a.tail] for a in arcs),
-            tuple(index[a.head] for a in arcs),
-            flows[:m],
+        form = IntegerForm(
+            tuple(map(index.__getitem__, tails)),
+            tuple(map(index.__getitem__, heads)),
+            caps,
             balances,
             costs,
             transits,
@@ -135,6 +136,23 @@ class Network:
             tuple(v for v, b in enumerate(balances) if b < 0),
             sum(balances[v] for v in sources),
         )
+        return Network(nodes, form)
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        form, nodes = self.integral, self.nodes
+        scales = form.flow_scale, form.time_scale, form.cost_scale
+        columns = zip(form.tails, form.heads, form.capacities, form.transits, form.costs)
+        return tuple(Arc(nodes[u], nodes[w], *map(Fraction, xs, scales)) for u, w, *xs in columns)
+
+    @cached_property
+    def balances(self) -> dict[NodeId, Fraction]:
+        scale = self.integral.flow_scale
+        return {v: Fraction(b, scale) for v, b in zip(self.nodes, self.integral.balances)}
+
+    @cached_property
+    def node_index(self) -> Callable[[NodeId], int]:
+        return {v: i for i, v in enumerate(self.nodes)}.__getitem__
 
     @property
     def sources(self) -> tuple[NodeId, ...]:
@@ -149,19 +167,14 @@ class Network:
         return Fraction(self.integral.supply, self.integral.flow_scale)
 
     def with_arcs(self, arc_indices: Iterable[int]) -> "Network":
-        """Same nodes and balances, arcs restricted to the given indices.
-
-        The restriction's integer form is a slice of this one at the same
-        scales, so its horizons count the same time steps (a subset of
-        the transits can have a smaller lcm).
-        """
+        """Same nodes and balances, arcs restricted to the given indices: a slice
+        of this integer form at its scales, so that horizons count the same
+        time steps (a subset of the transits can have a smaller lcm)."""
         keep = sorted(set(arc_indices))
-        restricted = Network(self.nodes, tuple(self.arcs[i] for i in keep), dict(self.balances))
         form = self.integral
         fields = ("tails", "heads", "capacities", "costs", "transits")
         sliced = {f: tuple(getattr(form, f)[i] for i in keep) for f in fields}
-        restricted.__dict__["integral"] = replace(form, **sliced)  # what cached_property reads
-        return restricted
+        return Network(self.nodes, replace(form, **sliced))
 
     def with_balances(self, balances: Mapping[NodeId, object]) -> "Network":
         """Same nodes and arcs, these balances (missing nodes get 0)."""

@@ -4,12 +4,10 @@ All numeric quantities at the solver's interface (capacities, transit
 times, costs, balances, flow rates, horizons) are exact rationals backed
 by :class:`fractions.Fraction`; floats are rejected so that tightness
 tests (dual constraints, cheapest-path membership) compare for equality.
-A document's literals are parsed once each (``io.network_from_doc``);
-:func:`to_integers` then scales each network's values once, in
-``Network.integral``.  The static stages and the time expansions run on
-those integers at the network's scales; ``Fraction``s are made again
-only where a value leaves the solver.  The only other caller is
-``generate``, which scales the balances it draws.
+:func:`to_integers` scales a network's values once, in ``Network.of``,
+the one builder of its integer form; every stage runs on those integers
+at the network's scales, and ``Fraction``s are made again only where a
+value leaves the solver.  ``generate`` also scales the balances it draws.
 """
 
 from __future__ import annotations
@@ -75,6 +73,8 @@ def to_integers(values: Iterable[Fraction | None]) -> tuple[int, tuple[int | Non
     Every int is exact; ``None`` (an absent bound) passes through.
     """
     values = list(values)
+    if {*map(type, values)} <= {int, type(None)}:
+        return 1, tuple(values)
     scale = common_denominator(v for v in values if v is not None)
     return scale, tuple(
         None if v is None else v.numerator * (scale // v.denominator) for v in values

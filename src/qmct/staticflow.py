@@ -1,7 +1,6 @@
 """Decomposition of a static flow into weighted paths and cycles.
 
-Max flow and min-cost flow are the integer kernel's (:mod:`qmct._kernel`);
-the static solves call it directly on integers they scale themselves.
+Max flow and min-cost flow are the integer kernel's (:mod:`qmct._kernel`).
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ probe's flows live only until its movement copies are read back into a
 :class:`FlowOverTime`.  The oracle's scan over consecutive horizons
 instead grows one full expansion in place (:class:`_GrowingExpansion`).
 
-Everything here reads :attr:`Network.integral`, computed once per
-network however many horizons are expanded; other balances make another
+Everything here reads :attr:`Network.integral`, built with the network
+however many horizons are expanded; other balances make another
 network (:meth:`Network.with_balances`).  Time is counted in steps of
 ``1/time_scale`` of the input's time unit, so a transit ``τ`` takes
 ``τ·time_scale`` steps; horizons, layers and schedule times are all in
@@ -188,7 +188,7 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
 
     # Copy ``(layer, i)`` of arc i is kept for starts[i] <= layer < stops[i],
     # sorted layer by layer, arcs in order, as the key ``layer·m + i``.
-    m = len(network.arcs)
+    m = len(arc_tails)
     starts = [early[u] for u in arc_tails]
     stops = [horizon - tau - late[w] for tau, w in zip(transits, form.heads)]
     keys = sorted(
@@ -304,7 +304,7 @@ def horizon_upper_bound(network: Network) -> int:
     # ``total`` is the form's ``supply``; it and ``u_min`` both carry
     # ``flow_scale``, so the ceiling is exact.
     form = network.integral
-    if form.supply == 0 or not network.arcs:
+    if form.supply == 0 or not form.tails:
         return 0
     return -(-form.supply // min(form.capacities)) + (len(network.nodes) - 1) * max(form.transits)
 
@@ -606,7 +606,7 @@ def _replay(
     kept: list[tuple[int, int, int, Fraction]] = []
     cost = Fraction(0)
     for entry in schedule.arc_flows:
-        if not 0 <= entry.arc < len(network.arcs):
+        if not 0 <= entry.arc < len(form.tails):
             violations.append(f"schedule references unknown arc {entry.arc}")
             continue
         latest = horizon - form.transits[entry.arc]
@@ -625,7 +625,7 @@ def _replay(
             # A zero rate moves nothing; inflow at or after H is dropped.
             if rate and start < horizon:
                 kept.append((entry.arc, start, min(end, horizon), rate))
-            cost += network.arcs[entry.arc].cost * rate * (end - start)
+            cost += form.costs[entry.arc] * rate * (end - start)
     # One scale makes the balances, capacities and every rate integers.
     scale = math.lcm(form.flow_scale, *(rate.denominator for *_, rate in kept))
     up = scale // form.flow_scale
@@ -648,7 +648,7 @@ def _replay(
             if rate > form.capacities[arc] * up:
                 violations.extend(
                     f"arc {arc}: rate {Fraction(rate, scale)} exceeds capacity "
-                    f"{network.arcs[arc].capacity} during [{q},{q + 1})"
+                    f"{Fraction(form.capacities[arc], form.flow_scale)} during [{q},{q + 1})"
                     for q in range(lo, hi)
                 )
     trace: dict[NodeId, list[int]] = {}
@@ -667,7 +667,7 @@ def _replay(
                 f"expected {Fraction(max(-b, 0), scale)}"
             )
         trace[name] = held
-    return violations, cost, trace, scale
+    return violations, cost / form.cost_scale, trace, scale
 
 
 def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerification:

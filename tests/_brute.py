@@ -368,7 +368,7 @@ def scale_transits(network: Network) -> tuple[Network, int]:
         Arc(a.tail, a.head, a.capacity, Fraction(tau), a.cost)
         for a, tau in zip(network.arcs, form.transits)
     )
-    return Network(network.nodes, arcs, dict(network.balances)), scale
+    return Network.of(network.nodes, arcs, dict(network.balances)), scale
 
 
 def pair_count_horizon_bound(network: Network) -> int:

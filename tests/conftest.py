@@ -117,7 +117,7 @@ def _rational_instances():
             )
             for i, a in enumerate(net.arcs)
         )
-        yield Network(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
+        yield Network.of(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
 
 
 def golden_instances() -> list[Network]:

@@ -48,7 +48,7 @@ def _rational():
             Arc(a.tail, a.head, a.capacity / (1 + i % 3), a.transit / k, a.cost / 2)
             for i, a in enumerate(net.arcs)
         )
-        yield Network(net.nodes, arcs, {v: b * 3 / 2 for v, b in net.balances.items()})
+        yield Network.of(net.nodes, arcs, {v: b * 3 / 2 for v, b in net.balances.items()})
 
 
 def _zero_supply():

@@ -46,7 +46,7 @@ def _rational(count: int):
             Arc(a.tail, a.head, a.capacity / (1 + i % 3), a.transit / k, a.cost / 2)
             for i, a in enumerate(net.arcs)
         )
-        yield Network(net.nodes, arcs, {v: b * 3 / 2 for v, b in net.balances.items()})
+        yield Network.of(net.nodes, arcs, {v: b * 3 / 2 for v, b in net.balances.items()})
 
 
 def _with_dead_ends(count: int):
@@ -60,7 +60,7 @@ def _with_dead_ends(count: int):
             Arc.of(source, "end", 1, seed % 2, 0),
             Arc.of("dark", "end", 2, 0, -1),
         ]
-        yield Network((*net.nodes, "dark", "end"), (*net.arcs, *extra), dict(net.balances))
+        yield Network.of((*net.nodes, "dark", "end"), (*net.arcs, *extra), dict(net.balances))
 
 
 KINDS = {

@@ -41,7 +41,7 @@ def _networks(draw):
         )
     )
     balances = draw(st.lists(_values, min_size=n, max_size=n))
-    return Network(
+    return Network.of(
         tuple(nodes), tuple(Arc(*a) for a in arcs), dict(zip(nodes, balances))
     )
 
@@ -117,7 +117,7 @@ def _rational_networks():
             )
             for a in net.arcs
         )
-        yield Network(net.nodes, arcs, dict(net.balances))
+        yield Network.of(net.nodes, arcs, dict(net.balances))
 
 
 def _fraction_labels(arcs, n, start):

@@ -141,7 +141,7 @@ def test_transit_scaling_is_transparent():
     net = generate(4, nodes=5, terminals=2, tau_max=3)
     assert any(a.transit == 1 for a in net.arcs)
     base = solve_quickest_mincost(net)
-    halved = Network(
+    halved = Network.of(
         net.nodes,
         tuple(Arc(a.tail, a.head, a.capacity, a.transit / 2, a.cost) for a in net.arcs),
         dict(net.balances),
@@ -157,7 +157,7 @@ def test_cost_scaling_leaves_structure_invariant():
     net = generate(7, nodes=5, terminals=2)
     base = solve_quickest_mincost(net)
     for factor in (Fraction(3), Fraction(1, 2)):
-        scaled_net = Network(
+        scaled_net = Network.of(
             net.nodes,
             tuple(
                 Arc(a.tail, a.head, a.capacity, a.transit, a.cost * factor)
@@ -384,7 +384,7 @@ def test_oracle_agreement_with_fractional_data():
             )
             for i, a in enumerate(net.arcs)
         )
-        frac = Network(net.nodes, arcs, dict(net.balances))
+        frac = Network.of(net.nodes, arcs, dict(net.balances))
         try:
             report = solve_quickest_mincost(frac)
         except InfeasibleError:
@@ -415,16 +415,17 @@ def test_restricted_network_keeps_the_parent_time_scale():
 
 
 def test_a_solve_computes_one_integer_form(monkeypatch):
-    # One integer form from Fractions: flows, costs and transits of the
-    # input.  The restricted network slices it instead of scaling again.
+    # One integer form, built with the network: flows, costs and transits
+    # of the input.  The restricted network slices it instead of scaling again.
     calls = []
 
     def counted(values):
         calls.append(values)
         return to_integers(values)
 
-    net = _half_and_third_transits()
     monkeypatch.setattr(qmct.network, "to_integers", counted)
+    net = _half_and_third_transits()
+    assert len(calls) == 3
     solve_quickest_mincost(net)
     assert len(calls) == 3
 

@@ -40,7 +40,7 @@ def _instances(count: int):
                 Arc(a.tail, a.head, a.capacity / (1 + i % k), a.transit / k, a.cost)
                 for i, a in enumerate(net.arcs)
             )
-            net = Network(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
+            net = Network.of(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
         if seed % 5 == 4:
             net = net.with_arcs([i for i in range(len(net.arcs)) if i % 3])
         yield net

@@ -1,9 +1,10 @@
 """Where text and rationals become integers, pinned by structure, not time.
 
-A document is parsed into one ``Fraction`` per distinct literal.  From
-there on only ``Network.integral`` scales values to integers: pair
-costs, the transportation problem, its dual and the admissible labels
-stay at the network's scales.
+A document is parsed straight into a network's integer form: each
+distinct string literal once, ints as they are.  From there on nothing
+scales again: pair costs, the transportation problem, its dual and the
+admissible labels stay at the network's scales, and no solve rebuilds
+the ``Fraction`` views ``Network.arcs`` and ``Network.balances``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import json
 import sys
 
 from qmct.generate import generate
-from qmct.io import network_from_doc, network_to_doc
-from qmct.pipeline import run_quickest_mincost
+from qmct.io import network_from_doc, network_to_doc, report_to_doc
+from qmct.pipeline import run_quickest_mincost, solve_quickest_mincost
 
 # The options of the benchmark's random-wide instances.
 RANDOM_WIDE = dict(nodes=60, terminals=8, tau_max=10, cost_max=9, negative_costs=True)
@@ -23,45 +24,58 @@ def _random_wide_doc(seed: int) -> dict:
     return json.loads(json.dumps(network_to_doc(generate(seed, **RANDOM_WIDE))))
 
 
-def test_a_document_holds_one_fraction_per_distinct_literal():
-    for seed in range(3):
-        doc = _random_wide_doc(seed)
-        parsed = network_from_doc(doc)
-        assert len(parsed.arcs) > 500
-        for field in ("capacity", "transit", "cost"):
-            literals = {arc[field] for arc in doc["arcs"]}
-            objects = {id(getattr(arc, field)) for arc in parsed.arcs}
-            assert len(objects) == len(literals), field
-        literals = set(doc["balances"].values())
-        objects = {id(parsed.balances[v]) for v in doc["balances"]}
-        assert len(objects) == len(literals)
-
-
-def test_after_parsing_only_the_integer_form_scales(monkeypatch):
-    # Patch every qmct module that binds to_integers, so that no import
-    # style slips past, and record who calls it during a whole solve.
-    modules = [
-        module
-        for name, module in list(sys.modules.items())
-        if name.split(".")[0] == "qmct" and hasattr(module, "to_integers")
-    ]
-    callers = []
+def _record(patch, name: str) -> list[tuple]:
+    """Patch every qmct module that binds ``name``, so that no import
+    style slips past; each call appends (caller module, caller, args)."""
+    calls = []
 
     def recording(real):
-        def to_integers(values):
+        def wrapper(*args):
             frame = sys._getframe(1)
-            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
-            return real(values)
+            calls.append((frame.f_globals["__name__"], frame.f_code.co_name, args))
+            return real(*args)
 
-        return to_integers
+        return wrapper
 
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "qmct" and hasattr(module, name):
+            patch.setattr(module, name, recording(getattr(module, name)))
+    return calls
+
+
+def test_a_document_parses_each_distinct_string_literal_once(monkeypatch):
+    for seed in range(3):
+        doc = _random_wide_doc(seed)
+        # Every other arc writes its whole values as JSON ints.
+        for arc in doc["arcs"][::2]:
+            for field in ("capacity", "transit", "cost"):
+                if "/" not in arc[field]:
+                    arc[field] = int(arc[field])
+        literals = [arc[f] for arc in doc["arcs"] for f in ("capacity", "transit", "cost")]
+        literals += doc["balances"].values()
+        strings = {x for x in literals if isinstance(x, str)}
+        assert len(strings) < len(literals) and any(isinstance(x, int) for x in literals)
+        with monkeypatch.context() as patch:
+            calls = _record(patch, "as_rational")
+            parsed = network_from_doc(doc)
+        assert len(parsed.integral.tails) > 500
+        parsed_values = [args[0] for *_, args in calls]
+        assert sorted(parsed_values) == sorted(strings)
+
+
+def test_after_parsing_no_stage_scales(monkeypatch):
     for seed in range(3):
         net = network_from_doc(_random_wide_doc(seed))
         with monkeypatch.context() as patch:
-            for module in modules:
-                patch.setattr(module, "to_integers", recording(module.to_integers))
-            callers.clear()
+            callers = _record(patch, "to_integers")
             run = run_quickest_mincost(net)
         assert run.arc_map and run.quickest.horizon > 0
-        # Flows, costs and transits, once each; every later stage reads them.
-        assert callers == [("qmct.network", "integral")] * 3, callers
+        # The parse built the integer form; every stage reads it.
+        assert callers == []
+
+
+def test_a_solve_builds_no_fraction_views():
+    for seed in range(3):
+        net = network_from_doc(_random_wide_doc(seed))
+        report_to_doc(solve_quickest_mincost(net), include_schedule=True)
+        assert "arcs" not in net.__dict__ and "balances" not in net.__dict__

@@ -58,7 +58,7 @@ def _instances(draw) -> Network:
     total = sum(supplies, Fraction(0))
     balances = dict(zip(sources, supplies))
     balances.update((t, -total * w / sum(shares)) for t, w in zip(sinks, shares))
-    return Network(tuple(nodes), tuple(arcs), dict.fromkeys(nodes, Fraction(0)) | balances)
+    return Network.of(tuple(nodes), tuple(arcs), dict.fromkeys(nodes, Fraction(0)) | balances)
 
 
 @settings(max_examples=200)

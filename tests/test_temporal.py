@@ -113,7 +113,7 @@ def _expansion_instances():
             Arc(a.tail, a.head, a.capacity / (1 + i % 3), a.transit, a.cost / (2 + i % 2))
             for i, a in enumerate(net.arcs)
         )
-        yield Network(net.nodes, arcs, dict(net.balances))
+        yield Network.of(net.nodes, arcs, dict(net.balances))
 
 
 def _expansion_digest(build) -> str:
@@ -443,7 +443,7 @@ def _bound_instances():
                 Arc(a.tail, a.head, a.capacity / (1 + i % k), a.transit / k, a.cost / k)
                 for i, a in enumerate(net.arcs)
             )
-            net = Network(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
+            net = Network.of(net.nodes, arcs, {v: b * 2 / 3 for v, b in net.balances.items()})
         yield net
 
 
@@ -501,7 +501,7 @@ def test_unit_grid_routes_as_much_as_any_finer_grid():
         horizon = quickest_transshipment(net).horizon
         base_cost = mincost_over_time(net, horizon).cost
         for k in (2, 3):
-            refined = Network(
+            refined = Network.of(
                 net.nodes,
                 tuple(
                     Arc(a.tail, a.head, a.capacity / k, a.transit * k, a.cost)
