@@ -66,6 +66,8 @@ class Residual:
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
     def add(self, u: int, v: int, cap: int | None, cost: int = 0) -> int:
+        """Append one arc: no solver calls it, but ``test_build_matches_per_arc_add`` holds
+        :func:`build` to it as the per-arc reference."""
         e = len(self.to)
         self.to.append(v)
         self.rem.append(cap)

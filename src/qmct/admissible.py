@@ -6,11 +6,11 @@ dual value.  With a feasible dual every super-source-to-super-sink path
 has non-negative cost, and the zero-cost ones are exactly the paths a
 minimum-cost shipment plan may use.  The admissible arc set consists of
 the original arcs lying on such a zero-cost path: none without terminals,
-and none with a warning when terminals cannot connect.  The duals are
-integers at the network's ``cost_scale`` already, so labels run on the
-base network's integer costs and the duals as they are: the forward
-pass seeds each source at minus its dual and the backward pass each
-sink at its dual, so neither super node is ever built.
+and none with a warning when terminals cannot connect.  The dual is a
+map from terminal to integer at the network's ``cost_scale``, so labels
+run on the base network's integer costs and the duals as they are: the
+forward pass seeds each source at minus its dual and the backward pass
+each sink at its dual, so neither super node is ever built.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import _kernel
+from . import _kernel, cheapest
 from .errors import InternalCheckError
-from .network import Network
-from .transport import DualSolution
+from .network import Network, NodeId
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,10 @@ class ExtendedNetwork:
     base: Network
     source_costs: Mapping[int, int]
     sink_costs: Mapping[int, int]
-    base_arc_count: int
+
+    @property
+    def base_arc_count(self) -> int:
+        return len(self.base.integral.tails)
 
 
 @dataclass(frozen=True)
@@ -50,20 +52,22 @@ class Subnetwork:
 
     ``labels`` are the cheapest-path costs from the super source that
     cut the subset out, at the network's ``cost_scale``, one per base
-    node (``None`` when unreached).
+    node (``None`` when unreached).  The super sink is reached iff the
+    subset is non-empty: unreached, it is empty; reached, some source
+    seeded the labels, and every source keeps an admissible out-arc
+    (:func:`_assert_terminals_covered`).
     """
 
     arc_indices: frozenset[int]
-    connected: bool
     labels: tuple[int | None, ...]
 
 
-def extend(network: Network, dual: DualSolution) -> ExtendedNetwork:
+def extend(network: Network, dual: Mapping[NodeId, int]) -> ExtendedNetwork:
     """Attach priced super terminals for the network's sources and sinks."""
     form, nodes = network.integral, network.nodes
     source_costs = {s: -dual[nodes[s]] for s in form.sources}
     sink_costs = {t: dual[nodes[t]] for t in form.sinks}
-    return ExtendedNetwork(network, source_costs, sink_costs, len(form.tails))
+    return ExtendedNetwork(network, source_costs, sink_costs)
 
 
 def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
@@ -75,12 +79,9 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     the calling pipeline.  An unreachable super sink yields an empty
     subnetwork, with a warning only when terminals exist but cannot connect.
     """
-    form = extended.base.integral
-    n = len(extended.base.nodes)
-    caps = [None] * len(form.costs)
-    forward = _kernel.labels(
-        _kernel.build(n, form.tails, form.heads, caps, form.costs), extended.source_costs
-    )
+    network = extended.base
+    form = network.integral
+    forward = _kernel.labels(cheapest.graph(network, form.costs), extended.source_costs)
     labels = tuple(forward)
     # The super sink's label: the cheapest entry through a priced sink arc.
     sinks = extended.sink_costs.items()
@@ -88,14 +89,14 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     if opt is None:
         if extended.source_costs or extended.sink_costs:
             warnings.warn("super sink unreachable; admissible subnetwork is empty", stacklevel=2)
-        return Subnetwork(frozenset(), connected=False, labels=labels)
+        return Subnetwork(frozenset(), labels)
     if opt != 0:
         cost = Fraction(opt, form.cost_scale)
         raise InternalCheckError(
             f"cheapest extended path costs {cost}, expected 0 for an optimal dual"
         )
     backward = _kernel.labels(
-        _kernel.build(n, form.heads, form.tails, caps, form.costs), extended.sink_costs
+        cheapest.graph(network, form.costs, reverse=True), extended.sink_costs
     )
 
     selected = []
@@ -103,8 +104,8 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
         df, db = forward[u], backward[v]
         if df is not None and db is not None and df + c + db == 0:
             selected.append(i)
-    subnetwork = Subnetwork(frozenset(selected), connected=True, labels=labels)
-    _assert_terminals_covered(extended.base, subnetwork)
+    subnetwork = Subnetwork(frozenset(selected), labels)
+    _assert_terminals_covered(network, subnetwork)
     return subnetwork
 
 

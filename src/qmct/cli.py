@@ -72,9 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="abort expansions beyond this many layers",
     )
-    fmt = solve.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="as_json", action="store_true", default=True)
-    fmt.add_argument("--text", dest="as_json", action="store_false")
+    solve.add_argument("--text", action="store_true", help="print a text report, not JSON")
 
     verify = sub.add_parser("verify", help="solve plus oracle and invariant checks")
     verify.add_argument("file")
@@ -111,11 +109,11 @@ def _reject_dropped_flags(args) -> None:
     flags = {"--emit-schedule": args.emit_schedule, "--storage-trace": args.storage_trace}
     reason = "--text prints no schedule or storage"
     if args.mode == pipeline.MODE_ORACLE:
-        flags = {"--text": not args.as_json, **flags}
+        flags = {"--text": args.text, **flags}
         reason = "--mode oracle prints only its cost and horizon, as JSON"
     elif args.mode == pipeline.MODE_MINCOST_STATIC:
         reason = "--mode mincost-static has no schedule"
-    elif args.as_json:
+    elif not args.text:
         return
     if dropped := [flag for flag, on in flags.items() if on]:
         raise ValidationError(f"{reason}: drop {' and '.join(dropped)}")
@@ -133,7 +131,7 @@ def _cmd_solve(args) -> int:
         report = pipeline.solve_mincost_static(network)
     else:
         report = _SOLVERS[args.mode](network, max_layers=args.max_horizon)
-    if args.as_json:
+    if not args.text:
         storage = temporal.storage_trace(network, report.schedule) if args.storage_trace else None
         doc = io.report_to_doc(report, include_schedule=args.emit_schedule, storage=storage)
         print(json.dumps(doc, indent=2))

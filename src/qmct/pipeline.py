@@ -37,22 +37,26 @@ MODE_ORACLE = "oracle"
 class SolveReport:
     """Solver output plus self-verification flags and timings.
 
-    ``horizon`` counts steps of ``1/scale`` of the input's time unit,
-    ``scale`` being the network's ``time_scale`` (the lcm of its transits'
-    denominators); ``horizon_original`` is ``horizon / scale``, in the
-    input's unit.  ``subnetwork`` lists original arc indices and is only
-    present for the cost-first mode.
+    ``horizon`` is the schedule's, None without one; it counts steps of
+    ``1/scale`` of the input's time unit, ``scale`` being the network's
+    ``time_scale`` (the lcm of its transits' denominators);
+    ``horizon_original`` is ``horizon / scale``, in the input's unit.
+    ``subnetwork`` lists original arc indices and is only present for
+    the cost-first mode.
     """
 
     mode: str
     cost: Fraction
-    horizon: int | None
     scale: int
     subnetwork: tuple[int, ...] | None
     schedule: temporal.FlowOverTime | None
     transport_optimum: Fraction | None
     checks: dict[str, bool] = field(default_factory=dict)
     timing: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def horizon(self) -> int | None:
+        return None if self.schedule is None else self.schedule.horizon
 
     @property
     def horizon_original(self) -> Fraction | None:
@@ -66,17 +70,21 @@ class SolveReport:
 @dataclass
 class AlgorithmRun:
     """All intermediates of the cost-first pipeline, for verification;
-    pair costs, dual and labels are integers at the network's ``cost_scale``."""
+    pair costs, dual and labels are integers at the network's ``cost_scale``.
+    ``arc_map`` takes an arc of ``restricted`` to its index in ``network``."""
 
     network: Network
     pair_costs: dict[tuple[NodeId, NodeId], int]
     solution: transport.TransportSolution
     actives: frozenset[tuple[NodeId, NodeId]]
     subnetwork: admissible.Subnetwork
-    arc_map: tuple[int, ...]
     restricted: Network
     quickest: temporal.QuickestResult
     schedule: temporal.FlowOverTime
+
+    @property
+    def arc_map(self) -> tuple[int, ...]:
+        return tuple(sorted(self.subnetwork.arc_indices))
 
 
 def validate_or_raise(network: Network) -> None:
@@ -117,7 +125,6 @@ def run_quickest_mincost(network: Network, max_layers: int | None = None) -> Alg
         solution=solution,
         actives=actives,
         subnetwork=subnetwork,
-        arc_map=arc_map,
         restricted=restricted,
         quickest=quickest,
         schedule=schedule,
@@ -185,7 +192,6 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
     return SolveReport(
         mode=MODE_QUICKEST_MINCOST,
         cost=verification.cost,
-        horizon=run.quickest.horizon,
         scale=network.integral.time_scale,
         subnetwork=run.arc_map,
         schedule=run.schedule,
@@ -206,7 +212,6 @@ def solve_quickest(network: Network, max_layers: int | None = None) -> SolveRepo
     return SolveReport(
         mode=MODE_QUICKEST,
         cost=verification.cost,
-        horizon=quickest.horizon,
         scale=network.integral.time_scale,
         subnetwork=None,
         schedule=quickest.schedule,
@@ -227,7 +232,6 @@ def solve_mincost_static(network: Network) -> SolveReport:
     return SolveReport(
         mode=MODE_MINCOST_STATIC,
         cost=solution.optimum,
-        horizon=None,
         scale=1,
         subnetwork=None,
         schedule=None,
@@ -257,11 +261,7 @@ def _static_optimum(network: Network) -> Fraction:
         [*[None] * len(form.tails), *(abs(form.balances[v]) for v in (*sources, *sinks))],
         [*form.costs, *[0] * (len(sources) + len(sinks))],
     )
-    routed, cost, _, _ = _kernel.min_cost_flow(g, n, n + 1, form.supply)
-    if routed < form.supply:
-        deficit = Fraction(form.supply - routed, form.flow_scale)
-        raise temporal._too_small(temporal.horizon_upper_bound(network), deficit)
-    return Fraction(cost, form.flow_scale * form.cost_scale)
+    return temporal._min_cost(g, n, n + 1, form, temporal.horizon_upper_bound(network))
 
 
 def oracle_quickest_mincost(

@@ -36,9 +36,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import AbstractSet, Sequence
 
-from . import _kernel
+from . import _kernel, cheapest
 from .errors import HorizonLimitError, InfeasibleError, InternalCheckError
-from .network import Network, NodeId
+from .network import IntegerForm, Network, NodeId
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,11 @@ class TimeExpandedGraph:
     source and super sink occupy the last two indices, so ``num_nodes``
     is ``n·T + 2`` however many copies are dropped, and a dropped copy
     is an isolated node.  Arc order is movement copies first (aligned
-    with ``movement``), then holdover arcs, then terminal wiring.
-    Capacities and costs are integers at the scales of the network's
-    :attr:`~Network.integral` form, the one owner of scales and supply.
+    with ``movement``), then holdover arcs from ``holdover_start``, then
+    terminal wiring from ``wiring_start``; the properties derive from
+    the stored fields.  Capacities and costs are integers at the scales
+    of the network's :attr:`~Network.integral` form, the one owner of
+    scales and supply.
     """
 
     horizon: int
@@ -61,14 +63,23 @@ class TimeExpandedGraph:
     capacities: tuple[int | None, ...]
     costs: tuple[int, ...]
     movement: tuple[tuple[int, int], ...]
-    holdover_start: int
     wiring_start: int
-    super_source: int
-    super_sink: int
 
     @property
     def num_arcs(self) -> int:
         return len(self.tails)
+
+    @property
+    def holdover_start(self) -> int:
+        return len(self.movement)
+
+    @property
+    def super_source(self) -> int:
+        return self.num_nodes - 2
+
+    @property
+    def super_sink(self) -> int:
+        return self.num_nodes - 1
 
 
 @dataclass(frozen=True)
@@ -89,8 +100,11 @@ class FlowOverTime:
 
 @dataclass(frozen=True)
 class QuickestResult:
-    horizon: int
     schedule: FlowOverTime
+
+    @property
+    def horizon(self) -> int:
+        return self.schedule.horizon
 
 
 @dataclass(frozen=True)
@@ -122,10 +136,8 @@ def _least_transits(network: Network) -> tuple[list[int | None], list[int | None
     """``e(v)`` and ``ℓ(v)``: the least transit in steps from any source
     to v and from v to any sink, None where there is no path."""
     form = network.integral
-    n = len(network.nodes)
-    caps = [None] * len(form.transits)
-    forward = _kernel.build(n, form.tails, form.heads, caps, form.transits)
-    backward = _kernel.build(n, form.heads, form.tails, caps, form.transits)
+    forward = cheapest.graph(network, form.transits)
+    backward = cheapest.graph(network, form.transits, reverse=True)
     return (
         _kernel.labels(forward, dict.fromkeys(form.sources, 0)),
         _kernel.labels(backward, dict.fromkeys(form.sinks, 0)),
@@ -204,7 +216,6 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     # listed by its tail, the copy ``q·n + v``.
     last_layer = horizon - 1
     waits = sorted(q * n + v for v in range(n) for q in range(early[v], last_layer - late[v]))
-    holdover_start = len(tails)
     tails += waits
     heads += [u + n for u in waits]
     caps += [None] * len(waits)
@@ -234,10 +245,7 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
         capacities=tuple(caps),
         costs=tuple(costs),
         movement=tuple(movement),
-        holdover_start=holdover_start,
         wiring_start=wiring_start,
-        super_source=super_source,
-        super_sink=super_sink,
     )
 
 
@@ -451,7 +459,7 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
         graph = expand(network, horizon)
         value, flows, reachable = _solve_max(graph)
         if value == form.supply:
-            return QuickestResult(horizon, _schedule_from_movement(graph, flows, form.flow_scale))
+            return QuickestResult(_schedule_from_movement(graph, flows, form.flow_scale))
         violated = _violated_subset(network, horizon, reachable)
         bound = _subset_horizon(network, violated)
         if bound <= horizon:
@@ -467,6 +475,15 @@ def _too_small(horizon: int, deficit: Fraction) -> InfeasibleError:
     )
 
 
+def _min_cost(g: _kernel.Residual, s: int, t: int, form: IntegerForm, horizon: int) -> Fraction:
+    """Route ``form.supply`` from s to t at least cost and return that cost
+    in the input's units; a deficit raises :func:`_too_small` for ``horizon``."""
+    routed, cost, _, _ = _kernel.min_cost_flow(g, s, t, form.supply)
+    if routed < form.supply:
+        raise _too_small(horizon, Fraction(form.supply - routed, form.flow_scale))
+    return Fraction(cost, form.flow_scale * form.cost_scale)
+
+
 def mincost_over_time(network: Network, horizon: int) -> MincostOverTimeResult:
     """Minimum-cost transshipment within a fixed integer horizon.
 
@@ -475,12 +492,9 @@ def mincost_over_time(network: Network, horizon: int) -> MincostOverTimeResult:
     """
     graph, form = expand(network, horizon), network.integral
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities, graph.costs)
-    total, scale = form.supply, form.flow_scale
-    routed, cost, _, _ = _kernel.min_cost_flow(g, graph.super_source, graph.super_sink, total)
-    if routed < total:
-        raise _too_small(horizon, Fraction(total - routed, scale))
-    schedule = _schedule_from_movement(graph, g.rem[1 : 2 * len(graph.movement) : 2], scale)
-    return MincostOverTimeResult(Fraction(cost, scale * form.cost_scale), schedule)
+    cost = _min_cost(g, graph.super_source, graph.super_sink, form, horizon)
+    flows = g.rem[1 : 2 * len(graph.movement) : 2]
+    return MincostOverTimeResult(cost, _schedule_from_movement(graph, flows, form.flow_scale))
 
 
 class _GrowingExpansion:
@@ -576,19 +590,18 @@ class _GrowingExpansion:
     def min_cost(self) -> Fraction:
         """The minimum cost over time at :attr:`horizon`, from a zero flow.
 
-        Resets every residual capacity to its arc's, so the kernel's cost
-        is that of the whole flow.  Raises :class:`InfeasibleError` where
+        Solves on residual capacities reset to their arcs', so the
+        kernel's cost is that of the whole flow, then puts back the flow
+        of :attr:`routed`.  Raises :class:`InfeasibleError` where
         :func:`mincost_over_time` does, with the same message and
         certificate.
         """
-        rem = [0] * (2 * len(self.caps))
-        rem[0::2] = self.caps
-        self.graph.rem = rem
-        form = self.form
-        self.routed, cost, _, _ = _kernel.min_cost_flow(self.graph, 0, 1, form.supply)
-        if self.routed < form.supply:
-            raise _too_small(self.horizon, Fraction(form.supply - self.routed, form.flow_scale))
-        return Fraction(cost, form.flow_scale * form.cost_scale)
+        grown, self.graph.rem = self.graph.rem, [0] * (2 * len(self.caps))
+        self.graph.rem[0::2] = self.caps
+        try:
+            return _min_cost(self.graph, 0, 1, self.form, self.horizon)
+        finally:
+            self.graph.rem = grown
 
 
 def _replay(

@@ -3,11 +3,12 @@
 The bipartite instance connects every source-sink pair that is joined by
 a path, with the pair's cheapest-path cost as arc cost and unlimited
 capacity.  Solving it yields the primal shipment plan, an optimal dual
-vector on the terminals, and the set of active (tight) pairs.  Amounts,
-shipments included, are the integers of :attr:`Network.integral
-<qmct.network.Network.integral>` at its ``flow_scale``, and costs and
-duals at its ``cost_scale``, so the kernel's min-cost flow runs on them
-as they are; only the optimum and error messages are ``Fraction``s.
+as a plain map from terminal to value, and the set of active (tight)
+pairs.  Amounts, shipments included, are the integers of
+:attr:`Network.integral <qmct.network.Network.integral>` at its
+``flow_scale``, and costs and duals at its ``cost_scale``, so the
+kernel's min-cost flow runs on them as they are; only the optimum and
+error messages are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -46,21 +47,13 @@ class TransportationInstance:
 
 
 @dataclass(frozen=True)
-class DualSolution:
-    """Dual values on terminal nodes, integers at the instance's ``cost_scale``;
-    feasible when y[s] - y[t] <= cost(s,t)."""
-
-    values: Mapping[NodeId, int]
-
-    def __getitem__(self, node: NodeId) -> int:
-        return self.values[node]
-
-
-@dataclass(frozen=True)
 class TransportSolution:
+    """``dual`` maps each terminal to its dual value, an integer at the
+    instance's ``cost_scale``; it is feasible when y[s] - y[t] <= cost(s,t)."""
+
     instance: TransportationInstance
     shipments: tuple[int, ...]
-    dual: DualSolution
+    dual: Mapping[NodeId, int]
     optimum: Fraction
 
 
@@ -168,7 +161,7 @@ def solve(instance: TransportationInstance) -> TransportSolution:
 
     shipments = tuple(g.rem[1 : 2 * m : 2])
     terminals = (*instance.sources, *instance.sinks)
-    dual = DualSolution({v: -pi[k] for k, v in enumerate(terminals)})
+    dual = {v: -pi[k] for k, v in enumerate(terminals)}
     # Read off the shipments: the primal side of the duality certificate.
     cost = sum(c * f for c, f in zip(instance.costs, shipments))
     optimum = Fraction(cost, instance.cost_scale * flow_scale)
@@ -179,7 +172,7 @@ def solve(instance: TransportationInstance) -> TransportSolution:
 def _assert_optimality(
     instance: TransportationInstance,
     shipments: tuple[int, ...],
-    dual: DualSolution,
+    dual: Mapping[NodeId, int],
     primal_cost: Fraction,
 ) -> None:
     for (s, t, slack), shipped in zip(_slacks(instance, dual), shipments):
@@ -194,7 +187,7 @@ def _assert_optimality(
         )
 
 
-def dual_objective(instance: TransportationInstance, dual: DualSolution) -> Fraction:
+def dual_objective(instance: TransportationInstance, dual: Mapping[NodeId, int]) -> Fraction:
     """Σ supply·y_s − Σ demand·y_t, as an exact value."""
     total = sum(b * dual[s] for s, b in zip(instance.sources, instance.supplies))
     total -= sum(d * dual[t] for t, d in zip(instance.sinks, instance.demands))
@@ -202,19 +195,19 @@ def dual_objective(instance: TransportationInstance, dual: DualSolution) -> Frac
 
 
 def _slacks(
-    instance: TransportationInstance, dual: DualSolution
+    instance: TransportationInstance, dual: Mapping[NodeId, int]
 ) -> list[tuple[NodeId, NodeId, int]]:
     """``(s, t, cost(s,t) − y[s] + y[t])`` for every pair, in order."""
     ends = map(instance.pair_nodes, range(len(instance.pairs)))
     return [(s, t, c - dual[s] + dual[t]) for (s, t), c in zip(ends, instance.costs)]
 
 
-def is_dual_feasible(instance: TransportationInstance, dual: DualSolution) -> bool:
+def is_dual_feasible(instance: TransportationInstance, dual: Mapping[NodeId, int]) -> bool:
     return all(slack >= 0 for _, _, slack in _slacks(instance, dual))
 
 
 def active_pairs(
-    instance: TransportationInstance, dual: DualSolution
+    instance: TransportationInstance, dual: Mapping[NodeId, int]
 ) -> frozenset[tuple[NodeId, NodeId]]:
     """Pairs whose dual constraint is tight under the given dual.
 

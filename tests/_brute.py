@@ -60,7 +60,7 @@ from itertools import combinations
 from typing import Any, Iterable, Sequence
 
 from qmct import _kernel, staticflow
-from qmct.cheapest import CostLabels, cheapest_from, cheapest_to
+from qmct.cheapest import cheapest_from, cheapest_to
 from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
 from qmct.network import Arc, Network, NodeId
 from qmct.pipeline import AlgorithmRun, validate_or_raise
@@ -75,7 +75,6 @@ from qmct.temporal import (
     mincost_over_time,
 )
 from qmct.transport import (
-    DualSolution,
     TransportationInstance,
     TransportSolution,
     _assert_optimality,
@@ -294,11 +293,10 @@ def transport_solve(instance: TransportationInstance) -> TransportSolution:
         dual_values[s] = result.potentials[i]
     for j, t in enumerate(instance.sinks):
         dual_values[t] = result.potentials[p + j]
-    dual = DualSolution(dual_values)
 
     shipments = result.flow.values
-    _assert_optimality(instance, shipments, dual, result.cost)
-    return TransportSolution(instance, shipments, dual, result.cost)
+    _assert_optimality(instance, shipments, dual_values, result.cost)
+    return TransportSolution(instance, shipments, dual_values, result.cost)
 
 
 def simple_paths(network: Network, source: str, sink: str) -> list[tuple[int, ...]]:
@@ -429,7 +427,6 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
         caps.extend([caps_int[i] for i in live])
         costs.extend([costs_int[i] for i in live])
         movement.extend([(i, layer) for i in live])
-    holdover_start = len(tails)
     waits = max(horizon - 1, 0) * n
     tails.extend(range(waits))
     heads.extend(range(n, n + waits))
@@ -460,10 +457,7 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
         capacities=tuple(caps),
         costs=tuple(costs),
         movement=tuple(movement),
-        holdover_start=holdover_start,
         wiring_start=wiring_start,
-        super_source=super_source,
-        super_sink=super_sink,
     )
 
 
@@ -546,8 +540,8 @@ def routing_admissible(run: AlgorithmRun) -> bool:
 
 def subnetwork_arcs(
     network: Network,
-    forward: CostLabels,
-    backward: CostLabels,
+    forward: dict[NodeId, int],
+    backward: dict[NodeId, int],
     optimum: int,
 ) -> frozenset[int]:
     """Arcs whose forward label + cost + backward label meets ``optimum``
@@ -645,7 +639,7 @@ def expansion_search(network: Network) -> QuickestResult:
     (with a cut certificate) when no horizon works.
     """
     if not any(b > 0 for b in network.integral.balances):
-        return QuickestResult(0, FlowOverTime(0, ()))
+        return QuickestResult(FlowOverTime(0, ()))
 
     t_lb = horizon_lower_bound(network)
     t_ub = max(horizon_upper_bound(network), t_lb)
@@ -698,7 +692,7 @@ def expansion_search(network: Network) -> QuickestResult:
 
     assert feasible_probe is not None
     graph, flows = feasible_probe
-    return QuickestResult(hi, _schedule_from_movement(graph, flows, network.integral.flow_scale))
+    return QuickestResult(_schedule_from_movement(graph, flows, network.integral.flow_scale))
 
 
 def subset_expansion_flow(network: Network, subset, horizon: int) -> int:

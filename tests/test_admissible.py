@@ -10,10 +10,10 @@ from qmct.errors import InternalCheckError
 from qmct.generate import generate
 from qmct.network import Network
 from qmct.temporal import quickest_transshipment, verify_schedule
-from qmct.transport import DualSolution, active_pairs, build, solve
+from qmct.transport import active_pairs, build, solve
 
 # The demo's costs are integers, so its cost_scale is 1.
-PRINTED_DUAL = DualSolution({"s1": 0, "s2": 1, "t1": 0, "t2": 1})
+PRINTED_DUAL = {"s1": 0, "s2": 1, "t1": 0, "t2": 1}
 
 
 def test_extend_prices_terminal_arcs(demo):
@@ -25,7 +25,7 @@ def test_extend_prices_terminal_arcs(demo):
 
 
 def test_extend_with_zero_dual(demo):
-    zero = DualSolution({v: 0 for v in ("s1", "s2", "t1", "t2")})
+    zero = {v: 0 for v in ("s1", "s2", "t1", "t2")}
     extended = extend(demo, zero)
     assert all(c == 0 for c in extended.source_costs.values())
     assert all(c == 0 for c in extended.sink_costs.values())
@@ -34,7 +34,6 @@ def test_extend_with_zero_dual(demo):
 def test_variant_a_drops_only_the_fan_out_arc(demo_variant_a):
     solution = solve(build(demo_variant_a, pair_costs(demo_variant_a)))
     subnet = admissible_arcs(extend(demo_variant_a, solution.dual))
-    assert subnet.connected
     assert subnet.arc_indices == {A_S1V, A_S2V, A_S2T2, A_VT1}
 
 
@@ -80,7 +79,7 @@ def test_non_optimal_dual_is_rejected_loudly(demo):
     # Feasible but non-optimal for a strictly positive instance: the
     # cheapest extended path then costs more than zero.
     pricey = Network.of(["s", "t"], [("s", "t", 1, 0, 3)], {"s": 1, "t": -1})
-    zero = DualSolution({"s": 0, "t": 0})
+    zero = {"s": 0, "t": 0}
     with pytest.raises(InternalCheckError):
         admissible_arcs(extend(pricey, zero))
 
@@ -90,19 +89,17 @@ def test_no_terminals_returns_empty_without_warning():
     lonely = Network.of(["s", "t"], [], {})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        subnet = admissible_arcs(extend(lonely, DualSolution({})))
+        subnet = admissible_arcs(extend(lonely, {}))
     assert subnet.arc_indices == frozenset()
-    assert not subnet.connected
 
 
 def test_unconnectable_terminals_warn_and_return_empty():
     # Terminals exist but no arc joins them: the super sink cannot be reached.
     cut_off = Network.of(["s", "t"], [], {"s": 1, "t": -1})
-    zero = DualSolution({"s": 0, "t": 0})
+    zero = {"s": 0, "t": 0}
     with pytest.warns(UserWarning, match="super sink unreachable"):
         subnet = admissible_arcs(extend(cut_off, zero))
     assert subnet.arc_indices == frozenset()
-    assert not subnet.connected
 
 
 def test_zero_cost_optimum_on_extended_network(demo_variant_a):

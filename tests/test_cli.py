@@ -305,6 +305,8 @@ BAD_INVOCATIONS = {
     "verify max-horizon -1": (
         ["verify", "{dir}/demo.json", "--max-horizon", "-1"], "--max-horizon must be at least 0"
     ),
+    # JSON is the default report, so no flag asks for it.
+    "json flag": (["solve", "{dir}/demo.json", "--json"], "qmct: unrecognized arguments: --json"),
     "text with schedule and storage": (
         ["solve", "{dir}/demo.json", "--text", "--emit-schedule", "--storage-trace"],
         "--text prints no schedule or storage: drop --emit-schedule and --storage-trace",

@@ -86,10 +86,10 @@ def _documents(net: Network) -> tuple[dict, dict]:
         return {k: Fraction(v, scale) for k, v in values.items()}
 
     answers["pair_costs"] = rational(cheapest.pair_costs(net))
-    answers["from"] = {s: rational(cheapest.cheapest_from(net, s).values) for s in net.sources}
-    answers["to"] = {t: rational(cheapest.cheapest_to(net, t).values) for t in net.sinks}
+    answers["from"] = {s: rational(cheapest.cheapest_from(net, s)) for s in net.sources}
+    answers["to"] = {t: rational(cheapest.cheapest_to(net, t)) for t in net.sinks}
     run = run_quickest_mincost(net)
-    answers["dual"] = rational(run.solution.dual.values)
+    answers["dual"] = rational(run.solution.dual)
     answers["subnetwork"] = run.subnetwork.arc_indices
     schedules["routes"] = routed_paths(run)
     answers["oracle"] = oracle_quickest_mincost(net)

@@ -11,7 +11,9 @@ A function, class or variable defined at module level in the package
 must be loaded somewhere in the package, the tests or the benchmark
 harness: read as a name, as an attribute, imported by name, or written
 as a string (``__all__`` entries and the harness's patch targets are
-strings).  Dunder names are exempt.
+strings).  Dunder names are exempt.  Likewise every annotated class
+field in the package must be read as an attribute somewhere there; a
+field nobody reads is a stored fact nobody needs.
 
 The ``test`` extra of ``pyproject.toml`` lists exactly the modules
 outside the standard library that the tests and the benchmark harness
@@ -121,6 +123,45 @@ def test_every_defined_name_is_loaded_somewhere():
         if name not in loaded
     ]
     assert dead == []
+
+
+def class_fields(source: str) -> dict[str, int]:
+    """Annotated fields of the module's classes, as ``Class.field``, with their lines."""
+    return {
+        f"{node.name}.{item.target.id}": item.lineno
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def attributes_read(source: str) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_field_check_catches_an_unread_field():
+    source = "class C:\n    x: int\n    y: int\n\n    def f(self):\n        self.y = self.x\n"
+    read = attributes_read(source)
+    assert [f for f in class_fields(source) if f.split(".")[1] not in read] == ["C.y"]
+
+
+def test_every_class_field_is_read_somewhere():
+    read: set[str] = set()
+    for folder in USERS:
+        for path in folder.glob("*.py"):
+            read |= attributes_read(path.read_text())
+    unread = [
+        f"{path.name}:{line}: {field}"
+        for path in sorted(SRC.glob("*.py"))
+        for field, line in class_fields(path.read_text()).items()
+        if field.split(".")[1] not in read
+    ]
+    assert unread == []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -18,7 +18,6 @@ from qmct.generate import generate
 from qmct.network import Network
 from qmct.pipeline import check_admissible_routing, run_quickest_mincost
 from qmct.temporal import ArcIntervals, FlowOverTime, verify_schedule
-from qmct.transport import DualSolution
 
 
 def _wide_instances():
@@ -108,9 +107,9 @@ def test_certificate_rejects_a_costly_zero_transit_circulation():
 def test_certificate_rejects_a_raised_source_dual():
     raised = 0
     for run in _runs(acceptance_suite()[:40]):
-        dual = run.solution.dual.values
+        dual = run.solution.dual
         for s in run.network.sources:
-            shifted = DualSolution({**dual, s: dual[s] + 1})  # one unit at cost_scale
+            shifted = {**dual, s: dual[s] + 1}  # one unit at cost_scale
             mutated = replace(run, solution=replace(run.solution, dual=shifted))
             assert not check_admissible_routing(mutated), (run.network, s)
             raised += 1

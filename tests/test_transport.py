@@ -12,7 +12,6 @@ from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.network import Network
 from qmct.transport import (
-    DualSolution,
     active_pairs,
     build,
     dual_objective,
@@ -77,7 +76,7 @@ def test_solve_one_pair_scales_with_supply():
 
 def test_active_pairs_with_printed_dual(demo_variant_a):
     instance = build(demo_variant_a, pair_costs(demo_variant_a))
-    dual = DualSolution({"s1": Fraction(0), "s2": Fraction(1), "t1": Fraction(0), "t2": Fraction(1)})
+    dual = {"s1": Fraction(0), "s2": Fraction(1), "t1": Fraction(0), "t2": Fraction(1)}
     assert active_pairs(instance, dual) == {
         ("s1", "t1"),
         ("s2", "t1"),
@@ -92,20 +91,20 @@ def test_active_pairs_degenerate_duals():
         {"a": 1, "b": 1, "x": -1, "y": -1},
     )
     instance = build(net, pair_costs(net))
-    zero = DualSolution({v: Fraction(0) for v in ("a", "b", "x", "y")})
+    zero = {v: Fraction(0) for v in ("a", "b", "x", "y")}
     assert len(active_pairs(instance, zero)) == 4
 
     pricey = Network.of(
         ["a", "x"], [("a", "x", 1, 0, 3)], {"a": 1, "x": -1}
     )
     pricey_instance = build(pricey, pair_costs(pricey))
-    zero2 = DualSolution({"a": Fraction(0), "x": Fraction(0)})
+    zero2 = {"a": Fraction(0), "x": Fraction(0)}
     assert active_pairs(pricey_instance, zero2) == frozenset()
 
 
 def test_active_pairs_rejects_infeasible_dual(demo):
     instance = build(demo, pair_costs(demo))
-    bad = DualSolution({"s1": Fraction(5), "s2": Fraction(0), "t1": Fraction(0), "t2": Fraction(0)})
+    bad = {"s1": Fraction(5), "s2": Fraction(0), "t1": Fraction(0), "t2": Fraction(0)}
     with pytest.raises(ValueError):
         active_pairs(instance, bad)
 
@@ -204,7 +203,7 @@ def _alternative_optimal_duals(instance, dual):
         seen |= comp
         components.append(comp)
 
-    alternatives = [DualSolution({v: dual[v] + 7 for v in terminals})]
+    alternatives = [{v: dual[v] + 7 for v in terminals}]
     for comp in components:
         if len(comp) == len(terminals):
             continue
@@ -223,7 +222,7 @@ def _alternative_optimal_duals(instance, dual):
                 shifted = {
                     v: dual[v] + delta if v in comp else dual[v] for v in terminals
                 }
-                alternatives.append(DualSolution(shifted))
+                alternatives.append(shifted)
     return alternatives
 
 
@@ -256,10 +255,8 @@ def test_demo_unit_balances_have_genuinely_different_duals(demo):
     # Two optimal duals that carve different subnetworks still lead to
     # the same cost and horizon.
     instance = build(demo, pair_costs(demo))
-    low = DualSolution({v: Fraction(0) for v in ("s1", "s2", "t1", "t2")})
-    high = DualSolution(
-        {"s1": Fraction(0), "s2": Fraction(1), "t1": Fraction(0), "t2": Fraction(1)}
-    )
+    low = {v: Fraction(0) for v in ("s1", "s2", "t1", "t2")}
+    high = {"s1": Fraction(0), "s2": Fraction(1), "t1": Fraction(0), "t2": Fraction(1)}
     outcomes = []
     subnets = []
     for dual in (low, high):
@@ -284,7 +281,7 @@ def _outcome(solver, instance):
     # The reference's instance holds Fractions at scales 1.
     flow, cost = solution.instance.flow_scale, solution.instance.cost_scale
     shipments = tuple(Fraction(f, flow) for f in solution.shipments)
-    dual = {v: Fraction(y, cost) for v, y in solution.dual.values.items()}
+    dual = {v: Fraction(y, cost) for v, y in solution.dual.items()}
     return shipments, dual, solution.optimum
 
 
