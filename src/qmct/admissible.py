@@ -6,11 +6,12 @@ dual value.  With a feasible dual every super-source-to-super-sink path
 has non-negative cost, and the zero-cost ones are exactly the paths a
 minimum-cost shipment plan may use.  The admissible arc set consists of
 the original arcs lying on such a zero-cost path: none without terminals,
-and none with a warning when terminals cannot connect.  The dual is a
-map from terminal to integer at the network's ``cost_scale``, so labels
-run on the base network's integer costs and the duals as they are: the
-forward pass seeds each source at minus its dual and the backward pass
-each sink at its dual, so neither super node is ever built.
+and none with a warning when terminals cannot connect.  The dual maps
+each terminal's node index to an integer at the network's
+``cost_scale``, so labels run on the base network's integer costs and
+the duals as they are: the forward pass seeds each source at minus its
+dual and the backward pass each sink at its dual, so neither super node
+is ever built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping
 
 from . import _kernel, cheapest
 from .errors import InternalCheckError
-from .network import Network, NodeId
+from .network import Network
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,11 @@ class Subnetwork:
     labels: tuple[int | None, ...]
 
 
-def extend(network: Network, dual: Mapping[NodeId, int]) -> ExtendedNetwork:
+def extend(network: Network, dual: Mapping[int, int]) -> ExtendedNetwork:
     """Attach priced super terminals for the network's sources and sinks."""
-    form, nodes = network.integral, network.nodes
-    source_costs = {s: -dual[nodes[s]] for s in form.sources}
-    sink_costs = {t: dual[nodes[t]] for t in form.sinks}
+    form = network.integral
+    source_costs = {s: -dual[s] for s in form.sources}
+    sink_costs = {t: dual[t] for t in form.sinks}
     return ExtendedNetwork(network, source_costs, sink_costs)
 
 

@@ -4,10 +4,11 @@ Arc costs may be negative as long as the network is conservative, so
 labels come from the label-correcting routine :func:`qmct._kernel.labels`
 rather than from Dijkstra.  Labels run on, and are returned as, the
 integer costs of :attr:`Network.integral <qmct.network.Network.integral>`
-at its ``cost_scale``, as a plain map from node to cost.  A reachable
-negative cycle, which validation excludes, raises
-:class:`~qmct.errors.InternalCheckError`.  Unreachable nodes are
-represented by absence from the label map, never by a sentinel value.
+at its ``cost_scale``.  :func:`cheapest_from` and :func:`cheapest_to`
+map node names to costs; :func:`pair_costs` keys pairs by node index, as
+every later stage does.  A reachable negative cycle, which validation
+excludes, raises :class:`~qmct.errors.InternalCheckError`.  Unreachable
+nodes are absent from the result, never given a sentinel value.
 """
 
 from __future__ import annotations
@@ -42,18 +43,19 @@ def cheapest_to(network: Network, sink: NodeId) -> dict[NodeId, int]:
     return _cost_labels(network, sink, reverse=True)
 
 
-def pair_costs(network: Network) -> dict[tuple[NodeId, NodeId], int]:
-    """Cheapest-path cost, at ``cost_scale``, for every connected source-sink pair.
+def pair_costs(network: Network) -> dict[tuple[int, int], int]:
+    """Cheapest-path cost, at ``cost_scale``, for every connected source-sink
+    pair, keyed by (source index, sink index) in form order.
 
     Pairs with no connecting path are absent from the result.  One label
     graph serves every source.
     """
-    form, nodes = network.integral, network.nodes
+    form = network.integral
     g = graph(network, form.costs)
-    costs: dict[tuple[NodeId, NodeId], int] = {}
+    costs: dict[tuple[int, int], int] = {}
     for s in form.sources:
         dist = _kernel.labels(g, {s: 0})
         for t in form.sinks:
             if dist[t] is not None:
-                costs[(nodes[s], nodes[t])] = dist[t]
+                costs[(s, t)] = dist[t]
     return costs

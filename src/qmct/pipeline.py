@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import _kernel, admissible, cheapest, temporal, transport
 from .errors import HorizonLimitError, InternalCheckError, ValidationError
-from .network import Network, NodeId, validate
+from .network import Network, validate
 
 MODE_QUICKEST_MINCOST = "quickest-mincost"
 MODE_QUICKEST = "quickest"
@@ -69,18 +69,26 @@ class SolveReport:
 
 @dataclass
 class AlgorithmRun:
-    """All intermediates of the cost-first pipeline, for verification;
-    pair costs, dual and labels are integers at the network's ``cost_scale``.
-    ``arc_map`` takes an arc of ``restricted`` to its index in ``network``."""
+    """All intermediates of the cost-first pipeline, for verification.
+
+    Pair costs, dual and labels are integers at the network's
+    ``cost_scale``, and terminals are node indices.  ``pair_costs`` reads
+    the transportation instance; ``arc_map`` takes an arc of
+    ``restricted`` to its index in ``network``.
+    """
 
     network: Network
-    pair_costs: dict[tuple[NodeId, NodeId], int]
     solution: transport.TransportSolution
-    actives: frozenset[tuple[NodeId, NodeId]]
+    actives: frozenset[tuple[int, int]]
     subnetwork: admissible.Subnetwork
     restricted: Network
     quickest: temporal.QuickestResult
     schedule: temporal.FlowOverTime
+
+    @property
+    def pair_costs(self) -> dict[tuple[int, int], int]:
+        instance = self.solution.instance
+        return dict(zip(instance.pairs, instance.costs))
 
     @property
     def arc_map(self) -> tuple[int, ...]:
@@ -109,8 +117,7 @@ def run_quickest_mincost(network: Network, max_layers: int | None = None) -> Alg
     The network must be valid and must have at least one source.
     Raises :class:`InfeasibleError` when the supplies cannot be routed.
     """
-    costs = cheapest.pair_costs(network)
-    instance = transport.build(network, costs)
+    instance = transport.build(network, cheapest.pair_costs(network))
     solution = transport.solve(instance)
     actives = transport.active_pairs(instance, solution.dual)
     extended = admissible.extend(network, solution.dual)
@@ -121,7 +128,6 @@ def run_quickest_mincost(network: Network, max_layers: int | None = None) -> Alg
     schedule = _remap_schedule(quickest.schedule, arc_map)
     return AlgorithmRun(
         network=network,
-        pair_costs=costs,
         solution=solution,
         actives=actives,
         subnetwork=subnetwork,
@@ -161,12 +167,11 @@ def check_admissible_routing(run: AlgorithmRun) -> bool:
     path because all supplies are routed, so (i) and (ii) follow.  Both
     compare integers at the network's ``cost_scale``.
     """
-    network = run.network
-    index, form = network.node_index, network.integral
+    form = run.network.integral
     labels = run.subnetwork.labels
     dual = run.solution.dual
-    for v in (*network.sources, *network.sinks):
-        if labels[index(v)] != -dual[v]:
+    for v in (*form.sources, *form.sinks):
+        if labels[v] != -dual[v]:
             return False
     for entry in run.schedule.arc_flows:
         a = entry.arc
@@ -225,8 +230,7 @@ def solve_mincost_static(network: Network) -> SolveReport:
     """Transportation stage only: the minimum cost over all horizons."""
     started = time.perf_counter()
     validate_or_raise(network)
-    costs = cheapest.pair_costs(network)
-    instance = transport.build(network, costs)
+    instance = transport.build(network, cheapest.pair_costs(network))
     solution = transport.solve(instance)
     done = time.perf_counter()
     return SolveReport(

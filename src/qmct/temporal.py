@@ -318,9 +318,10 @@ def horizon_upper_bound(network: Network) -> int:
 
 
 def subset_paths(
-    network: Network, subset: AbstractSet[NodeId], need: int | None = None
+    network: Network, subset: AbstractSet[int], need: int | None = None
 ) -> tuple[list[tuple[int, int]], _kernel.Residual]:
-    """Successive shortest paths from A's sources to the sinks outside A.
+    """Successive shortest paths from A's sources to the sinks outside A,
+    A being a set of node indices.
 
     Transits are the costs (non-negative, so zero potentials start the
     paths); super source ``n`` feeds the sources in ``subset`` and super
@@ -329,10 +330,9 @@ def subset_paths(
     ``need``, stops before the first path of length ``d`` with
     ``Σ amount·(d − length) >= need``.
     """
-    form, nodes = network.integral, network.nodes
-    n = len(nodes)
-    starts = [s for s in form.sources if nodes[s] in subset]
-    ends = [t for t in form.sinks if nodes[t] not in subset]
+    form, n = network.integral, len(network.nodes)
+    starts = [s for s in form.sources if s in subset]
+    ends = [t for t in form.sinks if t not in subset]
     extra = len(starts) + len(ends)
     g = _kernel.build(
         n + 2,
@@ -354,36 +354,37 @@ def subset_paths(
     return paths, g
 
 
-def _subset_horizon(network: Network, subset: AbstractSet[NodeId]) -> int:
+def _subset_horizon(network: Network, subset: AbstractSet[int]) -> int:
     """``T_A``, the least integer ``T`` with ``o^T(A) >= b(A)``.
 
     Raises :class:`InfeasibleError` when ``b(A) > 0`` and A's sources
     reach no sink outside A, naming the nodes they reach, which no arc
     leaves, as ``cut_nodes``.
     """
-    need = sum(b for v, b in zip(network.nodes, network.integral.balances) if v in subset)
+    need = sum(network.integral.balances[v] for v in subset)
     if need <= 0:
         return 0
     paths, g = subset_paths(network, subset, need)
     if not paths:
-        reached = _kernel.residual_reachable(g, len(network.nodes))
+        nodes = network.nodes
+        reached = _kernel.residual_reachable(g, len(nodes))
         raise InfeasibleError(
             "no horizon admits a transshipment: supplies in "
-            f"{sorted(subset)} cannot reach the demands outside it",
+            f"{sorted(nodes[v] for v in subset)} cannot reach the demands outside it",
             certificate={
-                "subset": [v for v in network.nodes if v in subset],
-                "cut_nodes": [v for i, v in enumerate(network.nodes) if i in reached],
+                "subset": [nodes[v] for v in sorted(subset)],
+                "cut_nodes": [v for i, v in enumerate(nodes) if i in reached],
             },
         )
     flow = sum(amount for _, amount in paths)
     return -(-(need + sum(d * amount for d, amount in paths)) // flow)
 
 
-def _violated_subset(network: Network, horizon: int, reachable: set[int]) -> set[NodeId]:
-    """A_X for the residual-reachable set X of an infeasible probe."""
-    index, last = network.node_index, (horizon - 1) * len(network.nodes)
-    sources = {s for s in network.sources if index(s) in reachable}
-    return sources | {t for t in network.sinks if last + index(t) in reachable}
+def _violated_subset(network: Network, horizon: int, reachable: set[int]) -> set[int]:
+    """A_X, as node indices, for the residual-reachable set X of an infeasible probe."""
+    form, last = network.integral, (horizon - 1) * len(network.nodes)
+    sources = {s for s in form.sources if s in reachable}
+    return sources | {t for t in form.sinks if last + t in reachable}
 
 
 def quickest_transshipment(network: Network, max_layers: int | None = None) -> QuickestResult:
@@ -441,19 +442,19 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
     its expansion is built, and its ``requested`` horizon, a proven
     lower bound on H, shows that H exceeds the limit.
     """
-    sources, sinks = network.sources, network.sinks
-    seed = [(s, {s}, "supply at {!r} cannot reach any sink") for s in sources]
-    seed += [
-        (t, {*sources, *sinks} - {t}, "demand at {!r} cannot be reached by any source")
-        for t in sinks
-    ]
     form, horizon = network.integral, 0
+    terminals = {*form.sources, *form.sinks}
+    seed = [(s, {s}, "supply at {!r} cannot reach any sink") for s in form.sources]
+    seed += [
+        (t, terminals - {t}, "demand at {!r} cannot be reached by any source")
+        for t in form.sinks
+    ]
     for node, subset, message in seed:
         try:
             horizon = max(horizon, _subset_horizon(network, subset))
         except InfeasibleError:
-            side = "source" if node in subset else "sink"
-            raise InfeasibleError(message.format(node), {"isolated": node, "side": side}) from None
+            name, side = network.nodes[node], "source" if node in subset else "sink"
+            raise InfeasibleError(message.format(name), {"isolated": name, "side": side}) from None
     while True:
         _layer_guard(horizon, max_layers)
         graph = expand(network, horizon)

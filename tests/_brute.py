@@ -54,14 +54,14 @@ and scans max flows up to the first feasible horizon.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Sequence
 
 from qmct import _kernel, staticflow
 from qmct.cheapest import cheapest_from, cheapest_to
-from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
+from qmct.errors import HorizonLimitError, InfeasibleError, InternalCheckError, ValidationError
 from qmct.network import Arc, Network, NodeId
 from qmct.pipeline import AlgorithmRun, validate_or_raise
 from qmct.rationals import as_rational, to_integers
@@ -74,11 +74,7 @@ from qmct.temporal import (
     horizon_upper_bound,
     mincost_over_time,
 )
-from qmct.transport import (
-    TransportationInstance,
-    TransportSolution,
-    _assert_optimality,
-)
+from qmct.transport import TransportationInstance, TransportSolution
 
 
 @dataclass(frozen=True)
@@ -226,36 +222,13 @@ def min_cost_flow(problem: FlowProblem, balances: Sequence[Fraction]) -> MinCost
     return MinCostFlowResult(StaticFlow(flows), potentials, cost)
 
 
-def _bipartite_problem(instance: TransportationInstance) -> FlowProblem:
-    p = len(instance.sources)
-    return FlowProblem(
-        num_nodes=p + len(instance.sinks),
-        tails=tuple(i for i, _ in instance.pairs),
-        heads=tuple(p + j for _, j in instance.pairs),
-        capacities=(None,) * len(instance.pairs),
-        costs=instance.costs,
-    )
-
-
-def _fractional(instance: TransportationInstance) -> TransportationInstance:
-    """The instance with its integers read as the Fractions they stand for."""
-    flow, cost = instance.flow_scale, instance.cost_scale
-    return replace(
-        instance,
-        supplies=tuple(Fraction(b, flow) for b in instance.supplies),
-        demands=tuple(Fraction(d, flow) for d in instance.demands),
-        costs=tuple(Fraction(c, cost) for c in instance.costs),
-        flow_scale=1,
-        cost_scale=1,
-    )
-
-
 def transport_solve(instance: TransportationInstance) -> TransportSolution:
     """Optimal shipments plus an optimal dual, both certified exactly.
 
-    The instance's integers are read once as the Fractions they stand
-    for; from there the solve runs on Fractions, and its shipments, dual
-    and optimum are Fractions.
+    The bipartite problem is built from the network's ``Fraction`` view
+    (its balances) and the pair costs read as Fractions, sources then
+    sinks in node order; from there the solve runs on Fractions, and its
+    shipments, dual and optimum are Fractions.
 
     The dual is extracted from the min-cost-flow potentials and then
     checked outright: feasibility on every pair, strong duality against
@@ -265,18 +238,28 @@ def transport_solve(instance: TransportationInstance) -> TransportSolution:
     Raises :class:`InfeasibleError` with a deficient terminal subset when
     the supplies cannot be matched to the demands.
     """
-    instance = _fractional(instance)
-    problem = _bipartite_problem(instance)
-    p = len(instance.sources)
-    balances = list(instance.supplies) + [-d for d in instance.demands]
+    network = instance.network
+    nodes, balances = network.nodes, list(network.balances.values())
+    sources = [v for v, b in enumerate(balances) if b > 0]
+    terminals = sources + [v for v, b in enumerate(balances) if b < 0]
+    position = {v: k for k, v in enumerate(terminals)}
+    costs = tuple(Fraction(c, network.integral.cost_scale) for c in instance.costs)
+    problem = FlowProblem(
+        num_nodes=len(terminals),
+        tails=tuple(position[s] for s, _ in instance.pairs),
+        heads=tuple(position[t] for _, t in instance.pairs),
+        capacities=(None,) * len(instance.pairs),
+        costs=costs,
+    )
+    p = len(sources)
     try:
-        result = min_cost_flow(problem, balances)
+        result = min_cost_flow(problem, [balances[v] for v in terminals])
     except InfeasibleError as exc:
-        reachable = set(exc.certificate.get("cut_nodes", ()))
-        stranded_sources = tuple(instance.sources[i] for i in sorted(reachable) if i < p)
-        served_sinks = tuple(instance.sinks[j - p] for j in sorted(reachable) if j >= p)
-        supply = sum((instance.supplies[i] for i in reachable if i < p), Fraction(0))
-        demand = sum((instance.demands[j - p] for j in reachable if j >= p), Fraction(0))
+        reachable = sorted(exc.certificate.get("cut_nodes", ()))
+        stranded_sources = tuple(nodes[terminals[k]] for k in reachable if k < p)
+        served_sinks = tuple(nodes[terminals[k]] for k in reachable if k >= p)
+        supply = sum((balances[terminals[k]] for k in reachable if k < p), Fraction(0))
+        demand = -sum((balances[terminals[k]] for k in reachable if k >= p), Fraction(0))
         raise InfeasibleError(
             f"transportation infeasible: sources {stranded_sources} supply {supply} "
             f"but can only reach demand {demand}",
@@ -288,15 +271,16 @@ def transport_solve(instance: TransportationInstance) -> TransportSolution:
             },
         ) from exc
 
-    dual_values: dict[NodeId, Fraction] = {}
-    for i, s in enumerate(instance.sources):
-        dual_values[s] = result.potentials[i]
-    for j, t in enumerate(instance.sinks):
-        dual_values[t] = result.potentials[p + j]
-
+    dual = dict(zip(terminals, result.potentials))
     shipments = result.flow.values
-    _assert_optimality(instance, shipments, dual_values, result.cost)
-    return TransportSolution(instance, shipments, dual_values, result.cost)
+    for (s, t), c, shipped in zip(instance.pairs, costs, shipments):
+        slack = c - dual[s] + dual[t]
+        if slack < 0 or (shipped > 0 and slack != 0):
+            raise InternalCheckError(f"reference dual not optimal on pair {nodes[s]}->{nodes[t]}")
+    objective = sum((balances[v] * dual[v] for v in terminals), Fraction(0))
+    if objective != result.cost:
+        raise InternalCheckError(f"reference duality gap: {objective} != {result.cost}")
+    return TransportSolution(instance, shipments, dual, result.cost)
 
 
 def simple_paths(network: Network, source: str, sink: str) -> list[tuple[int, ...]]:
@@ -530,10 +514,12 @@ def routing_admissible(run: AlgorithmRun) -> bool:
     routes, clean = routed_paths(run)
     if not clean:
         return False
+    index = run.network.node_index
     for source, sink, _amount, cost in routes:
-        if (source, sink) not in run.actives:
+        pair = (index(source), index(sink))
+        if pair not in run.actives:
             return False
-        if cost * run.network.integral.cost_scale != run.pair_costs[(source, sink)]:
+        if cost * run.network.integral.cost_scale != run.pair_costs[pair]:
             return False
     return True
 
@@ -697,9 +683,9 @@ def expansion_search(network: Network) -> QuickestResult:
 
 def subset_expansion_flow(network: Network, subset, horizon: int) -> int:
     """o^T(A) by brute force: the max flow on the expansion for ``horizon``
-    from the layer-0 copies of the sources in ``subset`` to the last-layer
-    copies of the sinks outside it, both wired without capacity limits;
-    in units of the network's ``flow_scale``."""
+    from the layer-0 copies of the sources in ``subset`` (node indices) to
+    the last-layer copies of the sinks outside it, both wired without
+    capacity limits; in units of the network's ``flow_scale``."""
     if horizon == 0:
         return 0
     graph = full_expand(network, horizon)
@@ -708,10 +694,10 @@ def subset_expansion_flow(network: Network, subset, horizon: int) -> int:
     tails, heads = list(graph.tails[:keep]), list(graph.heads[:keep])
     for v, name in enumerate(network.nodes):
         b = network.balances[name]
-        if b > 0 and name in subset:
+        if b > 0 and v in subset:
             tails.append(graph.super_source)
             heads.append(v)
-        elif b < 0 and name not in subset:
+        elif b < 0 and v not in subset:
             tails.append((horizon - 1) * n + v)
             heads.append(graph.super_sink)
     caps = [*graph.capacities[:keep], *[None] * (len(tails) - keep)]

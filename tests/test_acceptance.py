@@ -118,7 +118,7 @@ def test_criterion_4_transportation_duality():
     if not is_dual_feasible(instance, solution.dual):
         failures.append("dual infeasible")
     for k in range(len(instance.pairs)):
-        s, t = instance.pair_nodes(k)
+        s, t = instance.pairs[k]
         slack = instance.costs[k] - solution.dual[s] + solution.dual[t]
         if solution.shipments[k] * slack != 0:
             failures.append(("slackness", s, t))
@@ -148,8 +148,9 @@ def test_criterion_6_path_equivalence(suite_runs):
         scale = net.integral.cost_scale  # the unit of the pair costs
         for s in net.sources:
             for t in net.sinks:
-                active = (s, t) in run.actives
-                cheapest = run.pair_costs.get((s, t))
+                pair = (net.node_index(s), net.node_index(t))
+                active = pair in run.actives
+                cheapest = run.pair_costs.get(pair)
                 for p in simple_paths(net, s, t):
                     is_admissible = active and path_cost(net, p) * scale == cheapest
                     contained = set(p) <= admissible_set
@@ -159,7 +160,8 @@ def test_criterion_6_path_equivalence(suite_runs):
 
 
 def _project_routes(run):
-    """Independent projection of the final probe's flow onto terminal pairs.
+    """Independent projection of the final probe's flow onto terminal pairs,
+    as node indices.
 
     The flow is re-solved on the restricted network at the reported
     horizon; the third result says whether it rebuilds the reported
@@ -178,8 +180,8 @@ def _project_routes(run):
         for e in seq:
             if e < movement_count:
                 cost += run.restricted.arcs[graph.movement[e][0]].cost
-        source = run.restricted.nodes[graph.heads[seq[0]] % n]
-        sink = run.restricted.nodes[graph.tails[seq[-1]] % n]
+        source = graph.heads[seq[0]] % n
+        sink = graph.tails[seq[-1]] % n
         routes.append((source, sink, amount, cost))
     cycle_costs = []
     for seq, _amount in cycles:

@@ -17,15 +17,15 @@ PRINTED_DUAL = {"s1": 0, "s2": 1, "t1": 0, "t2": 1}
 
 
 def test_extend_prices_terminal_arcs(demo):
-    extended = extend(demo, PRINTED_DUAL)
-    assert extended.base_arc_count == 5
     idx = demo.node_index
+    extended = extend(demo, {idx(v): y for v, y in PRINTED_DUAL.items()})
+    assert extended.base_arc_count == 5
     assert extended.source_costs == {idx("s1"): 0, idx("s2"): -1}
     assert extended.sink_costs == {idx("t1"): 0, idx("t2"): 1}
 
 
 def test_extend_with_zero_dual(demo):
-    zero = {v: 0 for v in ("s1", "s2", "t1", "t2")}
+    zero = {demo.node_index(v): 0 for v in ("s1", "s2", "t1", "t2")}
     extended = extend(demo, zero)
     assert all(c == 0 for c in extended.source_costs.values())
     assert all(c == 0 for c in extended.sink_costs.values())
@@ -79,7 +79,7 @@ def test_non_optimal_dual_is_rejected_loudly(demo):
     # Feasible but non-optimal for a strictly positive instance: the
     # cheapest extended path then costs more than zero.
     pricey = Network.of(["s", "t"], [("s", "t", 1, 0, 3)], {"s": 1, "t": -1})
-    zero = {"s": 0, "t": 0}
+    zero = {0: 0, 1: 0}
     with pytest.raises(InternalCheckError):
         admissible_arcs(extend(pricey, zero))
 
@@ -96,7 +96,7 @@ def test_no_terminals_returns_empty_without_warning():
 def test_unconnectable_terminals_warn_and_return_empty():
     # Terminals exist but no arc joins them: the super sink cannot be reached.
     cut_off = Network.of(["s", "t"], [], {"s": 1, "t": -1})
-    zero = {"s": 0, "t": 0}
+    zero = {0: 0, 1: 0}
     with pytest.warns(UserWarning, match="super sink unreachable"):
         subnet = admissible_arcs(extend(cut_off, zero))
     assert subnet.arc_indices == frozenset()
@@ -127,12 +127,12 @@ def test_path_equivalence_on_generated_instances():
         subnet = admissible_arcs(extend(net, solution.dual))
         actives = active_pairs(instance, solution.dual)
         costs = pair_costs(net)
-        scale = net.integral.cost_scale
+        scale, i = net.integral.cost_scale, net.node_index
         for s in net.sources:
             for t in net.sinks:
                 for p in simple_paths(net, s, t):
-                    cheapest = path_cost(net, p) * scale == costs[(s, t)]
-                    admissible_path = (s, t) in actives and cheapest
+                    cheapest = path_cost(net, p) * scale == costs[(i(s), i(t))]
+                    admissible_path = (i(s), i(t)) in actives and cheapest
                     contained = set(p) <= subnet.arc_indices
                     assert admissible_path == contained, (seed, s, t, p)
 

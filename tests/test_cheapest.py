@@ -85,34 +85,38 @@ def test_subnetwork_requires_reachability(demo):
 
 
 def test_demo_pair_costs_match_printed_matrix(demo):
+    i = demo.node_index
     assert pair_costs(demo) == {
-        ("s1", "t1"): Fraction(0),
-        ("s1", "t2"): Fraction(0),
-        ("s2", "t1"): Fraction(1),
-        ("s2", "t2"): Fraction(0),
+        (i("s1"), i("t1")): Fraction(0),
+        (i("s1"), i("t2")): Fraction(0),
+        (i("s2"), i("t1")): Fraction(1),
+        (i("s2"), i("t2")): Fraction(0),
     }
 
 
 def test_pair_absent_without_path(demo):
     cut = demo.with_arcs([A_S1V, A_VT1, A_VT2])  # s2 fully disconnected
     cut = cut.with_balances({"s1": 1, "s2": 1, "t1": -1, "t2": -1})
-    costs = pair_costs(cut)
-    assert ("s2", "t1") not in costs
-    assert ("s2", "t2") not in costs
-    assert ("s1", "t1") in costs
+    costs, i = pair_costs(cut), cut.node_index
+    assert (i("s2"), i("t1")) not in costs
+    assert (i("s2"), i("t2")) not in costs
+    assert (i("s1"), i("t1")) in costs
 
 
 def test_pair_costs_match_brute_force_enumeration():
     for seed in range(40):
         net = generate(seed, nodes=6, terminals=3, cost_max=4)
-        computed = pair_costs(net)
+        computed, i = pair_costs(net), net.node_index
         for s in net.sources:
+            by_name = cheapest_from(net, s)
             for t in net.sinks:
                 expected = cheapest_simple_cost(net, s, t)
                 if expected is None:
-                    assert (s, t) not in computed
+                    assert (i(s), i(t)) not in computed
+                    assert t not in by_name
                 else:
-                    assert computed[(s, t)] == expected * net.integral.cost_scale
+                    assert computed[(i(s), i(t))] == expected * net.integral.cost_scale
+                    assert computed[(i(s), i(t))] == by_name[t]
 
 
 def test_subnetwork_membership_matches_path_enumeration():

@@ -85,11 +85,14 @@ def _documents(net: Network) -> tuple[dict, dict]:
     def rational(values: dict) -> dict:
         return {k: Fraction(v, scale) for k, v in values.items()}
 
-    answers["pair_costs"] = rational(cheapest.pair_costs(net))
+    # Pair costs and duals are keyed by node index; the digests pin names.
+    nodes = net.nodes
+    pairs = {(nodes[s], nodes[t]): c for (s, t), c in cheapest.pair_costs(net).items()}
+    answers["pair_costs"] = rational(pairs)
     answers["from"] = {s: rational(cheapest.cheapest_from(net, s)) for s in net.sources}
     answers["to"] = {t: rational(cheapest.cheapest_to(net, t)) for t in net.sinks}
     run = run_quickest_mincost(net)
-    answers["dual"] = rational(run.solution.dual)
+    answers["dual"] = rational({nodes[v]: y for v, y in run.solution.dual.items()})
     answers["subnetwork"] = run.subnetwork.arc_indices
     schedules["routes"] = routed_paths(run)
     answers["oracle"] = oracle_quickest_mincost(net)

@@ -214,7 +214,7 @@ def test_label_passes_match_fraction_labels():
                 assert all(type(d) is int for d in labels.values())
         costs = cheapest.pair_costs(net)
         want = {
-            (s, t): _scaled(forward[s][idx(t)], scale)
+            (idx(s), idx(t)): _scaled(forward[s][idx(t)], scale)
             for s in net.sources
             for t in net.sinks
             if forward[s][idx(t)] is not None
@@ -236,7 +236,7 @@ def test_label_passes_match_fraction_labels():
         # cheapest one costs -1/cost_scale and both versions must reject
         # the dual with the same message.
         shifted = dict(dual)
-        shifted[net.sources[0]] += 1
+        shifted[net.integral.sources[0]] += 1
         extended = admissible.extend(net, shifted)
         got = _admissible(extended)
         assert _same(got, _fraction_admissible(extended), scale), net

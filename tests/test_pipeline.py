@@ -103,9 +103,10 @@ def test_routed_paths_use_active_pairs(demo_variant_a):
     total = sum((amount for _, _, amount, _ in routes), Fraction(0))
     assert total == run.network.total_supply
     scale = run.network.integral.cost_scale  # the unit of the pair costs
+    index = run.network.node_index
     for source, sink, _amount, cost in routes:
-        assert (source, sink) in run.actives
-        assert cost * scale == run.pair_costs[(source, sink)]
+        assert (index(source), index(sink)) in run.actives
+        assert cost * scale == run.pair_costs[(index(source), index(sink))]
 
 
 def test_single_pair_pipeline_equals_cheapest_paths_network():

@@ -82,14 +82,13 @@ def test_matches_the_expansion_search_on_scaled_and_restricted_networks():
 
 
 def _terminal_subsets(network: Network):
-    terminals = [*network.sources, *network.sinks]
+    terminals = [*network.integral.sources, *network.integral.sinks]
     for r in range(1, len(terminals) + 1):
         yield from (set(c) for c in combinations(terminals, r))
 
 
 def _need(network: Network, subset) -> int:
-    form = network.integral
-    return sum(b for v, b in zip(network.nodes, form.balances) if v in subset)
+    return sum(network.integral.balances[v] for v in subset)
 
 
 def test_closed_form_matches_the_expansion_max_flow():
@@ -144,10 +143,10 @@ def test_closed_form_is_exact_for_rational_capacities():
         ["s", "t"], [("s", "t", "1/2", 1, 0), ("s", "t", "1/3", 3, 0)], {"s": 2, "t": -2}
     )
     scale = net.integral.flow_scale
-    paths, _ = temporal.subset_paths(net, {"s"})
+    paths, _ = temporal.subset_paths(net, {0})  # node "s"
     assert [(d, Fraction(a, scale)) for d, a in paths] == [
         (1, Fraction(1, 2)),
         (3, Fraction(1, 3)),
     ]
-    assert temporal._subset_horizon(net, {"s"}) == 5
+    assert temporal._subset_horizon(net, {0}) == 5
     assert temporal.quickest_transshipment(net).horizon == 5

@@ -4,7 +4,9 @@ A document is parsed straight into a network's integer form: each
 distinct string literal once, ints as they are.  From there on nothing
 scales again: pair costs, the transportation problem, its dual and the
 admissible labels stay at the network's scales, and no solve rebuilds
-the ``Fraction`` views ``Network.arcs`` and ``Network.balances``.
+the ``Fraction`` views ``Network.arcs`` and ``Network.balances``.  Node
+names likewise leave at one boundary: a solve keys terminals by node
+index and never looks a node up by name.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 
 from qmct.generate import generate
 from qmct.io import network_from_doc, network_to_doc, report_to_doc
+from qmct.network import Network
 from qmct.pipeline import run_quickest_mincost, solve_quickest_mincost
 
 # The options of the benchmark's random-wide instances.
@@ -79,3 +82,27 @@ def test_a_solve_builds_no_fraction_views():
         net = network_from_doc(_random_wide_doc(seed))
         report_to_doc(solve_quickest_mincost(net), include_schedule=True)
         assert "arcs" not in net.__dict__ and "balances" not in net.__dict__
+
+
+def test_a_solve_looks_up_no_node_by_name(monkeypatch):
+    reads = {"sources": 0, "sinks": 0}
+
+    def counted(name: str) -> property:
+        real = getattr(Network, name).fget
+
+        def read(self):
+            reads[name] += 1
+            return real(self)
+
+        return property(read)
+
+    for name in reads:
+        monkeypatch.setattr(Network, name, counted(name))
+    violated = _record(monkeypatch, "_violated_subset")
+    for seed in range(10):
+        net = network_from_doc(_random_wide_doc(seed))
+        solve_quickest_mincost(net)
+        assert "node_index" not in net.__dict__
+    assert reads == {"sources": 0, "sinks": 0}
+    # Some probes are infeasible, so the search's cut path ran too.
+    assert violated

@@ -108,7 +108,7 @@ def test_certificate_rejects_a_raised_source_dual():
     raised = 0
     for run in _runs(acceptance_suite()[:40]):
         dual = run.solution.dual
-        for s in run.network.sources:
+        for s in run.network.integral.sources:
             shifted = {**dual, s: dual[s] + 1}  # one unit at cost_scale
             mutated = replace(run, solution=replace(run.solution, dual=shifted))
             assert not check_admissible_routing(mutated), (run.network, s)

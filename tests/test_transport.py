@@ -26,21 +26,21 @@ def _demo_instance(balances=None):
 
 
 def test_build_demo_instance(demo):
-    instance = build(demo, pair_costs(demo))
-    assert instance.sources == ("s1", "s2")
-    assert instance.sinks == ("t1", "t2")
+    instance, i = build(demo, pair_costs(demo)), demo.node_index
+    assert instance.network.integral.sources == (i("s1"), i("s2"))
+    assert instance.network.integral.sinks == (i("t1"), i("t2"))
     assert len(instance.pairs) == 4
     by_pair = {
-        instance.pair_nodes(k): instance.costs[k] for k in range(len(instance.pairs))
+        instance.pairs[k]: instance.costs[k] for k in range(len(instance.pairs))
     }
-    assert by_pair[("s2", "t1")] == 1
-    assert by_pair[("s1", "t2")] == 0
+    assert by_pair[(i("s2"), i("t1"))] == 1
+    assert by_pair[(i("s1"), i("t2"))] == 0
 
 
 def test_build_single_pair():
     net = Network.of(["s", "t"], [("s", "t", 1, 0, 2)], {"s": 1, "t": -1})
     instance = build(net, pair_costs(net))
-    assert instance.pairs == ((0, 0),)
+    assert instance.pairs == ((0, 1),)
     assert instance.costs == (Fraction(2),)
 
 
@@ -58,7 +58,7 @@ def test_solve_skewed_demo_matches_strong_duality(demo_variant_a):
     assert is_dual_feasible(instance, solution.dual)
     assert dual_objective(instance, solution.dual) == Fraction(1, 2)
     for k in range(len(instance.pairs)):
-        s, t = instance.pair_nodes(k)
+        s, t = instance.pairs[k]
         slack = instance.costs[k] - solution.dual[s] + solution.dual[t]
         assert solution.shipments[k] * slack == 0
 
@@ -75,12 +75,12 @@ def test_solve_one_pair_scales_with_supply():
 
 
 def test_active_pairs_with_printed_dual(demo_variant_a):
-    instance = build(demo_variant_a, pair_costs(demo_variant_a))
-    dual = {"s1": Fraction(0), "s2": Fraction(1), "t1": Fraction(0), "t2": Fraction(1)}
+    instance, i = build(demo_variant_a, pair_costs(demo_variant_a)), demo_variant_a.node_index
+    dual = {i("s1"): Fraction(0), i("s2"): Fraction(1), i("t1"): Fraction(0), i("t2"): Fraction(1)}
     assert active_pairs(instance, dual) == {
-        ("s1", "t1"),
-        ("s2", "t1"),
-        ("s2", "t2"),
+        (i("s1"), i("t1")),
+        (i("s2"), i("t1")),
+        (i("s2"), i("t2")),
     }
 
 
@@ -91,34 +91,33 @@ def test_active_pairs_degenerate_duals():
         {"a": 1, "b": 1, "x": -1, "y": -1},
     )
     instance = build(net, pair_costs(net))
-    zero = {v: Fraction(0) for v in ("a", "b", "x", "y")}
+    zero = {net.node_index(v): Fraction(0) for v in ("a", "b", "x", "y")}
     assert len(active_pairs(instance, zero)) == 4
 
     pricey = Network.of(
         ["a", "x"], [("a", "x", 1, 0, 3)], {"a": 1, "x": -1}
     )
     pricey_instance = build(pricey, pair_costs(pricey))
-    zero2 = {"a": Fraction(0), "x": Fraction(0)}
+    zero2 = {0: Fraction(0), 1: Fraction(0)}
     assert active_pairs(pricey_instance, zero2) == frozenset()
 
 
 def test_active_pairs_rejects_infeasible_dual(demo):
-    instance = build(demo, pair_costs(demo))
-    bad = {"s1": Fraction(5), "s2": Fraction(0), "t1": Fraction(0), "t2": Fraction(0)}
+    instance, i = build(demo, pair_costs(demo)), demo.node_index
+    bad = {i("s1"): Fraction(5), i("s2"): Fraction(0), i("t1"): Fraction(0), i("t2"): Fraction(0)}
     with pytest.raises(ValueError):
         active_pairs(instance, bad)
 
 
 def _transportation_feasible_by_max_flow(instance) -> bool:
-    p = len(instance.sources)
-    q = len(instance.sinks)
-    arcs = [(i, p + j, None) for i, j in instance.pairs]
-    src, snk = p + q, p + q + 1
-    arcs += [(src, i, instance.supplies[i]) for i in range(p)]
-    arcs += [(p + j, snk, instance.demands[j]) for j in range(q)]
-    problem = FlowProblem.of(p + q + 2, arcs)
+    form = instance.network.integral
+    src, snk = len(form.balances), len(form.balances) + 1
+    arcs = [(s, t, None) for s, t in instance.pairs]
+    arcs += [(src, s, form.balances[s]) for s in form.sources]
+    arcs += [(t, snk, -form.balances[t]) for t in form.sinks]
+    problem = FlowProblem.of(snk + 1, arcs)
     value = max_flow(problem, src, snk).value
-    return value == sum(instance.supplies, Fraction(0))
+    return value == form.supply
 
 
 def _check_solve_matches_max_flow(net) -> bool:
@@ -177,13 +176,13 @@ def _alternative_optimal_duals(instance, dual):
     """Walk the optimal dual face: shift tight components with zero net
     balance by the largest slack-preserving amounts, plus a constant
     shift of everything."""
-    terminals = list(instance.sources) + list(instance.sinks)
-    balance = {s: instance.supplies[i] for i, s in enumerate(instance.sources)}
-    balance.update({t: -instance.demands[j] for j, t in enumerate(instance.sinks)})
+    form = instance.network.integral
+    terminals = list(form.sources) + list(form.sinks)
+    balance = {v: form.balances[v] for v in terminals}
 
     adjacency = {v: set() for v in terminals}
     for k in range(len(instance.pairs)):
-        s, t = instance.pair_nodes(k)
+        s, t = instance.pairs[k]
         if dual[s] - dual[t] == instance.costs[k]:
             adjacency[s].add(t)
             adjacency[t].add(s)
@@ -211,7 +210,7 @@ def _alternative_optimal_duals(instance, dual):
             continue
         lo, hi = None, None  # allowed negative/positive shift
         for k in range(len(instance.pairs)):
-            s, t = instance.pair_nodes(k)
+            s, t = instance.pairs[k]
             slack = instance.costs[k] - dual[s] + dual[t]
             if s in comp and t not in comp:
                 hi = slack if hi is None else min(hi, slack)
@@ -255,8 +254,9 @@ def test_demo_unit_balances_have_genuinely_different_duals(demo):
     # Two optimal duals that carve different subnetworks still lead to
     # the same cost and horizon.
     instance = build(demo, pair_costs(demo))
-    low = {v: Fraction(0) for v in ("s1", "s2", "t1", "t2")}
-    high = {"s1": Fraction(0), "s2": Fraction(1), "t1": Fraction(0), "t2": Fraction(1)}
+    i = demo.node_index
+    low = {i(v): Fraction(0) for v in ("s1", "s2", "t1", "t2")}
+    high = {i("s1"): Fraction(0), i("s2"): Fraction(1), i("t1"): Fraction(0), i("t2"): Fraction(1)}
     outcomes = []
     subnets = []
     for dual in (low, high):
@@ -278,10 +278,11 @@ def _outcome(solver, instance):
         solution = solver(instance)
     except (InfeasibleError, ValueError) as exc:
         return type(exc), str(exc), getattr(exc, "certificate", None)
-    # The reference's instance holds Fractions at scales 1.
-    flow, cost = solution.instance.flow_scale, solution.instance.cost_scale
-    shipments = tuple(Fraction(f, flow) for f in solution.shipments)
-    dual = {v: Fraction(y, cost) for v, y in solution.dual.items()}
+    if solver is transport_solve:  # the reference answers in Fractions
+        return solution.shipments, solution.dual, solution.optimum
+    form = instance.network.integral
+    shipments = tuple(Fraction(f, form.flow_scale) for f in solution.shipments)
+    dual = {v: Fraction(y, form.cost_scale) for v, y in solution.dual.items()}
     return shipments, dual, solution.optimum
 
 
@@ -296,10 +297,10 @@ def _hall_violation(net, rng: random.Random):
     """Balances on ``net``'s terminals under which a source that misses
     some sink supplies more than the sinks it reaches demand; None when
     every source reaches every sink."""
-    instance = build(net, pair_costs(net))
-    sources, sinks = instance.sources, instance.sinks
-    for i, s in enumerate(sources):
-        reached = {sinks[j] for k, j in instance.pairs if k == i}
+    instance, nodes = build(net, pair_costs(net)), net.nodes
+    sources, sinks = net.sources, net.sinks
+    for s in sources:
+        reached = {nodes[t] for u, t in instance.pairs if nodes[u] == s}
         missed = [t for t in sinks if t not in reached]
         if not missed:
             continue
@@ -342,10 +343,12 @@ def test_solve_matches_rational_reference():
             instance = build(variant, pair_costs(variant))
             if seed % 5 == 0:  # the same costs times a rational ratio
                 up, down = rng.randint(1, 5), rng.randint(2, 7)
+                form = variant.integral
+                scaled = dataclasses.replace(form, cost_scale=form.cost_scale * down)
                 instance = dataclasses.replace(
                     instance,
+                    network=dataclasses.replace(variant, integral=scaled),
                     costs=tuple(c * up for c in instance.costs),
-                    cost_scale=instance.cost_scale * down,
                 )
             expected = _outcome(transport_solve, instance)
             assert _outcome(solve, instance) == expected, seed
@@ -359,16 +362,12 @@ def test_solve_matches_rational_reference():
 
 @pytest.mark.parametrize("side, total", [("supplies", "1/3"), ("demands", "-1/3")])
 def test_solve_rejects_unequal_totals_like_the_reference(demo, side, total):
-    # Every amount times 3 at three times the flow scale, plus one unit on one side.
-    instance = build(demo, pair_costs(demo))
-    thirds = dataclasses.replace(
-        instance,
-        supplies=tuple(3 * b for b in instance.supplies),
-        demands=tuple(3 * d for d in instance.demands),
-        flow_scale=3 * instance.flow_scale,
-    )
-    amounts = getattr(thirds, side)
-    unequal = dataclasses.replace(thirds, **{side: (amounts[0] + 1, *amounts[1:])})
+    # A third of a unit more at the first source or the first sink, which
+    # Network.of allows: balance is checked by validation, not by building.
+    node = demo.sources[0] if side == "supplies" else demo.sinks[0]
+    balances = {**demo.balances, node: demo.balances[node] + Fraction(total)}
+    unbalanced = Network.of(demo.nodes, demo.arcs, balances)
+    unequal = build(unbalanced, pair_costs(unbalanced))
     expected = _outcome(transport_solve, unequal)
     assert expected[:2] == (ValueError, f"balances sum to {total}, expected 0")
     assert _outcome(solve, unequal) == expected
