@@ -3,7 +3,9 @@
 Max flow is Dinic's blocking-flow method with levels taken as residual
 distances to the sink (see :func:`max_flow` for why not from the
 source); min-cost flow is successive shortest paths with potentials,
-and reports the cost of the flow it pushes from those potentials.
+and reports the cost of the flow it pushes from those potentials.  It
+continues a min-cost flow already in the graph when the caller passes
+potentials for it, as the oracle's growing expansion does.
 
 :func:`label_correct` is the solver's one label-correcting routine,
 and every pass of it starts from *seeds*: starting labels of chosen
@@ -324,8 +326,13 @@ def labels(g: Residual, seeds: Mapping[int, object] | None = None) -> list:
     return dist
 
 
-def _dijkstra(g: Residual, s: int, t: int, pi: list[int]):
-    """Shortest reduced-cost distances from s; returns (dist, parent_edge)."""
+def _dijkstra(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
+    """Shortest reduced-cost distances from s; returns (dist, parent_edge).
+
+    Stops once ``t`` is settled or the least open distance reaches
+    ``bound``.  Every node nearer than the stop is settled by then, with
+    its exact distance; every other keeps a tentative one no smaller.
+    """
     adj, rem, to, cost = g.adj, g.rem, g.to, g.cost
     heappush, heappop = heapq.heappush, heapq.heappop
     dist: list[int | float] = [INF] * g.n
@@ -336,7 +343,7 @@ def _dijkstra(g: Residual, s: int, t: int, pi: list[int]):
         d, u = heappop(heap)
         if d > dist[u]:
             continue
-        if u == t:
+        if u == t or d >= bound:
             break
         base = d + pi[u]
         for e in adj[u]:
@@ -350,23 +357,30 @@ def _dijkstra(g: Residual, s: int, t: int, pi: list[int]):
     return dist, parent_edge
 
 
-def augment(g: Residual, s: int, t: int, pi: list[int], limit: int | None = None):
-    """One round of successive shortest paths: push along a cheapest path.
+def reprice(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
+    """Dijkstra from s under the potentials ``pi``, stopped at t or at ``bound``.
 
-    Runs Dijkstra on reduced costs under the potentials ``pi`` and raises
-    each ``pi[v]`` by its distance, capped at ``t``'s.  Every residual
-    edge keeps a non-negative reduced cost and the path's edges become
-    tight, so the path costs ``pi[t] - pi[s]``.  Pushes the least of
-    ``limit`` and the path's capacities (one must be finite) and returns
-    it, or returns None when ``s`` no longer reaches ``t``.
+    Raises each ``pi[v]`` by its distance capped at the stop distance,
+    the least of ``t``'s distance and ``bound``, and returns ``(dist,
+    parent_edge)``; when neither is finite ``pi`` stays as it is.  An
+    edge ``u -> v`` with reduced cost r >= 0 keeps one: if the search
+    scanned ``u``, ``v``'s distance is at most ``u``'s plus r, and any
+    other ``u`` is raised by the whole cap, which no node exceeds.  The
+    search tree's edges from s to a settled t become tight, so that path
+    costs ``pi[t] - pi[s]``.
     """
-    dist, parent_edge = _dijkstra(g, s, t, pi)
-    if dist[t] == INF:
-        return None
-    cap_at = dist[t]
-    for v in range(g.n):
-        d = dist[v]
-        pi[v] += cap_at if d > cap_at else d
+    dist, parent_edge = _dijkstra(g, s, t, pi, bound)
+    cap_at = min(dist[t], bound)
+    if cap_at != INF:
+        for v in range(g.n):
+            d = dist[v]
+            pi[v] += cap_at if d > cap_at else d
+    return dist, parent_edge
+
+
+def push_path(g: Residual, s: int, t: int, parent_edge: list[int], limit: int | None = None) -> int:
+    """Push the least of ``limit`` and the capacities of the ``parent_edge``
+    path from s to t (one must be finite) along it, and return that amount."""
     path = []
     amount = limit
     v = t
@@ -382,18 +396,38 @@ def augment(g: Residual, s: int, t: int, pi: list[int], limit: int | None = None
     return amount
 
 
-def min_cost_flow(g: Residual, s: int, t: int, target: int):
+def augment(g: Residual, s: int, t: int, pi: list[int], limit: int | None = None):
+    """One round of successive shortest paths: push along a cheapest path.
+
+    Runs :func:`reprice` from ``s`` to ``t`` with no bound, so every
+    residual edge keeps a non-negative reduced cost and the path costs
+    ``pi[t] - pi[s]``.  Pushes the least of ``limit`` and the path's
+    capacities (one must be finite) and returns it, or returns None when
+    ``s`` no longer reaches ``t``.
+    """
+    dist, parent_edge = reprice(g, s, t, pi)
+    if dist[t] == INF:
+        return None
+    return push_path(g, s, t, parent_edge, limit)
+
+
+def min_cost_flow(g: Residual, s: int, t: int, target: int, pi: list[int] | None = None):
     """Successive shortest paths with potentials from s to t.
 
-    Pushes as much flow as possible up to ``target``.  Returns
-    ``(routed, cost, pi, reachable)``.  ``cost`` sums amount·(pi[t] −
-    pi[s]), each round's path cost (see :func:`augment`), and is the cost
-    of the flow in ``g`` because every caller starts from a zero flow.
-    ``pi`` satisfy ``cost[e] + pi[u] - pi[v] >= 0`` on every residual
-    edge ``(u, v)`` with remaining capacity; ``reachable`` is the
-    residual-reachable set from ``s`` when routing stopped short (else None).
+    Augments the flow in ``g`` by as much as possible up to ``target``.
+    Returns ``(routed, cost, pi, reachable)`` for the flow it adds:
+    ``cost`` sums amount·(pi[t] − pi[s]), each round's path cost (see
+    :func:`augment`).  The potentials ``pi``, updated in place, must give
+    every edge with remaining capacity a reduced cost ``cost[e] + pi[u] -
+    pi[v] >= 0``, which holds while the flow in ``g`` is a min-cost flow
+    of its value.  By default they are :func:`labels` of ``g``, which
+    exist exactly then; every caller that passes none starts from a zero
+    flow, so its ``cost`` is that of the whole flow.  ``reachable`` is
+    the residual-reachable set from ``s`` when routing stopped short
+    (else None).
     """
-    pi = labels(g)
+    if pi is None:
+        pi = labels(g)
     routed = cost = 0
     while routed < target:
         amount = augment(g, s, t, pi, target - routed)

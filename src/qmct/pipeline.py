@@ -294,8 +294,10 @@ def oracle_quickest_mincost(
 
     The scan grows one time expansion from horizon 0 by appending a
     layer at a time.  Up to the first feasible horizon each layer costs
-    one max flow, which augments the flow left by the last one; from
-    there each costs a min-cost flow from scratch on the same graph.
+    one max flow, which augments the flow left by the last one.  There a
+    min-cost flow starts from zero, and each later layer continues it
+    from the last one's flow and potentials on the same graph
+    (:meth:`temporal._GrowingExpansion.min_cost`).
     The bound caps the scan; passing it raises :class:`InternalCheckError`.
 
     When the static flow routes r short of the total supply, no horizon

@@ -17,7 +17,9 @@ lower bounds, each in closed form from one terminal subset's shortest
 paths (:func:`quickest_transshipment`).  Results keep no expansion: a
 probe's flows live only until its movement copies are read back into a
 :class:`FlowOverTime`.  The oracle's scan over consecutive horizons
-instead grows one full expansion in place (:class:`_GrowingExpansion`).
+instead grows one full expansion in place (:class:`_GrowingExpansion`),
+and carries its min-cost flow and potentials from one horizon to the
+next.
 
 Everything here reads :attr:`Network.integral`, built with the network
 however many horizons are expanded; other balances make another
@@ -529,9 +531,27 @@ class _GrowingExpansion:
     flow's value and cost, so the max-flow values, the min costs and the
     deficits of :func:`_too_small` agree with those of F_T at every T.
     A growth adds nodes and arcs and changes no existing one, so the flow
-    left at T stays valid at T+1, and :meth:`max_flow` there only has to
-    augment it.  The layer guard is checked at construction and before
-    each growth.
+    left at T stays valid at T+1, and :meth:`max_flow` and
+    :meth:`min_cost` there only have to augment it.
+
+    *Which reduced costs a growth can make negative.*  :meth:`min_cost`
+    keeps potentials π under which every residual edge u → v has reduced
+    cost c + π(u) − π(v) >= 0, so the flow is a min-cost one of its
+    value.  A growth keeps every old edge and its reduced cost, and the
+    reverse edges it adds carry no flow and so have no capacity.  Its
+    forward edges each enter a new copy, except the arcs (t, q) → c_t.
+    Pricing each new copy w at the least π(u) + c over its residual
+    edges u → w, repeated over those whose tail is new as well (the
+    zero-transit copies of a layer, and holdovers when several layers
+    were grown), makes every edge into a new copy non-negative.  Those
+    edges form no negative cycle, as the network has none, so the prices
+    settle within one pass per new copy, as in Bellman–Ford.  A copy that
+    no edge from a priced node reaches keeps π = ∞: no edge can enter it
+    later, since later growths only add arcs out of its layer and flow
+    never reaches it, so no search meets it.  Every other residual edge
+    out of a new copy enters a new copy too, so only the arcs into the
+    collectors, of cost 0, can be left negative.
+    The layer guard is checked at construction and before each growth.
     """
 
     def __init__(self, network: Network, max_layers: int | None = None):
@@ -541,6 +561,11 @@ class _GrowingExpansion:
         self.max_layers = max_layers
         self.horizon = 0
         self.routed = 0
+        # min_cost's potentials, the cost of its flow and the edges that
+        # its potentials cover; None until it runs and after max_flow.
+        self.pi: list | None = None
+        self.cost = 0
+        self.priced = 0
         # Arcs by transit: layer T appends the movement copies of a prefix.
         order = sorted(range(len(form.tails)), key=form.transits.__getitem__)
         self.transits = [form.transits[a] for a in order]
@@ -550,7 +575,7 @@ class _GrowingExpansion:
         self.arc_costs = [form.costs[a] for a in order]
         # Sink t's collector, in ``form.sinks`` order; layer 0 starts after them.
         self.collectors = range(2, 2 + len(form.sinks))
-        # Each arc's capacity in the graph, for min_cost's resets.
+        # Each arc's capacity in the graph, for min_cost's resets and repairs.
         self.caps: list[int | None] = [-form.balances[t] for t in form.sinks]
         k = len(self.collectors)
         self.graph = _kernel.build(2 + k, self.collectors, [1] * k, self.caps)
@@ -586,23 +611,101 @@ class _GrowingExpansion:
     def max_flow(self) -> int:
         """Augment the current flow to a maximum one and return its value."""
         self.routed += _kernel.max_flow(self.graph, 0, 1)
+        self.pi = None
         return self.routed
 
     def min_cost(self) -> Fraction:
-        """The minimum cost over time at :attr:`horizon`, from a zero flow.
+        """The minimum cost over time at :attr:`horizon`.
 
-        Solves on residual capacities reset to their arcs', so the
-        kernel's cost is that of the whole flow, then puts back the flow
-        of :attr:`routed`.  Raises :class:`InfeasibleError` where
-        :func:`mincost_over_time` does, with the same message and
-        certificate.
+        Raises :class:`InfeasibleError` where :func:`mincost_over_time`
+        does, with the same message and certificate, and leaves a
+        min-cost flow of the value :attr:`routed` in the graph.  The first
+        call, and the first after :meth:`max_flow`, resets the graph to a
+        zero flow and takes its potentials from a label pass.  Every later
+        one starts from the flow and potentials the last left: it prices
+        the copies grown since and repairs the arcs into the collectors
+        (:meth:`_reprice_growth`), then augments up to the supply.  Each
+        augmentation adds amount·(π(super sink) − π(super source)) to the
+        cost and each cancelled cycle its own cost, so :attr:`cost` stays
+        that of the flow in the graph.
         """
-        grown, self.graph.rem = self.graph.rem, [0] * (2 * len(self.caps))
-        self.graph.rem[0::2] = self.caps
-        try:
-            return _min_cost(self.graph, 0, 1, self.form, self.horizon)
-        finally:
-            self.graph.rem = grown
+        g, form = self.graph, self.form
+        if self.pi is None:
+            g.rem = [0] * (2 * len(self.caps))
+            g.rem[0::2] = self.caps
+            self.routed = self.cost = 0
+        else:
+            self._reprice_growth()
+        routed, cost, self.pi, _ = _kernel.min_cost_flow(
+            g, 0, 1, form.supply - self.routed, self.pi
+        )
+        self.priced = len(g.to)
+        self.routed += routed
+        self.cost += cost
+        if self.routed < form.supply:
+            raise _too_small(self.horizon, Fraction(form.supply - self.routed, form.flow_scale))
+        return Fraction(self.cost, form.flow_scale * form.cost_scale)
+
+    def _reprice_growth(self) -> None:
+        """Price the copies grown since the potentials were set, then make
+        every negative arc into a collector non-negative.
+
+        The pricing is the one of the class docstring.  The negative arcs
+        are masked (given no capacity; none carries flow yet) and then
+        repaired one at a time.  For e = (t, q) → c_t with δ = π(c_t) −
+        π(t, q) > 0, :func:`_kernel.reprice` searches from c_t for (t, q),
+        stopped at distance δ; the edges it may scan, all but the masked
+        ones, keep reduced costs >= 0 (proof in its docstring).
+
+        - If (t, q) is settled at a distance D < δ, the tree path from c_t
+          to it is tight and, closed by e, makes a cycle of cost
+          D − δ < 0, which is π(t, q) − π(c_t) after the raise.  Its
+          bottleneck is finite, because every edge out of c_t and out of
+          the super sink is a finite drain or a reverse edge.  Pushing it
+          gives the path's reverse edges reduced cost 0 and e's reverse
+          δ − D.  The cost falls by a positive integer and is bounded
+          below by the least cost of a flow of this value, so the search
+          repeats only finitely often.
+        - Otherwise every node settled below δ is raised by its distance
+          and every other, (t, q) included, by δ.  That is the same as
+          lowering each node w by max(0, δ − dist(w)) up to a common
+          shift, and it leaves e tight, since c_t is at distance 0.
+
+        Either way every residual edge but e and the masked arcs keeps a
+        reduced cost >= 0: the search stops before it would scan e, which
+        leaves (t, q).  The loop on e ends with e non-negative, so after
+        the last repair every residual edge has reduced cost >= 0.
+        """
+        g, pi = self.graph, self.pi
+        to, rem, cost = g.to, g.rem, g.cost
+        priced = len(pi)
+        new = range(self.priced, len(to), 2)
+        pi += [_kernel.INF] * (g.n - priced)
+        for _ in range(g.n - priced + 1):
+            lowered = False
+            for e in new:
+                v = to[e]
+                if v >= priced and rem[e] != 0:
+                    d = pi[to[e ^ 1]] + cost[e]
+                    if d < pi[v]:
+                        pi[v] = d
+                        lowered = True
+            if not lowered:
+                break
+        else:
+            raise InternalCheckError("negative cycle reached while pricing a layer")
+        negative = [e for e in new if to[e] < priced and pi[to[e ^ 1]] < pi[to[e]]]
+        for e in negative:
+            rem[e] = 0
+        for e in negative:
+            rem[e] = self.caps[e // 2]
+            tail, collector = to[e ^ 1], to[e]
+            while (delta := pi[collector] - pi[tail]) > 0:
+                dist, parent_edge = _kernel.reprice(g, collector, tail, pi, delta)
+                if dist[tail] < delta:
+                    amount = _kernel.push_path(g, collector, tail, parent_edge)
+                    g.push(e, amount)
+                    self.cost += amount * (pi[tail] - pi[collector])
 
 
 def _replay(
