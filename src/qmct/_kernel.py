@@ -5,7 +5,7 @@ distances to the sink (see :func:`max_flow` for why not from the
 source); min-cost flow is successive shortest paths with potentials,
 and reports the cost of the flow it pushes from those potentials.  It
 continues a min-cost flow already in the graph when the caller passes
-potentials for it, as the oracle's growing expansion does.
+potentials for it, as :class:`qmct.oracle._GrowingExpansion` does.
 
 :func:`label_correct` is the solver's one label-correcting routine,
 and every pass of it starts from *seeds*: starting labels of chosen

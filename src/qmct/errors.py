@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class QmctError(Exception):
     """Base class for all solver errors."""
@@ -39,3 +41,22 @@ class HorizonLimitError(QmctError):
 
 class InternalCheckError(QmctError):
     """An internal consistency assertion failed; indicates a solver bug."""
+
+
+def too_small(horizon: int, missing: int, flow_scale: int) -> InfeasibleError:
+    """The error for a horizon at which ``missing`` units at ``flow_scale`` cannot arrive."""
+    deficit = Fraction(missing, flow_scale)
+    return InfeasibleError(
+        f"horizon {horizon} too small: {deficit} units cannot arrive in time",
+        certificate={"horizon": horizon, "deficit": deficit},
+    )
+
+
+def layer_guard(horizon: int, max_layers: int | None) -> None:
+    """Raise :class:`HorizonLimitError` for an expansion over ``max_layers`` layers."""
+    if max_layers is not None and horizon > max_layers:
+        raise HorizonLimitError(
+            f"expansion with {horizon} layers exceeds the limit of {max_layers}",
+            requested=horizon,
+            limit=max_layers,
+        )

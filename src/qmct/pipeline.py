@@ -1,4 +1,4 @@
-"""End-to-end solvers and the brute-force verification oracle.
+"""End-to-end solvers and the entry point of the brute-force oracle.
 
 The main entry point chains the four stages: pairwise cheapest-path
 costs, the static transportation solve with its optimal dual, the
@@ -7,14 +7,6 @@ search restricted to the subnetwork.  Every report carries the outcome
 of the built-in verification checks: schedule validity, cost agreement
 with the transportation optimum, and admissibility of the routed paths,
 certified by complementary slackness on the arcs the schedule uses.
-
-The oracle answers the same question by brute force.  Its target is the
-static optimum, from one min-cost flow on the network with capacities
-ignored; it then grows one time expansion a layer at a time for the
-first horizon whose minimum cost over time reaches that target, with
-max flows up to the first feasible horizon and min-cost flows from
-there.  It builds its own expansion and shares only the flow kernels
-with the main path, which makes it a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -23,8 +15,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _kernel, admissible, cheapest, temporal, transport
-from .errors import HorizonLimitError, InternalCheckError, ValidationError
+from . import admissible, cheapest, oracle, temporal, transport
+from .errors import HorizonLimitError, ValidationError
 from .network import Network, validate
 
 MODE_QUICKEST_MINCOST = "quickest-mincost"
@@ -245,81 +237,14 @@ def solve_mincost_static(network: Network) -> SolveReport:
     )
 
 
-def _static_optimum(network: Network) -> Fraction:
-    """Minimum cost of a static transshipment with arc capacities ignored.
-
-    One min-cost flow on the integer form from super source ``n``, with
-    an arc of capacity b into each source, to super sink ``n + 1``, with
-    an arc of capacity −b out of each sink.  When it routes r short of
-    the total supply, raises the :class:`InfeasibleError` of the
-    expansion at :func:`temporal.horizon_upper_bound`, whose max flow is
-    r (proof in :func:`oracle_quickest_mincost`).
-    """
-    form = network.integral
-    n = len(network.nodes)
-    sources, sinks = form.sources, form.sinks
-    g = _kernel.build(
-        n + 2,
-        [*form.tails, *[n] * len(sources), *sinks],
-        [*form.heads, *sources, *[n + 1] * len(sinks)],
-        [*[None] * len(form.tails), *(abs(form.balances[v]) for v in (*sources, *sinks))],
-        [*form.costs, *[0] * (len(sources) + len(sinks))],
-    )
-    return temporal._min_cost(g, n, n + 1, form, temporal.horizon_upper_bound(network))
-
-
 def oracle_quickest_mincost(
     network: Network,
     max_nodes: int = 10,
     max_layers: int | None = None,
 ) -> tuple[Fraction, int]:
-    """Brute-force (cost, horizon) via time expansions only.
-
-    The target is the static optimum: the least cost of a static
-    transshipment with arc capacities ignored, from one min-cost flow.
-    The horizon is the first one whose minimum cost over time reaches
-    it.  That horizon is the answer:
-
-    - No flow over time costs less than the target, because its
-      projection onto the arcs is a static transshipment of the same
-      cost.
-    - The minimum cost over time never rises with the horizon: a flow
-      feasible for T is feasible for T + 1 once it holds at the sinks.
-    - It equals the target at :func:`temporal.horizon_upper_bound`,
-      ⌈total/u_min⌉ + (n−1)·τ_max (proof in the bound's docstring).
-
-    So the costs from the first feasible horizon on fall to the target
-    and stay there, and the first horizon that reaches it is the least
-    one at which the minimum cost is attained.
-
-    The scan grows one time expansion from horizon 0 by appending a
-    layer at a time.  Up to the first feasible horizon each layer costs
-    one max flow, which augments the flow left by the last one.  There a
-    min-cost flow starts from zero, and each later layer continues it
-    from the last one's flow and potentials on the same graph
-    (:meth:`temporal._GrowingExpansion.min_cost`).
-    The bound caps the scan; passing it raises :class:`InternalCheckError`.
-
-    When the static flow routes r short of the total supply, no horizon
-    is feasible, and the :class:`InfeasibleError` names the bound and
-    the deficit ``total − r`` without expanding: the expansion's max
-    flow at the bound is exactly r.  It is at most r, because the
-    projection of a flow over time is a static flow of the same value,
-    capacities ignored, and r is the most such a flow routes.  It is at
-    least r, because the bound's temporally repeated flow (see its
-    docstring) sends the paths of a static flow of value r within the
-    bound.
-
-    Deliberately ignores the pair costs, transportation dual and
-    admissible subnetwork, and builds its own expansion, sharing only
-    the flow kernels with the main path, so it can serve as an
-    independent cross-check.  For the same reason its expansion is the
-    full one: it keeps the copies that :func:`temporal.expand` prunes
-    as unusable, so it does not rest on that pruning's proof.  Guarded
-    by ``max_nodes`` because the scan is pseudo-polynomial, and by
-    ``max_layers`` on the expansion it grows, so the layer guard trips
-    only when the scan passes it.
-    """
+    """Brute-force (cost, horizon) via time expansions only, by
+    :func:`oracle.quickest_mincost`; guarded by ``max_nodes`` because
+    its scan is pseudo-polynomial, and by ``max_layers`` on its expansion."""
     if len(network.nodes) > max_nodes:
         raise HorizonLimitError(
             f"oracle size guard: {len(network.nodes)} nodes exceeds limit {max_nodes}",
@@ -327,18 +252,4 @@ def oracle_quickest_mincost(
             limit=max_nodes,
         )
     validate_or_raise(network)
-    bound = temporal.horizon_upper_bound(network)
-    target = _static_optimum(network)
-    expansion = temporal._GrowingExpansion(network, max_layers)
-
-    def grow() -> None:
-        if expansion.horizon == bound:
-            raise InternalCheckError(f"minimum cost over time is above {target} at horizon {bound}")
-        expansion.grow()
-
-    while expansion.routed < network.integral.supply:
-        grow()
-        expansion.max_flow()
-    while expansion.min_cost() != target:
-        grow()
-    return target, expansion.horizon
+    return oracle.quickest_mincost(network, max_layers)

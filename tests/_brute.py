@@ -46,7 +46,7 @@ does the same in place of :func:`max_flow`.
 :func:`stabilised_oracle` is the reference for
 :func:`qmct.pipeline.oracle_quickest_mincost`: it takes its target cost
 from a min-cost flow over the expansion at
-:func:`qmct.temporal.horizon_upper_bound` and scans min-cost flows from
+:func:`qmct.oracle.horizon_upper_bound` and scans min-cost flows from
 horizon zero, where the oracle takes the static optimum as its target
 and scans max flows up to the first feasible horizon.
 """
@@ -63,6 +63,7 @@ from qmct import _kernel, staticflow
 from qmct.cheapest import cheapest_from, cheapest_to
 from qmct.errors import HorizonLimitError, InfeasibleError, InternalCheckError, ValidationError
 from qmct.network import Arc, Network, NodeId
+from qmct.oracle import horizon_upper_bound
 from qmct.pipeline import AlgorithmRun, validate_or_raise
 from qmct.rationals import as_rational, to_integers
 from qmct.temporal import (
@@ -71,7 +72,6 @@ from qmct.temporal import (
     TimeExpandedGraph,
     _schedule_from_movement,
     _solve_max,
-    horizon_upper_bound,
     mincost_over_time,
 )
 from qmct.transport import TransportationInstance, TransportSolution

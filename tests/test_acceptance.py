@@ -32,6 +32,7 @@ from conftest import (
 from qmct.cheapest import pair_costs
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
+from qmct.oracle import horizon_upper_bound
 from qmct.pipeline import (
     oracle_quickest_mincost,
     run_quickest_mincost,
@@ -39,7 +40,7 @@ from qmct.pipeline import (
     solve_quickest_mincost,
 )
 from qmct.staticflow import decompose
-from qmct.temporal import feasible, horizon_upper_bound, mincost_over_time
+from qmct.temporal import feasible, mincost_over_time
 from qmct.transport import build, dual_objective, is_dual_feasible, solve
 
 SUITE_SIZE = 200

@@ -141,7 +141,8 @@ def test_stabilized_mincost_flows_project_into_admissible_set():
     # Once the horizon is generous enough to reach the static optimum,
     # a minimum-cost expansion flow only loads arcs of the admissible set.
     from qmct.pipeline import run_quickest_mincost
-    from qmct.temporal import horizon_upper_bound, mincost_over_time
+    from qmct.oracle import horizon_upper_bound
+    from qmct.temporal import mincost_over_time
 
     for seed in range(30):
         net = generate(seed, nodes=5, terminals=3)

@@ -1,7 +1,7 @@
 """The oracle's growing time expansion against a fresh one per horizon.
 
 At every horizon from 0 to three past the answer, the warm-started max
-flow of :class:`qmct.temporal._GrowingExpansion` must route what a max
+flow of :class:`qmct.oracle._GrowingExpansion` must route what a max
 flow on the full expansion for T routes, and its min-cost flow must
 cost what :func:`qmct.temporal.mincost_over_time` costs, or raise the
 same error.
@@ -19,8 +19,9 @@ from _brute import expansion_max_flow
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.network import Arc, Network
+from qmct.oracle import _GrowingExpansion
 from qmct.pipeline import solve_quickest_mincost
-from qmct.temporal import _GrowingExpansion, mincost_over_time
+from qmct.temporal import mincost_over_time
 
 
 def _negative_costs():

@@ -19,8 +19,8 @@ from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
 from qmct.generate import generate
 from qmct.io import report_to_doc
 from qmct.network import Arc, Network
+from qmct.oracle import _static_optimum, horizon_upper_bound
 from qmct.pipeline import (
-    _static_optimum,
     oracle_quickest_mincost,
     run_quickest_mincost,
     solve_mincost_static,
@@ -33,7 +33,6 @@ from qmct.temporal import (
     MincostOverTimeResult,
     QuickestResult,
     feasible,
-    horizon_upper_bound,
     mincost_over_time,
     quickest_transshipment,
     storage_trace,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from _brute import expansion_search, subset_expansion_flow
-from qmct import temporal
+from qmct import _kernel, temporal
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.network import Arc, Network
@@ -150,3 +150,20 @@ def test_closed_form_is_exact_for_rational_capacities():
     ]
     assert temporal._subset_horizon(net, {0}) == 5
     assert temporal.quickest_transshipment(net).horizon == 5
+
+
+def test_path_lengths_ignore_a_common_shift_of_the_potentials(monkeypatch):
+    # A common shift of π changes no reduced cost and so no path; a
+    # repricing may move π(super source), and the lengths must not follow.
+    cases = [(net, subset) for net in _instances(20) for subset in _terminal_subsets(net)]
+    expected = [temporal.subset_paths(net, subset)[0] for net, subset in cases]
+    real = _kernel.reprice
+
+    def shifted(g, s, t, pi, bound=_kernel.INF):
+        found = real(g, s, t, pi, bound)
+        pi[:] = [p + 7 for p in pi]
+        return found
+
+    monkeypatch.setattr(_kernel, "reprice", shifted)
+    assert [temporal.subset_paths(net, subset)[0] for net, subset in cases] == expected
+    assert any(expected)

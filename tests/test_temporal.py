@@ -20,13 +20,13 @@ from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
 from qmct.io import load_instance
 from qmct.network import Arc, Network
+from qmct.oracle import horizon_upper_bound
 from qmct.pipeline import solve_quickest, solve_quickest_mincost
 from qmct.temporal import (
     ArcIntervals,
     FlowOverTime,
     expand,
     feasible,
-    horizon_upper_bound,
     mincost_over_time,
     quickest_transshipment,
     storage_trace,

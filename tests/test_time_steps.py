@@ -15,11 +15,11 @@ from _brute import scale_transits
 from conftest import golden_instances
 from qmct.errors import InfeasibleError
 from qmct.network import Network
+from qmct.oracle import horizon_upper_bound
 from qmct.pipeline import solve_quickest_mincost
 from qmct.temporal import (
     FlowOverTime,
     expand,
-    horizon_upper_bound,
     mincost_over_time,
     quickest_transshipment,
     storage_trace,

@@ -19,8 +19,9 @@ from qmct import _kernel
 from qmct.errors import InfeasibleError, InternalCheckError
 from qmct.generate import generate
 from qmct.network import Network
+from qmct.oracle import _GrowingExpansion
 from qmct.pipeline import oracle_quickest_mincost, solve_quickest_mincost
-from qmct.temporal import _GrowingExpansion, mincost_over_time
+from qmct.temporal import mincost_over_time
 
 # Per kind: min-cost calls, and floors on how many of them repaired at least
 # one negative collector arc and on how many repair searches cancelled a cycle.
