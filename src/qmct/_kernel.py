@@ -14,7 +14,13 @@ Cheapest-path costs seed their origin at 0; the admissible subnetwork
 seeds each source at minus its dual and, on the reversed graph, each
 sink at its dual; the time expansion's least-transit pruning seeds the
 sources and, reversed, the sinks at 0; validation's negative-cycle test
-and the min-cost potentials seed every node at 0.  It only adds and
+and the min-cost potentials seed every node at 0.  The min-cost
+potentials run on the residual graph of the flow problem; every other
+pass runs on a network's cached label graphs
+(:meth:`~qmct.network.Network.label_graph`), built by
+:func:`label_graph` with forward edges only, once per weight column and
+direction.  Both are :class:`Residual` graphs, so the routine is the
+same for both.  It only adds and
 compares costs, so it is exact for ints and Fractions alike.  Its
 cycle test is the walk-length criterion of
 Cherkassky & Goldberg (*Negative-cycle detection algorithms*, Math.
@@ -52,7 +58,8 @@ class Residual:
     """Paired-edge residual graph.
 
     Edge ``2k`` is the forward copy of input arc ``k`` (when built via
-    :func:`build`), edge ``2k+1`` its reverse.  ``rem[e]`` is the
+    :func:`build`), edge ``2k+1`` its reverse; a :func:`label_graph`
+    has edge ``k`` alone for arc ``k``.  ``rem[e]`` is the
     remaining capacity (``None`` = unbounded) and ``rem[e ^ 1]`` of a
     forward edge equals the flow currently on it.  The solver's costs are
     ints; :func:`label_correct` also takes Fractions.
@@ -131,6 +138,23 @@ def build(n: int, tails, heads, caps, costs=None) -> Residual:
     """
     g = Residual(n)
     g.add_arcs(tails, heads, caps, costs)
+    return g
+
+
+def label_graph(n: int, tails, heads, weights) -> Residual:
+    """Arc ``k`` as edge ``k`` alone, uncapacitated and weighted ``weights[k]``.
+
+    The graph of the static label passes: its adjacency lists hold no
+    reverse edge, which :func:`label_correct` would only skip, and no
+    self-loop, which no cheapest simple path uses and which validation
+    reports on its own.  Only label passes read it; it has no flow.
+    """
+    g = Residual(n)
+    g.to, g.rem, g.cost = heads, [None] * len(heads), weights
+    adj = g.adj
+    for e, (u, v) in enumerate(zip(tails, heads)):
+        if u != v:
+            adj[u].append(e)
     return g
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import _kernel, cheapest
+from . import _kernel
 from .errors import InternalCheckError
 from .network import Network
 
@@ -82,7 +82,7 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
     """
     network = extended.base
     form = network.integral
-    forward = _kernel.labels(cheapest.graph(network, form.costs), extended.source_costs)
+    forward = _kernel.labels(network.label_graph("costs"), extended.source_costs)
     labels = tuple(forward)
     # The super sink's label: the cheapest entry through a priced sink arc.
     sinks = extended.sink_costs.items()
@@ -96,9 +96,7 @@ def admissible_arcs(extended: ExtendedNetwork) -> Subnetwork:
         raise InternalCheckError(
             f"cheapest extended path costs {cost}, expected 0 for an optimal dual"
         )
-    backward = _kernel.labels(
-        cheapest.graph(network, form.costs, reverse=True), extended.sink_costs
-    )
+    backward = _kernel.labels(network.label_graph("costs", reverse=True), extended.sink_costs)
 
     selected = []
     for i, (u, v, c) in enumerate(zip(form.tails, form.heads, form.costs)):

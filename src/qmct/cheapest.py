@@ -9,26 +9,25 @@ map node names to costs; :func:`pair_costs` keys pairs by node index, as
 every later stage does.  A reachable negative cycle, which validation
 excludes, raises :class:`~qmct.errors.InternalCheckError`.  Unreachable
 nodes are absent from the result, never given a sentinel value.
+
+The passes run on the network's label graphs
+(:meth:`Network.label_graph <qmct.network.Network.label_graph>`): one
+per direction, built on first use and kept with the network, so
+validation, the pair costs and both admissible passes share them.  They
+leave self-loops out.  No cheapest simple path uses one and validation
+reports each, so a negative self-loop, unlike a negative cycle through
+two or more nodes, raises nothing here: the labels are those of the
+network without it.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from . import _kernel
 from .network import Network, NodeId
 
 
-def graph(network: Network, weights: Sequence[int], reverse: bool = False) -> _kernel.Residual:
-    """The network's arcs, uncapacitated and weighted per arc, for label
-    passes; ``reverse`` swaps every arc's ends."""
-    form = network.integral
-    ends = (form.heads, form.tails) if reverse else (form.tails, form.heads)
-    return _kernel.build(len(network.nodes), *ends, [None] * len(weights), weights)
-
-
 def _cost_labels(network: Network, origin: NodeId, reverse: bool) -> dict[NodeId, int]:
-    g = graph(network, network.integral.costs, reverse)
+    g = network.label_graph("costs", reverse)
     dist = _kernel.labels(g, {network.node_index(origin): 0})
     return {v: d for v, d in zip(network.nodes, dist) if d is not None}
 
@@ -51,7 +50,7 @@ def pair_costs(network: Network) -> dict[tuple[int, int], int]:
     graph serves every source.
     """
     form = network.integral
-    g = graph(network, form.costs)
+    g = network.label_graph("costs")
     costs: dict[tuple[int, int], int] = {}
     for s in form.sources:
         dist = _kernel.labels(g, {s: 0})

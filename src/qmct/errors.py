@@ -60,3 +60,10 @@ def layer_guard(horizon: int, max_layers: int | None) -> None:
             requested=horizon,
             limit=max_layers,
         )
+
+
+def check_layer_limit(max_layers: int | None) -> None:
+    """Reject a negative ``max_layers`` by name, as :class:`ValueError`:
+    it is a bad argument, not a limit that a search has exceeded."""
+    if max_layers is not None and max_layers < 0:
+        raise ValueError(f"max_layers must be at least 0, got {max_layers}")

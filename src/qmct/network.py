@@ -154,6 +154,25 @@ class Network:
     def node_index(self) -> Callable[[NodeId], int]:
         return {v: i for i, v in enumerate(self.nodes)}.__getitem__
 
+    @cached_property
+    def label_cache(self) -> dict:
+        """What depends only on this network and its label passes, each entry
+        made on first use: every :meth:`label_graph` by ``(column, reverse)``,
+        and the least transits of :func:`qmct.temporal._least_transits`."""
+        return {}
+
+    def label_graph(self, column: str, reverse: bool = False) -> _kernel.Residual:
+        """The arcs as a :func:`_kernel.label_graph` weighted by the integer
+        form's ``column`` (``"costs"`` or ``"transits"``), each arc's ends
+        swapped when ``reverse``; built once per network, on first use."""
+        key = column, reverse
+        cache = self.label_cache
+        if key not in cache:
+            form = self.integral
+            ends = (form.heads, form.tails) if reverse else (form.tails, form.heads)
+            cache[key] = _kernel.label_graph(len(self.nodes), *ends, getattr(form, column))
+        return cache[key]
+
     @property
     def sources(self) -> tuple[NodeId, ...]:
         return tuple(self.nodes[v] for v in self.integral.sources)
@@ -257,11 +276,8 @@ def validate(network: Network) -> ValidationReport:
     if total != 0:
         violations.append(Violation("balance", f"balances sum to {total}, expected 0"))
 
-    # Self-loops are reported above; a capacity of 0 keeps them out of
-    # the cycle test, and every other arc is uncapacitated in it.
-    caps = [0 if u == v else None for u, v in zip(form.tails, form.heads)]
-    g = _kernel.build(len(network.nodes), form.tails, form.heads, caps, form.costs)
-    if _kernel.label_correct(g) is None:
+    # Self-loops are reported above; the label graph leaves them out.
+    if _kernel.label_correct(network.label_graph("costs")) is None:
         violations.append(Violation("negative-cycle", "network contains a negative-cost cycle"))
 
     return ValidationReport(tuple(violations))

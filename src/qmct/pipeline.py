@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import admissible, cheapest, oracle, temporal, transport
-from .errors import HorizonLimitError, ValidationError
+from .errors import HorizonLimitError, ValidationError, check_layer_limit
 from .network import Network, validate
 
 MODE_QUICKEST_MINCOST = "quickest-mincost"
@@ -174,7 +174,11 @@ def check_admissible_routing(run: AlgorithmRun) -> bool:
 
 
 def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> SolveReport:
-    """Minimum-cost transshipment over time with the least possible horizon."""
+    """Minimum-cost transshipment over time with the least possible horizon.
+
+    A negative ``max_layers`` raises :class:`ValueError` before any work.
+    """
+    check_layer_limit(max_layers)
     started = time.perf_counter()
     validate_or_raise(network)
     run = run_quickest_mincost(network, max_layers)
@@ -199,7 +203,11 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
 
 
 def solve_quickest(network: Network, max_layers: int | None = None) -> SolveReport:
-    """Quickest transshipment ignoring costs; reports the realized cost."""
+    """Quickest transshipment ignoring costs; reports the realized cost.
+
+    A negative ``max_layers`` raises :class:`ValueError` before any work.
+    """
+    check_layer_limit(max_layers)
     started = time.perf_counter()
     validate_or_raise(network)
     quickest = temporal.quickest_transshipment(network, max_layers=max_layers)
@@ -244,7 +252,9 @@ def oracle_quickest_mincost(
 ) -> tuple[Fraction, int]:
     """Brute-force (cost, horizon) via time expansions only, by
     :func:`oracle.quickest_mincost`; guarded by ``max_nodes`` because
-    its scan is pseudo-polynomial, and by ``max_layers`` on its expansion."""
+    its scan is pseudo-polynomial, and by ``max_layers`` on its expansion;
+    a negative ``max_layers`` raises :class:`ValueError` before any work."""
+    check_layer_limit(max_layers)
     if len(network.nodes) > max_nodes:
         raise HorizonLimitError(
             f"oracle size guard: {len(network.nodes)} nodes exceeds limit {max_nodes}",

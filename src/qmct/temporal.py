@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import AbstractSet, Sequence
 
-from . import _kernel, cheapest
+from . import _kernel
 from .errors import InfeasibleError, InternalCheckError, layer_guard, too_small
 from .network import Network, NodeId
 
@@ -121,16 +121,21 @@ class ScheduleVerification:
         return not self.violations
 
 
-def _least_transits(network: Network) -> tuple[list[int | None], list[int | None]]:
+def _least_transits(network: Network) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
     """``e(v)`` and ``ℓ(v)``: the least transit in steps from any source
-    to v and from v to any sink, None where there is no path."""
-    form = network.integral
-    forward = cheapest.graph(network, form.transits)
-    backward = cheapest.graph(network, form.transits, reverse=True)
-    return (
-        _kernel.labels(forward, dict.fromkeys(form.sources, 0)),
-        _kernel.labels(backward, dict.fromkeys(form.sinks, 0)),
-    )
+    to v and from v to any sink, None where there is no path.
+
+    They depend on the network alone, so they are labelled once per
+    network and kept in its :attr:`~Network.label_cache`: a search
+    expands one network at every probe.
+    """
+    cache = network.label_cache
+    if "least transits" not in cache:
+        form = network.integral
+        early = _kernel.labels(network.label_graph("transits"), dict.fromkeys(form.sources, 0))
+        late = _kernel.labels(network.label_graph("transits", True), dict.fromkeys(form.sinks, 0))
+        cache["least transits"] = tuple(early), tuple(late)
+    return cache["least transits"]
 
 
 def expand(network: Network, horizon: int) -> TimeExpandedGraph:

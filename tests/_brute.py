@@ -23,6 +23,11 @@ turns every value of a document into its own ``Fraction``, where
 The remaining helpers (cheapest-path subnetworks, the capacity view of
 a network and cut capacities) serve tests only.
 
+:func:`paired_label_graph` is the reference label graph: the paired
+residual graph that every label pass once built for itself, where
+:meth:`qmct.network.Network.label_graph` builds forward edges only,
+once per network.
+
 :func:`full_expand` is the reference time expansion, every copy that
 arrives by the horizon, which :func:`qmct.temporal.expand` replaced by
 the copies on some super source → super sink path;
@@ -551,6 +556,17 @@ def cheapest_paths_subnetwork(network: Network, source: NodeId, sink: NodeId) ->
         raise NoPathError(f"no path from {source!r} to {sink!r}")
     backward = cheapest_to(network, sink)
     return subnetwork_arcs(network, forward, backward, forward[sink])
+
+
+def paired_label_graph(network: Network, column: str, reverse: bool = False) -> _kernel.Residual:
+    """A label graph as each label pass once built its own: a paired
+    :func:`qmct._kernel.build` graph of the arcs weighted by the integer
+    form's ``column``, every arc uncapacitated but a self-loop, which gets
+    capacity 0 as validation's cycle test gave it, so that passes skip it."""
+    form = network.integral
+    ends = (form.heads, form.tails) if reverse else (form.tails, form.heads)
+    caps = [0 if u == v else None for u, v in zip(form.tails, form.heads)]
+    return _kernel.build(len(network.nodes), *ends, caps, getattr(form, column))
 
 
 def problem_from_network(network: Network) -> FlowProblem:

@@ -18,7 +18,7 @@ from qmct.cheapest import (
     pair_costs,
 )
 from qmct.generate import generate
-from qmct.network import Network
+from qmct.network import Network, validate
 
 
 def test_demo_labels_from_second_source(demo):
@@ -153,6 +153,16 @@ def test_subnetwork_equality_is_tight(demo):
                 assert value == optimum
             else:
                 assert value > optimum
+
+
+def test_labels_leave_self_loops_out():
+    # Validation reports every self-loop, and no cheapest simple path uses
+    # one, so a negative self-loop is skipped rather than raised on.
+    arcs = [("a", "b", 1, 0, 2), ("b", "b", 1, 0, -5), ("a", "a", 1, 0, 0), ("b", "c", 1, 0, -1)]
+    net = Network.of(["a", "b", "c"], arcs, {})
+    assert cheapest_from(net, "a") == {"a": 0, "b": 2, "c": 1}
+    assert cheapest_to(net, "c") == {"a": 1, "b": -1, "c": 0}
+    assert validate(net).kinds() == {"self-loop"}
 
 
 def test_labels_raise_on_reachable_negative_cycle():

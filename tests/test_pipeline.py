@@ -316,6 +316,19 @@ def test_layer_limit_equal_to_the_answer_is_enough():
         solve_quickest_mincost(detour_network(), max_layers=8)
 
 
+@pytest.mark.parametrize(
+    "solve", [solve_quickest_mincost, solve_quickest, oracle_quickest_mincost]
+)
+def test_negative_layer_limit_is_rejected_before_any_work(solve):
+    # A self-loop fails validation, so the ValueError shows the argument
+    # is checked before the network is even validated.
+    net = Network.of(["a", "b"], [("a", "a", 1, 1, 0), ("a", "b", 1, 1, 0)], {"a": 1, "b": -1})
+    with pytest.raises(ValueError, match="^max_layers must be at least 0, got -1$"):
+        solve(net, max_layers=-1)
+    with pytest.raises(ValidationError):
+        solve(net, max_layers=0)
+
+
 def test_timing_present(demo):
     report = solve_quickest_mincost(demo)
     assert "solve" in report.timing
