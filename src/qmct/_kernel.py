@@ -7,22 +7,23 @@ and reports the cost of the flow it pushes from those potentials.  It
 continues a min-cost flow already in the graph when the caller passes
 potentials for it, as :class:`qmct.oracle._GrowingExpansion` does.
 
-:func:`label_correct` is the solver's one label-correcting routine,
-and every pass of it starts from *seeds*: starting labels of chosen
-nodes, as if an implicit root were joined to each at that cost.
-Cheapest-path costs seed their origin at 0; the admissible subnetwork
-seeds each source at minus its dual and, on the reversed graph, each
-sink at its dual; the time expansion's least-transit pruning seeds the
-sources and, reversed, the sinks at 0; validation's negative-cycle test
-and the min-cost potentials seed every node at 0.  The min-cost
-potentials run on the residual graph of the flow problem; every other
-pass runs on a network's cached label graphs
-(:meth:`~qmct.network.Network.label_graph`), built by
+:func:`label_correct` is the solver's one label-correcting routine, and
+every pass of it starts from *seeds*: starting labels of chosen nodes,
+as if an implicit root were joined to each at that cost.  Cheapest-path
+costs seed their origin at 0; the admissible subnetwork seeds each
+source at minus its dual and, on the reversed graph, each sink at its
+dual; the time expansion's least-transit pruning seeds the sources and,
+reversed, the sinks at 0; validation's negative-cycle test and the
+min-cost potentials seed every node at 0; the oracle's pricing seeds
+each new copy of a growth at its least π(u) + c over the edges into it
+from priced copies.  The min-cost potentials run on the residual graph
+of the flow problem, the oracle's pricing on a :func:`label_graph` of
+the new copies alone, and every other pass on a network's cached label
+graphs (:meth:`~qmct.network.Network.label_graph`), built by
 :func:`label_graph` with forward edges only, once per weight column and
-direction.  Both are :class:`Residual` graphs, so the routine is the
-same for both.  It only adds and
-compares costs, so it is exact for ints and Fractions alike.  Its
-cycle test is the walk-length criterion of
+direction.  All are :class:`Residual` graphs, so the routine is the same
+for all.  It only adds and compares costs, so it is exact for ints and
+Fractions alike.  Its cycle test is the walk-length criterion of
 Cherkassky & Goldberg (*Negative-cycle detection algorithms*, Math.
 Prog. 1999).  Each label is the cost of its *label walk*, whose edges
 were relaxed one after another.  If a node ``x`` repeats on a label
@@ -293,28 +294,23 @@ def max_flow(g: Residual, s: int, t: int) -> int:
         value += _blocking_flow(g, s, t, dist)
 
 
-def label_correct(g: Residual, seeds: Mapping[int, object] | None = None) -> list | None:
+def label_correct(g: Residual, seeds: Mapping[int, object]) -> list | None:
     """FIFO label-correcting labels over the edges with remaining capacity.
 
     Labels grow as if from an implicit root joined to each node of
-    ``seeds`` at the cost it maps to, or, when ``seeds`` is None, to
-    every node at cost 0.  Nodes no seed reaches get None.  Returns None
-    instead of the labels when a negative cycle is reachable, that is,
-    when a label's walk (root edge not counted) would reach ``n`` edges.
+    ``seeds`` at the cost it maps to; nodes no seed reaches get None, and
+    a reachable negative cycle, a label walk (root edge not counted) that
+    would reach ``n`` edges, makes the result None.
     """
     n = g.n
     to = g.to
     rem = g.rem
     cost = g.cost
     adj = g.adj
-    if seeds is None:
-        dist: list = [0] * n
-        queue = deque(range(n))
-    else:
-        dist = [None] * n
-        for v, d in seeds.items():
-            dist[v] = d
-        queue = deque(seeds)
+    dist: list = [None] * n
+    for v, d in seeds.items():
+        dist[v] = d
+    queue = deque(seeds)
     queued = [d is not None for d in dist]
     walk = [0] * n
     while queue:
@@ -338,7 +334,7 @@ def label_correct(g: Residual, seeds: Mapping[int, object] | None = None) -> lis
     return dist
 
 
-def labels(g: Residual, seeds: Mapping[int, object] | None = None) -> list:
+def labels(g: Residual, seeds: Mapping[int, object]) -> list:
     """:func:`label_correct` for callers that have excluded negative cycles.
 
     Validation rejects networks with a negative cycle, so meeting one
@@ -439,19 +435,19 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int, pi: list[int] | None
     """Successive shortest paths with potentials from s to t.
 
     Augments the flow in ``g`` by as much as possible up to ``target``.
-    Returns ``(routed, cost, pi, reachable)`` for the flow it adds:
-    ``cost`` sums amount·(pi[t] − pi[s]), each round's path cost (see
+    Returns ``(routed, cost, pi, reachable)`` for the flow it adds: ``cost``
+    sums amount·(pi[t] − pi[s]), each round's path cost (see
     :func:`augment`).  The potentials ``pi``, updated in place, must give
     every edge with remaining capacity a reduced cost ``cost[e] + pi[u] -
-    pi[v] >= 0``, which holds while the flow in ``g`` is a min-cost flow
-    of its value.  By default they are :func:`labels` of ``g``, which
-    exist exactly then; every caller that passes none starts from a zero
-    flow, so its ``cost`` is that of the whole flow.  ``reachable`` is
-    the residual-reachable set from ``s`` when routing stopped short
-    (else None).
+    pi[v] >= 0``, which holds while the flow in ``g`` is a min-cost flow of
+    its value.  By default they are :func:`labels` of ``g`` with every node
+    seeded at 0, which exist exactly then; every caller that passes none
+    starts from a zero flow, so its ``cost`` is that of the whole flow.
+    ``reachable`` is the residual-reachable set from ``s`` when routing
+    stopped short (else None).
     """
     if pi is None:
-        pi = labels(g)
+        pi = labels(g, dict.fromkeys(range(g.n), 0))
     routed = cost = 0
     while routed < target:
         amount = augment(g, s, t, pi, target - routed)

@@ -53,17 +53,14 @@ def too_small(horizon: int, missing: int, flow_scale: int) -> InfeasibleError:
 
 
 def layer_guard(horizon: int, max_layers: int | None) -> None:
-    """Raise :class:`HorizonLimitError` for an expansion over ``max_layers`` layers."""
+    """Raise :class:`HorizonLimitError` for an expansion over ``max_layers`` layers,
+    and :class:`ValueError` for a negative ``max_layers``, a bad argument rather
+    than a limit exceeded: entry points call ``layer_guard(0, ..)`` before any work."""
+    if max_layers is not None and max_layers < 0:
+        raise ValueError(f"max_layers must be at least 0, got {max_layers}")
     if max_layers is not None and horizon > max_layers:
         raise HorizonLimitError(
             f"expansion with {horizon} layers exceeds the limit of {max_layers}",
             requested=horizon,
             limit=max_layers,
         )
-
-
-def check_layer_limit(max_layers: int | None) -> None:
-    """Reject a negative ``max_layers`` by name, as :class:`ValueError`:
-    it is a bad argument, not a limit that a search has exceeded."""
-    if max_layers is not None and max_layers < 0:
-        raise ValueError(f"max_layers must be at least 0, got {max_layers}")

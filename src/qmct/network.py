@@ -277,7 +277,8 @@ def validate(network: Network) -> ValidationReport:
         violations.append(Violation("balance", f"balances sum to {total}, expected 0"))
 
     # Self-loops are reported above; the label graph leaves them out.
-    if _kernel.label_correct(network.label_graph("costs")) is None:
+    everywhere = dict.fromkeys(range(len(network.nodes)), 0)
+    if _kernel.label_correct(network.label_graph("costs"), everywhere) is None:
         violations.append(Violation("negative-cycle", "network contains a negative-cost cycle"))
 
     return ValidationReport(tuple(violations))

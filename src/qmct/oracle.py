@@ -113,8 +113,8 @@ def quickest_mincost(network: Network, max_layers: int | None) -> tuple[Fraction
     one max flow, which augments the flow left by the last one.  There a
     min-cost flow starts from zero, and each later layer continues it
     from the last one's flow and potentials on the same graph
-    (:meth:`_GrowingExpansion.min_cost`).  Horizon 0 and each growth are
-    checked against ``max_layers``, each growth first against the bound,
+    (:meth:`_GrowingExpansion.min_cost`).  Horizon 0 is checked against
+    ``max_layers`` before any work, each growth first against the bound,
     which caps the scan (passing it raises :class:`InternalCheckError`);
     so the layer guard trips only when the scan passes it.
 
@@ -128,9 +128,9 @@ def quickest_mincost(network: Network, max_layers: int | None) -> tuple[Fraction
     docstring) sends the paths of a static flow of value r within the
     bound.
     """
+    layer_guard(0, max_layers)
     bound = horizon_upper_bound(network)
     target = _static_optimum(network)
-    layer_guard(0, max_layers)
     expansion = _GrowingExpansion(network)
 
     def grow() -> None:
@@ -189,16 +189,16 @@ class _GrowingExpansion:
     reverse edges it adds carry no flow and so have no capacity.  Its
     forward edges each enter a new copy, except the arcs (t, q) → c_t.
     Pricing each new copy w at the least π(u) + c over its residual
-    edges u → w, repeated over those whose tail is new as well (the
-    zero-transit copies of a layer, and holdovers when several layers
-    were grown), makes every edge into a new copy non-negative.  Those
-    edges form no negative cycle, as the network has none, so the prices
-    settle within one pass per new copy, as in Bellman–Ford.  A copy that
-    no edge from a priced node reaches keeps π = ∞: no edge can enter it
-    later, since later growths only add arcs out of its layer and flow
-    never reaches it, so no search meets it.  Every other residual edge
-    out of a new copy enters a new copy too, so only the arcs into the
-    collectors, of cost 0, can be left negative.
+    edges u → w makes every edge into a new copy non-negative.  These are
+    cheapest-path labels, from one seeded :func:`~qmct._kernel.label_correct`
+    pass over the new copies' edges among themselves with each copy seeded
+    at its least π(u) + c from a priced copy u; the edges form no negative
+    cycle, as the network has none.  A copy that no edge from a priced node
+    reaches keeps π = ∞: no edge can enter it later, since later growths
+    only add arcs out of its layer and flow never reaches it, so no search
+    meets it.  Every other residual edge out of a new copy enters a new
+    copy too, so only the arcs into the collectors, of cost 0, can be left
+    negative.
     """
 
     def __init__(self, network: Network):
@@ -291,12 +291,14 @@ class _GrowingExpansion:
         """Price the copies grown since the potentials were set, then make
         every negative arc into a collector non-negative.
 
-        The pricing is the one of the class docstring.  The negative arcs
-        are masked (given no capacity; none carries flow yet) and then
-        repaired one at a time.  For e = (t, q) → c_t with δ = π(c_t) −
-        π(t, q) > 0, :func:`_kernel.reprice` searches from c_t for (t, q),
-        stopped at distance δ; the edges it may scan, all but the masked
-        ones, keep reduced costs >= 0 (proof in its docstring).
+        The pricing is the seeded label pass of the class docstring, on a
+        label graph of the new copies alone, so it allocates nothing per
+        priced copy.  The negative arcs are masked (given no capacity; none
+        carries flow yet) and then repaired one at a time.  For e = (t, q)
+        → c_t with δ = π(c_t) − π(t, q) > 0, :func:`_kernel.reprice`
+        searches from c_t for (t, q), stopped at distance δ; the edges it
+        may scan, all but the masked ones, keep reduced costs >= 0 (proof
+        in its docstring).
 
         - If (t, q) is settled at a distance D < δ, the tree path from c_t
           to it is tight and, closed by e, makes a cycle of cost
@@ -317,24 +319,23 @@ class _GrowingExpansion:
         leaves (t, q).  The loop on e ends with e non-negative, so after
         the last repair every residual edge has reduced cost >= 0.
         """
-        g, pi = self.graph, self.pi
+        g, pi, priced = self.graph, self.pi, len(self.pi)
         to, rem, cost = g.to, g.rem, g.cost
-        priced = len(pi)
         new = range(self.priced, len(to), 2)
-        pi += [_kernel.INF] * (g.n - priced)
-        for _ in range(g.n - priced + 1):
-            lowered = False
-            for e in new:
-                v = to[e]
-                if v >= priced and rem[e] != 0:
-                    d = pi[to[e ^ 1]] + cost[e]
-                    if d < pi[v]:
-                        pi[v] = d
-                        lowered = True
-            if not lowered:
-                break
-        else:
-            raise InternalCheckError("negative cycle reached while pricing a layer")
+        seeds: dict[int, int] = {}  # least π(u) + c into each new copy from a priced u
+        tails, heads, weights = [], [], []  # the new copies' edges among themselves
+        for e in new:
+            v, u = to[e] - priced, to[e ^ 1]
+            if v < 0 or rem[e] == 0:
+                continue
+            if u >= priced:
+                tails.append(u - priced)
+                heads.append(v)
+                weights.append(cost[e])
+            elif (d := pi[u] + cost[e]) < seeds.get(v, _kernel.INF):
+                seeds[v] = d
+        copies = _kernel.label_graph(g.n - priced, tails, heads, weights)
+        pi += [_kernel.INF if d is None else d for d in _kernel.labels(copies, seeds)]
         negative = [e for e in new if to[e] < priced and pi[to[e ^ 1]] < pi[to[e]]]
         for e in negative:
             rem[e] = 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import admissible, cheapest, oracle, temporal, transport
-from .errors import HorizonLimitError, ValidationError, check_layer_limit
+from .errors import HorizonLimitError, ValidationError, layer_guard
 from .network import Network, validate
 
 MODE_QUICKEST_MINCOST = "quickest-mincost"
@@ -109,6 +109,7 @@ def run_quickest_mincost(network: Network, max_layers: int | None = None) -> Alg
     The network must be valid and must have at least one source.
     Raises :class:`InfeasibleError` when the supplies cannot be routed.
     """
+    layer_guard(0, max_layers)
     instance = transport.build(network, cheapest.pair_costs(network))
     solution = transport.solve(instance)
     actives = transport.active_pairs(instance, solution.dual)
@@ -178,7 +179,7 @@ def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> S
 
     A negative ``max_layers`` raises :class:`ValueError` before any work.
     """
-    check_layer_limit(max_layers)
+    layer_guard(0, max_layers)
     started = time.perf_counter()
     validate_or_raise(network)
     run = run_quickest_mincost(network, max_layers)
@@ -207,7 +208,7 @@ def solve_quickest(network: Network, max_layers: int | None = None) -> SolveRepo
 
     A negative ``max_layers`` raises :class:`ValueError` before any work.
     """
-    check_layer_limit(max_layers)
+    layer_guard(0, max_layers)
     started = time.perf_counter()
     validate_or_raise(network)
     quickest = temporal.quickest_transshipment(network, max_layers=max_layers)
@@ -254,7 +255,7 @@ def oracle_quickest_mincost(
     :func:`oracle.quickest_mincost`; guarded by ``max_nodes`` because
     its scan is pseudo-polynomial, and by ``max_layers`` on its expansion;
     a negative ``max_layers`` raises :class:`ValueError` before any work."""
-    check_layer_limit(max_layers)
+    layer_guard(0, max_layers)
     if len(network.nodes) > max_nodes:
         raise HorizonLimitError(
             f"oracle size guard: {len(network.nodes)} nodes exceeds limit {max_nodes}",

@@ -400,8 +400,10 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
     for the first family and otherwise the subset and ``cut_nodes``.
     A probe above ``max_layers`` raises :class:`HorizonLimitError` before
     its expansion is built, and its ``requested`` horizon, a proven
-    lower bound on H, shows that H exceeds the limit.
+    lower bound on H, shows that H exceeds the limit; a negative
+    ``max_layers`` raises :class:`ValueError` before any work.
     """
+    layer_guard(0, max_layers)
     form, horizon = network.integral, 0
     terminals = {*form.sources, *form.sinks}
     seed = [(s, {s}, "supply at {!r} cannot reach any sink") for s in form.sources]
@@ -451,13 +453,13 @@ def _replay(
 
     Returns the violations, the exact cost, each node's holdings at times
     0..horizon in units of ``1/scale``, and ``scale``.  Entries with an
-    unknown arc, a negative rate or an empty interval are reported and skipped.
+    unknown arc, a negative rate or an empty interval are reported and
+    skipped.  The cost sums in integers at ``scale``, made a Fraction once.
     """
     form = network.integral
     horizon = schedule.horizon
     violations: list[str] = []
-    kept: list[tuple[int, int, int, Fraction]] = []
-    cost = Fraction(0)
+    valid: list[tuple[int, int, int, Fraction]] = []
     for entry in schedule.arc_flows:
         if not 0 <= entry.arc < len(form.tails):
             violations.append(f"schedule references unknown arc {entry.arc}")
@@ -475,20 +477,22 @@ def _replay(
                     f"arc {entry.arc}: inflow during [{start},{end}) cannot arrive "
                     f"by horizon {horizon}"
                 )
-            # A zero rate moves nothing; inflow at or after H is dropped.
-            if rate and start < horizon:
-                kept.append((entry.arc, start, min(end, horizon), rate))
-            cost += form.costs[entry.arc] * rate * (end - start)
+            valid.append((entry.arc, start, end, rate))
     # One scale makes the balances, capacities and every rate integers.
-    scale = math.lcm(form.flow_scale, *(rate.denominator for *_, rate in kept))
+    scale = math.lcm(form.flow_scale, *(rate.denominator for *_, rate in valid))
     up = scale // form.flow_scale
     # Per node, a difference array of its net inflow rate and the spans of
     # flow through it (only there is a deficit reported); per arc, its rate changes.
     flow = [[0] * (horizon + 1) for _ in network.nodes]
     moves: list[list[tuple[int, int]]] = [[] for _ in network.nodes]
     arc_changes: dict[int, list[tuple[int, int]]] = {}
-    for arc, start, stop, rate in kept:
+    cost = 0
+    for arc, start, end, rate in valid:
         r = rate.numerator * (scale // rate.denominator)
+        cost += form.costs[arc] * r * (end - start)
+        if not r or start >= horizon:  # a zero rate moves nothing; inflow at or after H is dropped
+            continue
+        stop = min(end, horizon)
         arc_changes.setdefault(arc, []).extend([(start, r), (stop, -r)])
         for v, shift, d in ((form.tails[arc], 0, -r), (form.heads[arc], form.transits[arc], r)):
             lo, hi = min(start + shift, horizon), min(stop + shift, horizon)
@@ -520,7 +524,7 @@ def _replay(
                 f"expected {Fraction(max(-b, 0), scale)}"
             )
         trace[name] = held
-    return violations, cost / form.cost_scale, trace, scale
+    return violations, Fraction(cost, scale * form.cost_scale), trace, scale
 
 
 def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerification:

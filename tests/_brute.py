@@ -54,6 +54,13 @@ from a min-cost flow over the expansion at
 :func:`qmct.oracle.horizon_upper_bound` and scans min-cost flows from
 horizon zero, where the oracle takes the static optimum as its target
 and scans max flows up to the first feasible horizon.
+
+:func:`reprice_growth` is the reference for
+:meth:`qmct.oracle._GrowingExpansion._reprice_growth`: it prices the
+copies of a growth by Bellman–Ford rounds over the new edges, where the
+oracle runs one seeded pass of :func:`qmct._kernel.label_correct` on the
+new copies alone, and then repairs the arcs into the collectors as the
+oracle does.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from qmct import _kernel, staticflow
 from qmct.cheapest import cheapest_from, cheapest_to
 from qmct.errors import HorizonLimitError, InfeasibleError, InternalCheckError, ValidationError
 from qmct.network import Arc, Network, NodeId
-from qmct.oracle import horizon_upper_bound
+from qmct.oracle import _GrowingExpansion, horizon_upper_bound
 from qmct.pipeline import AlgorithmRun, validate_or_raise
 from qmct.rationals import as_rational, to_integers
 from qmct.temporal import (
@@ -874,3 +881,44 @@ def stabilised_oracle(network: Network, max_nodes: int = 10) -> tuple[Fraction, 
         if probe.cost == stabilized.cost:
             return stabilized.cost, horizon
     raise AssertionError("unreachable: stabilized horizon must satisfy its own cost")
+
+
+def reprice_growth(expansion: _GrowingExpansion) -> None:
+    """Price the copies grown since ``expansion``'s potentials were set,
+    then make every negative arc into a collector non-negative.
+
+    The prices are relaxed over the edges the growth added until none
+    falls, at most one round per new copy plus one, so a negative cycle
+    raises instead of looping.  The repair is the oracle's own (proof in
+    :meth:`qmct.oracle._GrowingExpansion._reprice_growth`).
+    """
+    g, pi = expansion.graph, expansion.pi
+    to, rem, cost = g.to, g.rem, g.cost
+    priced = len(pi)
+    new = range(expansion.priced, len(to), 2)
+    pi += [_kernel.INF] * (g.n - priced)
+    for _ in range(g.n - priced + 1):
+        lowered = False
+        for e in new:
+            v = to[e]
+            if v >= priced and rem[e] != 0:
+                d = pi[to[e ^ 1]] + cost[e]
+                if d < pi[v]:
+                    pi[v] = d
+                    lowered = True
+        if not lowered:
+            break
+    else:
+        raise InternalCheckError("negative cycle reached while pricing a layer")
+    negative = [e for e in new if to[e] < priced and pi[to[e ^ 1]] < pi[to[e]]]
+    for e in negative:
+        rem[e] = 0
+    for e in negative:
+        rem[e] = expansion.caps[e // 2]
+        tail, collector = to[e ^ 1], to[e]
+        while (delta := pi[collector] - pi[tail]) > 0:
+            dist, parent_edge = _kernel.reprice(g, collector, tail, pi, delta)
+            if dist[tail] < delta:
+                amount = _kernel.push_path(g, collector, tail, parent_edge)
+                g.push(e, amount)
+                expansion.cost += amount * (pi[tail] - pi[collector])

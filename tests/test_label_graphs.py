@@ -86,7 +86,8 @@ def test_cached_label_graphs_label_as_the_paired_reference():
         seen["self-loop"] += bool(loops)
         seen["negative self-loop"] += min(loops, default=0) < 0
 
-        cycle = _kernel.label_correct(paired_label_graph(net, "costs")) is None
+        everywhere = dict.fromkeys(range(len(net.nodes)), 0)
+        cycle = _kernel.label_correct(paired_label_graph(net, "costs"), everywhere) is None
         assert ("negative-cycle" in validate(net).kinds()) == cycle
         seen["negative cycle"] += cycle
 

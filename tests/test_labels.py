@@ -86,12 +86,12 @@ def test_labels_match_networkx_in_both_start_modes():
             else:
                 seen["clean"] += 1
                 seen["unreached"] += expected.count(None)
-        # The root mode equals labelling from an explicit root joined to
-        # every node at cost 0.
+        # Seeding every node at 0 equals labelling from an explicit root
+        # joined to every node at cost 0.
         rooted = _networkx(n, arcs)
         rooted.add_edges_from(("root", v, {"weight": 0}) for v in range(n))
         expected = _expected(rooted, "root", n)
-        assert label_correct(g) == expected, (trial, arcs)
+        assert label_correct(g, dict.fromkeys(range(n), 0)) == expected, (trial, arcs)
         assert (expected is None) == nx.negative_edge_cycle(graph)
         seen["root-cycle"] += expected is None
     assert min(seen.values()) >= 30, seen

@@ -15,6 +15,7 @@ from conftest import (
     golden_instances,
     parallel_falling_costs,
 )
+from qmct import cheapest, oracle, temporal
 from qmct.errors import HorizonLimitError, InfeasibleError, ValidationError
 from qmct.generate import generate
 from qmct.io import report_to_doc
@@ -327,6 +328,27 @@ def test_negative_layer_limit_is_rejected_before_any_work(solve):
         solve(net, max_layers=-1)
     with pytest.raises(ValidationError):
         solve(net, max_layers=0)
+
+
+def _unreached(*args, **kwargs):
+    raise AssertionError("first stage reached")
+
+
+@pytest.mark.parametrize(
+    "entry, first_stages",
+    [
+        (quickest_transshipment, [(temporal, "_subset_horizon")]),
+        (run_quickest_mincost, [(cheapest, "pair_costs")]),
+        (oracle.quickest_mincost, [(oracle, "horizon_upper_bound"), (oracle, "_static_optimum")]),
+    ],
+)
+def test_negative_layer_limit_is_rejected_before_the_first_stage(entry, first_stages, monkeypatch):
+    for module, name in first_stages:
+        monkeypatch.setattr(module, name, _unreached)
+    with pytest.raises(ValueError, match="^max_layers must be at least 0, got -1$"):
+        entry(demo_network(), max_layers=-1)
+    with pytest.raises(AssertionError, match="first stage reached"):
+        entry(demo_network(), max_layers=0)
 
 
 def test_timing_present(demo):

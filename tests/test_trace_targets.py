@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import layers  # noqa: E402
+import workloads  # noqa: E402
 from spans import SpanRecorder  # noqa: E402
 
 from qmct import io, pipeline  # noqa: E402
@@ -56,4 +57,26 @@ def test_describe_hooks_run_on_a_solve_and_an_oracle_call():
     metrics = layers.pass_metrics(recorder.spans, begin, end)
     assert set(metrics) >= set(layers.SELF_TIME)
     assert metrics["temporal.probes"] >= 1
+    assert layers.largest_search(recorder.spans) == recorder.instance
+
+
+def test_a_traced_chain_solve_probes_and_names_its_largest_search():
+    # One source and one sink, as in the chain-horizon workload.  The traced
+    # run picks the search that built the most probe expansion arcs, so a
+    # solve that builds none leaves it nothing to pick.
+    network = io.network_from_doc(workloads.chain_doc(8, 0))
+    recorder = SpanRecorder()
+    with recorder.installed(layers.TARGETS):
+        begin = time.perf_counter()
+        report = pipeline.solve_quickest_mincost(network)
+        io.report_to_doc(report, include_schedule=True)
+        oracle = pipeline.oracle_quickest_mincost(network, max_nodes=len(network.nodes))
+        assert oracle == (report.cost, report.horizon)
+        end = time.perf_counter()
+    seen = {span.name for span in recorder.spans}
+    assert seen == {name for _, _, name, _ in layers.TARGETS} - {
+        "staticflow.decompose",
+        "temporal.mincost",
+    }
+    assert layers.pass_metrics(recorder.spans, begin, end)["temporal.probes"] >= 1
     assert layers.largest_search(recorder.spans) == recorder.instance
