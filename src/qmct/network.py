@@ -96,12 +96,15 @@ class Network:
         ``Fraction`` as it is), and each column is scaled to integers once."""
         nodes = tuple(nodes)
         rows = [_ARC_ROW(a) if isinstance(a, Arc) else a for a in arcs]
-        tails, heads, *values = zip(*rows, strict=True) if rows else ((),) * 5
-        if not {*map(type, chain(*values))} <= {int, Fraction}:
+        try:
+            tails, heads, caps, transits, costs = zip(*rows, strict=True) if rows else ((),) * 5
+        except ValueError:  # name the first row of another length
+            k = next(k for k, row in enumerate(rows) if len(row) != 5)
+            raise ValueError(f"arc {k} must be (tail, head, capacity, transit, cost)") from None
+        if not {*map(type, chain(caps, transits, costs))} <= {int, Fraction}:
             # Arc by arc, so that the first bad value is the one named.
             rows = [(t, h, *map(_exact, v)) for t, h, *v in rows]
-            tails, heads, *values = zip(*rows)
-        caps, transits, costs = values
+            tails, heads, caps, transits, costs = zip(*rows)
         bal = {v: _exact(x) for v, x in (balances or {}).items()}
         index = {v: i for i, v in enumerate(nodes)}
         if len(index) != len(nodes):

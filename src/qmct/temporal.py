@@ -43,15 +43,14 @@ from .network import Network, NodeId
 class TimeExpandedGraph:
     """Static expansion of a network over an integer horizon.
 
-    Node copy ``(v, layer)`` has index ``layer * n + v``; the super
-    source and super sink occupy the last two indices, so ``num_nodes``
-    is ``n·T + 2`` however many copies are dropped, and a dropped copy
-    is an isolated node.  Arc order is movement copies first (aligned
-    with ``movement``), then holdover arcs from ``holdover_start``, then
-    terminal wiring from ``wiring_start``; the properties derive from
-    the stored fields.  Capacities and costs are integers at the scales
-    of the network's :attr:`~Network.integral` form, the one owner of
-    scales and supply.
+    The nodes are the copies ``(v, layer)`` that :func:`expand` keeps,
+    numbered in the order of ``layer·n + v``, then the super source and
+    super sink; only ``expand`` knows which copy an index is.  Arc order
+    is movement copies first (aligned with ``movement``), then holdover
+    arcs from ``holdover_start``, then terminal wiring from
+    ``wiring_start``; the properties derive from the stored fields.
+    Capacities and costs are integers at the scales of the network's
+    :attr:`~Network.integral` form, the one owner of scales and supply.
     """
 
     horizon: int
@@ -152,9 +151,10 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     Conversely, a copy kept lies on the path that joins a source to its
     tail's copy by least transits, waits, crosses it and reaches a sink
     in time; so the kept copies are exactly those on some super source
-    → super sink path of the full expansion.  Dropped copies leave
-    isolated nodes; numbering and order are those of the full expansion
-    with the dropped arcs left out.
+    → super sink path of the full expansion.  Only the copies with
+    ``e(v) <= q <= T − 1 − ℓ(v)``, each on such a path, and the one each
+    terminal's wiring meets get ids, in the order of ``q·n + v``; with
+    arcs in order, each node lists its edges and ties break as in the full one.
 
     Nothing a caller reads changes.  In the full expansion let R be the
     nodes the super source reaches and L those that reach the super
@@ -174,8 +174,7 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     - Dinic (:func:`_kernel.max_flow`) makes the same augmentations: the
       shortest residual path to the super sink from a node of R is one
       such path, so the levels that its blocking flow reads are the same,
-      and its search from the super source steps only along kept edges,
-      which each node lists in the same order;
+      and its search from the super source steps only along kept edges;
     - the residual-reachable set after it agrees on every node of L, as
       a residual path into L never leaves it.  Every sink's last copy is
       in L, and a source copy outside L keeps its wiring arc, which
@@ -187,8 +186,15 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     transits, arc_tails = form.transits, form.tails
     caps_int, costs_int = form.capacities, form.costs
     n = len(network.nodes)
+    last_layer = horizon - 1
     # No path counts as ∞; the horizon is far enough to keep no copy.
     early, late = ([horizon if d is None else d for d in ds] for ds in _least_transits(network))
+    # Node v keeps its copies at layers e(v) .. T − 1 − ℓ(v), a terminal also
+    # the one its wiring meets; ids follow the order of ``layer·n + v``.
+    spans = [range(early[v] * n + v, (horizon - late[v]) * n, n) for v in range(n)]
+    wired = {v if b > 0 else last_layer * n + v for v, b in enumerate(form.balances) if b}
+    kept = sorted(wired.union(*spans) if horizon else ())
+    ids = dict(zip(kept, range(len(kept))))
     # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
     head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
 
@@ -201,32 +207,30 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
         layer * m + i for i, (a, b) in enumerate(zip(starts, stops)) for layer in range(a, b)
     )
     copies = [divmod(key, m) for key in keys]
-    tails = [layer * n + arc_tails[i] for layer, i in copies]
-    heads = [layer * n + head_shift[i] for layer, i in copies]
+    tails = [ids[layer * n + arc_tails[i]] for layer, i in copies]
+    heads = [ids[layer * n + head_shift[i]] for layer, i in copies]
     caps: list[int | None] = [caps_int[i] for _, i in copies]
     costs = [costs_int[i] for _, i in copies]
     movement = [(i, layer) for layer, i in copies]
-    # Holdover ``(v, q) → (v, q+1)`` for early[v] <= q < T − 1 − late[v],
-    # listed by its tail, the copy ``q·n + v``.
-    last_layer = horizon - 1
-    waits = sorted(q * n + v for v in range(n) for q in range(early[v], last_layer - late[v]))
-    tails += waits
-    heads += [u + n for u in waits]
+    # Holdover ``(v, q) → (v, q+1)`` wherever both copies are kept, by its tail.
+    waits = [key for key in kept if key + n in ids]
+    tails += [ids[key] for key in waits]
+    heads += [ids[key + n] for key in waits]
     caps += [None] * len(waits)
     costs += [0] * len(waits)
 
-    super_source = n * horizon
+    super_source = len(kept)
     super_sink = super_source + 1
     wiring_start = len(tails)
     if horizon > 0:
         for v, b in enumerate(form.balances):
             if b > 0:
                 tails.append(super_source)
-                heads.append(v)
+                heads.append(ids[v])
                 caps.append(b)
                 costs.append(0)
             elif b < 0:
-                tails.append(last_layer * n + v)
+                tails.append(ids[last_layer * n + v])
                 heads.append(super_sink)
                 caps.append(-b)
                 costs.append(0)
@@ -340,11 +344,12 @@ def _subset_horizon(network: Network, subset: AbstractSet[int]) -> int:
     return -(-(need + sum(d * amount for d, amount in paths)) // flow)
 
 
-def _violated_subset(network: Network, horizon: int, reachable: set[int]) -> set[int]:
-    """A_X, as node indices, for the residual-reachable set X of an infeasible probe."""
-    form, last = network.integral, (horizon - 1) * len(network.nodes)
-    sources = {s for s in form.sources if s in reachable}
-    return sources | {t for t in form.sinks if last + t in reachable}
+def _violated_subset(network: Network, graph: TimeExpandedGraph, reachable: set[int]) -> set[int]:
+    """A_X, as node indices, for the residual-reachable set X of an infeasible
+    probe: the terminals whose wiring arc's lower end, their copy, is in X."""
+    terminals = (v for v, b in enumerate(network.integral.balances) if b)
+    wiring = zip(graph.tails[graph.wiring_start :], graph.heads[graph.wiring_start :])
+    return {v for v, ends in zip(terminals, wiring) if min(ends) in reachable}
 
 
 def quickest_transshipment(network: Network, max_layers: int | None = None) -> QuickestResult:
@@ -423,7 +428,7 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
         value, flows, reachable = _solve_max(graph)
         if value == form.supply:
             return QuickestResult(_schedule_from_movement(graph, flows, form.flow_scale))
-        violated = _violated_subset(network, horizon, reachable)
+        violated = _violated_subset(network, graph, reachable)
         bound = _subset_horizon(network, violated)
         if bound <= horizon:
             raise InternalCheckError(f"cut at horizon {horizon} gives bound {bound}")
@@ -453,8 +458,8 @@ def _replay(
 
     Returns the violations, the exact cost, each node's holdings at times
     0..horizon in units of ``1/scale``, and ``scale``.  Entries with an
-    unknown arc, a negative rate or an empty interval are reported and
-    skipped.  The cost sums in integers at ``scale``, made a Fraction once.
+    unknown arc, a rate not an int or Fraction or below 0, or a bad interval
+    are reported and skipped; the cost sums in integers at ``scale``, made a Fraction once.
     """
     form = network.integral
     horizon = schedule.horizon
@@ -466,10 +471,13 @@ def _replay(
             continue
         latest = horizon - form.transits[entry.arc]
         for start, end, rate in entry.intervals:
+            if isinstance(rate, bool) or not isinstance(rate, (int, Fraction)):
+                violations.append(f"arc {entry.arc}: rate {rate!r} is not an int or Fraction")
+                continue
             if rate < 0:
                 violations.append(f"arc {entry.arc}: negative rate {rate}")
                 continue
-            if start < 0 or end <= start:
+            if type(start) is not int or type(end) is not int or start < 0 or end <= start:
                 violations.append(f"arc {entry.arc}: bad interval [{start},{end})")
                 continue
             if end > latest:
@@ -543,7 +551,7 @@ def storage_trace(
     """Amount held at each node at integer times 0..horizon.
 
     Schedule entries that :func:`verify_schedule` rejects (unknown arcs,
-    negative rates, empty intervals) are left out.
+    bad rates, bad intervals) are left out.
     """
     _, _, trace, scale = _replay(network, schedule)
     return {v: tuple(Fraction(h, scale) for h in held) for v, held in trace.items()}

@@ -33,7 +33,8 @@ arrives by the horizon, which :func:`qmct.temporal.expand` replaced by
 the copies on some super source → super sink path;
 :func:`expansion_max_flow`, :func:`expansion_search` and
 :func:`subset_expansion_flow` build it, so that they do not rest on the
-pruning.
+pruning.  :func:`full_numbering` maps the pruned expansion's consecutive
+ids back to the full one's ``layer·n + v``, so that the two compare.
 
 :func:`scale_transits` is the reference for counting time in steps of
 ``1/time_scale``: it builds a second network whose transits are the
@@ -66,7 +67,7 @@ oracle does.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Sequence
@@ -454,6 +455,44 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
         costs=tuple(costs),
         movement=tuple(movement),
         wiring_start=wiring_start,
+    )
+
+
+def full_numbering(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGraph:
+    """``graph``, an expansion of :func:`qmct.temporal.expand`, with each id
+    mapped back to the full expansion's ``layer·n + v`` and the super
+    terminals to ``n·T`` and ``n·T + 1``.
+
+    The map is read off the arcs alone: the ends of the movement copies,
+    the terminals' wiring, and the holdover chains, each holdover's head
+    one layer above its tail.  Every id must be mapped once, consistently.
+    """
+    form, n, horizon = network.integral, len(network.nodes), graph.horizon
+    full = {graph.super_source: n * horizon, graph.super_sink: n * horizon + 1}
+
+    def put(node: int, key: int) -> None:
+        assert full.setdefault(node, key) == key, (node, key, full[node])
+
+    for k, (arc, layer) in enumerate(graph.movement):
+        put(graph.tails[k], layer * n + form.tails[arc])
+        put(graph.heads[k], (layer + form.transits[arc]) * n + form.heads[arc])
+    terminals = [v for v, b in enumerate(form.balances) if b and horizon]
+    for k, v in zip(range(graph.wiring_start, graph.num_arcs), terminals, strict=True):
+        if form.balances[v] > 0:
+            put(graph.heads[k], v)
+        else:
+            put(graph.tails[k], (horizon - 1) * n + v)
+    # Holdovers come by their tail's full id, so a chain's tail is mapped
+    # before the holdover that leaves it.
+    for k in range(graph.holdover_start, graph.wiring_start):
+        put(graph.heads[k], full[graph.tails[k]] + n)
+    ids = [full[v] for v in range(graph.num_nodes)]
+    assert len(set(ids)) == len(ids) == len(full)
+    return replace(
+        graph,
+        num_nodes=n * horizon + 2,
+        tails=tuple(ids[v] for v in graph.tails),
+        heads=tuple(ids[v] for v in graph.heads),
     )
 
 

@@ -2,12 +2,13 @@
 
 :func:`qmct.temporal.expand` keeps only the copies on some super source
 → super sink path; ``_brute.full_expand`` keeps every copy that arrives
-by the horizon.  The property test checks that the pruned graph is the
-full one with exactly the off-path copies left out.  The differential
-test holds every reader of an expansion to the same answers on both: max
-flows, movement flows and violated subsets at every horizon up to the
-quickest one, the quickest search's horizon and schedule, and minimum
-costs over time.
+by the horizon.  The property tests check that the pruned graph, its
+ids mapped back by ``_brute.full_numbering``, is the full one with
+exactly the off-path copies left out, and that every id it gives a node
+copy is an end of some arc.  The differential test holds every reader
+of an expansion to the same answers on both: max flows, movement flows
+and violated subsets at every horizon up to the quickest one, the
+quickest search's horizon and schedule, and minimum costs over time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import islice
 
 import pytest
 
-from _brute import full_expand
+from _brute import full_expand, full_numbering
 from qmct import temporal
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
@@ -97,7 +98,8 @@ def test_expand_keeps_exactly_the_copies_on_a_path():
     for kind in KINDS.values():
         for net in islice(kind(), 60):
             for horizon in range(13):
-                full, pruned = full_expand(net, horizon), temporal.expand(net, horizon)
+                full = full_expand(net, horizon)
+                pruned = full_numbering(net, temporal.expand(net, horizon))
                 on_path = _on_path(full)
                 # Wiring arcs are kept even where no path uses them.
                 keep = on_path[: full.wiring_start] + [True] * (full.num_arcs - full.wiring_start)
@@ -115,11 +117,23 @@ def test_expand_keeps_exactly_the_copies_on_a_path():
     assert dropped > 0
 
 
+def test_expand_numbers_only_the_ends_of_its_arcs():
+    checked = 0
+    for kind in KINDS.values():
+        for net in kind():
+            for horizon in range(13):
+                graph = temporal.expand(net, horizon)
+                ends = {*graph.tails, *graph.heads}
+                assert ends >= set(range(graph.super_source)), (net, horizon)
+                checked += 1
+    assert checked == 1020 * 13
+
+
 def _probe(build, net: Network, horizon: int):
     graph = build(net, horizon)
     value, flows, reachable = temporal._solve_max(graph)
     moved = {copy: f for copy, f in zip(graph.movement, flows) if f}
-    return value, moved, temporal._violated_subset(net, horizon, reachable)
+    return value, moved, temporal._violated_subset(net, graph, reachable)
 
 
 def _outcome(compute):

@@ -131,6 +131,21 @@ def test_constructor_rejects_non_string_endpoints(tail, head, message):
     assert str(built_of.value) == str(built.value) == message
 
 
+@pytest.mark.parametrize(
+    "arcs, k",
+    [
+        ([("a", "b")], 0),
+        ([("a", "b", 1, 0, 0), ("a", "b", 1, 0)], 1),
+        ([("a", "b", 1, 0, 0, 0)], 0),
+    ],
+    ids=["all short", "one short", "too long"],
+)
+def test_constructor_names_the_first_arc_of_another_length(arcs, k):
+    message = f"^arc {k} must be \\(tail, head, capacity, transit, cost\\)$"
+    with pytest.raises(ValueError, match=message):
+        Network.of(["a", "b"], arcs)
+
+
 def test_unknown_balance_is_named_once():
     with pytest.raises(ValueError, match="^balance given for unknown node 'ghost'$"):
         Network.of(["a"], [], {"ghost": 1})

@@ -127,7 +127,7 @@ def test_every_infeasible_probe_names_a_violated_subset():
             graph = temporal.expand(network, horizon)
             value, _flows, reachable = temporal._solve_max(graph)
             assert value < network.integral.supply
-            subset = temporal._violated_subset(network, horizon, reachable)
+            subset = temporal._violated_subset(network, graph, reachable)
             need = _need(network, subset)
             assert need > 0, (network, horizon, subset)
             assert subset_expansion_flow(network, subset, horizon) < need

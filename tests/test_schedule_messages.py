@@ -12,7 +12,7 @@ import pytest
 
 from qmct.network import Network
 from qmct.temporal import ArcIntervals as A
-from qmct.temporal import FlowOverTime, verify_schedule
+from qmct.temporal import FlowOverTime, storage_trace, verify_schedule
 
 NET = Network.of(
     ["s", "m", "t"],
@@ -114,6 +114,25 @@ CASES = {
             "node 't': 0 units remain at horizon, expected 2",
         ],
     ),
+    # Only the last entry, at an int rate, is well typed; the others are
+    # reported and skipped, so the schedule ships 2 units on s -> t.
+    "rates and bounds of other types": (
+        4,
+        [
+            A(
+                2,
+                ((0, 2, 0.5), (0, 2, "1"), (0, 2, True), (F(1, 2), 2, F(1)), (0, 2.0, 1), (0, 2, 1)),
+            )
+        ],
+        0,
+        [
+            "arc 2: bad interval [0,2.0)",
+            "arc 2: bad interval [1/2,2)",
+            "arc 2: rate '1' is not an int or Fraction",
+            "arc 2: rate 0.5 is not an int or Fraction",
+            "arc 2: rate True is not an int or Fraction",
+        ],
+    ),
     # m is in deficit from step 0 on.  During [1,3) its inflow and
     # outflow cancel and the deficit is reported again; from step 3 no
     # flow touches m (a zero rate does not count) and it is not.
@@ -131,6 +150,14 @@ CASES = {
         ],
     ),
 }
+
+
+def test_storage_trace_leaves_out_badly_typed_entries():
+    _, entries, _, _ = CASES["rates and bounds of other types"]
+    well_typed = [A(2, entries[0].intervals[-1:])]
+    assert storage_trace(NET, FlowOverTime(4, tuple(entries))) == storage_trace(
+        NET, FlowOverTime(4, tuple(well_typed))
+    )
 
 
 @pytest.mark.parametrize("name", list(CASES))

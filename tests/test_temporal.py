@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from _brute import (
     expansion_max_flow,
     full_expand,
+    full_numbering,
     movement_rates,
     pair_count_horizon_bound,
     scale_transits,
@@ -48,7 +50,7 @@ def test_expand_one_step_has_only_instant_arcs(demo):
 
 
 def test_expand_two_steps_spans_the_slow_arc(demo):
-    graph = expand(demo, 2)
+    graph = full_numbering(demo, expand(demo, 2))
     # The transit-1 arc enters at layer 0 and arrives at layer 1.
     slow = [
         (graph.tails[i], graph.heads[i])
@@ -76,6 +78,25 @@ def test_expand_drops_arcs_slower_than_horizon():
     assert [layer for _, layer in graph.movement] == [0]
 
 
+def test_expand_numbers_the_copies_of_one_slow_arc_alone():
+    # Each end of the arc keeps one copy, however slow the arc.  The
+    # sizes come first: numbering all n·T copies would take gigabytes.
+    nets = {
+        tau: Network.of(["s", "t"], [("s", "t", 1, tau, 0)], {"s": 1, "t": -1})
+        for tau in (1, 10**3, 10**7)
+    }
+    for tau, net in nets.items():
+        assert expand(net, tau + 1).num_nodes == 4, tau
+    tracemalloc.start()
+    try:
+        horizon = quickest_transshipment(nets[10**7]).horizon
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert horizon == 10**7 + 1
+    assert peak < 2**20
+
+
 def test_expand_rejects_negative_horizon(demo):
     with pytest.raises(ValueError):
         expand(demo, -1)
@@ -97,7 +118,8 @@ def test_expand_counts_steps_of_the_time_scale():
 # instances and 20 generated ones, half of them with rational capacities
 # and costs, so that a rewrite of ``expand`` that moves, drops or
 # rescales any arc shows up.  The first pins the full expansion of
-# ``_brute.full_expand``, the second the pruned one of ``expand``.
+# ``_brute.full_expand``, the second the pruned one of ``expand``, its
+# ids mapped back to ``layer·n + v`` by ``_brute.full_numbering``.
 EXPANSION_GOLDEN = "48aa6148740657f02972dd20dace2d50af8f716d207fd0133e2db7884428e0f1"
 PRUNED_EXPANSION_GOLDEN = "cfb93812e97441729cc363a403c5f22d55ee0acd6602e98836b035dc276b21eb"
 
@@ -151,7 +173,10 @@ def test_expansion_matches_golden_digest():
 
 
 def test_pruned_expansion_matches_golden_digest():
-    assert _expansion_digest(expand) == PRUNED_EXPANSION_GOLDEN
+    def numbered_as_full(net, horizon):
+        return full_numbering(net, expand(net, horizon))
+
+    assert _expansion_digest(numbered_as_full) == PRUNED_EXPANSION_GOLDEN
 
 
 def test_expansion_size_bound(demo):
