@@ -395,9 +395,10 @@ def pair_count_horizon_bound(network: Network) -> int:
 
 def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
     """The full time expansion for an integer horizon: every movement
-    copy that arrives by the horizon and every holdover, in the order
-    and numbering of :func:`qmct.temporal.expand`, which keeps only the
-    copies on some super source → super sink path of this one."""
+    copy that arrives by the horizon and every holdover, in the arc order
+    of :func:`qmct.temporal.expand`, which keeps only the copies on some
+    super source → super sink path of this one.  Copy ``(v, layer)`` is
+    node ``layer·n + v``, the numbering :func:`full_numbering` maps back to."""
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     form = network.integral
