@@ -189,6 +189,25 @@ def _sink_distances(g: Residual, s: int, t: int) -> list[int]:
     return dist
 
 
+def _push_bottleneck(rem: list[int | None], path: list[int], limit: int | None = None) -> int:
+    """Push the least of ``limit`` and the finite ``rem`` of ``path``'s edges
+    along it, and return that amount; raises :class:`InternalCheckError` when
+    neither the limit nor any edge is finite."""
+    amount = limit
+    for e in path:
+        r = rem[e]
+        if r is not None and (amount is None or r < amount):
+            amount = r
+    if amount is None:
+        raise InternalCheckError("augmenting path with no finite capacity")
+    for e in path:
+        if rem[e] is not None:
+            rem[e] -= amount
+        if rem[e ^ 1] is not None:
+            rem[e ^ 1] += amount
+    return amount
+
+
 def _blocking_flow(g: Residual, s: int, t: int, dist: list[int]) -> int:
     """Saturate every shortest ``s``-``t`` path of the level graph ``dist``.
 
@@ -206,16 +225,7 @@ def _blocking_flow(g: Residual, s: int, t: int, dist: list[int]) -> int:
     u = s
     while True:
         if u == t:
-            bottleneck = None
-            for e in path:
-                r = rem[e]
-                if r is not None and (bottleneck is None or r < bottleneck):
-                    bottleneck = r
-            if bottleneck is None:
-                raise InternalCheckError("augmenting path with no finite capacity")
-            for e in path:
-                g.push(e, bottleneck)
-            pushed += bottleneck
+            pushed += _push_bottleneck(rem, path)
             # Retreat to the tail of the first saturated edge.
             for k, e in enumerate(path):
                 if rem[e] == 0:
@@ -346,12 +356,19 @@ def labels(g: Residual, seeds: Mapping[int, object]) -> list:
     return dist
 
 
-def _dijkstra(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
-    """Shortest reduced-cost distances from s; returns (dist, parent_edge).
+def reprice(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
+    """Dijkstra from s under the potentials ``pi``, stopped once t is settled
+    or the least open distance reaches ``bound``; returns ``(dist, parent_edge)``.
 
-    Stops once ``t`` is settled or the least open distance reaches
-    ``bound``.  Every node nearer than the stop is settled by then, with
-    its exact distance; every other keeps a tentative one no smaller.
+    Every node nearer than the stop distance, the least of ``t``'s
+    distance and ``bound``, is settled with its exact distance; every
+    other keeps a tentative one no smaller.  Each ``pi[v]`` is raised by
+    its distance capped at the stop distance; when that is not finite
+    ``pi`` stays as it is.  An edge ``u -> v`` with reduced cost r >= 0
+    keeps one: if the search scanned ``u``, ``v``'s distance is at most
+    ``u``'s plus r, and any other ``u`` is raised by the whole cap, which
+    no node exceeds.  The search tree's edges from s to a settled t
+    become tight, so that path costs ``pi[t] - pi[s]``.
     """
     adj, rem, to, cost = g.adj, g.rem, g.to, g.cost
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -374,22 +391,6 @@ def _dijkstra(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
                     dist[v] = nd
                     parent_edge[v] = e
                     heappush(heap, (nd, v))
-    return dist, parent_edge
-
-
-def reprice(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
-    """Dijkstra from s under the potentials ``pi``, stopped at t or at ``bound``.
-
-    Raises each ``pi[v]`` by its distance capped at the stop distance,
-    the least of ``t``'s distance and ``bound``, and returns ``(dist,
-    parent_edge)``; when neither is finite ``pi`` stays as it is.  An
-    edge ``u -> v`` with reduced cost r >= 0 keeps one: if the search
-    scanned ``u``, ``v``'s distance is at most ``u``'s plus r, and any
-    other ``u`` is raised by the whole cap, which no node exceeds.  The
-    search tree's edges from s to a settled t become tight, so that path
-    costs ``pi[t] - pi[s]``.
-    """
-    dist, parent_edge = _dijkstra(g, s, t, pi, bound)
     cap_at = min(dist[t], bound)
     if cap_at != INF:
         for v in range(g.n):
@@ -399,21 +400,14 @@ def reprice(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
 
 
 def push_path(g: Residual, s: int, t: int, parent_edge: list[int], limit: int | None = None) -> int:
-    """Push the least of ``limit`` and the capacities of the ``parent_edge``
-    path from s to t (one must be finite) along it, and return that amount."""
+    """:func:`_push_bottleneck` along the ``parent_edge`` path from s to t."""
     path = []
-    amount = limit
     v = t
     while v != s:
         e = parent_edge[v]
-        rem = g.rem[e]
-        if rem is not None and (amount is None or rem < amount):
-            amount = rem
         path.append(e)
         v = g.to[e ^ 1]
-    for e in path:
-        g.push(e, amount)
-    return amount
+    return _push_bottleneck(g.rem, path, limit)
 
 
 def augment(g: Residual, s: int, t: int, pi: list[int], limit: int | None = None):
@@ -435,7 +429,7 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int, pi: list[int] | None
     """Successive shortest paths with potentials from s to t.
 
     Augments the flow in ``g`` by as much as possible up to ``target``.
-    Returns ``(routed, cost, pi, reachable)`` for the flow it adds: ``cost``
+    Returns ``(routed, cost, pi)`` for the flow it adds: ``cost``
     sums amount·(pi[t] − pi[s]), each round's path cost (see
     :func:`augment`).  The potentials ``pi``, updated in place, must give
     every edge with remaining capacity a reduced cost ``cost[e] + pi[u] -
@@ -443,8 +437,6 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int, pi: list[int] | None
     its value.  By default they are :func:`labels` of ``g`` with every node
     seeded at 0, which exist exactly then; every caller that passes none
     starts from a zero flow, so its ``cost`` is that of the whole flow.
-    ``reachable`` is the residual-reachable set from ``s`` when routing
-    stopped short (else None).
     """
     if pi is None:
         pi = labels(g, dict.fromkeys(range(g.n), 0))
@@ -452,7 +444,7 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int, pi: list[int] | None
     while routed < target:
         amount = augment(g, s, t, pi, target - routed)
         if amount is None:
-            return routed, cost, pi, residual_reachable(g, s)
+            break
         routed += amount
         cost += amount * (pi[t] - pi[s])
-    return routed, cost, pi, None
+    return routed, cost, pi

@@ -36,10 +36,6 @@ class Arc:
     transit: Fraction
     cost: Fraction
 
-    @staticmethod
-    def of(tail: NodeId, head: NodeId, capacity, transit, cost) -> "Arc":
-        return Arc(tail, head, as_rational(capacity), as_rational(transit), as_rational(cost))
-
 
 def _exact(value) -> int | Fraction:
     return value if type(value) is int else as_rational(value)

@@ -82,7 +82,7 @@ def _static_optimum(network: Network) -> Fraction:
         [*[None] * len(form.tails), *(abs(form.balances[v]) for v in (*sources, *sinks))],
         [*form.costs, *[0] * (len(sources) + len(sinks))],
     )
-    routed, cost, _, _ = _kernel.min_cost_flow(g, n, n + 1, form.supply)
+    routed, cost, _ = _kernel.min_cost_flow(g, n, n + 1, form.supply)
     if routed < form.supply:
         raise too_small(horizon_upper_bound(network), form.supply - routed, form.flow_scale)
     return Fraction(cost, form.flow_scale * form.cost_scale)
@@ -277,7 +277,7 @@ class _GrowingExpansion:
             self.routed = self.cost = 0
         else:
             self._reprice_growth()
-        routed, cost, self.pi, _ = _kernel.min_cost_flow(
+        routed, cost, self.pi = _kernel.min_cost_flow(
             g, 0, 1, form.supply - self.routed, self.pi
         )
         self.priced = len(g.to)

@@ -415,6 +415,7 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
     seed += [
         (t, terminals - {t}, "demand at {!r} cannot be reached by any source")
         for t in form.sinks
+        if len(terminals) > 2  # else all terminals but t are a source's {s} or supply nothing
     ]
     for node, subset, message in seed:
         try:
@@ -443,7 +444,7 @@ def mincost_over_time(network: Network, horizon: int) -> MincostOverTimeResult:
     """
     graph, form = expand(network, horizon), network.integral
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities, graph.costs)
-    routed, cost, _, _ = _kernel.min_cost_flow(g, graph.super_source, graph.super_sink, form.supply)
+    routed, cost, _ = _kernel.min_cost_flow(g, graph.super_source, graph.super_sink, form.supply)
     if routed < form.supply:
         raise too_small(horizon, form.supply - routed, form.flow_scale)
     flows = g.rem[1 : 2 * len(graph.movement) : 2]
@@ -457,20 +458,27 @@ def _replay(
     """Simulate a schedule by prefix sums over the integer form.
 
     Returns the violations, the exact cost, each node's holdings at times
-    0..horizon in units of ``1/scale``, and ``scale``.  Entries with an
-    unknown arc, a rate not an int or Fraction or below 0, or a bad interval
-    are reported and skipped; the cost sums in integers at ``scale``, made a Fraction once.
+    0..horizon in units of ``1/scale``, and ``scale``; a horizon not an int
+    raises ValueError.  Entries with a bad arc, rate or interval are
+    reported and skipped; the cost sums in integers at ``scale``.
     """
     form = network.integral
     horizon = schedule.horizon
+    if type(horizon) is not int:
+        raise ValueError(f"horizon {horizon!r} is not an int")
     violations: list[str] = []
     valid: list[tuple[int, int, int, Fraction]] = []
     for entry in schedule.arc_flows:
-        if not 0 <= entry.arc < len(form.tails):
-            violations.append(f"schedule references unknown arc {entry.arc}")
+        if type(entry.arc) is not int or not 0 <= entry.arc < len(form.tails):
+            violations.append(f"schedule references unknown arc {entry.arc!r}")
             continue
         latest = horizon - form.transits[entry.arc]
-        for start, end, rate in entry.intervals:
+        for interval in entry.intervals:
+            try:
+                start, end, rate = interval
+            except (TypeError, ValueError):
+                violations.append(f"arc {entry.arc}: bad interval {interval!r}")
+                continue
             if isinstance(rate, bool) or not isinstance(rate, (int, Fraction)):
                 violations.append(f"arc {entry.arc}: rate {rate!r} is not an int or Fraction")
                 continue
@@ -539,9 +547,12 @@ def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerific
     """Check a schedule against capacities, conservation and balances.
 
     Returns a report listing every violation (never raises) along with
-    the exact recomputed cost.
+    the exact recomputed cost; a horizon not an int is the only one, at cost 0.
     """
-    violations, cost, _, _ = _replay(network, schedule)
+    try:
+        violations, cost, _, _ = _replay(network, schedule)
+    except ValueError as bad_horizon:
+        return ScheduleVerification((str(bad_horizon),), Fraction(0))
     return ScheduleVerification(tuple(violations), cost)
 
 
@@ -551,7 +562,7 @@ def storage_trace(
     """Amount held at each node at integer times 0..horizon.
 
     Schedule entries that :func:`verify_schedule` rejects (unknown arcs,
-    bad rates, bad intervals) are left out.
+    bad rates, bad intervals) are left out; a horizon not an int raises ValueError.
     """
     _, _, trace, scale = _replay(network, schedule)
     return {v: tuple(Fraction(h, scale) for h in held) for v, held in trace.items()}

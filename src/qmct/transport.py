@@ -111,9 +111,9 @@ def solve(instance: TransportationInstance) -> TransportSolution:
         [*instance.costs, *[0] * n],
     )
     total = form.supply
-    routed, _, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
+    routed, _, pi = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:
-        cut = sorted(k for k in reachable if k < n)
+        cut = sorted(k for k in _kernel.residual_reachable(g, n) if k < n)
         stranded_sources = tuple(nodes[terminals[k]] for k in cut if k < p)
         served_sinks = tuple(nodes[terminals[k]] for k in cut if k >= p)
         supply = Fraction(sum(amounts[k] for k in cut if k < p), form.flow_scale)

@@ -215,10 +215,9 @@ def min_cost_flow(problem: FlowProblem, balances: Sequence[Fraction]) -> MinCost
         [*costs, *[0] * len(wiring)],
     )
     total = sum(b for b in bal_int if b > 0)
-    routed, _, pi, reachable = _kernel.min_cost_flow(g, n, n + 1, total)
+    routed, _, pi = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:
-        assert reachable is not None
-        stranded = sorted(v for v in reachable if v < problem.num_nodes)
+        stranded = sorted(v for v in _kernel.residual_reachable(g, n) if v < problem.num_nodes)
         deficit = Fraction(total - routed, cap_denom)
         raise InfeasibleError(
             f"balances cannot be routed: {deficit} units stranded",

@@ -57,9 +57,9 @@ def _with_dead_ends(count: int):
         net = generate(seed, nodes=4 + seed % 4, terminals=2, tau_max=2 + seed % 3)
         source, sink = net.sources[0], net.sinks[-1]
         extra = [
-            Arc.of("dark", sink, 1 + seed % 2, seed % 3, 1),
-            Arc.of(source, "end", 1, seed % 2, 0),
-            Arc.of("dark", "end", 2, 0, -1),
+            Arc("dark", sink, 1 + seed % 2, seed % 3, 1),
+            Arc(source, "end", 1, seed % 2, 0),
+            Arc("dark", "end", 2, 0, -1),
         ]
         yield Network.of((*net.nodes, "dark", "end"), (*net.arcs, *extra), dict(net.balances))
 

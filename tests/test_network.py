@@ -127,7 +127,7 @@ def test_constructor_rejects_non_string_endpoints(tail, head, message):
     with pytest.raises(ValueError) as built_of:
         Network.of(["a", "b"], [(tail, head, 1, 0, 0)])
     with pytest.raises(ValueError) as built:
-        Network.of(("a", "b"), (Arc.of(tail, head, 1, 0, 0),), {})
+        Network.of(("a", "b"), (Arc(tail, head, 1, 0, 0),), {})
     assert str(built_of.value) == str(built.value) == message
 
 

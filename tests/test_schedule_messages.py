@@ -6,9 +6,12 @@ not.  The network is ``s -> m -> t`` (transits 1 and 0, capacities 1
 and 1/2) plus a direct ``s -> t`` arc of transit 2, shipping 2 units.
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmct.network import Network
 from qmct.temporal import ArcIntervals as A
@@ -19,6 +22,8 @@ NET = Network.of(
     [("s", "m", 1, 1, 2), ("m", "t", "1/2", 0, 1), ("s", "t", 3, 2, 0)],
     {"s": 2, "t": -2},
 )
+
+NOT_INT_HORIZONS = (F(4), 4.0, None, True)
 
 # name: (horizon, entries, cost, sorted violations)
 CASES = {
@@ -133,6 +138,34 @@ CASES = {
             "arc 2: rate True is not an int or Fraction",
         ],
     ),
+    # Only the int arc 2 ships; arcs of other types, bools too, are unknown.
+    "arc indices of other types": (
+        4,
+        [A(a, ((0, 2, F(1)),)) for a in ("0", F(0), 0.0, None, True)] + [A(2, ((0, 2, 1),))],
+        0,
+        [
+            "schedule references unknown arc '0'",
+            "schedule references unknown arc 0.0",
+            "schedule references unknown arc Fraction(0, 1)",
+            "schedule references unknown arc None",
+            "schedule references unknown arc True",
+        ],
+    ),
+    "intervals that are not three values": (
+        4,
+        [A(2, ((0, 2), (0, 2, 1, 0), None, (), (0, 2, 1)))],
+        0,
+        [
+            "arc 2: bad interval ()",
+            "arc 2: bad interval (0, 2)",
+            "arc 2: bad interval (0, 2, 1, 0)",
+            "arc 2: bad interval None",
+        ],
+    ),
+    **{
+        f"horizon {h!r}": (h, [A(2, ((0, 2, 1),))], 0, [f"horizon {h!r} is not an int"])
+        for h in NOT_INT_HORIZONS
+    },
     # m is in deficit from step 0 on.  During [1,3) its inflow and
     # outflow cancel and the deficit is reported again; from step 3 no
     # flow touches m (a zero rate does not count) and it is not.
@@ -167,3 +200,36 @@ def test_violation_messages_are_pinned(name):
     assert sorted(report.violations) == expected
     assert report.cost == cost
     assert report.ok == (not expected)
+
+
+@pytest.mark.parametrize("horizon", NOT_INT_HORIZONS)
+def test_storage_trace_names_a_horizon_that_is_not_an_int(horizon):
+    schedule = FlowOverTime(horizon, (A(2, ((0, 2, 1),)),))
+    with pytest.raises(ValueError, match=f"^horizon {re.escape(repr(horizon))} is not an int$"):
+        storage_trace(NET, schedule)
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 12),
+    st.booleans(),
+    st.text(max_size=3),
+    st.fractions(-3, 12, max_denominator=6),
+    st.floats(),
+    st.none(),
+)
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4).map(tuple))
+
+
+@given(
+    VALUES,
+    st.lists(st.builds(A, VALUES, st.lists(VALUES, max_size=4).map(tuple)), max_size=4),
+)
+def test_verify_schedule_reports_whatever_the_schedule_holds(horizon, entries):
+    schedule = FlowOverTime(horizon, tuple(entries))
+    report = verify_schedule(NET, schedule)
+    assert all(isinstance(v, str) for v in report.violations)
+    assert isinstance(report.cost, F)
+    if type(horizon) is int:
+        storage_trace(NET, schedule)
+    else:
+        assert report.violations == (f"horizon {horizon!r} is not an int",)

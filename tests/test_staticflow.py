@@ -12,7 +12,7 @@ from _brute import (
     problem_from_network,
 )
 from qmct import _kernel
-from qmct.errors import InfeasibleError
+from qmct.errors import InfeasibleError, InternalCheckError
 from qmct.staticflow import decompose
 
 
@@ -122,6 +122,17 @@ def test_push_back_keeps_uncapacitated_edge_unbounded():
     g.push(e ^ 1, 1)
     assert g.rem[e] is None
     assert g.rem[e ^ 1] == 2  # the flow on e
+
+
+def test_path_with_no_finite_capacity_raises_in_max_flow_and_push_path():
+    g = _kernel.build(3, [0, 1], [1, 2], [None, None])
+    with pytest.raises(InternalCheckError, match="augmenting path with no finite capacity"):
+        _kernel.max_flow(g, 0, 2)
+    with pytest.raises(InternalCheckError, match="augmenting path with no finite capacity"):
+        _kernel.push_path(g, 0, 2, [-1, 0, 2])
+    assert g.rem == [None, 0, None, 0]
+    assert _kernel.push_path(g, 0, 2, [-1, 0, 2], limit=4) == 4
+    assert g.rem == [None, 4, None, 4]
 
 
 def test_build_matches_per_arc_add():
@@ -356,9 +367,8 @@ def test_kernel_min_cost_flow_reports_the_cost_of_its_flow():
         most = _kernel.max_flow(graph(), 0, n - 1)
         for target in (0, rng.randint(0, most), most + rng.randint(1, 5)):
             g = graph()
-            routed, cost, _, reachable = _kernel.min_cost_flow(g, 0, n - 1, target)
+            routed, cost, _ = _kernel.min_cost_flow(g, 0, n - 1, target)
             assert routed == min(target, most)
-            assert (reachable is None) == (routed == target)
             assert cost == sum(g.cost[e] * g.rem[e + 1] for e in range(0, len(g.to), 2))
             seen["short"] += routed < target
             seen["zero"] += target == 0

@@ -262,6 +262,25 @@ def test_quickest_single_path_matches_closed_form():
         assert result.horizon == expected
 
 
+def test_quickest_searches_the_subset_of_a_chain_once(monkeypatch):
+    # One source s and one sink t: {s} is also all terminals but t.
+    subsets = []
+    real = temporal.subset_paths
+
+    def recorded(network, subset, need=None):
+        subsets.append(set(subset))
+        return real(network, subset, need)
+
+    monkeypatch.setattr(temporal, "subset_paths", recorded)
+    net = Network.of(
+        ["s", "a", "b", "t"],
+        [("s", "a", 2, 1, 0), ("a", "b", 2, 2, 0), ("b", "t", 2, 0, 0)],
+        {"s": 5, "t": -5},
+    )
+    assert quickest_transshipment(net).horizon == 6  # ⌈5/2 + 3⌉
+    assert subsets == [{0}]
+
+
 def test_quickest_zero_supply(demo):
     result = quickest_transshipment(demo.with_balances({}))
     assert result.horizon == 0
