@@ -21,8 +21,7 @@ def decompose(
     starts at the lowest-indexed node that still has net outflow and
     flow left on an out-arc, else at the tail of the lowest-indexed arc
     with flow left.  Neither index ever decreases, so path start nodes
-    come out in non-decreasing order and two forward cursors, one over
-    nodes and one over arcs, replace a rescan per path.
+    come out in non-decreasing order.
 
     Only the graph of ``problem`` (``num_nodes``, ``num_arcs``,
     ``tails``, ``heads``) is read, so a time expansion serves.  Flow
@@ -39,40 +38,18 @@ def decompose(
     out_arcs: list[list[int]] = [[] for _ in range(problem.num_nodes)]
     for i in range(problem.num_arcs):
         out_arcs[problem.tails[i]].append(i)
-    cursor = [0] * problem.num_nodes
 
     def next_arc(v: int) -> int | None:
-        arcs = out_arcs[v]
-        k = cursor[v]
-        while k < len(arcs) and remaining[arcs[k]] == 0:
-            k += 1
-        cursor[v] = k
-        return arcs[k] if k < len(arcs) else None
+        return next((i for i in out_arcs[v] if remaining[i] != 0), None)
+
+    def start_node() -> int | None:
+        for v in range(problem.num_nodes):
+            if net[v] > 0 and next_arc(v) is not None:
+                return v
+        return next((problem.tails[i] for i, f in enumerate(remaining) if f != 0), None)
 
     paths: list[tuple[tuple[int, ...], Fraction]] = []
     cycles: list[tuple[tuple[int, ...], Fraction]] = []
-
-    # Both start conditions, "net[v] > 0 with an out-arc still carrying
-    # flow" and "remaining[i] != 0", only ever turn from true to false:
-    # a path lowers net[start] to at least 0 and raises a negative
-    # net[end] to at most 0, and remaining flow only falls.  So the
-    # lowest qualifying node or arc never moves down, and two forward
-    # cursors find the same start as a rescan from index 0.
-    node_cursor = 0
-    arc_cursor = 0
-
-    def start_node() -> int | None:
-        nonlocal node_cursor, arc_cursor
-        while node_cursor < problem.num_nodes:
-            v = node_cursor
-            if net[v] > 0 and next_arc(v) is not None:
-                return v
-            node_cursor += 1
-        while arc_cursor < problem.num_arcs:
-            if remaining[arc_cursor] != 0:
-                return problem.tails[arc_cursor]
-            arc_cursor += 1
-        return None
 
     while True:
         start = start_node()

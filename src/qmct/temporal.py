@@ -458,14 +458,17 @@ def _replay(
     """Simulate a schedule by prefix sums over the integer form.
 
     Returns the violations, the exact cost, each node's holdings at times
-    0..horizon in units of ``1/scale``, and ``scale``; a horizon not an int
-    raises ValueError.  Entries with a bad arc, rate or interval are
-    reported and skipped; the cost sums in integers at ``scale``.
+    0..horizon in units of ``1/scale``, and ``scale``; a horizon that is not
+    an int, or is negative, raises ValueError.  Entries with a bad arc,
+    rate or interval are reported and skipped; the cost sums in integers
+    at ``scale``.
     """
     form = network.integral
     horizon = schedule.horizon
     if type(horizon) is not int:
         raise ValueError(f"horizon {horizon!r} is not an int")
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
     violations: list[str] = []
     valid: list[tuple[int, int, int, Fraction]] = []
     for entry in schedule.arc_flows:
@@ -547,7 +550,8 @@ def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerific
     """Check a schedule against capacities, conservation and balances.
 
     Returns a report listing every violation (never raises) along with
-    the exact recomputed cost; a horizon not an int is the only one, at cost 0.
+    the exact recomputed cost; a horizon that is not an int, or is
+    negative, is the only one, at cost 0.
     """
     try:
         violations, cost, _, _ = _replay(network, schedule)
@@ -562,7 +566,8 @@ def storage_trace(
     """Amount held at each node at integer times 0..horizon.
 
     Schedule entries that :func:`verify_schedule` rejects (unknown arcs,
-    bad rates, bad intervals) are left out; a horizon not an int raises ValueError.
+    bad rates, bad intervals) are left out; a horizon that is not an int,
+    or is negative, raises ValueError.
     """
     _, _, trace, scale = _replay(network, schedule)
     return {v: tuple(Fraction(h, scale) for h in held) for v, held in trace.items()}

@@ -774,11 +774,14 @@ def step_replay(
 
     Returns every violation, the exact cost, and the amount held at each
     node at integer times 0..horizon.  Entries naming an unknown arc, a
-    negative rate or an empty interval are reported and left out.
+    negative rate or an empty interval are reported and left out.  A
+    negative horizon raises ValueError.
     """
     bal = network.balances
     transits = network.integral.transits
     horizon = schedule.horizon
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
     violations: list[str] = []
     # Per-arc inflow rate at each unit step, accumulated over intervals.
     rates: dict[int, dict[int, Fraction]] = {}

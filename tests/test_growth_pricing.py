@@ -9,6 +9,13 @@ past the answer.  Every call of
 potentials, the residual capacities and the cost must then be equal.
 Each pricing must be one :func:`qmct._kernel.label_correct` pass on a
 graph of the new copies alone.
+
+A new copy that no residual edge reaches keeps π = ∞.  With zero
+supply the arcs out of the super source have no capacity, so every
+pricing leaves its new copies at ∞; the oracle's own scan never prices
+such a growth, since it answers at horizon 0.  With supply, the first
+min-cost flow labels every copy and each later copy is reached over its
+holdover, so no pricing leaves one.  The counts below pin both.
 """
 
 import copy
@@ -21,14 +28,14 @@ from qmct import _kernel
 from qmct.oracle import _GrowingExpansion
 from qmct.pipeline import solve_quickest_mincost
 
-# Per kind: pricings, and floors on how many of them priced a copy over an
+# Per kind: pricings; floors on how many of them priced a copy over an
 # edge from another new copy and how many changed the flow by repairing an
-# arc into a collector.
+# arc into a collector; and how many left a new copy at π = ∞.
 COUNTS = {
-    "negative costs": (467, 389, 11),
-    "crosscheck": (194, 185, 31),
-    "rational": (313, 253, 11),
-    "zero supply": (39, 33, 0),
+    "negative costs": (467, 389, 11, 0),
+    "crosscheck": (194, 185, 31, 0),
+    "rational": (313, 253, 11, 0),
+    "zero supply": (39, 33, 0, 39),
 }
 
 
@@ -36,7 +43,7 @@ COUNTS = {
 def test_pricing_a_growth_matches_the_replaced_loop(kind, monkeypatch):
     passes: list[int] = []
     label_correct, reprice = _kernel.label_correct, _GrowingExpansion._reprice_growth
-    seen = {"pricings": 0, "chained": 0, "repaired": 0}
+    seen = {"pricings": 0, "chained": 0, "repaired": 0, "infinite": 0}
 
     def recorded_label_correct(g, seeds):
         passes.append(g.n)
@@ -59,6 +66,7 @@ def test_pricing_a_growth_matches_the_replaced_loop(kind, monkeypatch):
             for e in range(expansion.priced, len(g.to), 2)
         )
         seen["repaired"] += g.rem != rem
+        seen["infinite"] += _kernel.INF in expansion.pi[priced:]
 
     monkeypatch.setattr(_kernel, "label_correct", recorded_label_correct)
     monkeypatch.setattr(_GrowingExpansion, "_reprice_growth", checked)
@@ -72,7 +80,8 @@ def test_pricing_a_growth_matches_the_replaced_loop(kind, monkeypatch):
         for _ in range(expansion.horizon, answer + 4):
             expansion.min_cost()
             expansion.grow()
-    pricings, chained, repaired = COUNTS[kind]
+    pricings, chained, repaired, infinite = COUNTS[kind]
     assert seen["pricings"] == pricings, seen
     assert seen["chained"] >= chained, seen
     assert seen["repaired"] >= repaired, seen
+    assert seen["infinite"] == infinite, seen

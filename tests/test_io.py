@@ -89,6 +89,8 @@ def test_schema_errors_are_validation_errors():
         network_from_doc({"nodes": "ab", "arcs": []})
     with pytest.raises(ValidationError):
         network_from_doc({"nodes": ["a"], "arcs": [{"tail": "a"}]})
+    with pytest.raises(ValidationError, match="^arc 1 must be an object$"):
+        network_from_doc({"nodes": ["a", "b"], "arcs": [{"tail": "a", "head": "b"}, ["a", "b"]]})
     with pytest.raises(ValidationError):
         network_from_doc({"nodes": ["a"], "arcs": [], "balances": {"ghost": 1}})
 

@@ -1,3 +1,4 @@
+from enum import IntEnum
 from fractions import _RATIONAL_FORMAT, Fraction
 
 import pytest
@@ -21,6 +22,9 @@ def test_parses_decimal_strings_exactly():
 def test_accepts_int_and_fraction():
     assert as_rational(7) == Fraction(7)
     assert as_rational(Fraction(2, 6)) == Fraction(1, 3)
+    # An int subclass other than bool is read as its value.
+    two = IntEnum("Small", "ONE TWO").TWO
+    assert type(as_rational(two)) is Fraction and as_rational(two) == 2
 
 
 def test_rejects_floats_and_bools():
@@ -35,6 +39,9 @@ def test_rejects_garbage_strings():
         as_rational("three halves")
     with pytest.raises(ValueError):
         as_rational("1/0")
+    # An exponent with more digits than int() parses is rejected unread.
+    with pytest.raises(ValueError, match=f"exceeds {MAX_EXPONENT} in magnitude$"):
+        as_rational("1e" + "9" * 5000)
 
 
 # Pieces of integer-like literals: signs, whitespace, leading zeros,

@@ -11,12 +11,20 @@ and mutations of them that break every rule a schedule can break.
 import random
 from fractions import Fraction
 
+import pytest
+
 from _brute import step_replay
 from conftest import acceptance_suite, golden_instances
 from qmct.errors import QmctError
 from qmct.network import Network
 from qmct.pipeline import solve_quickest, solve_quickest_mincost
-from qmct.temporal import ArcIntervals, FlowOverTime, storage_trace, verify_schedule
+from qmct.temporal import (
+    ArcIntervals,
+    FlowOverTime,
+    ScheduleVerification,
+    storage_trace,
+    verify_schedule,
+)
 
 MUTANTS_PER_SCHEDULE = 2
 
@@ -31,7 +39,13 @@ def _solved_schedules():
 
 
 def _assert_same(network: Network, schedule: FlowOverTime) -> None:
-    violations, cost, trace = step_replay(network, schedule)
+    try:
+        violations, cost, trace = step_replay(network, schedule)
+    except ValueError as bad_horizon:
+        assert verify_schedule(network, schedule) == ScheduleVerification((str(bad_horizon),), 0)
+        with pytest.raises(ValueError, match=f"^{bad_horizon}$"):
+            storage_trace(network, schedule)
+        return
     report = verify_schedule(network, schedule)
     assert sorted(report.violations) == sorted(violations), schedule
     assert report.ok == (not violations)

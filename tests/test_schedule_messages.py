@@ -24,6 +24,7 @@ NET = Network.of(
 )
 
 NOT_INT_HORIZONS = (F(4), 4.0, None, True)
+NEGATIVE_HORIZONS = (-1, -2)
 
 # name: (horizon, entries, cost, sorted violations)
 CASES = {
@@ -166,6 +167,10 @@ CASES = {
         f"horizon {h!r}": (h, [A(2, ((0, 2, 1),))], 0, [f"horizon {h!r} is not an int"])
         for h in NOT_INT_HORIZONS
     },
+    **{
+        f"horizon {h}": (h, [A(2, ((0, 2, 1),))], 0, [f"horizon {h} is negative"])
+        for h in NEGATIVE_HORIZONS
+    },
     # m is in deficit from step 0 on.  During [1,3) its inflow and
     # outflow cancel and the deficit is reported again; from step 3 no
     # flow touches m (a zero rate does not count) and it is not.
@@ -209,6 +214,13 @@ def test_storage_trace_names_a_horizon_that_is_not_an_int(horizon):
         storage_trace(NET, schedule)
 
 
+@pytest.mark.parametrize("horizon", NEGATIVE_HORIZONS)
+def test_storage_trace_names_a_negative_horizon(horizon):
+    schedule = FlowOverTime(horizon, (A(2, ((0, 2, 1),)),))
+    with pytest.raises(ValueError, match=f"^horizon {horizon} is negative$"):
+        storage_trace(NET, schedule)
+
+
 SCALARS = st.one_of(
     st.integers(-3, 12),
     st.booleans(),
@@ -229,7 +241,9 @@ def test_verify_schedule_reports_whatever_the_schedule_holds(horizon, entries):
     report = verify_schedule(NET, schedule)
     assert all(isinstance(v, str) for v in report.violations)
     assert isinstance(report.cost, F)
-    if type(horizon) is int:
-        storage_trace(NET, schedule)
-    else:
+    if type(horizon) is not int:
         assert report.violations == (f"horizon {horizon!r} is not an int",)
+    elif horizon < 0:
+        assert report.violations == (f"horizon {horizon} is negative",)
+    else:
+        storage_trace(NET, schedule)

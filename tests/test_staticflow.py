@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -408,13 +409,19 @@ def test_decompose_demo_static_projection(demo):
     assert all(amount == 1 for _, amount in paths)
 
 
+def test_decompose_rejects_negative_flow():
+    problem = FlowProblem.of(3, [(0, 1, 5), (1, 2, 5)])
+    with pytest.raises(ValueError, match="^negative flow on arc 0$"):
+        decompose(problem, (-1, 0))
+
+
 def test_decompose_superposition_random():
     rng = random.Random(23)
     many_terminals = 0
     for trial in range(90):
         # The first 30 flows are small; later ones superpose more walks
         # on more nodes, so many nodes have positive or negative net
-        # flow and the start cursor has to skip spent nodes.
+        # flow and the search for each path's start passes spent nodes.
         max_nodes, max_walks = (7, 5) if trial < 30 else (12, 15)
         n = rng.randint(3, max_nodes)
         arcs = []
@@ -457,3 +464,47 @@ def test_decompose_superposition_random():
         starts = [problem.tails[arcs_seq[0]] for arcs_seq, _ in paths]
         assert starts == sorted(starts)
     assert many_terminals >= 10
+
+
+# Digest of the exact ``(paths, cycles)`` that ``decompose`` returns for
+# 1,000 seeded random flows: int amounts and Fractions, each flow a
+# superposition of random walks, some of them closed, on graphs with
+# parallel and antiparallel arcs.  ``repr`` keeps ints apart from Fractions.
+DECOMPOSE_GOLDEN = "343d20bd94d475129cb3cd4c8da1bf6bde181ef0f044387abe3d9697b632ba17"
+
+
+def _random_flow(rng, fractional):
+    n = rng.randint(2, 9)
+    arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3 * n))]
+    problem = FlowProblem.of(n, [(u, v, None) for u, v in arcs])
+    out_by_node = [[] for _ in range(n)]
+    for i, (u, _) in enumerate(arcs):
+        out_by_node[u].append(i)
+    values = [Fraction(0) if fractional else 0] * len(arcs)
+    for _ in range(rng.randint(1, 8)):
+        start = v = rng.randrange(n)
+        amount = rng.randint(1, 6)
+        if fractional:
+            amount = Fraction(amount, rng.choice([1, 2, 3]))
+        closed = rng.random() < 0.3
+        for step in range(rng.randint(1, 2 * n)):
+            if not out_by_node[v] or (closed and step and v == start):
+                break
+            arc = rng.choice(out_by_node[v])
+            values[arc] += amount
+            v = arcs[arc][1]
+    return problem, values
+
+
+def test_decompose_matches_golden_digest():
+    rng = random.Random(4242)
+    digest = hashlib.sha256()
+    totals = {"paths": 0, "cycles": 0}
+    for trial in range(1000):
+        problem, values = _random_flow(rng, fractional=trial % 2 == 1)
+        paths, cycles = decompose(problem, values)
+        totals["paths"] += len(paths)
+        totals["cycles"] += len(cycles)
+        digest.update(repr((paths, cycles)).encode())
+    assert min(totals.values()) >= 500, totals
+    assert digest.hexdigest() == DECOMPOSE_GOLDEN

@@ -9,6 +9,7 @@ or a changed result type would only show when ``perfbench/run.py
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -17,7 +18,7 @@ import layers  # noqa: E402
 import workloads  # noqa: E402
 from spans import SpanRecorder  # noqa: E402
 
-from qmct import io, pipeline  # noqa: E402
+from qmct import io, pipeline, staticflow  # noqa: E402
 
 
 def test_every_traced_target_resolves():
@@ -80,3 +81,15 @@ def test_a_traced_chain_solve_probes_and_names_its_largest_search():
     }
     assert layers.pass_metrics(recorder.spans, begin, end)["temporal.probes"] >= 1
     assert layers.largest_search(recorder.spans) == recorder.instance
+
+
+def test_the_decompose_hook_counts_paths():
+    # No solve decomposes a static flow yet, so call it directly: two
+    # paths from node 0 to node 2, one through node 1 and one direct.
+    graph = SimpleNamespace(num_nodes=3, num_arcs=3, tails=(0, 1, 0), heads=(1, 2, 2))
+    recorder = SpanRecorder()
+    with recorder.installed(layers.TARGETS):
+        paths, cycles = staticflow.decompose(graph, (2, 2, 1))
+    assert (paths, cycles) == ([((0, 1), 2), ((2,), 1)], [])
+    [span] = recorder.spans
+    assert (span.name, span.attrs) == ("staticflow.decompose", {"paths": 2})
