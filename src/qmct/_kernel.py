@@ -16,26 +16,26 @@ dual; the time expansion's least-transit pruning seeds the sources and,
 reversed, the sinks at 0; validation's negative-cycle test and the
 min-cost potentials seed every node at 0; the oracle's pricing seeds
 each new copy of a growth at its least π(u) + c over the edges into it
-from priced copies.  The min-cost potentials run on the residual graph
-of the flow problem, the oracle's pricing on a :func:`label_graph` of
-the new copies alone, and every other pass on a network's cached label
-graphs (:meth:`~qmct.network.Network.label_graph`), built by
-:func:`label_graph` with forward edges only, once per weight column and
-direction.  All are :class:`Residual` graphs, so the routine is the same
-for all.  It only adds and compares costs, so it is exact for ints and
-Fractions alike.  Its cycle test is the walk-length criterion of
-Cherkassky & Goldberg (*Negative-cycle detection algorithms*, Math.
-Prog. 1999).  Each label is the cost of its *label walk*, whose edges
-were relaxed one after another.  If a node ``x`` repeats on a label
-walk, the later relaxation set ``x``'s label below what the earlier one
-had set, since labels only fall; so the cycle between the two lowered
-``x``'s own label and costs less than zero.  A walk of ``n`` edges
-repeats a node, so reaching ``n`` edges proves a negative cycle.
-Without one, label walks are simple and the test stays quiet; with a
-reachable one the labels never settle, which they would if all walks
-stayed below ``n`` edges, as those have finitely many costs.  Counting
-how often a label falls is no such test: parallel arcs of falling
-negative cost lower a label many times without any cycle.
+from priced copies.  Every pass runs on a :func:`label_graph`, which
+lists per node the ``(head, weight)`` pair of each edge out of it: the
+min-cost potentials on the :func:`live_label_graph` of the flow
+problem's residual graph, the oracle's pricing on one of the new copies
+alone, and every other pass on a network's cached label graphs
+(:meth:`~qmct.network.Network.label_graph`), built once per weight
+column and direction.  It only adds and compares costs, so it is exact
+for ints and Fractions alike.  Its cycle test is the walk-length
+criterion of Cherkassky & Goldberg (*Negative-cycle detection
+algorithms*, Math. Prog. 1999).  Each label is the cost of its *label
+walk*, whose edges were relaxed one after another.  If a node ``x``
+repeats on a label walk, the later relaxation set ``x``'s label below
+what the earlier one had set, since labels only fall; so the cycle
+between the two lowered ``x``'s own label and costs less than zero.  A
+walk of ``n`` edges repeats a node, so reaching ``n`` edges proves a
+negative cycle.  Without one, label walks are simple and the test stays
+quiet; with a reachable one the labels never settle, which they would if
+all walks stayed below ``n`` edges, as those have finitely many costs.
+Counting how often a label falls is no such test: parallel arcs of
+falling negative cost lower a label many times without any cycle.
 
 Private module.  Capacities, balances and costs are plain integers:
 callers read a network's :attr:`~qmct.network.Network.integral` form
@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import compress, repeat
+from operator import ne
 from typing import Mapping
 
 from .errors import InternalCheckError
@@ -59,11 +61,9 @@ class Residual:
     """Paired-edge residual graph.
 
     Edge ``2k`` is the forward copy of input arc ``k`` (when built via
-    :func:`build`), edge ``2k+1`` its reverse; a :func:`label_graph`
-    has edge ``k`` alone for arc ``k``.  ``rem[e]`` is the
+    :func:`build`), edge ``2k+1`` its reverse.  ``rem[e]`` is the
     remaining capacity (``None`` = unbounded) and ``rem[e ^ 1]`` of a
-    forward edge equals the flow currently on it.  The solver's costs are
-    ints; :func:`label_correct` also takes Fractions.
+    forward edge equals the flow currently on it.  Costs are ints.
     """
 
     __slots__ = ("n", "to", "rem", "cost", "adj")
@@ -142,21 +142,22 @@ def build(n: int, tails, heads, caps, costs=None) -> Residual:
     return g
 
 
-def label_graph(n: int, tails, heads, weights) -> Residual:
-    """Arc ``k`` as edge ``k`` alone, uncapacitated and weighted ``weights[k]``.
-
-    The graph of the static label passes: its adjacency lists hold no
-    reverse edge, which :func:`label_correct` would only skip, and no
-    self-loop, which no cheapest simple path uses and which validation
-    reports on its own.  Only label passes read it; it has no flow.
-    """
-    g = Residual(n)
-    g.to, g.rem, g.cost = heads, [None] * len(heads), weights
-    adj = g.adj
-    for e, (u, v) in enumerate(zip(tails, heads)):
+def label_graph(n: int, tails, heads, weights) -> list[list[tuple]]:
+    """Per node, the ``(head, weight)`` pair of each arc out of it, in arc order,
+    but for self-loops: no cheapest simple path uses one; validation reports them."""
+    graph: list[list[tuple]] = [[] for _ in range(n)]
+    for u, v, w in zip(tails, heads, weights):
         if u != v:
-            adj[u].append(e)
-    return g
+            graph[u].append((v, w))
+    return graph
+
+
+def live_label_graph(g: Residual) -> list[list[tuple]]:
+    """:func:`label_graph` of ``g``'s edges with remaining capacity, weighted by cost."""
+    to, live = g.to, [*map(ne, g.rem, repeat(0))]
+    tails = to[:]
+    tails[0::2], tails[1::2] = to[1::2], to[0::2]  # edge e leaves to[e ^ 1]
+    return label_graph(g.n, compress(tails, live), compress(to, live), compress(g.cost, live))
 
 
 def _sink_distances(g: Residual, s: int, t: int) -> list[int]:
@@ -304,53 +305,45 @@ def max_flow(g: Residual, s: int, t: int) -> int:
         value += _blocking_flow(g, s, t, dist)
 
 
-def label_correct(g: Residual, seeds: Mapping[int, object]) -> list | None:
-    """FIFO label-correcting labels over the edges with remaining capacity.
+def label_correct(graph: list[list[tuple]], seeds: Mapping[int, object]) -> list | None:
+    """FIFO label-correcting labels over a :func:`label_graph`.
 
     Labels grow as if from an implicit root joined to each node of
     ``seeds`` at the cost it maps to; nodes no seed reaches get None, and
     a reachable negative cycle, a label walk (root edge not counted) that
     would reach ``n`` edges, makes the result None.
     """
-    n = g.n
-    to = g.to
-    rem = g.rem
-    cost = g.cost
-    adj = g.adj
-    dist: list = [None] * n
-    for v, d in seeds.items():
-        dist[v] = d
+    n = len(graph)
+    dist: list = [*map(seeds.get, range(n))]
     queue = deque(seeds)
-    queued = [d is not None for d in dist]
+    queued = [*map(seeds.__contains__, range(n))]
     walk = [0] * n
     while queue:
         u = queue.popleft()
         queued[u] = False
         base = dist[u]
         edges = walk[u] + 1
-        for e in adj[u]:
-            if rem[e] != 0:
-                v = to[e]
-                d = base + cost[e]
-                old = dist[v]
-                if old is None or d < old:
-                    if edges >= n:
-                        return None
-                    dist[v] = d
-                    walk[v] = edges
-                    if not queued[v]:
-                        queued[v] = True
-                        queue.append(v)
+        for v, w in graph[u]:
+            d = base + w
+            old = dist[v]
+            if old is None or d < old:
+                if edges >= n:
+                    return None
+                dist[v] = d
+                walk[v] = edges
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
     return dist
 
 
-def labels(g: Residual, seeds: Mapping[int, object]) -> list:
+def labels(graph: list[list[tuple]], seeds: Mapping[int, object]) -> list:
     """:func:`label_correct` for callers that have excluded negative cycles.
 
     Validation rejects networks with a negative cycle, so meeting one
     here means a solver bug: raises :class:`InternalCheckError`.
     """
-    dist = label_correct(g, seeds)
+    dist = label_correct(graph, seeds)
     if dist is None:
         raise InternalCheckError("negative cycle reached during labeling")
     return dist
@@ -434,12 +427,12 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int, pi: list[int] | None
     :func:`augment`).  The potentials ``pi``, updated in place, must give
     every edge with remaining capacity a reduced cost ``cost[e] + pi[u] -
     pi[v] >= 0``, which holds while the flow in ``g`` is a min-cost flow of
-    its value.  By default they are :func:`labels` of ``g`` with every node
-    seeded at 0, which exist exactly then; every caller that passes none
-    starts from a zero flow, so its ``cost`` is that of the whole flow.
+    its value.  By default they are :func:`labels` of ``live_label_graph(g)``
+    with every node seeded at 0, which exist exactly then; every caller that
+    passes none starts from a zero flow, so its ``cost`` is that of the whole flow.
     """
     if pi is None:
-        pi = labels(g, dict.fromkeys(range(g.n), 0))
+        pi = labels(live_label_graph(g), dict.fromkeys(range(g.n), 0))
     routed = cost = 0
     while routed < target:
         amount = augment(g, s, t, pi, target - routed)

@@ -6,8 +6,10 @@ ids), ``arcs`` (objects with ``tail``, ``head``, ``capacity``,
 missing ids mean zero).  Numeric values are integers or exact strings
 ("3/2", "1.5"); JSON floats are rejected to keep arithmetic exact.
 
-:func:`network_from_doc` parses each distinct string literal once and
-keeps ints as they are; ``Network.of`` scales them into the network's
+:func:`network_from_doc` reads a document a column at a time, checks
+each column's value types once and parses each distinct string literal
+once; only a document it rejects is walked arc by arc, to name the bad
+arc.  ``Network.of_columns`` scales the columns into the network's
 integer form, which every later stage reads and :func:`network_to_doc`
 writes back as text.
 """
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -24,25 +28,33 @@ from .network import Network
 from .rationals import as_rational, rational_str
 
 
-def _value(raw: Any, where: str, key: object, memo: dict[str, int | Fraction]) -> int | Fraction:
-    """``raw`` as an exact value: an int as it is, a string parsed once per
-    document (``memo``), to an int when whole; errors name ``where.format(key)``."""
-    if type(raw) is int:
-        return raw
-    if type(raw) is str and raw in memo:
-        return memo[raw]
+_FIELDS = (("capacity", 1), ("transit", 0), ("cost", 0))
+
+
+def _value(raw: Any, where: str, memo: dict) -> int | Fraction:
+    """``raw`` as :func:`_column` reads it; an error names ``where``."""
     try:
-        parsed = as_rational(raw)
+        return _column([raw], memo)[0]
     except (TypeError, ValueError) as exc:
-        where = where.format(key)
         if isinstance(raw, float):
             raise ValidationError(
                 f"{where}: floats are not exact; write the value as a string like \"3/2\""
             ) from None
         raise ValidationError(f"{where}: {exc}") from exc
-    if type(raw) is str:
-        memo[raw] = parsed = parsed.numerator if parsed.denominator == 1 else parsed
-    return parsed
+
+
+def _column(values: list, memo: dict) -> list:
+    """``values`` with each distinct string parsed by :func:`as_rational` once (``memo``),
+    each an int when whole; a bad one raises ``TypeError`` or ``ValueError``, naming no arc."""
+    kinds = {*map(type, values)}
+    if kinds <= {int}:
+        return values
+    if not kinds <= {int, str, Fraction}:  # no bool meets its equal int in the memo
+        values = [v if type(v) in (int, str) else as_rational(v) for v in values]
+    for raw in {*values} - memo.keys():
+        parsed = as_rational(raw) if type(raw) is str else raw
+        memo[raw] = parsed.numerator if parsed.denominator == 1 else parsed
+    return [*map(memo.__getitem__, values)]
 
 
 def network_from_doc(doc: Any) -> Network:
@@ -55,30 +67,32 @@ def network_from_doc(doc: Any) -> Network:
     raw_arcs = doc.get("arcs")
     if not isinstance(raw_arcs, list):
         raise ValidationError("'arcs' must be a list")
-    arcs, memo = [], {}
-    for k, item in enumerate(raw_arcs):
-        if not isinstance(item, dict):
-            raise ValidationError(f"arc {k} must be an object")
-        try:
-            tail = item["tail"]
-            head = item["head"]
-        except KeyError as exc:
-            raise ValidationError(f"arc {k} is missing {exc}") from exc
-        arcs.append(
-            (
-                tail,
-                head,
-                _value(item.get("capacity", 1), "arc {} capacity", k, memo),
-                _value(item.get("transit", 0), "arc {} transit", k, memo),
-                _value(item.get("cost", 0), "arc {} cost", k, memo),
-            )
+    memo: dict = {}
+    try:
+        if not all(issubclass(kind, dict) for kind in {*map(type, raw_arcs)}):
+            raise TypeError
+        tails, heads = ([*map(itemgetter(end), raw_arcs)] for end in ("tail", "head"))
+        caps, transits, costs = (
+            _column([*map(dict.get, raw_arcs, repeat(key), repeat(default))], memo)
+            for key, default in _FIELDS
         )
+    except (KeyError, TypeError, ValueError):  # walk the arcs to name the first bad one
+        for k, item in enumerate(raw_arcs):
+            if not isinstance(item, dict):
+                raise ValidationError(f"arc {k} must be an object") from None
+            try:
+                item["tail"], item["head"]
+            except KeyError as exc:
+                raise ValidationError(f"arc {k} is missing {exc}") from exc
+            for key, default in _FIELDS:
+                _value(item.get(key, default), f"arc {k} {key}", memo)
+        raise
     raw_balances = doc.get("balances", {})
     if not isinstance(raw_balances, dict):
         raise ValidationError("'balances' must be an object")
-    balances = {v: _value(b, "balance of {!r}", v, memo) for v, b in raw_balances.items()}
+    balances = {v: _value(b, f"balance of {v!r}", memo) for v, b in raw_balances.items()}
     try:
-        return Network.of(nodes, arcs, balances)
+        return Network.of_columns(nodes, tails, heads, caps, transits, costs, balances)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -4,10 +4,10 @@ A :class:`Network` is a directed graph with per-arc capacity, transit
 time and cost, plus a balance on every node: positive balances are
 supplies (the node is a source), negative balances are demands (a sink),
 zero balances are intermediate nodes.  A network stores its node ids and
-its :class:`IntegerForm`, which :meth:`Network.of` builds from values
-and every stage reads; a restriction (:meth:`Network.with_arcs`) slices
-its parent's.  :func:`validate` reports every violated invariant
-instead of aborting on the first.
+its :class:`IntegerForm`, which :meth:`Network.of_columns` builds and
+every stage reads; a restriction (:meth:`Network.with_arcs`) slices its
+parent's.  :func:`validate` reports every violated invariant instead of
+aborting on the first.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, eq
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import _kernel
@@ -87,10 +87,8 @@ class Network:
         arcs: Iterable[tuple | Arc],
         balances: Mapping[NodeId, object] | None = None,
     ) -> "Network":
-        """Build a network from ``Arc``s or tuples ``(tail, head, capacity, transit, cost)``:
-        plain ints stay ints, any other value is read by :func:`as_rational` (a
-        ``Fraction`` as it is), and each column is scaled to integers once."""
-        nodes = tuple(nodes)
+        """:meth:`of_columns` of ``Arc``s or rows ``(tail, head, capacity, transit, cost)``,
+        each value not an int read by :func:`as_rational` (a ``Fraction`` as it is)."""
         rows = [_ARC_ROW(a) if isinstance(a, Arc) else a for a in arcs]
         try:
             tails, heads, caps, transits, costs = zip(*rows, strict=True) if rows else ((),) * 5
@@ -102,28 +100,40 @@ class Network:
             rows = [(t, h, *map(_exact, v)) for t, h, *v in rows]
             tails, heads, caps, transits, costs = zip(*rows)
         bal = {v: _exact(x) for v, x in (balances or {}).items()}
-        index = {v: i for i, v in enumerate(nodes)}
+        return Network.of_columns(nodes, tails, heads, caps, transits, costs, bal)
+
+    @staticmethod
+    def of_columns(nodes, tails, heads, capacities, transits, costs, balances) -> "Network":
+        """The one builder of the integer form: arc ``k`` is entry ``k`` of each column,
+        every value and balance an int or ``Fraction``, each column scaled once.  Raises
+        ``ValueError`` on duplicate node ids, an endpoint that is no node's string id
+        (naming the first) and an unknown balance."""
+        nodes = tuple(nodes)
+        index = dict(zip(nodes, range(len(nodes))))
         if len(index) != len(nodes):
             raise ValueError("duplicate node ids")
-        strings = {*map(type, tails), *map(type, heads)} <= {str}
-        if not (strings and index.keys() >= {*tails, *heads}):  # name the first bad arc
+        named = all(isinstance(v, str) for v in nodes)
+        try:  # among string ids, an endpoint found is a string id
+            ends = tuple(map(index.__getitem__, tails)), tuple(map(index.__getitem__, heads))
+        except (KeyError, TypeError):
+            named = False
+        if not named:  # name the first bad arc
             for k, (tail, head) in enumerate(zip(tails, heads)):
                 if not isinstance(tail, str) or not isinstance(head, str):
                     end = "head" if isinstance(tail, str) else "tail"
                     raise ValueError(f"arc {k} {end} must be a string node id")
                 if tail not in index or head not in index:
                     raise ValueError(f"arc {tail}->{head} references unknown node")
-        for v in bal:
+        for v in balances:
             if v not in index:
                 raise ValueError(f"balance given for unknown node {v!r}")
-        flow_scale, flows = to_integers([*caps, *(bal.get(v, 0) for v in nodes)])
+        flow_scale, flows = to_integers([*capacities, *map(balances.get, nodes, repeat(0))])
         cost_scale, costs = to_integers(costs)
         time_scale, transits = to_integers(transits)
-        caps, balances = flows[: len(caps)], flows[len(caps) :]
+        caps, balances = flows[: len(capacities)], flows[len(capacities) :]
         sources = tuple(v for v, b in enumerate(balances) if b > 0)
         form = IntegerForm(
-            tuple(map(index.__getitem__, tails)),
-            tuple(map(index.__getitem__, heads)),
+            *ends,
             caps,
             balances,
             costs,
@@ -160,7 +170,7 @@ class Network:
         and the least transits of :func:`qmct.temporal._least_transits`."""
         return {}
 
-    def label_graph(self, column: str, reverse: bool = False) -> _kernel.Residual:
+    def label_graph(self, column: str, reverse: bool = False) -> list[list[tuple]]:
         """The arcs as a :func:`_kernel.label_graph` weighted by the integer
         form's ``column`` (``"costs"`` or ``"transits"``), each arc's ends
         swapped when ``reverse``; built once per network, on first use."""
@@ -254,30 +264,30 @@ def validate(network: Network) -> ValidationReport:
     Never raises: callers that need a hard failure inspect ``report.ok``.
     """
     violations: list[Violation] = []
+    add = violations.append
     form = network.integral  # its entries keep the signs of the rationals
-    for i, (u, v, cap, tau) in enumerate(
-        zip(form.tails, form.heads, form.capacities, form.transits)
-    ):
-        if cap > 0 and tau >= 0 and u != v:
-            continue
-        arc = network.arcs[i]
-        label = f"arc {i} ({arc.tail}->{arc.head})"
-        if cap <= 0:
-            violations.append(
-                Violation("capacity", f"{label} has non-positive capacity {arc.capacity}")
-            )
-        if tau < 0:
-            violations.append(Violation("transit", f"{label} has negative transit {arc.transit}"))
-        if u == v:
-            violations.append(Violation("self-loop", f"{label} is a self-loop"))
+    tails, heads, caps, taus = form.tails, form.heads, form.capacities, form.transits
+    # All arcs at once; the walk below runs only to word the violations.
+    if min(caps, default=1) <= 0 or min(taus, default=0) < 0 or any(map(eq, tails, heads)):
+        for i, (u, v, cap, tau) in enumerate(zip(tails, heads, caps, taus)):
+            if cap > 0 and tau >= 0 and u != v:
+                continue
+            arc = network.arcs[i]
+            label = f"arc {i} ({arc.tail}->{arc.head})"
+            if cap <= 0:
+                add(Violation("capacity", f"{label} has non-positive capacity {arc.capacity}"))
+            if tau < 0:
+                add(Violation("transit", f"{label} has negative transit {arc.transit}"))
+            if u == v:
+                add(Violation("self-loop", f"{label} is a self-loop"))
 
     total = Fraction(sum(form.balances), form.flow_scale)
     if total != 0:
-        violations.append(Violation("balance", f"balances sum to {total}, expected 0"))
+        add(Violation("balance", f"balances sum to {total}, expected 0"))
 
     # Self-loops are reported above; the label graph leaves them out.
     everywhere = dict.fromkeys(range(len(network.nodes)), 0)
     if _kernel.label_correct(network.label_graph("costs"), everywhere) is None:
-        violations.append(Violation("negative-cycle", "network contains a negative-cost cycle"))
+        add(Violation("negative-cycle", "network contains a negative-cost cycle"))
 
     return ValidationReport(tuple(violations))

@@ -4,10 +4,10 @@ All numeric quantities at the solver's interface (capacities, transit
 times, costs, balances, flow rates, horizons) are exact rationals backed
 by :class:`fractions.Fraction`; floats are rejected so that tightness
 tests (dual constraints, cheapest-path membership) compare for equality.
-:func:`to_integers` scales a network's values once, in ``Network.of``,
-the one builder of its integer form; every stage runs on those integers
-at the network's scales, and ``Fraction``s are made again only where a
-value leaves the solver.  ``generate`` also scales the balances it draws.
+:func:`to_integers` scales a network's values once, in its one builder
+``Network.of_columns``; every stage runs on those integers at the
+network's scales, and ``Fraction``s are made again only where a value
+leaves the solver.  ``generate`` also scales the balances it draws.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterable
 # parsed from text, which ``Fraction`` already applies to mantissas.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_INTEGER = re.compile(r"[-+]?[0-9]{1,18}\Z")  # ``int`` reads these as ``Fraction`` does, faster
 
 
 def _exponent_too_large(text: str) -> bool:
@@ -40,6 +41,8 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     exact representations of the decimal literals users write.
     """
     if isinstance(value, str):
+        if _INTEGER.match(value):
+            return Fraction(int(value))
         if _exponent_too_large(value):
             raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
         try:

@@ -18,15 +18,19 @@ proven lower bounds.  :func:`step_replay` is the reference schedule
 simulator, unit step by unit step in ``Fraction`` arithmetic, that
 :func:`qmct.temporal.verify_schedule` replaced by prefix sums over the
 integer form.  :func:`network_from_doc` is the reference parser: it
-turns every value of a document into its own ``Fraction``, where
-:func:`qmct.io.network_from_doc` parses each distinct literal once.
+walks a document arc by arc and turns every value into its own
+``Fraction``, where :func:`qmct.io.network_from_doc` reads it a column
+at a time, parses each distinct literal once and walks the arcs only to
+name the first bad one, which must be the one named here.
 The remaining helpers (cheapest-path subnetworks, the capacity view of
 a network and cut capacities) serve tests only.
 
 :func:`paired_label_graph` is the reference label graph: the paired
 residual graph that every label pass once built for itself, where
-:meth:`qmct.network.Network.label_graph` builds forward edges only,
-once per network.
+:meth:`qmct.network.Network.label_graph` lists the ``(head, weight)``
+pairs of the forward arcs, once per network.  Tests label it through
+:func:`qmct._kernel.live_label_graph`, as
+:func:`qmct._kernel.min_cost_flow` labels its residual graph.
 
 :func:`full_expand` is the reference time expansion, every copy that
 arrives by the horizon, which :func:`qmct.temporal.expand` replaced by
@@ -656,7 +660,7 @@ def horizon_lower_bound(network: Network) -> int:
     best = 0
     sink_best: dict[NodeId, int] = {}
     for s in sources:
-        dist = _kernel.labels(g, {idx(s): 0})
+        dist = _kernel.labels(_kernel.live_label_graph(g), {idx(s): 0})
         reachable = [dist[idx(t)] for t in sinks if dist[idx(t)] is not None]
         if not reachable:
             raise InfeasibleError(

@@ -46,7 +46,7 @@ def test_pricing_a_growth_matches_the_replaced_loop(kind, monkeypatch):
     seen = {"pricings": 0, "chained": 0, "repaired": 0, "infinite": 0}
 
     def recorded_label_correct(g, seeds):
-        passes.append(g.n)
+        passes.append(len(g))
         return label_correct(g, seeds)
 
     def checked(expansion):

@@ -5,7 +5,9 @@ admissible passes and the least transits of the time expansion) runs on
 :meth:`Network.label_graph`, forward edges only and kept with the
 network.  The differential holds each of them to the same pass on
 :func:`_brute.paired_label_graph`, the graph each pass once built for
-itself; the guard counts the builds and passes of random-wide-size solves.
+itself, turned into a label graph as :func:`qmct._kernel.min_cost_flow`
+turns its residual graph; the guard counts the builds and passes of
+random-wide-size solves.
 """
 
 from __future__ import annotations
@@ -56,9 +58,14 @@ def _networks():
         yield Network.of(net.nodes, arcs, net.balances)
 
 
+def _paired(net: Network, column: str, reverse: bool = False):
+    """The live label graph of :func:`_brute.paired_label_graph`."""
+    return _kernel.live_label_graph(paired_label_graph(net, column, reverse))
+
+
 def _pair_costs(net: Network):
     """Pair costs from the reference graph, or the error a cycle raises."""
-    g = paired_label_graph(net, "costs")
+    g = _paired(net, "costs")
     form, costs = net.integral, {}
     for s in form.sources:
         dist = _kernel.label_correct(g, {s: 0})
@@ -87,7 +94,7 @@ def test_cached_label_graphs_label_as_the_paired_reference():
         seen["negative self-loop"] += min(loops, default=0) < 0
 
         everywhere = dict.fromkeys(range(len(net.nodes)), 0)
-        cycle = _kernel.label_correct(paired_label_graph(net, "costs"), everywhere) is None
+        cycle = _kernel.label_correct(_paired(net, "costs"), everywhere) is None
         assert ("negative-cycle" in validate(net).kinds()) == cycle
         seen["negative cycle"] += cycle
 
@@ -97,10 +104,10 @@ def test_cached_label_graphs_label_as_the_paired_reference():
 
         early, late = temporal._least_transits(net)
         assert list(early) == _kernel.labels(
-            paired_label_graph(net, "transits"), dict.fromkeys(form.sources, 0)
+            _paired(net, "transits"), dict.fromkeys(form.sources, 0)
         )
         assert list(late) == _kernel.labels(
-            paired_label_graph(net, "transits", True), dict.fromkeys(form.sinks, 0)
+            _paired(net, "transits", True), dict.fromkeys(form.sinks, 0)
         )
         seen["unreached"] += None in early
 
@@ -108,8 +115,8 @@ def test_cached_label_graphs_label_as_the_paired_reference():
             continue
         dual = transport.solve(transport.build(net, costs)).dual
         extended = admissible.extend(net, dual)
-        forward = _kernel.labels(paired_label_graph(net, "costs"), extended.source_costs)
-        backward = _kernel.labels(paired_label_graph(net, "costs", True), extended.sink_costs)
+        forward = _kernel.labels(_paired(net, "costs"), extended.source_costs)
+        backward = _kernel.labels(_paired(net, "costs", True), extended.sink_costs)
         assert _kernel.labels(net.label_graph("costs"), extended.source_costs) == forward
         assert _kernel.labels(net.label_graph("costs", True), extended.sink_costs) == backward
         subnetwork = admissible.admissible_arcs(extended)
@@ -139,26 +146,23 @@ class _Recorder:
     and the graphs those passes ran on, and the probe expansions."""
 
     def __init__(self, patch: pytest.MonkeyPatch):
-        self.label_graphs: dict[int, tuple] = {}  # id(graph) -> (tails, heads, weights)
-        self.kept: list[_kernel.Residual] = []  # so that no id is reused
-        self.built: dict[int, _kernel.Residual] = {}
-        self.passes: list[tuple[_kernel.Residual, bool]] = []  # graph, inside min_cost_flow
+        # id(graph) -> (tails, heads, weights), and whether min_cost_flow built it
+        self.label_graphs: dict[int, tuple] = {}
+        self.in_min_cost_flow: dict[int, bool] = {}
+        self.kept: list[list] = []  # so that no id is reused
+        self.passes: list[tuple[list, bool]] = []  # graph, inside min_cost_flow
         self.searched: list[Network] = []
         self.probes = 0
         self._in_min_cost_flow = False
-        label_graph, build = _kernel.label_graph, _kernel.build
+        label_graph = _kernel.label_graph
         label_correct, min_cost_flow = _kernel.label_correct, _kernel.min_cost_flow
         expand, search = temporal.expand, temporal.quickest_transshipment
 
         def record_label_graph(n, tails, heads, weights):
             g = label_graph(n, tails, heads, weights)
             self.label_graphs[id(g)] = tails, heads, weights
+            self.in_min_cost_flow[id(g)] = self._in_min_cost_flow
             self.kept.append(g)
-            return g
-
-        def record_build(*args):
-            g = build(*args)
-            self.built[id(g)] = g
             return g
 
         def record_label_correct(g, seeds=None):
@@ -181,7 +185,6 @@ class _Recorder:
             return search(network, max_layers)
 
         patch.setattr(_kernel, "label_graph", record_label_graph)
-        patch.setattr(_kernel, "build", record_build)
         patch.setattr(_kernel, "label_correct", record_label_correct)
         patch.setattr(_kernel, "min_cost_flow", record_min_cost_flow)
         patch.setattr(temporal, "expand", record_expand)
@@ -200,7 +203,11 @@ def test_a_solve_builds_each_label_graph_once_and_labels_least_transits_once():
         probe_counts.append(seen.probes)
 
         # One graph per (network, weights, direction), each built once.
-        keys = [tuple(map(id, args)) for args in seen.label_graphs.values()]
+        keys = [
+            tuple(map(id, args))
+            for g, args in seen.label_graphs.items()
+            if not seen.in_min_cost_flow[g]
+        ]
         cost, transit = net.integral, restricted.integral
         assert sorted(keys) == sorted(
             [
@@ -216,8 +223,7 @@ def test_a_solve_builds_each_label_graph_once_and_labels_least_transits_once():
         transit_passes = [g for g, _ in seen.passes if weights.get(id(g)) is transit.transits]
         assert len(transit_passes) == 2 and transit_passes[0] is not transit_passes[1]
 
-        # A graph from ``_kernel.build`` is labelled only for min-cost potentials.
+        # Every pass labels a label graph; min_cost_flow labels only its own.
         for g, in_min_cost_flow in seen.passes:
-            assert (id(g) in seen.label_graphs) != in_min_cost_flow
-            assert (id(g) in seen.built) == in_min_cost_flow
+            assert seen.in_min_cost_flow[id(g)] == in_min_cost_flow
     assert min(probe_counts) >= 1 and max(probe_counts) >= 2, probe_counts

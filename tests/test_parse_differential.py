@@ -5,7 +5,9 @@ Both must return equal networks, every value a ``Fraction``, or raise the
 same error with the same message.  Values that are equal but differ in
 type (``1``, ``True``, ``1.0``) or in text (``"1"``, ``"1.0"``, ``"2/2"``)
 are drawn side by side, so a literal memo keyed by value alone shows up
-as a wrong answer or a missing error.
+as a wrong answer or a missing error.  Documents with two flaws pin which
+error is named first: the parser reads whole columns at once and walks
+the arcs one by one only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ BAD = [True, False, 1.0, 0.0, -0.5, None, [1], "x", "1/0", ""]
 
 good_st = st.one_of(st.sampled_from(GOOD), st.integers(-3, 3))
 field_st = st.sampled_from(["capacity", "transit", "cost"])
-# Each document has at most one flaw; most have none.
+# A document has at most one flaw from FLAWS, and most have none; a
+# second flaw, when drawn, is one of an arc and comes last.
 FLAWS = [None] * 6 + ["literal"] * 4 + ["ghost", "missing", "arcs", "balances", "nodes", "bare"]
+ARC_FLAWS = ["literal"] * 3 + ["missing"] * 2 + ["ghost", "object"]
 
 
 @st.composite
@@ -38,24 +42,35 @@ def arc_st(draw):
 
 
 @st.composite
-def doc_st(draw):
+def doc_st(draw, pools=(FLAWS,)):
     # A few good literals repeat many times; a flawed document may hold
     # a bad one after good copies of an equal value.
     arcs = draw(st.lists(arc_st(), min_size=1, max_size=12))
     balances = draw(st.dictionaries(st.sampled_from(NODES), good_st, max_size=4))
     doc = {"nodes": list(NODES), "arcs": arcs, "balances": balances}
-    flaw = draw(st.sampled_from(FLAWS))
-    arc = draw(st.sampled_from(arcs))
+    for pool in pools:
+        _flaw(draw, doc, draw(st.sampled_from(pool)))
+    return doc
+
+
+def _flaw(draw, doc, flaw):
+    """Give ``doc`` the flaw; after a flaw of its arcs list, no arc flaw can follow."""
+    if flaw is None or not isinstance(doc["arcs"], list):
+        return
+    arc, balances = draw(st.sampled_from(doc["arcs"])), doc.get("balances")
     if flaw == "literal":
         bad = draw(st.sampled_from(BAD))
-        if draw(st.booleans()):
+        if draw(st.booleans()) or not isinstance(balances, dict):
             arc[draw(field_st)] = bad
         else:
             balances[draw(st.sampled_from(NODES))] = bad
     elif flaw == "ghost":
         arc[draw(st.sampled_from(["tail", "head"]))] = "ghost"
+    elif flaw == "object":
+        k = draw(st.integers(0, len(doc["arcs"]) - 1))
+        doc["arcs"][k] = draw(st.sampled_from([7, None, ["a", "b"], "a->b"]))
     elif flaw == "missing":
-        del arc[draw(st.sampled_from(["tail", "head"]))]
+        arc.pop(draw(st.sampled_from(["tail", "head"])), None)
     elif flaw == "arcs":
         doc["arcs"] = "not a list"
     elif flaw == "balances":
@@ -63,8 +78,7 @@ def doc_st(draw):
     elif flaw == "nodes":
         doc["nodes"] = "abcd"
     elif flaw == "bare":
-        del doc["balances"]
-    return doc
+        doc.pop("balances", None)
 
 
 def _outcome(parse, doc):
@@ -95,6 +109,29 @@ def _assert_same(doc):
 @example({"nodes": ["a", "b"], "arcs": [], "balances": {"a": 1, "b": True}})
 @example({"nodes": ["a", "b"], "arcs": [], "balances": {"a": "1", "b": [1]}})
 def test_parsers_agree(doc):
+    _assert_same(doc)
+
+
+def _arcs(*fields):
+    """Arcs from a to b, each with its given fields."""
+    return [{"tail": "a", "head": "b", **f} for f in fields]
+
+
+@settings(max_examples=400)
+@given(doc_st((FLAWS, ARC_FLAWS)))
+# A missing end before a bad literal, and after one.
+@example({"nodes": ["a", "b"], "arcs": [*_arcs({}), {"tail": "a"}, *_arcs({}, {"cost": "x"})]})
+@example({"nodes": ["a", "b"], "arcs": [*_arcs({}, {"cost": "x"}, {}), {"tail": "a"}]})
+# ``1`` and ``True`` in one column, either first; two bad values in one arc.
+@example({"nodes": ["a", "b"], "arcs": _arcs({"transit": 1}, {"transit": True})})
+@example({"nodes": ["a", "b"], "arcs": _arcs({"capacity": True}, {"capacity": 1})})
+@example({"nodes": ["a", "b"], "arcs": _arcs({"cost": "1/0", "capacity": 1.0})})
+# A bad literal named before an unknown node of an earlier arc.
+@example({"nodes": ["a", "b"], "arcs": [{"tail": "ghost", "head": "b"}, *_arcs({"cost": None})]})
+# A bad arc after a bad balance, and a bad balance after an equal good one.
+@example({"nodes": ["a", "b"], "arcs": [7], "balances": {"a": "x"}})
+@example({"nodes": ["a", "b"], "arcs": _arcs({"cost": "1"}), "balances": {"a": "1", "b": True}})
+def test_parsers_agree_on_two_flaws(doc):
     _assert_same(doc)
 
 
