@@ -16,26 +16,26 @@ dual; the time expansion's least-transit pruning seeds the sources and,
 reversed, the sinks at 0; validation's negative-cycle test and the
 min-cost potentials seed every node at 0; the oracle's pricing seeds
 each new copy of a growth at its least π(u) + c over the edges into it
-from priced copies.  Every pass runs on a :func:`label_graph`, which
-lists per node the ``(head, weight)`` pair of each edge out of it: the
-min-cost potentials on the :func:`live_label_graph` of the flow
-problem's residual graph, the oracle's pricing on one of the new copies
-alone, and every other pass on a network's cached label graphs
-(:meth:`~qmct.network.Network.label_graph`), built once per weight
-column and direction.  It only adds and compares costs, so it is exact
-for ints and Fractions alike.  Its cycle test is the walk-length
-criterion of Cherkassky & Goldberg (*Negative-cycle detection
-algorithms*, Math. Prog. 1999).  Each label is the cost of its *label
-walk*, whose edges were relaxed one after another.  If a node ``x``
-repeats on a label walk, the later relaxation set ``x``'s label below
-what the earlier one had set, since labels only fall; so the cycle
-between the two lowered ``x``'s own label and costs less than zero.  A
-walk of ``n`` edges repeats a node, so reaching ``n`` edges proves a
-negative cycle.  Without one, label walks are simple and the test stays
-quiet; with a reachable one the labels never settle, which they would if
-all walks stayed below ``n`` edges, as those have finitely many costs.
-Counting how often a label falls is no such test: parallel arcs of
-falling negative cost lower a label many times without any cycle.
+from priced copies.  Every pass runs on a :func:`label_graph`, per node
+the ``(head, weight)`` pair of each edge out of it: the min-cost
+potentials on the :func:`flowless_label_graph` of a residual graph, the
+oracle's pricing on one of the new copies alone, and every other pass on
+a network's cached label graphs
+(:meth:`~qmct.network.Network.label_graph`), one per weight column and
+direction.  It only adds and compares costs, so it is exact for ints and
+Fractions alike.  Its cycle test is the walk-length criterion of
+Cherkassky & Goldberg (*Negative-cycle detection algorithms*, Math.
+Prog. 1999).  Each label is the cost of its *label walk*, whose edges
+were relaxed one after another.  If a node ``x`` repeats on a label
+walk, the later relaxation set ``x``'s label below what the earlier one
+had set, since labels only fall; so the cycle between the two lowered
+``x``'s own label and costs less than zero.  A walk of ``n`` edges
+repeats a node, so reaching ``n`` edges proves a negative cycle.
+Without one, label walks are simple and the test stays quiet; with a
+reachable one the labels never settle, which they would if all walks
+stayed below ``n`` edges, as those have finitely many costs.  Counting
+how often a label falls is no such test: parallel arcs of falling
+negative cost lower a label many times without any cycle.
 
 Private module.  Capacities, balances and costs are plain integers:
 callers read a network's :attr:`~qmct.network.Network.integral` form
@@ -152,12 +152,13 @@ def label_graph(n: int, tails, heads, weights) -> list[list[tuple]]:
     return graph
 
 
-def live_label_graph(g: Residual) -> list[list[tuple]]:
-    """:func:`label_graph` of ``g``'s edges with remaining capacity, weighted by cost."""
-    to, live = g.to, [*map(ne, g.rem, repeat(0))]
-    tails = to[:]
-    tails[0::2], tails[1::2] = to[1::2], to[0::2]  # edge e leaves to[e ^ 1]
-    return label_graph(g.n, compress(tails, live), compress(to, live), compress(g.cost, live))
+def flowless_label_graph(g: Residual) -> list[list[tuple]]:
+    """:func:`label_graph` of the edges with remaining capacity of a ``g`` that
+    carries no flow: its forward edges but those of capacity 0, weighted by cost."""
+    caps, columns = g.rem[0::2], (g.to[1::2], g.to[0::2], g.cost[0::2])
+    if 0 in caps:
+        columns = [compress(column, map(ne, caps, repeat(0))) for column in columns]
+    return label_graph(g.n, *columns)
 
 
 def _sink_distances(g: Residual, s: int, t: int) -> list[int]:
@@ -427,12 +428,12 @@ def min_cost_flow(g: Residual, s: int, t: int, target: int, pi: list[int] | None
     :func:`augment`).  The potentials ``pi``, updated in place, must give
     every edge with remaining capacity a reduced cost ``cost[e] + pi[u] -
     pi[v] >= 0``, which holds while the flow in ``g`` is a min-cost flow of
-    its value.  By default they are :func:`labels` of ``live_label_graph(g)``
-    with every node seeded at 0, which exist exactly then; every caller that
-    passes none starts from a zero flow, so its ``cost`` is that of the whole flow.
+    its value.  By default ``g`` must carry no flow, and they are
+    :func:`labels` of ``flowless_label_graph(g)`` with every node seeded at
+    0; so the ``cost`` of a caller that passes none is that of the whole flow.
     """
     if pi is None:
-        pi = labels(live_label_graph(g), dict.fromkeys(range(g.n), 0))
+        pi = labels(flowless_label_graph(g), dict.fromkeys(range(g.n), 0))
     routed = cost = 0
     while routed < target:
         amount = augment(g, s, t, pi, target - routed)

@@ -68,9 +68,7 @@ def network_from_doc(doc: Any) -> Network:
     if not isinstance(raw_arcs, list):
         raise ValidationError("'arcs' must be a list")
     memo: dict = {}
-    try:
-        if not all(issubclass(kind, dict) for kind in {*map(type, raw_arcs)}):
-            raise TypeError
+    try:  # dict.get raises TypeError on an arc that is no dict
         tails, heads = ([*map(itemgetter(end), raw_arcs)] for end in ("tail", "head"))
         caps, transits, costs = (
             _column([*map(dict.get, raw_arcs, repeat(key), repeat(default))], memo)
@@ -90,7 +88,10 @@ def network_from_doc(doc: Any) -> Network:
     raw_balances = doc.get("balances", {})
     if not isinstance(raw_balances, dict):
         raise ValidationError("'balances' must be an object")
-    balances = {v: _value(b, f"balance of {v!r}", memo) for v, b in raw_balances.items()}
+    try:
+        balances = dict(zip(raw_balances, _column([*raw_balances.values()], memo)))
+    except (TypeError, ValueError):  # name the first bad balance
+        balances = {v: _value(b, f"balance of {v!r}", memo) for v, b in raw_balances.items()}
     try:
         return Network.of_columns(nodes, tails, heads, caps, transits, costs, balances)
     except ValueError as exc:

@@ -104,20 +104,18 @@ class Network:
 
     @staticmethod
     def of_columns(nodes, tails, heads, capacities, transits, costs, balances) -> "Network":
-        """The one builder of the integer form: arc ``k`` is entry ``k`` of each column,
-        every value and balance an int or ``Fraction``, each column scaled once.  Raises
-        ``ValueError`` on duplicate node ids, an endpoint that is no node's string id
-        (naming the first) and an unknown balance."""
+        """The one builder of the integer form from columns of ints and ``Fraction``s (arc
+        ``k`` is entry ``k`` of each), each scaled once.  Raises ``ValueError`` on duplicate
+        node ids, an unknown balance and an endpoint that is no string node id (the first)."""
         nodes = tuple(nodes)
         index = dict(zip(nodes, range(len(nodes))))
         if len(index) != len(nodes):
             raise ValueError("duplicate node ids")
-        named = all(isinstance(v, str) for v in nodes)
         try:  # among string ids, an endpoint found is a string id
             ends = tuple(map(index.__getitem__, tails)), tuple(map(index.__getitem__, heads))
         except (KeyError, TypeError):
-            named = False
-        if not named:  # name the first bad arc
+            ends = None
+        if ends is None or not all(isinstance(v, str) for v in nodes):  # name the first bad arc
             for k, (tail, head) in enumerate(zip(tails, heads)):
                 if not isinstance(tail, str) or not isinstance(head, str):
                     end = "head" if isinstance(tail, str) else "tail"
@@ -165,9 +163,9 @@ class Network:
 
     @cached_property
     def label_cache(self) -> dict:
-        """What depends only on this network and its label passes, each entry
-        made on first use: every :meth:`label_graph` by ``(column, reverse)``,
-        and the least transits of :func:`qmct.temporal._least_transits`."""
+        """What depends only on this network and its label passes, each entry made on first
+        use: every :meth:`label_graph` by ``(column, reverse)``, the least transits of
+        :func:`qmct.temporal._least_transits` and the :func:`validate` report."""
         return {}
 
     def label_graph(self, column: str, reverse: bool = False) -> list[list[tuple]]:
@@ -259,35 +257,38 @@ def path_transit(network: Network, path: Path) -> Fraction:
 
 
 def validate(network: Network) -> ValidationReport:
-    """Check every structural invariant and report all violations.
+    """Check every structural invariant and report all violations, once per network.
 
     Never raises: callers that need a hard failure inspect ``report.ok``.
     """
+    if (report := network.label_cache.get("validate")) is not None:
+        return report
     violations: list[Violation] = []
-    add = violations.append
     form = network.integral  # its entries keep the signs of the rationals
     tails, heads, caps, taus = form.tails, form.heads, form.capacities, form.transits
     # All arcs at once; the walk below runs only to word the violations.
-    if min(caps, default=1) <= 0 or min(taus, default=0) < 0 or any(map(eq, tails, heads)):
-        for i, (u, v, cap, tau) in enumerate(zip(tails, heads, caps, taus)):
-            if cap > 0 and tau >= 0 and u != v:
-                continue
-            arc = network.arcs[i]
-            label = f"arc {i} ({arc.tail}->{arc.head})"
-            if cap <= 0:
-                add(Violation("capacity", f"{label} has non-positive capacity {arc.capacity}"))
-            if tau < 0:
-                add(Violation("transit", f"{label} has negative transit {arc.transit}"))
-            if u == v:
-                add(Violation("self-loop", f"{label} is a self-loop"))
+    bad = min(caps, default=1) <= 0 or min(taus, default=0) < 0 or any(map(eq, tails, heads))
+    for i, (u, v, cap, tau) in enumerate(zip(tails, heads, caps, taus) if bad else ()):
+        if cap > 0 and tau >= 0 and u != v:
+            continue
+        arc = network.arcs[i]
+        label = f"arc {i} ({arc.tail}->{arc.head})"
+        if cap <= 0:
+            violations.append(
+                Violation("capacity", f"{label} has non-positive capacity {arc.capacity}")
+            )
+        if tau < 0:
+            violations.append(Violation("transit", f"{label} has negative transit {arc.transit}"))
+        if u == v:
+            violations.append(Violation("self-loop", f"{label} is a self-loop"))
 
     total = Fraction(sum(form.balances), form.flow_scale)
     if total != 0:
-        add(Violation("balance", f"balances sum to {total}, expected 0"))
+        violations.append(Violation("balance", f"balances sum to {total}, expected 0"))
 
     # Self-loops are reported above; the label graph leaves them out.
     everywhere = dict.fromkeys(range(len(network.nodes)), 0)
     if _kernel.label_correct(network.label_graph("costs"), everywhere) is None:
-        add(Violation("negative-cycle", "network contains a negative-cost cycle"))
+        violations.append(Violation("negative-cycle", "network contains a negative-cost cycle"))
 
-    return ValidationReport(tuple(violations))
+    return network.label_cache.setdefault("validate", ValidationReport(tuple(violations)))

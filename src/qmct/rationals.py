@@ -22,7 +22,6 @@ from typing import Iterable
 # parsed from text, which ``Fraction`` already applies to mantissas.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-_INTEGER = re.compile(r"[-+]?[0-9]{1,18}\Z")  # ``int`` reads these as ``Fraction`` does, faster
 
 
 def _exponent_too_large(text: str) -> bool:
@@ -41,8 +40,6 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     exact representations of the decimal literals users write.
     """
     if isinstance(value, str):
-        if _INTEGER.match(value):
-            return Fraction(int(value))
         if _exponent_too_large(value):
             raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
         try:

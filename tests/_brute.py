@@ -29,8 +29,9 @@ a network and cut capacities) serve tests only.
 residual graph that every label pass once built for itself, where
 :meth:`qmct.network.Network.label_graph` lists the ``(head, weight)``
 pairs of the forward arcs, once per network.  Tests label it through
-:func:`qmct._kernel.live_label_graph`, as
-:func:`qmct._kernel.min_cost_flow` labels its residual graph.
+:func:`qmct._kernel.flowless_label_graph`, as
+:func:`qmct._kernel.min_cost_flow` labels its residual graph before
+any flow.
 
 :func:`full_expand` is the reference time expansion, every copy that
 arrives by the horizon, which :func:`qmct.temporal.expand` replaced by
@@ -660,7 +661,7 @@ def horizon_lower_bound(network: Network) -> int:
     best = 0
     sink_best: dict[NodeId, int] = {}
     for s in sources:
-        dist = _kernel.labels(_kernel.live_label_graph(g), {idx(s): 0})
+        dist = _kernel.labels(_kernel.flowless_label_graph(g), {idx(s): 0})
         reachable = [dist[idx(t)] for t in sinks if dist[idx(t)] is not None]
         if not reachable:
             raise InfeasibleError(

@@ -114,7 +114,7 @@ def test_zero_cost_optimum_on_extended_network(demo_variant_a):
     heads = [*form.heads, *extended.source_costs, *(n + 1 for _ in extended.sink_costs)]
     costs = [*form.costs, *extended.source_costs.values(), *extended.sink_costs.values()]
     g = _kernel.build(n + 2, tails, heads, [None] * len(costs), costs)
-    assert _kernel.labels(_kernel.live_label_graph(g), {n: 0})[n + 1] == 0
+    assert _kernel.labels(_kernel.flowless_label_graph(g), {n: 0})[n + 1] == 0
 
 
 def test_path_equivalence_on_generated_instances():

@@ -166,7 +166,7 @@ def test_labels_leave_self_loops_out():
 
 
 def test_labels_raise_on_reachable_negative_cycle():
-    from qmct._kernel import build, labels, live_label_graph
+    from qmct._kernel import build, flowless_label_graph, labels
     from qmct.errors import InternalCheckError
 
     net = Network.of(
@@ -178,4 +178,4 @@ def test_labels_raise_on_reachable_negative_cycle():
         cheapest_from(net, "a")
     g = build(3, [0, 1, 2], [1, 2, 1], [None] * 3, [Fraction(1), Fraction(-2), Fraction(1)])
     with pytest.raises(InternalCheckError):
-        labels(live_label_graph(g), {0: 0})
+        labels(flowless_label_graph(g), {0: 0})

@@ -124,7 +124,7 @@ def _fraction_labels(arcs, n, start):
     """Labels from ``start`` on Fraction costs, as every label pass computed them before."""
     tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
     g = _kernel.build(n, tails, heads, [None] * len(costs), costs)
-    return _kernel.labels(_kernel.live_label_graph(g), {start: 0})
+    return _kernel.labels(_kernel.flowless_label_graph(g), {start: 0})
 
 
 def _fraction_arcs(net, reverse=False):

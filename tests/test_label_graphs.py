@@ -59,8 +59,8 @@ def _networks():
 
 
 def _paired(net: Network, column: str, reverse: bool = False):
-    """The live label graph of :func:`_brute.paired_label_graph`."""
-    return _kernel.live_label_graph(paired_label_graph(net, column, reverse))
+    """The flowless label graph of :func:`_brute.paired_label_graph`."""
+    return _kernel.flowless_label_graph(paired_label_graph(net, column, reverse))
 
 
 def _pair_costs(net: Network):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmct._kernel import build, label_correct, live_label_graph
+from qmct._kernel import build, flowless_label_graph, label_correct
 from qmct.network import Network, validate
 
 nx = pytest.importorskip("networkx")
@@ -51,7 +51,7 @@ def _graph(n, arcs):
     """One uncapacitated edge per ``(tail, head, cost)`` arc, as the label
     graph that :func:`~qmct._kernel.min_cost_flow` labels."""
     tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
-    return live_label_graph(build(n, tails, heads, [None] * len(costs), costs))
+    return flowless_label_graph(build(n, tails, heads, [None] * len(costs), costs))
 
 
 def _networkx(n, arcs):

@@ -84,6 +84,18 @@ def test_violation_details_are_pinned():
     ]
 
 
+def test_validate_reports_once_per_network(demo, monkeypatch):
+    # The pipeline validates a network before each stage; repeats reuse the report.
+    from qmct import _kernel
+
+    first = validate(demo)
+    passes = []
+    monkeypatch.setattr(_kernel, "label_correct", lambda g, seeds: passes.append(g) or seeds)
+    assert validate(demo) is first and not passes
+    restricted = demo.with_arcs(range(len(demo.arcs)))
+    assert validate(restricted) == first and len(passes) == 1
+
+
 def test_path_cost_and_transit(demo):
     cheap = Path((A_S2V, A_VT1))
     assert path_cost(demo, cheap) == 1
