@@ -6,6 +6,9 @@ source); min-cost flow is successive shortest paths with potentials,
 and reports the cost of the flow it pushes from those potentials.  It
 continues a min-cost flow already in the graph when the caller passes
 potentials for it, as :class:`qmct.oracle._GrowingExpansion` does.
+:func:`wired` joins a super source and sink to every static flow
+problem's arcs: transportation, subset paths, the oracle's static
+optimum and ``generate``'s routability projection.
 
 :func:`label_correct` is the solver's one label-correcting routine, and
 every pass of it starts from *seeds*: starting labels of chosen nodes,
@@ -19,8 +22,8 @@ each new copy of a growth at its least π(u) + c over the edges into it
 from priced copies.  Every pass runs on a :func:`label_graph`, per node
 the ``(head, weight)`` pair of each edge out of it: the min-cost
 potentials on the :func:`flowless_label_graph` of a residual graph, the
-oracle's pricing on one of the new copies alone, and every other pass on
-a network's cached label graphs
+oracle's pricing on one of a layer's transit-0 arcs, built once, and
+every other pass on a network's cached label graphs
 (:meth:`~qmct.network.Network.label_graph`), one per weight column and
 direction.  It only adds and compares costs, so it is exact for ints and
 Fractions alike.  Its cycle test is the walk-length criterion of
@@ -140,6 +143,17 @@ def build(n: int, tails, heads, caps, costs=None) -> Residual:
     g = Residual(n)
     g.add_arcs(tails, heads, caps, costs)
     return g
+
+
+def wired(n: int, tails, heads, caps, costs, feeds: Mapping, drains: Mapping) -> Residual:
+    """:func:`build` of ``n`` nodes' arcs, then cost-0 arcs from a super source ``n``
+    into each node of ``feeds`` and from each node of ``drains`` into a super sink
+    ``n + 1``, each of the capacity its node maps to."""
+    tails = [*tails, *repeat(n, len(feeds)), *drains]
+    heads = [*heads, *feeds, *repeat(n + 1, len(drains))]
+    caps = [*caps, *feeds.values(), *drains.values()]
+    costs = None if costs is None else [*costs, *repeat(0, len(feeds) + len(drains))]
+    return build(n + 2, tails, heads, caps, costs)
 
 
 def label_graph(n: int, tails, heads, weights) -> list[list[tuple]]:

@@ -122,12 +122,8 @@ def generate(
                 pair_heads.append(k_src + j)
     n = k_src + k_snk
     scale, caps = to_integers(wanted)
-    g = _kernel.build(
-        n + 2,
-        [*pair_tails, *[n] * k_src, *range(k_src, n)],
-        [*pair_heads, *range(k_src), *[n + 1] * k_snk],
-        [*[None] * len(pair_tails), *caps],
-    )
+    feeds, drains = dict(zip(range(k_src), caps)), dict(zip(range(k_src, n), caps[k_src:]))
+    g = _kernel.wired(n, pair_tails, pair_heads, [None] * len(pair_tails), None, feeds, drains)
     _kernel.max_flow(g, n, n + 1)
     flows = g.rem[2 * len(pair_tails) + 1 :: 2]
 

@@ -23,7 +23,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
-from .errors import ValidationError
+from .errors import InternalCheckError, ValidationError
 from .network import Network
 from .rationals import as_rational, rational_str
 
@@ -83,8 +83,10 @@ def network_from_doc(doc: Any) -> Network:
             except KeyError as exc:
                 raise ValidationError(f"arc {k} is missing {exc}") from exc
             for key, default in _FIELDS:
-                _value(item.get(key, default), f"arc {k} {key}", memo)
-        raise
+                _value(dict.get(item, key, default), f"arc {k} {key}", memo)
+        # The walk reads each value as the column read does, and a column fails
+        # in ``_column`` only where one of its values fails alone.
+        raise InternalCheckError("a column of the arcs failed but none of its values")
     raw_balances = doc.get("balances", {})
     if not isinstance(raw_balances, dict):
         raise ValidationError("'balances' must be an object")

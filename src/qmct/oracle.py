@@ -73,15 +73,9 @@ def _static_optimum(network: Network) -> Fraction:
     in :func:`quickest_mincost`).
     """
     form = network.integral
-    n = len(network.nodes)
-    sources, sinks = form.sources, form.sinks
-    g = _kernel.build(
-        n + 2,
-        [*form.tails, *[n] * len(sources), *sinks],
-        [*form.heads, *sources, *[n + 1] * len(sinks)],
-        [*[None] * len(form.tails), *(abs(form.balances[v]) for v in (*sources, *sinks))],
-        [*form.costs, *[0] * (len(sources) + len(sinks))],
-    )
+    n, b, uncapped = len(network.nodes), form.balances, [None] * len(form.tails)
+    feeds, drains = {s: b[s] for s in form.sources}, {t: -b[t] for t in form.sinks}
+    g = _kernel.wired(n, form.tails, form.heads, uncapped, form.costs, feeds, drains)
     routed, cost, _ = _kernel.min_cost_flow(g, n, n + 1, form.supply)
     if routed < form.supply:
         raise too_small(horizon_upper_bound(network), form.supply - routed, form.flow_scale)
@@ -192,7 +186,8 @@ class _GrowingExpansion:
     edges u → w makes every edge into a new copy non-negative.  These are
     cheapest-path labels, from one seeded :func:`~qmct._kernel.label_correct`
     pass over the new copies' edges among themselves with each copy seeded
-    at its least π(u) + c from a priced copy u; the edges form no negative
+    at its least π(u) + c from a priced copy u.  The edges among a growth's
+    copies are the copies of the transit-0 arcs; they form no negative
     cycle, as the network has none.  A copy that no edge from a priced node
     reaches keeps π = ∞: no edge can enter it later, since later growths
     only add arcs out of its layer and flow never reaches it, so no search
@@ -218,6 +213,11 @@ class _GrowingExpansion:
         self.heads = [form.heads[a] for a in order]
         self.arc_caps = [form.capacities[a] for a in order]
         self.arc_costs = [form.costs[a] for a in order]
+        # The copies of the transit-0 arcs, the only edges among one growth's new copies.
+        still = bisect_right(self.transits, 0)
+        self.layer = _kernel.label_graph(
+            self.n, self.tail_shift[:still], self.heads[:still], self.arc_costs[:still]
+        )
         # Sink t's collector, in ``form.sinks`` order; layer 0 starts after them.
         self.collectors = range(2, 2 + len(form.sinks))
         # Each arc's capacity in the graph, for min_cost's resets and repairs.
@@ -288,13 +288,14 @@ class _GrowingExpansion:
         return Fraction(self.cost, form.flow_scale * form.cost_scale)
 
     def _reprice_growth(self) -> None:
-        """Price the copies grown since the potentials were set, then make
+        """Price the layer grown since the potentials were set, then make
         every negative arc into a collector non-negative.
 
-        The pricing is the seeded label pass of the class docstring, on a
-        label graph of the new copies alone, so it allocates nothing per
-        priced copy.  The negative arcs are masked (given no capacity; none
-        carries flow yet) and then repaired one at a time.  For e = (t, q)
+        The pricing is the seeded label pass of the class docstring, on the
+        label graph of one layer's transit-0 arcs that the expansion builds
+        once; the residual edges into the layer from priced copies seed it.
+        The negative arcs are masked (given no capacity; none carries flow
+        yet) and then repaired one at a time.  For e = (t, q)
         → c_t with δ = π(c_t) − π(t, q) > 0, :func:`_kernel.reprice`
         searches from c_t for (t, q), stopped at distance δ; the edges it
         may scan, all but the masked ones, keep reduced costs >= 0 (proof
@@ -320,22 +321,18 @@ class _GrowingExpansion:
         the last repair every residual edge has reduced cost >= 0.
         """
         g, pi, priced = self.graph, self.pi, len(self.pi)
+        if g.n - priced != self.n:
+            raise InternalCheckError("potentials must be set before every growth")
         to, rem, cost = g.to, g.rem, g.cost
         new = range(self.priced, len(to), 2)
         seeds: dict[int, int] = {}  # least π(u) + c into each new copy from a priced u
-        tails, heads, weights = [], [], []  # the new copies' edges among themselves
         for e in new:
             v, u = to[e] - priced, to[e ^ 1]
-            if v < 0 or rem[e] == 0:
+            if v < 0 or u >= priced or rem[e] == 0:  # rem None: uncapacitated
                 continue
-            if u >= priced:
-                tails.append(u - priced)
-                heads.append(v)
-                weights.append(cost[e])
-            elif (d := pi[u] + cost[e]) < seeds.get(v, _kernel.INF):
+            if (d := pi[u] + cost[e]) < seeds.get(v, _kernel.INF):
                 seeds[v] = d
-        copies = _kernel.label_graph(g.n - priced, tails, heads, weights)
-        pi += [_kernel.INF if d is None else d for d in _kernel.labels(copies, seeds)]
+        pi += [_kernel.INF if d is None else d for d in _kernel.labels(self.layer, seeds)]
         negative = [e for e in new if to[e] < priced and pi[to[e ^ 1]] < pi[to[e]]]
         for e in negative:
             rem[e] = 0

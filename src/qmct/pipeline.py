@@ -7,6 +7,8 @@ search restricted to the subnetwork.  Every report carries the outcome
 of the built-in verification checks: schedule validity, cost agreement
 with the transportation optimum, and admissibility of the routed paths,
 certified by complementary slackness on the arcs the schedule uses.
+One frame guards, validates, times and verifies every report mode; each
+``solve_*`` function gives it only its own mode's work.
 """
 
 from __future__ import annotations
@@ -174,32 +176,48 @@ def check_admissible_routing(run: AlgorithmRun) -> bool:
     return True
 
 
+class _Frame:
+    """Every report mode's frame: made before the mode's work, it guards
+    ``max_layers`` and validates; :meth:`close` times the work and verifies it."""
+
+    def __init__(self, network: Network, max_layers: int | None):
+        layer_guard(0, max_layers)
+        self.network, self.started = network, time.perf_counter()
+        validate_or_raise(network)
+
+    def close(self, mode, schedule=None, subnetwork=None, optimum=None, **checks) -> SolveReport:
+        """The report of the mode's work, its own ``checks`` (functions of no
+        argument) last.  A schedule gives it its cost, ``schedule_valid`` from
+        :func:`temporal.verify_schedule`, ``cost_equals_transport_optimum`` with
+        a transportation ``optimum``, and a ``verify`` time; else its cost is ``optimum``."""
+        solved = time.perf_counter()
+        report = SolveReport(mode, optimum, 1, subnetwork, schedule, optimum)
+        report.timing["solve"] = solved - self.started
+        if schedule is not None:
+            verification = temporal.verify_schedule(self.network, schedule)
+            report.cost, report.scale = verification.cost, self.network.integral.time_scale
+            report.checks["schedule_valid"] = verification.ok
+            if optimum is not None:
+                report.checks["cost_equals_transport_optimum"] = verification.cost == optimum
+        report.checks.update((name, check()) for name, check in checks.items())
+        if schedule is not None:
+            report.timing["verify"] = time.perf_counter() - solved
+        return report
+
+
 def solve_quickest_mincost(network: Network, max_layers: int | None = None) -> SolveReport:
     """Minimum-cost transshipment over time with the least possible horizon.
 
     A negative ``max_layers`` raises :class:`ValueError` before any work.
     """
-    layer_guard(0, max_layers)
-    started = time.perf_counter()
-    validate_or_raise(network)
+    frame = _Frame(network, max_layers)
     run = run_quickest_mincost(network, max_layers)
-    solved = time.perf_counter()
-    verification = temporal.verify_schedule(network, run.schedule)
-    checks = {
-        "schedule_valid": verification.ok,
-        "cost_equals_transport_optimum": verification.cost == run.solution.optimum,
-        "routing_admissible": check_admissible_routing(run),
-    }
-    done = time.perf_counter()
-    return SolveReport(
-        mode=MODE_QUICKEST_MINCOST,
-        cost=verification.cost,
-        scale=network.integral.time_scale,
-        subnetwork=run.arc_map,
+    return frame.close(
+        MODE_QUICKEST_MINCOST,
         schedule=run.schedule,
-        transport_optimum=run.solution.optimum,
-        checks=checks,
-        timing={"solve": solved - started, "verify": done - solved},
+        subnetwork=run.arc_map,
+        optimum=run.solution.optimum,
+        routing_admissible=lambda: check_admissible_routing(run),
     )
 
 
@@ -208,42 +226,17 @@ def solve_quickest(network: Network, max_layers: int | None = None) -> SolveRepo
 
     A negative ``max_layers`` raises :class:`ValueError` before any work.
     """
-    layer_guard(0, max_layers)
-    started = time.perf_counter()
-    validate_or_raise(network)
+    frame = _Frame(network, max_layers)
     quickest = temporal.quickest_transshipment(network, max_layers=max_layers)
-    solved = time.perf_counter()
-    verification = temporal.verify_schedule(network, quickest.schedule)
-    done = time.perf_counter()
-    return SolveReport(
-        mode=MODE_QUICKEST,
-        cost=verification.cost,
-        scale=network.integral.time_scale,
-        subnetwork=None,
-        schedule=quickest.schedule,
-        transport_optimum=None,
-        checks={"schedule_valid": verification.ok},
-        timing={"solve": solved - started, "verify": done - solved},
-    )
+    return frame.close(MODE_QUICKEST, quickest.schedule)
 
 
 def solve_mincost_static(network: Network) -> SolveReport:
     """Transportation stage only: the minimum cost over all horizons."""
-    started = time.perf_counter()
-    validate_or_raise(network)
-    instance = transport.build(network, cheapest.pair_costs(network))
-    solution = transport.solve(instance)
-    done = time.perf_counter()
-    return SolveReport(
-        mode=MODE_MINCOST_STATIC,
-        cost=solution.optimum,
-        scale=1,
-        subnetwork=None,
-        schedule=None,
-        transport_optimum=solution.optimum,
-        checks={"transport_certified": True},
-        timing={"solve": done - started},
-    )
+    frame = _Frame(network, None)
+    optimum = transport.solve(transport.build(network, cheapest.pair_costs(network))).optimum
+    # transport.solve raises unless its dual certifies the optimum.
+    return frame.close(MODE_MINCOST_STATIC, optimum=optimum, transport_certified=lambda: True)
 
 
 def oracle_quickest_mincost(

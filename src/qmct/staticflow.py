@@ -8,6 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InternalCheckError
+
 
 def decompose(
     problem, values: Sequence[Fraction | int]
@@ -69,8 +71,8 @@ def decompose(
                 paths.append((tuple(walk), amount))
                 break
             arc = next_arc(v)
-            if arc is None:
-                raise ValueError("flow does not satisfy conservation; cannot decompose")
+            if arc is None:  # the start has flow out; any other v has flow in and net[v] >= 0
+                raise InternalCheckError(f"decompose: no flow leaves node {v} of a walk")
             w = problem.heads[arc]
             if w in position:
                 k = position[w]

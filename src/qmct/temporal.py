@@ -295,16 +295,9 @@ def subset_paths(
     while :func:`_kernel.reprice` keeps π(super source) at 0.
     """
     form, n = network.integral, len(network.nodes)
-    starts = [s for s in form.sources if s in subset]
-    ends = [t for t in form.sinks if t not in subset]
-    extra = len(starts) + len(ends)
-    g = _kernel.build(
-        n + 2,
-        [*form.tails, *[n] * len(starts), *ends],
-        [*form.heads, *starts, *[n + 1] * len(ends)],
-        [*form.capacities, *[None] * extra],
-        [*form.transits, *[0] * extra],
-    )
+    feeds = dict.fromkeys(s for s in form.sources if s in subset)
+    drains = dict.fromkeys(t for t in form.sinks if t not in subset)
+    g = _kernel.wired(n, form.tails, form.heads, form.capacities, form.transits, feeds, drains)
     pi = [0] * (n + 2)
     paths: list[tuple[int, int]] = []
     flow = weighted = 0

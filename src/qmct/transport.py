@@ -103,13 +103,10 @@ def solve(instance: TransportationInstance) -> TransportSolution:
 
     position = {v: k for k, v in enumerate(terminals)}
     m = len(instance.pairs)
-    g = _kernel.build(
-        n + 2,
-        [*(position[s] for s, _ in instance.pairs), *[n] * p, *range(p, n)],
-        [*(position[t] for _, t in instance.pairs), *range(p), *[n + 1] * (n - p)],
-        [*[None] * m, *amounts],
-        [*instance.costs, *[0] * n],
-    )
+    tails = [position[s] for s, _ in instance.pairs]
+    heads = [position[t] for _, t in instance.pairs]
+    feeds, drains = dict(zip(range(p), amounts)), dict(zip(range(p, n), amounts[p:]))
+    g = _kernel.wired(n, tails, heads, [None] * m, instance.costs, feeds, drains)
     total = form.supply
     routed, _, pi = _kernel.min_cost_flow(g, n, n + 1, total)
     if routed < total:

@@ -35,7 +35,7 @@ def _run(capsys, argv):
 
 
 def test_solve_default_mode_json(capsys, demo_file):
-    code, out,mplerr = _run(capsys, ["solve", demo_file])
+    code, out, _ = _run(capsys, ["solve", demo_file])
     assert code == 0
     doc = json.loads(out)
     assert doc["mode"] == "quickest-mincost"

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import _brute
 from qmct import io
+from qmct.errors import ValidationError
 
 NODES = ["a", "b", "c", "d"]
 GOOD = ["1", "1.0", "2/2", "-0", "0", "3/2", "-1", " 2 ", "0.5", 1, 0, -2, 3, Fraction(3, 2)]
@@ -150,3 +151,18 @@ def test_a_bad_literal_after_good_copies_of_it_is_rejected(good, bad, message):
     doc = {"nodes": ["a", "b"], "arcs": arcs, "balances": {"a": good, "b": f"-{good}"}}
     assert _outcome(io.network_from_doc, doc)[1] == message
     _assert_same(doc)
+
+
+class _Masked(dict):
+    """An arc whose own ``get`` hides every stored value."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def test_the_arc_walk_reads_each_value_as_the_column_read_does():
+    # The column read takes each value by ``dict.get``.  A walk by the arc's
+    # own ``get`` would pass this arc and leave the bad cost unnamed.
+    doc = {"nodes": ["a", "b"], "arcs": [_Masked(tail="a", head="b", cost="x")]}
+    with pytest.raises(ValidationError, match="^arc 0 cost: not a valid rational literal: 'x'$"):
+        io.network_from_doc(doc)

@@ -163,6 +163,51 @@ def test_build_matches_per_arc_add():
         ), trial
 
 
+def test_wired_matches_build_on_the_explicit_columns():
+    # Base arcs or none, costs or none, empty feeds or drains, and terminal
+    # capacities of None and of ints must all be drawn.
+    rng = random.Random(23)
+    covered = set()
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        m = rng.choice([0, rng.randint(1, 8)])
+        tails = [rng.randrange(n) for _ in range(m)]
+        heads = [rng.randrange(n) for _ in range(m)]
+        caps = [rng.choice([None, 1, 4]) for _ in range(m)]
+        costs = [rng.randint(-3, 3) for _ in range(m)] if trial % 2 else None
+        picked = rng.sample(range(n), rng.randint(0, n))
+        cut = rng.randint(0, len(picked))
+        feeds = {v: rng.choice([None, 2, 5]) for v in picked[:cut]}
+        drains = {v: rng.choice([None, 3]) for v in picked[cut:]}
+        g = _kernel.wired(n, tails, heads, caps, costs, feeds, drains)
+        expected = _kernel.build(
+            n + 2,
+            tails + [n] * len(feeds) + list(drains),
+            heads + list(feeds) + [n + 1] * len(drains),
+            caps + list(feeds.values()) + list(drains.values()),
+            None if costs is None else costs + [0] * (len(feeds) + len(drains)),
+        )
+        assert g.n == expected.n == n + 2
+        assert (g.to, g.rem, g.cost, g.adj) == (
+            expected.to,
+            expected.rem,
+            expected.cost,
+            expected.adj,
+        ), trial
+        ends = [*feeds.values(), *drains.values()]
+        drawn = {
+            "no base arcs": m == 0,
+            "costs": costs is not None,
+            "no costs": costs is None,
+            "no feeds": not feeds,
+            "no drains": not drains,
+            "None capacity": None in ends,
+            "int capacity": any(cap is not None for cap in ends),
+        }
+        covered |= {name for name, hit in drawn.items() if hit}
+    assert covered == set(drawn)
+
+
 def test_fractional_capacities_exact():
     problem = FlowProblem.of(2, [(0, 1, "3/2"), (0, 1, "1/3")])
     assert max_flow(problem, 0, 1).value == Fraction(11, 6)
