@@ -20,6 +20,16 @@ from .rationals import to_integers
 DENSITY = 0.55
 
 
+def _below(bits, n: int) -> int:
+    """A draw in [0, n) from ``bits`` (a ``getrandbits``), by ``Random.randrange``'s rule:
+    draw ``n.bit_length()`` bits until the number is below ``n``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _reachable_from(adj: list[list[int]], start: int) -> set[int]:
     seen = {start}
     queue = deque([start])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmct.cheapest import pair_costs
-from qmct.generate import generate
+from qmct.generate import _below, generate
 from qmct.io import network_to_doc
 from qmct.network import validate
 from qmct.transport import build, solve
@@ -124,3 +124,44 @@ def test_generated_instances_match_golden_digest(name):
         doc = network_to_doc(generate(seed, **options))
         digest.update(json.dumps(doc, sort_keys=True).encode())
     assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1802, 2**40 + 3])
+def test_draws_follow_randrange_value_for_value(seed):
+    # ``generate`` draws every bounded integer through ``_below``; if a
+    # CPython release changes how ``randrange`` consumes the Mersenne
+    # Twister, this fails before the digests below do, and says why.
+    bounds = [1, 2, 3, 5, 6, 10, 11, 60, 2**31 - 1]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        for n in bounds:
+            assert _below(ours.getrandbits, n) == theirs.randrange(n), n
+            assert 4 + _below(ours.getrandbits, n) == theirs.randint(4, 4 + n - 1), n
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_the_digests_exercise_both_repairs(monkeypatch):
+    # A source that reaches no sink gets an arc to ``rng.choice(sinks)``;
+    # a sink that no source reaches gets one from ``rng.choice(sources)``.
+    # ``sample`` draws the sources first, so the list a ``choice`` reads
+    # tells the two repairs apart.
+    repairs = []
+
+    class Recording(random.Random):
+        def sample(self, population, k, **kwargs):
+            self.picked = super().sample(population, k, **kwargs)
+            return self.picked
+
+        def choice(self, seq):
+            from_sources = {*seq} == {*self.picked[: len(seq)]}
+            repairs.append("sink reached by no source" if from_sources else "source reaches no sink")
+            return super().choice(seq)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    counts = {}
+    for name in ("default", "oracle-crosscheck"):
+        repairs.clear()
+        for seed in range(150):
+            generate(seed, **GOLDEN_DIGESTS[name][0])
+        counts[name] = (repairs.count("source reaches no sink"), repairs.count("sink reached by no source"))
+    assert counts == {"default": (110, 39), "oracle-crosscheck": (51, 21)}

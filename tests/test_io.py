@@ -1,8 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from qmct.errors import ValidationError
+from qmct.generate import generate
 from qmct.io import (
     load_instance,
     network_from_doc,
@@ -11,6 +14,7 @@ from qmct.io import (
     save_instance,
     schedule_to_doc,
 )
+from qmct.network import Network
 from qmct.pipeline import solve_quickest_mincost
 
 
@@ -133,3 +137,33 @@ def test_schedule_doc_lists_intervals(demo_variant_a):
     assert all(isinstance(k, str) for k in doc)
     total = sum(len(v) for v in doc.values())
     assert total >= 1
+
+
+def _documented_networks():
+    """100 generated networks, most with half-integral balances, and 25 with their arcs'
+    capacities, transits and costs made rational, so that all three scales exceed 1."""
+    for seed in range(100):
+        net = generate(seed, half_balance_prob=0.9)
+        yield net
+        if seed % 4 == 0:
+            arcs = [
+                (a.tail, a.head, a.capacity + Fraction(k % 3 + 1, 3),
+                 a.transit + Fraction(1, 2 + k % 2), a.cost - Fraction(k % 5 + 1, 5))
+                for k, a in enumerate(net.arcs)
+            ]
+            rational = Network.of(net.nodes, arcs, net.balances)
+            form = rational.integral
+            assert min(form.flow_scale, form.time_scale, form.cost_scale) > 1, seed
+            yield rational
+
+
+def test_network_to_doc_matches_golden_digest():
+    digest = hashlib.sha256()
+    for net in _documented_networks():
+        digest.update(json.dumps(network_to_doc(net), sort_keys=True).encode())
+    assert digest.hexdigest() == "966461f093d2c21b6592582a32c512f36ac05041f33a0ff30a68f094b26237ec"
+
+
+def test_doc_round_trips_the_integer_form():
+    for net in _documented_networks():
+        assert network_from_doc(network_to_doc(net)).integral == net.integral
