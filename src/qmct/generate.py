@@ -9,7 +9,6 @@ terminals that end up with nothing are demoted to intermediate nodes.
 from __future__ import annotations
 
 import random
-from collections import deque
 from fractions import Fraction
 
 from . import _kernel
@@ -30,15 +29,13 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _reachable_from(adj: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
+def _reach(adj: list[list[int]], seen: set[int], start: int) -> set[int]:
+    """``seen`` grown by the nodes reachable from ``start``.  ``seen`` is empty, or a
+    reachable set that only a new arc into ``start`` has left open."""
+    todo = set() if start in seen else {start}
+    while todo:
+        seen |= todo
+        todo = {v for u in todo for v in adj[u]} - seen
     return seen
 
 
@@ -53,6 +50,13 @@ def generate(
     negative_costs: bool = False,
 ) -> Network:
     """Generate a valid, routable instance; identical output per seed.
+
+    Every bounded integer is drawn by :func:`_below` on the seeded
+    generator's ``getrandbits``, which consumes the stream exactly as
+    ``randrange`` and ``randint`` do; the terminals, the repair arcs and
+    the balance coin flips come from ``sample``, ``choice`` and
+    ``random``.  ``tests/test_generate.py`` pins the rule and the
+    instances' digests.
 
     ``terminals`` caps the number of sources and of sinks (each side
     gets between one and that many).  Capacities are integers in
@@ -70,50 +74,55 @@ def generate(
         if value < least[name]:
             raise ValueError(f"{name} must be at least {least[name]}, got {value}")
     rng = random.Random(seed)
+    bits = rng.getrandbits
     names = [f"n{i}" for i in range(nodes)]
     per_side = min(terminals, nodes // 2)
-    k_src = rng.randint(1, per_side)
-    k_snk = rng.randint(1, per_side)
+    k_src = 1 + _below(bits, per_side)
+    k_snk = 1 + _below(bits, per_side)
     picked = rng.sample(range(nodes), k_src + k_snk)
     source_ids = sorted(picked[:k_src])
     sink_ids = sorted(picked[k_src:])
 
     target_arcs = max(nodes - 1, round(DENSITY * nodes * (nodes - 1) / 2))
-    endpoints: list[tuple[int, int]] = []
-    # Out-neighbours of every node, kept in step with ``endpoints``.
+    tails: list[int] = []
+    heads: list[int] = []
+    # Out-neighbours of every node, and the nodes each source reaches so far.
     adj: list[list[int]] = [[] for _ in range(nodes)]
+    reach: list[set[int]] = []
 
     def add_arc(u: int, v: int) -> None:
-        endpoints.append((u, v))
+        tails.append(u)
+        heads.append(v)
         adj[u].append(v)
+        for seen in reach:
+            if u in seen:
+                _reach(adj, seen, v)
 
-    for _ in range(target_arcs):
-        u = rng.randrange(nodes)
-        v = rng.randrange(nodes)
+    ends = [_below(bits, nodes) for _ in range(2 * target_arcs)]
+    for u, v in zip(ends[::2], ends[1::2]):
         if u != v:
             add_arc(u, v)
 
     # Repair: every source must reach a sink, every sink must be reached.
     for s in source_ids:
-        if not (_reachable_from(adj, s) & set(sink_ids)):
+        reach.append(_reach(adj, set(), s))
+        if reach[-1].isdisjoint(sink_ids):
             add_arc(s, rng.choice(sink_ids))
-    reached = set()
-    for s in source_ids:
-        reached |= _reachable_from(adj, s)
+    reached = set().union(*reach)
     for t in sink_ids:
         if t not in reached:
             add_arc(rng.choice(source_ids), t)
 
-    potential = [rng.randint(0, cost_max) if negative_costs else 0 for _ in range(nodes)]
-    arcs = []
-    for u, v in endpoints:
-        cost = rng.randint(0, cost_max) + potential[u] - potential[v]
-        arcs.append((names[u], names[v], rng.randint(1, cap_max), rng.randint(0, tau_max), cost))
+    potential = [_below(bits, cost_max + 1) if negative_costs else 0 for _ in range(nodes)]
+    # Each arc draws its cost, capacity and transit, in that order.
+    draws = [_below(bits, n) for n in (cost_max + 1, cap_max, tau_max + 1) * len(tails)]
+    costs = [c + potential[u] - potential[v] for c, u, v in zip(draws[::3], tails, heads)]
+    caps = [1 + c for c in draws[1::3]]
 
     def tentative() -> Fraction:
         if rng.random() < half_balance_prob:
-            return Fraction(rng.randint(1, 2 * cap_max), 2)
-        return Fraction(rng.randint(1, cap_max))
+            return Fraction(1 + _below(bits, 2 * cap_max), 2)
+        return Fraction(1 + _below(bits, cap_max))
 
     wanted = [tentative() for _ in range(k_src + k_snk)]
 
@@ -124,15 +133,14 @@ def generate(
     # pair arcs i -> k_src + j.
     pair_tails: list[int] = []
     pair_heads: list[int] = []
-    for i, s in enumerate(source_ids):
-        reach = _reachable_from(adj, s)
+    for i, seen in enumerate(reach):
         for j, t in enumerate(sink_ids):
-            if t in reach:
+            if t in seen:
                 pair_tails.append(i)
                 pair_heads.append(k_src + j)
     n = k_src + k_snk
-    scale, caps = to_integers(wanted)
-    feeds, drains = dict(zip(range(k_src), caps)), dict(zip(range(k_src, n), caps[k_src:]))
+    scale, ends = to_integers(wanted)
+    feeds, drains = dict(zip(range(k_src), ends)), dict(zip(range(k_src, n), ends[k_src:]))
     g = _kernel.wired(n, pair_tails, pair_heads, [None] * len(pair_tails), None, feeds, drains)
     _kernel.max_flow(g, n, n + 1)
     flows = g.rem[2 * len(pair_tails) + 1 :: 2]
@@ -141,4 +149,5 @@ def generate(
     terminals = zip([*source_ids, *sink_ids], signs, flows)
     balances = {names[v]: Fraction(sign * f, scale) for v, sign, f in terminals if f}
 
-    return Network.of(names, arcs, balances)
+    named = [names[u] for u in tails], [names[v] for v in heads]
+    return Network.of_columns(names, *named, caps, draws[2::3], costs, balances)

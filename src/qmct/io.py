@@ -11,7 +11,8 @@ each column's value types once and parses each distinct string literal
 once; only a document it rejects is walked arc by arc, to name the bad
 arc.  ``Network.of_columns`` scales the columns into the network's
 integer form, which every later stage reads and :func:`network_to_doc`
-writes back as text.
+writes back as text, converting each distinct value once: equal texts in
+one document are one string object.
 """
 
 from __future__ import annotations
@@ -100,23 +101,33 @@ def network_from_doc(doc: Any) -> Network:
         raise ValidationError(str(exc)) from exc
 
 
-def _text(value: int, scale: int) -> str:
-    """``value / scale`` as :func:`rational_str` writes it."""
-    return str(value) if scale == 1 else str(Fraction(value, scale))
+def _texts(values, scale: int, memos: dict[int, dict]) -> list[str]:
+    """Each of ``values / scale`` as :func:`rational_str` writes it.  Each distinct value
+    is converted once into ``memos[scale]``, so that equal texts are one string."""
+    memo = memos.setdefault(scale, {})
+    for value in {*values} - memo.keys():
+        memo[value] = str(value) if scale == 1 else str(Fraction(value, scale))
+    return [*map(memo.__getitem__, values)]
 
 
 def network_to_doc(network: Network) -> dict:
     form, nodes = network.integral, network.nodes
-    flow, time, cost = form.flow_scale, form.time_scale, form.cost_scale
-    columns = zip(form.tails, form.heads, form.capacities, form.transits, form.costs)
+    memos: dict[int, dict] = {}
+    balances = {v: b for v, b in zip(nodes, form.balances) if b}
+    columns = zip(
+        map(nodes.__getitem__, form.tails),
+        map(nodes.__getitem__, form.heads),
+        _texts(form.capacities, form.flow_scale, memos),
+        _texts(form.transits, form.time_scale, memos),
+        _texts(form.costs, form.cost_scale, memos),
+    )
     return {
         "nodes": list(nodes),
         "arcs": [
-            {"tail": nodes[u], "head": nodes[w], "capacity": _text(c, flow),
-             "transit": _text(t, time), "cost": _text(k, cost)}
+            {"tail": u, "head": w, "capacity": c, "transit": t, "cost": k}
             for u, w, c, t, k in columns
         ],
-        "balances": {v: _text(b, flow) for v, b in zip(nodes, form.balances) if b},
+        "balances": dict(zip(balances, _texts([*balances.values()], form.flow_scale, memos))),
     }
 
 

@@ -154,7 +154,7 @@ def test_the_digests_exercise_both_repairs(monkeypatch):
 
         def choice(self, seq):
             from_sources = {*seq} == {*self.picked[: len(seq)]}
-            repairs.append("sink reached by no source" if from_sources else "source reaches no sink")
+            repairs.append("unreached sink" if from_sources else "source reaching no sink")
             return super().choice(seq)
 
     monkeypatch.setattr(random, "Random", Recording)
@@ -163,5 +163,5 @@ def test_the_digests_exercise_both_repairs(monkeypatch):
         repairs.clear()
         for seed in range(150):
             generate(seed, **GOLDEN_DIGESTS[name][0])
-        counts[name] = (repairs.count("source reaches no sink"), repairs.count("sink reached by no source"))
+        counts[name] = (repairs.count("source reaching no sink"), repairs.count("unreached sink"))
     assert counts == {"default": (110, 39), "oracle-crosscheck": (51, 21)}

@@ -167,3 +167,11 @@ def test_network_to_doc_matches_golden_digest():
 def test_doc_round_trips_the_integer_form():
     for net in _documented_networks():
         assert network_from_doc(network_to_doc(net)).integral == net.integral
+
+
+def test_equal_texts_in_a_document_are_one_string():
+    for net in _documented_networks():
+        doc = network_to_doc(net)
+        columns = [[arc[key] for arc in doc["arcs"]] for key in ("capacity", "transit", "cost")]
+        for texts in [*columns, [*doc["balances"].values()]]:
+            assert len({*map(id, texts)}) == len({*texts}), texts
