@@ -139,8 +139,8 @@ def generate(
                 pair_tails.append(i)
                 pair_heads.append(k_src + j)
     n = k_src + k_snk
-    scale, ends = to_integers(wanted)
-    feeds, drains = dict(zip(range(k_src), ends)), dict(zip(range(k_src, n), ends[k_src:]))
+    scale, amounts = to_integers(wanted)
+    feeds, drains = dict(zip(range(k_src), amounts)), dict(zip(range(k_src, n), amounts[k_src:]))
     g = _kernel.wired(n, pair_tails, pair_heads, [None] * len(pair_tails), None, feeds, drains)
     _kernel.max_flow(g, n, n + 1)
     flows = g.rem[2 * len(pair_tails) + 1 :: 2]

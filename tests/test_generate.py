@@ -130,7 +130,7 @@ def test_generated_instances_match_golden_digest(name):
 def test_draws_follow_randrange_value_for_value(seed):
     # ``generate`` draws every bounded integer through ``_below``; if a
     # CPython release changes how ``randrange`` consumes the Mersenne
-    # Twister, this fails before the digests below do, and says why.
+    # Twister, this fails along with the digests above, and says why.
     bounds = [1, 2, 3, 5, 6, 10, 11, 60, 2**31 - 1]
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(20):
