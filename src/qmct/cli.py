@@ -31,6 +31,8 @@ EXIT_GUARD = 4
 _SOLVERS = {
     pipeline.MODE_QUICKEST_MINCOST: pipeline.solve_quickest_mincost,
     pipeline.MODE_QUICKEST: pipeline.solve_quickest,
+    # builds no expansion, so a layer limit has nothing to bound
+    pipeline.MODE_MINCOST_STATIC: lambda net, max_layers: pipeline.solve_mincost_static(net),
 }
 
 
@@ -49,16 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve an instance file")
+    solve.set_defaults(run=_cmd_solve)
     solve.add_argument("file", help="instance JSON file")
     solve.add_argument(
-        "--mode",
-        choices=[
-            pipeline.MODE_QUICKEST_MINCOST,
-            pipeline.MODE_QUICKEST,
-            pipeline.MODE_MINCOST_STATIC,
-            pipeline.MODE_ORACLE,
-        ],
-        default=pipeline.MODE_QUICKEST_MINCOST,
+        "--mode", choices=[*_SOLVERS, pipeline.MODE_ORACLE], default=pipeline.MODE_QUICKEST_MINCOST
     )
     solve.add_argument(
         "--emit-schedule", action="store_true", help="include the schedule in the report"
@@ -75,10 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--text", action="store_true", help="print a text report, not JSON")
 
     verify = sub.add_parser("verify", help="solve plus oracle and invariant checks")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("file")
     verify.add_argument("--max-horizon", type=int, default=None)
 
     gen = sub.add_parser("generate", help="write a seeded random instance")
+    gen.set_defaults(run=_cmd_generate)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--nodes", type=int, default=5)
     gen.add_argument("--terminals", type=int, default=2, help="max sources and max sinks")
@@ -127,10 +125,7 @@ def _cmd_solve(args) -> int:
         report_doc = {"mode": pipeline.MODE_ORACLE, "cost": rational_str(cost), "horizon": horizon}
         print(json.dumps(report_doc, indent=2))
         return EXIT_OK
-    if args.mode == pipeline.MODE_MINCOST_STATIC:
-        report = pipeline.solve_mincost_static(network)
-    else:
-        report = _SOLVERS[args.mode](network, max_layers=args.max_horizon)
+    report = _SOLVERS[args.mode](network, max_layers=args.max_horizon)
     if not args.text:
         storage = temporal.storage_trace(network, report.schedule) if args.storage_trace else None
         doc = io.report_to_doc(report, include_schedule=args.emit_schedule, storage=storage)
@@ -142,26 +137,18 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     network = io.load_instance(args.file)
-    results: list[tuple[str, bool]] = []
-
-    report = validate(network)
-    results.append(("validation", report.ok))
-    if not report.ok:
-        for name, ok in results:
-            print(f"{'PASS' if ok else 'FAIL'} {name}")
-        return EXIT_INVALID
-
-    solved = pipeline.solve_quickest_mincost(network, max_layers=args.max_horizon)
-    for name, ok in solved.checks.items():
-        results.append((name, ok))
-
-    cost, horizon = pipeline.oracle_quickest_mincost(network, max_layers=args.max_horizon)
-    results.append(("oracle_cost_match", cost == solved.cost))
-    results.append(("oracle_horizon_match", horizon == solved.horizon))
-
-    for name, ok in results:
+    results = {"validation": validate(network).ok}
+    if results["validation"]:
+        solved = pipeline.solve_quickest_mincost(network, max_layers=args.max_horizon)
+        cost, horizon = pipeline.oracle_quickest_mincost(network, max_layers=args.max_horizon)
+        results.update(solved.checks)
+        results["oracle_cost_match"] = cost == solved.cost
+        results["oracle_horizon_match"] = horizon == solved.horizon
+    for name, ok in results.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    return EXIT_OK if all(ok for _, ok in results) else 1
+    if not results["validation"]:
+        return EXIT_INVALID
+    return EXIT_OK if all(results.values()) else 1
 
 
 def _cmd_generate(args) -> int:
@@ -187,11 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "max_horizon", None) is not None and args.max_horizon < 0:
             raise ValidationError(f"--max-horizon must be at least 0, got {args.max_horizon}")
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_generate(args)
+        return args.run(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -73,9 +73,9 @@ class Network:
     """Immutable directed network with node balances, stored as its integer form.
 
     :meth:`of` builds one from values.  It checks only representability
-    (arc endpoints are string ids of known nodes); semantic invariants
-    are checked by :func:`validate`.  ``arcs`` and ``balances`` rebuild
-    the values as ``Fraction``s on first use; no solve reads them.
+    (node ids are strings, arc endpoints are known node ids); semantic
+    invariants are checked by :func:`validate`.  ``arcs`` and ``balances``
+    rebuild the values as ``Fraction``s on first use; no solve reads them.
     """
 
     nodes: tuple[NodeId, ...]
@@ -87,8 +87,9 @@ class Network:
         arcs: Iterable[tuple | Arc],
         balances: Mapping[NodeId, object] | None = None,
     ) -> "Network":
-        """:meth:`of_columns` of ``Arc``s or rows ``(tail, head, capacity, transit, cost)``,
-        each value not an int read by :func:`as_rational` (a ``Fraction`` as it is)."""
+        """:meth:`of_columns` of string node ids and ``Arc``s or rows ``(tail, head, capacity,
+        transit, cost)``, each value not an int read by :func:`as_rational` (a ``Fraction``
+        as it is)."""
         rows = [_ARC_ROW(a) if isinstance(a, Arc) else a for a in arcs]
         try:
             tails, heads, caps, transits, costs = zip(*rows, strict=True) if rows else ((),) * 5
@@ -105,9 +106,13 @@ class Network:
     @staticmethod
     def of_columns(nodes, tails, heads, capacities, transits, costs, balances) -> "Network":
         """The one builder of the integer form from columns of ints and ``Fraction``s (arc
-        ``k`` is entry ``k`` of each), each scaled once.  Raises ``ValueError`` on duplicate
-        node ids, an unknown balance and an endpoint that is no string node id (the first)."""
+        ``k`` is entry ``k`` of each), each scaled once.  Raises ``ValueError`` on a node id
+        that is no string, duplicate node ids, an unknown balance and an endpoint that is no
+        string node id (the first of each)."""
         nodes = tuple(nodes)
+        for v in nodes:
+            if not isinstance(v, str):
+                raise ValueError(f"node id {v!r} must be a string")
         index = dict(zip(nodes, range(len(nodes))))
         if len(index) != len(nodes):
             raise ValueError("duplicate node ids")
@@ -115,7 +120,7 @@ class Network:
             ends = tuple(map(index.__getitem__, tails)), tuple(map(index.__getitem__, heads))
         except (KeyError, TypeError):
             ends = None
-        if ends is None or not all(isinstance(v, str) for v in nodes):  # name the first bad arc
+        if ends is None:  # name the first bad arc
             for k, (tail, head) in enumerate(zip(tails, heads)):
                 if not isinstance(tail, str) or not isinstance(head, str):
                     end = "head" if isinstance(tail, str) else "tail"

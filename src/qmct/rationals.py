@@ -46,12 +46,10 @@ def as_rational(value: int | str | Fraction) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a valid rational literal: {value!r}") from exc
-    if type(value) is int:  # plain ints skip the checks below; bools do not
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise TypeError(f"expected a rational number, got bool {value!r}")
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")

@@ -452,9 +452,9 @@ def _replay(
 
     Returns the violations, the exact cost, each node's holdings at times
     0..horizon in units of ``1/scale``, and ``scale``; a horizon that is not
-    an int, or is negative, raises ValueError.  Entries with a bad arc,
-    rate or interval are reported and skipped; the cost sums in integers
-    at ``scale``.
+    an int, or is negative, raises ValueError.  Entries that are no
+    :class:`ArcIntervals`, or have a bad arc, intervals, rate or interval,
+    are reported and skipped; the cost sums in integers at ``scale``.
     """
     form = network.integral
     horizon = schedule.horizon
@@ -465,8 +465,14 @@ def _replay(
     violations: list[str] = []
     valid: list[tuple[int, int, int, Fraction]] = []
     for entry in schedule.arc_flows:
+        if not isinstance(entry, ArcIntervals):
+            violations.append(f"schedule entry {entry!r} is not an ArcIntervals")
+            continue
         if type(entry.arc) is not int or not 0 <= entry.arc < len(form.tails):
             violations.append(f"schedule references unknown arc {entry.arc!r}")
+            continue
+        if not isinstance(entry.intervals, (tuple, list)):
+            violations.append(f"arc {entry.arc}: bad intervals {entry.intervals!r}")
             continue
         latest = horizon - form.transits[entry.arc]
         for interval in entry.intervals:
@@ -558,9 +564,9 @@ def storage_trace(
 ) -> dict[NodeId, tuple[Fraction, ...]]:
     """Amount held at each node at integer times 0..horizon.
 
-    Schedule entries that :func:`verify_schedule` rejects (unknown arcs,
-    bad rates, bad intervals) are left out; a horizon that is not an int,
-    or is negative, raises ValueError.
+    Schedule entries that :func:`verify_schedule` rejects (no
+    :class:`ArcIntervals`, unknown arcs, bad intervals or rates) are left
+    out; a horizon that is not an int, or is negative, raises ValueError.
     """
     _, _, trace, scale = _replay(network, schedule)
     return {v: tuple(Fraction(h, scale) for h in held) for v, held in trace.items()}

@@ -15,6 +15,12 @@ size, past the oracle's default reach of 10 nodes:
   the reversed arc during [T - e - τ_a, T - s - τ_a), a valid schedule
   of the same cost.
 
+The paper's reduction is a fifth relation: the answer depends on the
+admissible subnetwork alone, so on networks of at most 10 nodes the
+brute-force oracle on the network and on its restriction to the
+admissible arcs both give the solve's (cost, H).  The restriction keeps
+its parent's scales, so both oracle runs count the same time steps.
+
 Half of the networks have rational capacities, transits and balances.
 """
 
@@ -26,7 +32,7 @@ from fractions import Fraction
 
 from qmct.generate import generate
 from qmct.network import Network
-from qmct.pipeline import SolveReport, solve_quickest_mincost
+from qmct.pipeline import SolveReport, oracle_quickest_mincost, solve_quickest_mincost
 from qmct.temporal import ArcIntervals, FlowOverTime, verify_schedule
 
 COUNT = 1000
@@ -38,11 +44,11 @@ def _mapped(net: Network, arc, balance=lambda b: b) -> Network:
     return Network.of(net.nodes, [arc(i, a) for i, a in enumerate(net.arcs)], balances)
 
 
-def _networks():
-    for seed in range(COUNT):
+def _networks(count=COUNT, sizes=17):
+    for seed in range(count):
         net = generate(
             seed,
-            nodes=4 + seed % 17,
+            nodes=4 + seed % sizes,
             terminals=1 + seed % 4,
             tau_max=1 + seed % 4,
             half_balance_prob=0.4,
@@ -111,3 +117,18 @@ def test_four_exact_relations_hold():
         check = verify_schedule(backwards, _reversed_schedule(base.schedule, net.integral.transits))
         assert check.violations == () and check.cost == cost, (seed, check.violations)
     assert rational >= COUNT // 2
+
+
+def test_the_oracle_agrees_with_the_reduction():
+    count = 300
+    rational = shrunk = 0
+    for seed, net in _networks(count, sizes=7):
+        rational += net.integral.time_scale > 1 and net.integral.flow_scale > 1
+        base = _solve(net)
+        restricted = net.with_arcs(base.subnetwork)
+        shrunk += len(restricted.integral.tails) < len(net.integral.tails)
+        answer = (base.cost, base.horizon)
+        assert oracle_quickest_mincost(net) == answer, (seed, "oracle")
+        assert oracle_quickest_mincost(restricted) == answer, (seed, "oracle on the restriction")
+    assert rational >= count // 2
+    assert shrunk >= count * 19 // 20

@@ -144,6 +144,19 @@ def test_constructor_rejects_non_string_endpoints(tail, head, message):
 
 
 @pytest.mark.parametrize(
+    "nodes, bad",
+    [([1, 2], 1), (["a", 1], 1), (["a", 0, None], 0), (["a", None], None)],
+    ids=["int ids", "one int id", "zero id", "None id"],
+)
+def test_constructor_names_the_first_node_id_that_is_no_string(nodes, bad):
+    # Such a network used to build and validate, then fail its own document round trip.
+    with pytest.raises(ValueError, match=f"^node id {bad!r} must be a string$"):
+        Network.of(nodes, [], {v: 0 for v in nodes})
+    with pytest.raises(ValueError, match=f"^node id {bad!r} must be a string$"):
+        Network.of_columns(nodes, (), (), (), (), (), {})
+
+
+@pytest.mark.parametrize(
     "arcs, k",
     [
         ([("a", "b")], 0),

@@ -247,3 +247,22 @@ def test_verify_schedule_reports_whatever_the_schedule_holds(horizon, entries):
         assert report.violations == (f"horizon {horizon} is negative",)
     else:
         storage_trace(NET, schedule)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ((2, ((0, 2, 1),)), "schedule entry (2, ((0, 2, 1),)) is not an ArcIntervals"),
+        (None, "schedule entry None is not an ArcIntervals"),
+        (A(2, None), "arc 2: bad intervals None"),
+        (A(2, 5), "arc 2: bad intervals 5"),
+    ],
+    ids=["tuple entry", "None entry", "None intervals", "int intervals"],
+)
+def test_verify_schedule_reports_and_skips_an_entry_of_another_shape(entry, message):
+    clean = FlowOverTime(4, (A(2, ((0, 2, F(1)),)),))
+    schedule = FlowOverTime(4, (entry, *clean.arc_flows))
+    report = verify_schedule(NET, schedule)
+    assert report.violations == (message,)
+    assert report.cost == verify_schedule(NET, clean).cost == 0
+    assert storage_trace(NET, schedule) == storage_trace(NET, clean)
