@@ -149,7 +149,7 @@ def test_constructor_rejects_non_string_endpoints(tail, head, message):
     ids=["int ids", "one int id", "zero id", "None id"],
 )
 def test_constructor_names_the_first_node_id_that_is_no_string(nodes, bad):
-    # Such a network used to build and validate, then fail its own document round trip.
+    # Such a network would validate, then fail its own document round trip.
     with pytest.raises(ValueError, match=f"^node id {bad!r} must be a string$"):
         Network.of(nodes, [], {v: 0 for v in nodes})
     with pytest.raises(ValueError, match=f"^node id {bad!r} must be a string$"):
