@@ -147,7 +147,12 @@ def generate(
 
     signs = [1] * k_src + [-1] * k_snk
     terminals = zip([*source_ids, *sink_ids], signs, flows)
-    balances = {names[v]: Fraction(sign * f, scale) for v, sign, f in terminals if f}
+    # Whole balances stay ints, so that ``Network.of_columns`` scales them as ints.
+    balances = {
+        names[v]: Fraction(sign * f, scale) if f % scale else sign * f // scale
+        for v, sign, f in terminals
+        if f
+    }
 
     named = [names[u] for u in tails], [names[v] for v in heads]
     return Network.of_columns(names, *named, caps, draws[2::3], costs, balances)

@@ -6,13 +6,16 @@ interval ``[q, q+1)``, ``q = 0..T-1``.  A copy of arc ``a`` at layer
 capacity is the arc's rate bound) and delivers it during
 ``[q + transit, q + transit + 1)``; the copy exists only when
 ``q + transit <= T - 1`` so that everything has arrived by ``T``.
-Holdover arcs let flow wait at any node free of charge.  Supplies are
-injected on layer 0 and demands drained from the last layer, both via
-super terminals, which makes feasibility at horizon ``T`` a max-flow
-question and minimum cost over time a min-cost-flow question on the
-expansion.  :func:`expand` builds only the copies that some flow could
-use: those reached from a source in time and reaching a sink by the
-horizon.  The quickest horizon is found by probing only at proven
+Holdover arcs let flow wait at any node free of charge.  Each terminal
+has a *collector*: the super source feeds a source's collector up to
+its supply, and the collector feeds every copy of the source; every
+copy of a sink drains into its collector, and the collector into the
+super sink up to its demand.  Flow so enters and leaves at any layer
+without walking a holdover chain, and feasibility at horizon ``T`` is a
+max-flow question and minimum cost over time a min-cost-flow question
+on the expansion.  :func:`expand` builds only the copies that some flow
+could use: those reached from a source in time and reaching a sink by
+the horizon.  The quickest horizon is found by probing only at proven
 lower bounds, each in closed form from one terminal subset's shortest
 paths (:func:`quickest_transshipment`).  Results keep no expansion: a
 probe's flows live only until its movement copies are read back into a
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import AbstractSet, Sequence
 
 from . import _kernel
@@ -44,11 +47,14 @@ class TimeExpandedGraph:
     """Static expansion of a network over an integer horizon.
 
     The nodes are the copies ``(v, layer)`` that :func:`expand` keeps,
-    numbered in the order of ``layer·n + v``, then the super source and
-    super sink; only ``expand`` knows which copy an index is.  Arc order
-    is movement copies first (aligned with ``movement``), then holdover
-    arcs from ``holdover_start``, then terminal wiring from
-    ``wiring_start``; the properties derive from the stored fields.
+    numbered in the order of ``layer·n + v``, then the terminals'
+    collectors in node order, then the super source and super sink;
+    only ``expand`` knows which copy an index is.  Arc order is movement
+    copies first (aligned with ``movement``), then holdover arcs from
+    ``holdover_start``, then from ``wiring_start`` each terminal's arc
+    between its collector and a super terminal, in node order, then the
+    arcs between the collectors and their copies; the properties derive
+    from the stored fields.
     Capacities and costs are integers at the scales of the network's
     :attr:`~Network.integral` form, the one owner of scales and supply.
     """
@@ -140,32 +146,49 @@ def _least_transits(network: Network) -> tuple[tuple[int | None, ...], tuple[int
 def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     """Build the live part of the time expansion for an integer horizon.
 
+    Every terminal has a *collector*.  The super source feeds a source's
+    collector at capacity b(s), and the collector feeds every copy of s;
+    every copy of a sink t drains into its collector, which drains into
+    the super sink at capacity −b(t).  The arcs between a collector and
+    its copies are uncapacitated and cost 0, so flow enters and leaves
+    the expansion at any layer, and an augmenting path need not walk a
+    holdover chain from layer 0 or up to layer T − 1.  The holdovers stay,
+    at the terminals too, so the flows are in value and cost those of the
+    expansion wired at layers 0 and T − 1 alone: flow sent into (s, q)
+    could as well enter (s, 0) and wait, and flow drained at (t, q) could
+    wait up to (t, T − 1).
+
     Let ``e(v)`` be the least transit from any source to v and ``ℓ(v)``
     the least transit from v to any sink, ∞ without a path (transits are
     non-negative).  Flow sent into the super source reaches copy
     ``(v, q)`` only if ``e(v) <= q``, and flow at ``(v, q)`` reaches the
-    super sink only if ``q + ℓ(v) <= T − 1``.  So the movement copy of arc
-    ``a = (u, w)`` at layer q is kept iff ``e(u) <= q`` and ``q + τ_a +
-    ℓ(w) <= T − 1``, the holdover ``(v, q) → (v, q+1)`` iff ``e(v) <= q``
-    and ``q + 1 + ℓ(v) <= T − 1``, and every terminal wiring arc is kept.
-    Conversely, a copy kept lies on the path that joins a source to its
-    tail's copy by least transits, waits, crosses it and reaches a sink
-    in time; so the kept copies are exactly those on some super source
-    → super sink path of the full expansion.  Only the copies with
-    ``e(v) <= q <= T − 1 − ℓ(v)``, each on such a path, and the one each
-    terminal's wiring meets get ids, in the order of ``q·n + v``; with
-    arcs in order, each node lists its edges and ties break as in the full one.
+    super sink only if ``q + ℓ(v) <= T − 1``.  So the movement copy of
+    arc ``a = (u, w)`` at layer q is kept iff ``e(u) <= q`` and ``q + τ_a
+    + ℓ(w) <= T − 1``, the holdover ``(v, q) → (v, q+1)`` iff ``e(v) <=
+    q`` and ``q + 1 + ℓ(v) <= T − 1``, the arc between a terminal's
+    collector and its copy at layer q iff ``e(v) <= q <= T − 1 − ℓ(v)``
+    (a source has e = 0, a sink ℓ = 0), and every wiring arc between a
+    super terminal and a collector is kept.  Conversely, every other arc
+    kept lies on the path that leaves a source's collector, reaches the
+    arc's tail by least transits and waits there, crosses the arc and
+    reaches a sink's collector in time.  So the kept copies, those with
+    ``e(v) <= q <= T − 1 − ℓ(v)``, and the kept arcs but the wiring are
+    exactly those on some super source → super sink path of the full
+    expansion.  The copies get ids in the order of ``q·n + v``, then come
+    the collectors in node order, then the super source and super sink;
+    with arcs in order, each node lists its edges and ties break as in
+    the full one.
 
     Nothing a caller reads changes.  In the full expansion let R be the
     nodes the super source reaches and L those that reach the super
     sink.  No arc leaves R and none enters L from outside, so the kept
-    movement copies and holdovers, the arcs from R into L, join nodes of
-    R ∩ L.  Both kernels augment along residual super source → super
-    sink paths, and such a path never leaves R and, ending in L, never
-    leaves L, as long as only kept arcs carry flow (their reverse edges
-    stay inside R ∩ L); so its forward edges are kept arcs, and by
-    induction every flow the kernels reach on the full expansion uses
-    kept arcs only.  Hence:
+    arcs but the wiring, the arcs from R into L, join nodes of R ∩ L.
+    Both kernels augment along residual super source → super sink
+    paths, and such a path never leaves R and, ending in L, never leaves
+    L, as long as only kept arcs carry flow (their reverse edges stay
+    inside R ∩ L); so its forward edges are kept arcs, and by induction
+    every flow the kernels reach on the full expansion uses kept arcs
+    only.  Hence:
 
     - the max-flow values agree, and so do min costs: the min-cost flow
       that successive shortest paths find on the full expansion, which
@@ -176,9 +199,9 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
       such path, so the levels that its blocking flow reads are the same,
       and its search from the super source steps only along kept edges;
     - the residual-reachable set after it agrees on every node of L, as
-      a residual path into L never leaves it.  Every sink's last copy is
-      in L, and a source copy outside L keeps its wiring arc, which
-      carries no flow, so A_X (:func:`_violated_subset`) is the same.
+      a residual path into L never leaves it.  Every sink's collector is
+      in L, and a source's collector outside L keeps its wiring arc,
+      which carries no flow, so A_X (:func:`_violated_subset`) is the same.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
@@ -186,14 +209,12 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     transits, arc_tails = form.transits, form.tails
     caps_int, costs_int = form.capacities, form.costs
     n = len(network.nodes)
-    last_layer = horizon - 1
     # No path counts as ∞; the horizon is far enough to keep no copy.
     early, late = ([horizon if d is None else d for d in ds] for ds in _least_transits(network))
-    # Node v keeps its copies at layers e(v) .. T − 1 − ℓ(v), a terminal also
-    # the one its wiring meets; ids follow the order of ``layer·n + v``.
+    # Node v keeps its copies at layers e(v) .. T − 1 − ℓ(v); ids follow
+    # the order of ``layer·n + v``.
     spans = [range(early[v] * n + v, (horizon - late[v]) * n, n) for v in range(n)]
-    wired = {v if b > 0 else last_layer * n + v for v, b in enumerate(form.balances) if b}
-    kept = sorted(wired.union(*spans) if horizon else ())
+    kept = sorted(chain.from_iterable(spans))
     ids = dict(zip(kept, range(len(kept))))
     # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
     head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
@@ -219,21 +240,25 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     caps += [None] * len(waits)
     costs += [0] * len(waits)
 
-    super_source = len(kept)
+    # Terminal j's collector is node ``len(kept) + j``.
+    terminals = [(v, b) for v, b in enumerate(form.balances) if b] if horizon else []
+    super_source = len(kept) + len(terminals)
     super_sink = super_source + 1
     wiring_start = len(tails)
-    if horizon > 0:
-        for v, b in enumerate(form.balances):
-            if b > 0:
-                tails.append(super_source)
-                heads.append(ids[v])
-                caps.append(b)
-                costs.append(0)
-            elif b < 0:
-                tails.append(ids[last_layer * n + v])
-                heads.append(super_sink)
-                caps.append(-b)
-                costs.append(0)
+    for collector, (v, b) in enumerate(terminals, len(kept)):
+        tails.append(super_source if b > 0 else collector)
+        heads.append(collector if b > 0 else super_sink)
+        caps.append(abs(b))
+    for collector, (v, b) in enumerate(terminals, len(kept)):
+        ends = [ids[key] for key in spans[v]]
+        if b > 0:
+            tails += [collector] * len(ends)
+            heads += ends
+        else:
+            tails += ends
+            heads += [collector] * len(ends)
+    caps += [None] * (len(tails) - len(caps))
+    costs += [0] * (len(tails) - len(costs))
 
     return TimeExpandedGraph(
         horizon=horizon,
@@ -339,7 +364,7 @@ def _subset_horizon(network: Network, subset: AbstractSet[int]) -> int:
 
 def _violated_subset(network: Network, graph: TimeExpandedGraph, reachable: set[int]) -> set[int]:
     """A_X, as node indices, for the residual-reachable set X of an infeasible
-    probe: the terminals whose wiring arc's lower end, their copy, is in X."""
+    probe: the terminals whose wiring arc's lower end, their collector, is in X."""
     terminals = (v for v, b in enumerate(network.integral.balances) if b)
     wiring = zip(graph.tails[graph.wiring_start :], graph.heads[graph.wiring_start :])
     return {v for v, ends in zip(terminals, wiring) if min(ends) in reachable}
@@ -356,15 +381,21 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
     sinks outside A.
 
     *Criterion* (Klinz; Hoppe & Tardos, Math. OR 2000): T is feasible
-    iff b(A) <= o^T(A) for all A.  A finite cut X of the expansion
-    (super source in, super sink out) gives A_X, the sources s with
-    (s, 0) in X and the sinks t with (t, T−1) in X.  No holdover leaves
-    X, so its capacity is Σ_{s∉A_X} b_s + Σ_{t∈A_X} −b_t + M(X), M(X)
-    being the movement copies leaving X.  X also cuts the A_X problem,
-    so M(X) >= o^T(A_X) and the capacity is >= total − b(A_X) +
-    o^T(A_X).  Conversely the super source plus the source side of a
-    minimum cut of the A problem has capacity <= total − b(A) + o^T(A):
-    the least cut, the max flow, reaches the total iff no A is violated.
+    iff b(A) <= o^T(A) for all A.  A finite cut X of the expansion of
+    :func:`expand` (super source in, super sink out) gives A_X, the
+    terminals whose collector is in X.  No uncapacitated arc leaves X:
+    with the collector of a source s in X all of s's copies are, and
+    with the collector of a sink t outside X none of t's copies is.  So
+    its capacity is Σ_{s∉A_X} b_s + Σ_{t∈A_X} −b_t + M(X), M(X) being
+    the movement copies leaving X.  The copies in X also cut the A_X
+    problem: they hold every copy of A_X's sources and none of the
+    sinks outside A_X, and no holdover leaves them.  So M(X) >=
+    o^T(A_X) and the capacity is >= total − b(A_X) + o^T(A_X).
+    Conversely the source side Y of a minimum cut of the A problem, with
+    the super source and the collectors of A, has capacity <= total −
+    b(A) + o^T(A): Y holds every copy of A's sources and no copy of the
+    sinks outside A, since no holdover leaves it.  The least cut, the
+    max flow, reaches the total iff no A is violated.
 
     *Cut extraction*: the residual-reachable set X of an infeasible
     probe is a minimum cut below the total, so o^T(A_X) <= M(X) <
@@ -452,7 +483,8 @@ def _replay(
 
     Returns the violations, the exact cost, each node's holdings at times
     0..horizon in units of ``1/scale``, and ``scale``; a horizon that is not
-    an int, or is negative, raises ValueError.  Entries that are no
+    an int, or is negative, and ``arc_flows`` that are not a tuple or list
+    raise ValueError.  Entries that are no
     :class:`ArcIntervals`, or have a bad arc, intervals, rate or interval,
     are reported and skipped; the cost sums in integers at ``scale``.
     """
@@ -462,6 +494,8 @@ def _replay(
         raise ValueError(f"horizon {horizon!r} is not an int")
     if horizon < 0:
         raise ValueError(f"horizon {horizon} is negative")
+    if not isinstance(schedule.arc_flows, (tuple, list)):
+        raise ValueError(f"arc_flows {schedule.arc_flows!r} is not a tuple or list")
     violations: list[str] = []
     valid: list[tuple[int, int, int, Fraction]] = []
     for entry in schedule.arc_flows:
@@ -550,12 +584,13 @@ def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerific
 
     Returns a report listing every violation (never raises) along with
     the exact recomputed cost; a horizon that is not an int, or is
-    negative, is the only one, at cost 0.
+    negative, or ``arc_flows`` that are not a tuple or list, is the only
+    one, at cost 0.
     """
     try:
         violations, cost, _, _ = _replay(network, schedule)
-    except ValueError as bad_horizon:
-        return ScheduleVerification((str(bad_horizon),), Fraction(0))
+    except ValueError as bad_shape:
+        return ScheduleVerification((str(bad_shape),), Fraction(0))
     return ScheduleVerification(tuple(violations), cost)
 
 
@@ -566,7 +601,8 @@ def storage_trace(
 
     Schedule entries that :func:`verify_schedule` rejects (no
     :class:`ArcIntervals`, unknown arcs, bad intervals or rates) are left
-    out; a horizon that is not an int, or is negative, raises ValueError.
+    out; a horizon that is not an int, or is negative, and ``arc_flows``
+    that are not a tuple or list raise ValueError.
     """
     _, _, trace, scale = _replay(network, schedule)
     return {v: tuple(Fraction(h, scale) for h in held) for v, held in trace.items()}

@@ -40,6 +40,10 @@ the copies on some super source → super sink path;
 :func:`subset_expansion_flow` build it, so that they do not rest on the
 pruning.  :func:`full_numbering` maps the pruned expansion's consecutive
 ids back to the full one's ``layer·n + v``, so that the two compare.
+:func:`endpoint_expand` is the full expansion as it was wired before
+each terminal had a collector: supplies enter at layer 0 and demands
+leave at layer T − 1, so that flow walks the holdover chains; it is the
+reference the collectors answer as.
 
 :func:`scale_transits` is the reference for counting time in steps of
 ``1/time_scale``: it builds a second network whose transits are the
@@ -399,10 +403,90 @@ def pair_count_horizon_bound(network: Network) -> int:
 
 def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
     """The full time expansion for an integer horizon: every movement
-    copy that arrives by the horizon and every holdover, in the arc order
-    of :func:`qmct.temporal.expand`, which keeps only the copies on some
+    copy that arrives by the horizon, every holdover and every arc
+    between a terminal's collector and its copies, in the arc order of
+    :func:`qmct.temporal.expand`, which keeps only the copies on some
     super source → super sink path of this one.  Copy ``(v, layer)`` is
-    node ``layer·n + v``, the numbering :func:`full_numbering` maps back to."""
+    node ``layer·n + v``, the numbering :func:`full_numbering` maps back
+    to, and terminal j's collector is node ``n·T + j``."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    form = network.integral
+    transits, arc_tails = form.transits, form.tails
+    caps_int, costs_int = form.capacities, form.costs
+    n = len(network.nodes)
+    # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
+    head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
+
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int | None] = []
+    costs: list[int] = []
+    movement: list[tuple[int, int]] = []
+
+    last_layer = horizon - 1
+    arc_range = range(len(network.arcs))
+    for layer in range(horizon):
+        offset = layer * n
+        slack = last_layer - layer
+        live = [i for i in arc_range if transits[i] <= slack]
+        tails.extend([offset + arc_tails[i] for i in live])
+        heads.extend([offset + head_shift[i] for i in live])
+        caps.extend([caps_int[i] for i in live])
+        costs.extend([costs_int[i] for i in live])
+        movement.extend([(i, layer) for i in live])
+    waits = max(horizon - 1, 0) * n
+    tails.extend(range(waits))
+    heads.extend(range(n, n + waits))
+    caps.extend([None] * waits)
+    costs.extend([0] * waits)
+
+    terminals = [(v, b) for v, b in enumerate(form.balances) if b] if horizon else []
+    super_source = n * horizon + len(terminals)
+    super_sink = super_source + 1
+    wiring_start = len(tails)
+    for j, (v, b) in enumerate(terminals):
+        collector = n * horizon + j
+        if b > 0:
+            tails.append(super_source)
+            heads.append(collector)
+            caps.append(b)
+        else:
+            tails.append(collector)
+            heads.append(super_sink)
+            caps.append(-b)
+        costs.append(0)
+    for j, (v, b) in enumerate(terminals):
+        collector = n * horizon + j
+        for layer in range(horizon):
+            if b > 0:
+                tails.append(collector)
+                heads.append(layer * n + v)
+            else:
+                tails.append(layer * n + v)
+                heads.append(collector)
+            caps.append(None)
+            costs.append(0)
+
+    return TimeExpandedGraph(
+        horizon=horizon,
+        num_nodes=super_sink + 1,
+        tails=tuple(tails),
+        heads=tuple(heads),
+        capacities=tuple(caps),
+        costs=tuple(costs),
+        movement=tuple(movement),
+        wiring_start=wiring_start,
+    )
+
+
+def endpoint_expand(network: Network, horizon: int) -> TimeExpandedGraph:
+    """The full time expansion wired at its end layers, as
+    :func:`qmct.temporal.expand` once wired it: the super source feeds
+    each source's layer-0 copy and each sink's layer-(T−1) copy drains
+    into the super sink, with no collectors.  It is the reference that
+    the collectors of :func:`full_expand` answer as.  Copy ``(v, layer)``
+    is node ``layer·n + v``."""
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     form = network.integral
@@ -465,37 +549,41 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
 
 def full_numbering(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGraph:
     """``graph``, an expansion of :func:`qmct.temporal.expand`, with each id
-    mapped back to the full expansion's ``layer·n + v`` and the super
-    terminals to ``n·T`` and ``n·T + 1``.
+    mapped back to the full expansion's ``layer·n + v``, terminal j's
+    collector to ``n·T + j`` and the super terminals to the two ids after.
 
     The map is read off the arcs alone: the ends of the movement copies,
-    the terminals' wiring, and the holdover chains, each holdover's head
-    one layer above its tail.  Every id must be mapped once, consistently.
+    the terminals' wiring, whose collector end is the lower one, and the
+    holdover chains, each holdover's head one layer above its tail.  Every
+    id must be mapped once, consistently, and each arc between a
+    collector and a copy must meet a copy of the collector's terminal.
     """
     form, n, horizon = network.integral, len(network.nodes), graph.horizon
-    full = {graph.super_source: n * horizon, graph.super_sink: n * horizon + 1}
+    terminals = [v for v, b in enumerate(form.balances) if b and horizon]
+    k = len(terminals)
+    full = {graph.super_source: n * horizon + k, graph.super_sink: n * horizon + k + 1}
 
     def put(node: int, key: int) -> None:
         assert full.setdefault(node, key) == key, (node, key, full[node])
 
-    for k, (arc, layer) in enumerate(graph.movement):
-        put(graph.tails[k], layer * n + form.tails[arc])
-        put(graph.heads[k], (layer + form.transits[arc]) * n + form.heads[arc])
-    terminals = [v for v, b in enumerate(form.balances) if b and horizon]
-    for k, v in zip(range(graph.wiring_start, graph.num_arcs), terminals, strict=True):
-        if form.balances[v] > 0:
-            put(graph.heads[k], v)
-        else:
-            put(graph.tails[k], (horizon - 1) * n + v)
+    for e, (arc, layer) in enumerate(graph.movement):
+        put(graph.tails[e], layer * n + form.tails[arc])
+        put(graph.heads[e], (layer + form.transits[arc]) * n + form.heads[arc])
+    collect_start = graph.wiring_start + k
+    for j, e in enumerate(range(graph.wiring_start, collect_start)):
+        put(min(graph.tails[e], graph.heads[e]), n * horizon + j)
     # Holdovers come by their tail's full id, so a chain's tail is mapped
     # before the holdover that leaves it.
-    for k in range(graph.holdover_start, graph.wiring_start):
-        put(graph.heads[k], full[graph.tails[k]] + n)
+    for e in range(graph.holdover_start, graph.wiring_start):
+        put(graph.heads[e], full[graph.tails[e]] + n)
+    for e in range(collect_start, graph.num_arcs):
+        collector, copy = sorted((graph.tails[e], graph.heads[e]), reverse=True)
+        assert full[copy] % n == terminals[full[collector] - n * horizon], e
     ids = [full[v] for v in range(graph.num_nodes)]
     assert len(set(ids)) == len(ids) == len(full)
     return replace(
         graph,
-        num_nodes=n * horizon + 2,
+        num_nodes=n * horizon + k + 2,
         tails=tuple(ids[v] for v in graph.tails),
         heads=tuple(ids[v] for v in graph.heads),
     )
@@ -557,8 +645,8 @@ def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction
 
     routes = []
     for arc_seq, amount in paths:
-        source = run.restricted.nodes[graph.heads[arc_seq[0]] % n]
-        sink = run.restricted.nodes[graph.tails[arc_seq[-1]] % n]
+        source = run.restricted.nodes[graph.heads[arc_seq[1]] % n]
+        sink = run.restricted.nodes[graph.tails[arc_seq[-2]] % n]
         routes.append((source, sink, Fraction(amount, form.flow_scale), cost(arc_seq)))
     clean = all(cost(arc_seq) == 0 for arc_seq, _amount in cycles)
     return routes, clean
@@ -711,7 +799,7 @@ def expansion_search(network: Network) -> QuickestResult:
         if value == network.integral.supply:
             feasible_probe = (graph, flows)
             return True
-        cut = (graph.super_source, reachable)
+        cut = (len(network.nodes) * horizon, reachable)
         return False
 
     lo = t_lb - 1
@@ -723,10 +811,8 @@ def expansion_search(network: Network) -> QuickestResult:
             break
         lo = horizon
         if horizon >= t_ub:
-            super_source, reachable = cut
-            stranded = sorted(
-                {v % len(network.nodes) for v in reachable if v < super_source}
-            )
+            copies, reachable = cut
+            stranded = sorted({v % len(network.nodes) for v in reachable if v < copies})
             raise InfeasibleError(
                 "no horizon admits a transshipment: supplies are cut off from demands",
                 certificate={

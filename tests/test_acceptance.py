@@ -181,8 +181,8 @@ def _project_routes(run):
         for e in seq:
             if e < movement_count:
                 cost += run.restricted.arcs[graph.movement[e][0]].cost
-        source = graph.heads[seq[0]] % n
-        sink = graph.tails[seq[-1]] % n
+        source = graph.heads[seq[1]] % n
+        sink = graph.tails[seq[-2]] % n
         routes.append((source, sink, amount, cost))
     cycle_costs = []
     for seq, _amount in cycles:

@@ -9,6 +9,12 @@ copy is an end of some arc.  The differential test holds every reader
 of an expansion to the same answers on both: max flows, movement flows
 and violated subsets at every horizon up to the quickest one, the
 quickest search's horizon and schedule, and minimum costs over time.
+
+Both wire each terminal through a collector that meets every copy of
+it.  ``_brute.endpoint_expand`` is the full expansion wired at its end
+layers alone, supplies at layer 0 and demands at layer T − 1; the last
+test holds the collectors to its max-flow values, violated subsets and
+minimum costs.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from itertools import islice
 
 import pytest
 
-from _brute import full_expand, full_numbering
+from _brute import endpoint_expand, full_expand, full_numbering
 from qmct import temporal
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
@@ -101,14 +107,16 @@ def test_expand_keeps_exactly_the_copies_on_a_path():
                 full = full_expand(net, horizon)
                 pruned = full_numbering(net, temporal.expand(net, horizon))
                 on_path = _on_path(full)
-                # Wiring arcs are kept even where no path uses them.
-                keep = on_path[: full.wiring_start] + [True] * (full.num_arcs - full.wiring_start)
+                # The k wiring arcs are kept even where no path uses them.
+                wired = full.wiring_start + sum(1 for b in net.integral.balances if b and horizon)
+                keep = on_path[: full.wiring_start] + [True] * (wired - full.wiring_start)
+                keep += on_path[wired:]
                 for name in ("tails", "heads", "capacities", "costs"):
                     kept = tuple(x for x, k in zip(getattr(full, name), keep) if k)
                     assert getattr(pruned, name) == kept, (net, horizon, name)
                 assert pruned.movement == tuple(m for m, k in zip(full.movement, keep) if k)
                 assert pruned.holdover_start == len(pruned.movement)
-                assert pruned.wiring_start == pruned.num_arcs - (full.num_arcs - full.wiring_start)
+                assert pruned.wiring_start == sum(keep[: full.wiring_start])
                 for name in ("num_nodes", "super_source", "super_sink"):
                     assert getattr(pruned, name) == getattr(full, name)
                 checked += 1
@@ -189,3 +197,36 @@ def test_pruned_expansion_answers_as_the_full_one(kind):
     assert mismatches == []
     counts = (networks, rational, negative, zero_transit, unreached, horizons, stranded)
     assert counts == COUNTS[kind]
+
+
+# Per kind: networks, horizons compared and those below the quickest one.
+ENDPOINT_COUNTS = {
+    "generated": (600, 3642, 1242),
+    "rational": (300, 2627, 1427),
+    "dead ends": (120, 748, 268),
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_collectors_answer_as_the_endpoint_wiring(kind):
+    """Max-flow values, violated subsets A_X and minimum costs over time
+    at every horizon from 1 to three past the quickest one."""
+    mismatches = []
+    networks = horizons = infeasible = 0
+    for net in KINDS[kind]():
+        quickest = temporal.quickest_transshipment(net).horizon
+        for horizon in range(1, quickest + 4):
+            collected, _, subset = _probe(temporal.expand, net, horizon)
+            value, _, endpoint_subset = _probe(endpoint_expand, net, horizon)
+            if (collected, subset) != (value, endpoint_subset):
+                mismatches.append((networks, horizon, "probe"))
+            cost = _outcome(lambda: temporal.mincost_over_time(net, horizon).cost)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(temporal, "expand", endpoint_expand)
+                if _outcome(lambda: temporal.mincost_over_time(net, horizon).cost) != cost:
+                    mismatches.append((networks, horizon, "min cost"))
+            horizons += 1
+            infeasible += horizon < quickest
+        networks += 1
+    assert mismatches == []
+    assert (networks, horizons, infeasible) == ENDPOINT_COUNTS[kind]

@@ -266,3 +266,14 @@ def test_verify_schedule_reports_and_skips_an_entry_of_another_shape(entry, mess
     assert report.violations == (message,)
     assert report.cost == verify_schedule(NET, clean).cost == 0
     assert storage_trace(NET, schedule) == storage_trace(NET, clean)
+
+
+@pytest.mark.parametrize("arc_flows", [None, 5], ids=["None", "int"])
+def test_verify_schedule_reports_arc_flows_that_are_no_tuple_or_list(arc_flows):
+    schedule = FlowOverTime(3, arc_flows)
+    message = f"arc_flows {arc_flows!r} is not a tuple or list"
+    report = verify_schedule(NET, schedule)
+    assert report.violations == (message,)
+    assert report.cost == 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        storage_trace(NET, schedule)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import tracemalloc
@@ -17,7 +18,7 @@ from _brute import (
     scale_transits,
 )
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2, detour_network
-from qmct import temporal
+from qmct import _kernel, io, temporal
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
 from qmct.io import load_instance
@@ -44,9 +45,11 @@ def test_expand_one_step_has_only_instant_arcs(demo):
     copies = {(arc, layer) for arc, layer in graph.movement}
     assert copies == {(A_S1V, 0), (A_S2V, 0), (A_VT1, 0), (A_VT2, 0)}
     assert graph.holdover_start == len(graph.movement)
-    # No holdover with a single layer; one wiring arc per terminal.
+    # No holdover with a single layer; one wiring arc per terminal and one
+    # arc between each terminal's collector and its one copy.
     assert graph.wiring_start == graph.holdover_start
-    assert graph.num_arcs == graph.wiring_start + 4
+    assert graph.num_arcs == graph.wiring_start + 4 + 4
+    assert graph.num_nodes == len(demo.nodes) + 4 + 2
 
 
 def test_expand_two_steps_spans_the_slow_arc(demo):
@@ -79,14 +82,15 @@ def test_expand_drops_arcs_slower_than_horizon():
 
 
 def test_expand_numbers_the_copies_of_one_slow_arc_alone():
-    # Each end of the arc keeps one copy, however slow the arc.  The
-    # sizes come first: numbering all n·T copies would take gigabytes.
+    # Each end of the arc keeps one copy, however slow the arc, besides
+    # the two collectors and the super terminals.  The sizes come first:
+    # numbering all n·T copies would take gigabytes.
     nets = {
         tau: Network.of(["s", "t"], [("s", "t", 1, tau, 0)], {"s": 1, "t": -1})
         for tau in (1, 10**3, 10**7)
     }
     for tau, net in nets.items():
-        assert expand(net, tau + 1).num_nodes == 4, tau
+        assert expand(net, tau + 1).num_nodes == 6, tau
     tracemalloc.start()
     try:
         horizon = quickest_transshipment(nets[10**7]).horizon
@@ -120,8 +124,8 @@ def test_expand_counts_steps_of_the_time_scale():
 # rescales any arc shows up.  The first pins the full expansion of
 # ``_brute.full_expand``, the second the pruned one of ``expand``, its
 # ids mapped back to ``layer·n + v`` by ``_brute.full_numbering``.
-EXPANSION_GOLDEN = "48aa6148740657f02972dd20dace2d50af8f716d207fd0133e2db7884428e0f1"
-PRUNED_EXPANSION_GOLDEN = "cfb93812e97441729cc363a403c5f22d55ee0acd6602e98836b035dc276b21eb"
+EXPANSION_GOLDEN = "3ab3de76d8842fe319e4eb91bbe67a0272764f0e633ba88c4e95dbba4e8ed926"
+PRUNED_EXPANSION_GOLDEN = "2e7e189571691325c6b24f6876890e85f63cf30ddfac1df6bb5ba83560a385e0"
 
 
 def _expansion_instances():
@@ -180,10 +184,33 @@ def test_pruned_expansion_matches_golden_digest():
 
 
 def test_expansion_size_bound(demo):
+    """At most m·T movement copies, n·(T − 1) holdovers, and k wiring arcs
+    and k·T arcs between the k terminals' collectors and their copies:
+    in all at most (m + n + k)·(T + 1) arcs."""
     for horizon in (1, 3, 7):
         graph = expand(demo, horizon)
-        m, n = len(demo.arcs), len(demo.nodes)
-        assert graph.num_arcs <= (m + n) * (horizon + 1)
+        m, n, k = len(demo.arcs), len(demo.nodes), len(demo.sources) + len(demo.sinks)
+        assert graph.num_arcs <= (m + n + k) * (horizon + 1)
+
+
+def test_pushed_paths_do_not_walk_the_horizon(monkeypatch):
+    """Flow enters and leaves the expansion at any layer through the
+    collectors, so no augmenting path waits along a holdover chain: on
+    the chain-horizon workload's 12-node chain with supply 3200 (H =
+    3221), every path the solve pushes along has at most n + 3 = 15 edges,
+    where wiring at layers 0 and T − 1 alone made paths of 3,212."""
+    monkeypatch.syspath_prepend(str(INSTANCES.parent / "perfbench"))
+    network = io.network_from_doc(importlib.import_module("workloads").chain_doc(3200, 0))
+    lengths = []
+    push = _kernel._push_bottleneck
+
+    def recording(rem, path, limit=None):
+        lengths.append(len(path))
+        return push(rem, path, limit)
+
+    monkeypatch.setattr(_kernel, "_push_bottleneck", recording)
+    assert solve_quickest_mincost(network).horizon == 3221
+    assert lengths and max(lengths) <= len(network.nodes) + 3 == 15
 
 
 def test_quickest_guards_each_probe_before_expanding(monkeypatch):
@@ -433,7 +460,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 # for the bundled instances and 20 generated ones (half of them with
 # negative costs), so that a change to the schedule simulator that shifts
 # any held amount at any step shows up.
-STORAGE_GOLDEN = "f0070adba08ff8d41063225d6556f96cd3d8d1cb39d073861e02fa0b856cecd6"
+STORAGE_GOLDEN = "45ccfd7dca39836694aeecb28d74fa9a95e30e404545a06f5b16069762504ba8"
 
 
 def _storage_instances():
