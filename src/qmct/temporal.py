@@ -6,12 +6,9 @@ interval ``[q, q+1)``, ``q = 0..T-1``.  A copy of arc ``a`` at layer
 capacity is the arc's rate bound) and delivers it during
 ``[q + transit, q + transit + 1)``; the copy exists only when
 ``q + transit <= T - 1`` so that everything has arrived by ``T``.
-Holdover arcs let flow wait at any node free of charge.  Each terminal
-has a *collector*: the super source feeds a source's collector up to
-its supply, and the collector feeds every copy of the source; every
-copy of a sink drains into its collector, and the collector into the
-super sink up to its demand.  Flow so enters and leaves at any layer
-without walking a holdover chain, and feasibility at horizon ``T`` is a
+Holdover arcs let flow wait at any node free of charge.  Supplies enter
+and demands leave at any layer, through one collector node per terminal
+wired to a super terminal, which makes feasibility at horizon ``T`` a
 max-flow question and minimum cost over time a min-cost-flow question
 on the expansion.  :func:`expand` builds only the copies that some flow
 could use: those reached from a source in time and reaching a sink by

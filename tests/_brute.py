@@ -577,8 +577,8 @@ def full_numbering(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGr
     for e in range(graph.holdover_start, graph.wiring_start):
         put(graph.heads[e], full[graph.tails[e]] + n)
     for e in range(collect_start, graph.num_arcs):
-        collector, copy = sorted((graph.tails[e], graph.heads[e]), reverse=True)
-        assert full[copy] % n == terminals[full[collector] - n * horizon], e
+        ends = graph.tails[e], graph.heads[e]
+        assert full[min(ends)] % n == terminals[full[max(ends)] - n * horizon], e
     ids = [full[v] for v in range(graph.num_nodes)]
     assert len(set(ids)) == len(ids) == len(full)
     return replace(
