@@ -365,18 +365,21 @@ def labels(graph: list[list[tuple]], seeds: Mapping[int, object]) -> list:
 
 
 def reprice(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
-    """Dijkstra from s under the potentials ``pi``, stopped once t is settled
-    or the least open distance reaches ``bound``; returns ``(dist, parent_edge)``.
+    """Dijkstra from s under the potentials ``pi``, stopped once the least
+    open distance reaches t's tentative one or ``bound``; returns
+    ``(dist, parent_edge)``.
 
     Every node nearer than the stop distance, the least of ``t``'s
     distance and ``bound``, is settled with its exact distance; every
-    other keeps a tentative one no smaller.  Each ``pi[v]`` is raised by
-    its distance capped at the stop distance; when that is not finite
-    ``pi`` stays as it is.  An edge ``u -> v`` with reduced cost r >= 0
-    keeps one: if the search scanned ``u``, ``v``'s distance is at most
-    ``u``'s plus r, and any other ``u`` is raised by the whole cap, which
-    no node exceeds.  The search tree's edges from s to a settled t
-    become tight, so that path costs ``pi[t] - pi[s]``.
+    other keeps a tentative one no smaller.  Below ``bound`` t's distance
+    is then final, and so is its tree path: a later scan, from a node no
+    nearer, could not lower it.  Each ``pi[v]`` is raised by its distance
+    capped at the stop distance; when that is not finite ``pi`` stays as
+    it is.  An edge ``u -> v`` with reduced cost r >= 0 keeps one: if the
+    search scanned ``u``, ``v``'s distance is at most ``u``'s plus r, and
+    any other ``u`` is raised by the whole cap, which no node exceeds.
+    The search tree's edges from s to a t nearer than ``bound`` become
+    tight, so that path costs ``pi[t] - pi[s]``.
     """
     adj, rem, to, cost = g.adj, g.rem, g.to, g.cost
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -388,7 +391,7 @@ def reprice(g: Residual, s: int, t: int, pi: list[int], bound: float = INF):
         d, u = heappop(heap)
         if d > dist[u]:
             continue
-        if u == t or d >= bound:
+        if d >= dist[t] or d >= bound:
             break
         base = d + pi[u]
         for e in adj[u]:

@@ -103,10 +103,13 @@ def quickest_mincost(network: Network, max_layers: int | None) -> tuple[Fraction
     one at which the minimum cost is attained.
 
     The scan grows one time expansion from horizon 0 by appending a
-    layer at a time.  Up to the first feasible horizon each layer costs
-    one max flow, which augments the flow left by the last one.  There a
-    min-cost flow starts from zero, and each later layer continues it
-    from the last one's flow and potentials on the same graph
+    layer at a time.  Flow reaches a sink t no earlier than layer e(t),
+    the least transit from any source to t, so every horizon up to
+    max_t e(t) is infeasible and the expansion grows that far with no
+    max flow.  From there up to the first feasible horizon each layer
+    costs one max flow, which augments the flow left by the last one.
+    There a min-cost flow starts from zero, and each later layer
+    continues it from the last one's flow and potentials on the same graph
     (:meth:`_GrowingExpansion.min_cost`).  Horizon 0 is checked against
     ``max_layers`` before any work, each growth first against the bound,
     which caps the scan (passing it raises :class:`InternalCheckError`);
@@ -133,7 +136,11 @@ def quickest_mincost(network: Network, max_layers: int | None) -> tuple[Fraction
         layer_guard(expansion.horizon + 1, max_layers)
         expansion.grow()
 
-    while expansion.routed < network.integral.supply:
+    form = network.integral
+    early = _kernel.labels(network.label_graph("transits"), dict.fromkeys(form.sources, 0))
+    while expansion.horizon < min(max((early[t] for t in form.sinks), default=0), bound - 1):
+        grow()
+    while expansion.routed < form.supply:
         grow()
         expansion.max_flow()
     while expansion.min_cost() != target:

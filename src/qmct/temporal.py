@@ -35,6 +35,7 @@ from itertools import accumulate, chain
 from typing import AbstractSet, Sequence
 
 from . import _kernel
+from .corridors import merge_corridors
 from .errors import InfeasibleError, InternalCheckError, layer_guard, too_small
 from .network import Network, NodeId
 
@@ -288,17 +289,19 @@ def _schedule_from_movement(
     return FlowOverTime(graph.horizon, tuple(entries))
 
 
-def _solve_max(graph: TimeExpandedGraph) -> tuple[int, list[int], set[int]]:
-    """Max-flow value, the movement copies' flows and the residual cut."""
+def _solve_max(graph: TimeExpandedGraph, supply: int) -> tuple[int, list[int], set[int] | None]:
+    """Max-flow value, the movement copies' flows and, for a value short of
+    ``supply``, the residual cut."""
     g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
     value = _kernel.max_flow(g, graph.super_source, graph.super_sink)
-    reachable = _kernel.residual_reachable(g, graph.super_source)
+    reachable = _kernel.residual_reachable(g, graph.super_source) if value < supply else None
     return value, g.rem[1 : 2 * len(graph.movement) : 2], reachable
 
 
 def feasible(network: Network, horizon: int) -> bool:
     """True when all supplies can reach their demands within the horizon."""
-    return _solve_max(expand(network, horizon))[0] == network.integral.supply
+    supply = network.integral.supply
+    return _solve_max(expand(network, horizon), supply)[0] == supply
 
 
 def subset_paths(
@@ -424,12 +427,18 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
     to T_{A_X}.  A subset with b(A) > 0 and no path proves the instance
     infeasible: :class:`InfeasibleError` names the isolated terminal
     for the first family and otherwise the subset and ``cut_nodes``.
+    All of this runs on the network with its corridors merged
+    (:mod:`qmct.corridors`), which has the same feasible horizons and
+    T_A; the schedule is unfolded onto the input's arcs, and
+    ``cut_nodes`` gains the merged nodes behind those it names.
     A probe above ``max_layers`` raises :class:`HorizonLimitError` before
     its expansion is built, and its ``requested`` horizon, a proven
     lower bound on H, shows that H exceeds the limit; a negative
     ``max_layers`` raises :class:`ValueError` before any work.
     """
     layer_guard(0, max_layers)
+    merged = merge_corridors(network)
+    network = merged.network
     form, horizon = network.integral, 0
     terminals = {*form.sources, *form.sinks}
     seed = [(s, {s}, "supply at {!r} cannot reach any sink") for s in form.sources]
@@ -447,11 +456,15 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
     while True:
         layer_guard(horizon, max_layers)
         graph = expand(network, horizon)
-        value, flows, reachable = _solve_max(graph)
+        value, flows, reachable = _solve_max(graph, form.supply)
         if value == form.supply:
-            return QuickestResult(_schedule_from_movement(graph, flows, form.flow_scale))
-        violated = _violated_subset(network, graph, reachable)
-        bound = _subset_horizon(network, violated)
+            schedule = _schedule_from_movement(graph, flows, form.flow_scale)
+            return QuickestResult(merged.unfold(schedule))
+        try:
+            bound = _subset_horizon(network, _violated_subset(network, graph, reachable))
+        except InfeasibleError as cut_off:
+            merged.widen_cut(cut_off.certificate)
+            raise
         if bound <= horizon:
             raise InternalCheckError(f"cut at horizon {horizon} gives bound {bound}")
         horizon = bound

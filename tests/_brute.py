@@ -6,8 +6,9 @@ second route to the same answers.
 
 It is also the home of the decomposition reference for routing
 admissibility: :func:`routed_paths` re-solves the final horizon
-probe's expansion, checks that its flow is the reported schedule, and
-splits it into paths and cycles.  The solver certifies the same
+probe's expansion, checks that its flow, unfolded from the merged
+corridors, is the reported schedule, and splits it into paths and
+cycles.  The solver certifies the same
 property from reduced costs on the schedule's arcs instead
 (:func:`qmct.pipeline.check_admissible_routing`).
 
@@ -65,6 +66,10 @@ from a min-cost flow over the expansion at
 horizon zero, where the oracle takes the static optimum as its target
 and scans max flows up to the first feasible horizon.
 
+:func:`reprice` is the reference for :func:`qmct._kernel.reprice`: the
+same Dijkstra run on until t itself is popped, where the kernel stops
+at the first pop no nearer than t.
+
 :func:`reprice_growth` is the reference for
 :meth:`qmct.oracle._GrowingExpansion._reprice_growth`: it prices the
 copies of a growth by Bellman–Ford rounds over the new edges, where the
@@ -75,6 +80,7 @@ oracle does.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -83,6 +89,7 @@ from typing import Any, Iterable, Sequence
 
 from qmct import _kernel, staticflow
 from qmct.cheapest import cheapest_from, cheapest_to
+from qmct.corridors import merge_corridors
 from qmct.errors import HorizonLimitError, InfeasibleError, InternalCheckError, ValidationError
 from qmct.network import Arc, Network, NodeId
 from qmct.oracle import _GrowingExpansion, horizon_upper_bound
@@ -628,13 +635,21 @@ def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction
 
     The boolean is False if the flow contains a nonzero-cost cycle,
     which would invalidate the projection's cost accounting.  The flow
-    is the max flow of ``run.restricted`` at the reported horizon,
-    asserted to rebuild the reported schedule; its integer flows are
-    decomposed as they are, and only the routed amounts are unscaled.
+    is the max flow at the reported horizon of the network the search
+    solved, ``run.restricted`` with its corridors merged; unfolded step
+    by step onto the restricted arcs, it is asserted to rebuild the
+    reported schedule.  Its integer flows are decomposed as they are,
+    and only the routed amounts are unscaled.
     """
-    graph, flows, _value = expansion_max_flow(run.restricted, run.quickest.horizon)
-    form = run.restricted.integral
-    assert movement_rates(graph, flows, form.flow_scale) == schedule_rates(run.quickest.schedule)
+    merged = merge_corridors(run.restricted)
+    graph, flows, _value = expansion_max_flow(merged.network, run.quickest.horizon)
+    form, transits = merged.network.integral, run.restricted.integral.transits
+    unfolded = {}
+    for (arc, step), rate in movement_rates(graph, flows, form.flow_scale).items():
+        for k in merged.chains[arc]:
+            unfolded[(k, step)] = rate
+            step += transits[k]
+    assert unfolded == schedule_rates(run.quickest.schedule)
     paths, cycles = staticflow.decompose(graph, flows)
     n = len(run.restricted.nodes)
     movement = graph.movement
@@ -795,8 +810,8 @@ def expansion_search(network: Network) -> QuickestResult:
     def probe(horizon: int) -> bool:
         nonlocal feasible_probe, cut
         graph = full_expand(network, horizon)
-        value, flows, reachable = _solve_max(graph)
-        if value == network.integral.supply:
+        value, flows, reachable = _solve_max(graph, network.integral.supply)
+        if reachable is None:
             feasible_probe = (graph, flows)
             return True
         cut = (len(network.nodes) * horizon, reachable)
@@ -1055,3 +1070,37 @@ def reprice_growth(expansion: _GrowingExpansion) -> None:
                 amount = _kernel.push_path(g, collector, tail, parent_edge)
                 g.push(e, amount)
                 expansion.cost += amount * (pi[tail] - pi[collector])
+
+
+def reprice(g: _kernel.Residual, s: int, t: int, pi: list[int], bound: float = _kernel.INF):
+    """Dijkstra from s under the potentials ``pi``, stopped once t is popped
+    or the least open distance reaches ``bound``; returns ``(dist, parent_edge)``.
+
+    The reference for :func:`qmct._kernel.reprice`, which stops as soon as
+    the least open distance reaches t's: nodes nearer than the stop
+    distance are settled either way, and every other node's raise of
+    ``pi`` is capped at the same value.
+    """
+    dist: list[int | float] = [_kernel.INF] * g.n
+    parent_edge = [-1] * g.n
+    dist[s] = 0
+    heap = [(0, s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == t or d >= bound:
+            break
+        for e in g.adj[u]:
+            if g.rem[e] != 0:
+                v = g.to[e]
+                nd = d + pi[u] + g.cost[e] - pi[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent_edge[v] = e
+                    heapq.heappush(heap, (nd, v))
+    cap_at = min(dist[t], bound)
+    if cap_at != _kernel.INF:
+        for v in range(g.n):
+            pi[v] += min(dist[v], cap_at)
+    return dist, parent_edge

@@ -139,7 +139,8 @@ def test_expand_numbers_only_the_ends_of_its_arcs():
 
 def _probe(build, net: Network, horizon: int):
     graph = build(net, horizon)
-    value, flows, reachable = temporal._solve_max(graph)
+    # A need above the supply asks for the residual cut at feasible horizons too.
+    value, flows, reachable = temporal._solve_max(graph, net.integral.supply + 1)
     moved = {copy: f for copy, f in zip(graph.movement, flows) if f}
     return value, moved, temporal._violated_subset(net, graph, reachable)
 

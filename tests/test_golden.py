@@ -48,7 +48,7 @@ from qmct.pipeline import (
 from qmct.temporal import storage_trace
 
 ANSWERS_GOLDEN = "04f858528797c3421532510befccef96dc07338b3dee08ded1b807e2f31fd32a"
-SCHEDULES_GOLDEN = "eebf4b826d6993cbb4ca71ca479a0a97d89e262de9258f660668f1ef8e9715a7"
+SCHEDULES_GOLDEN = "fe3555a7c4b5ad538788bcf01cabe73a3b18bdc454e041e0b6be91f1c328cffa"
 
 
 def _plain(value):

@@ -1,10 +1,11 @@
 """The cut-driven quickest search against the expansion search it replaced.
 
 :func:`qmct.temporal.quickest_transshipment` probes only at proven lower
-bounds.  These tests hold it to the gallop-and-bisect reference
-(``_brute.expansion_search``) on generated instances, and check the two
-lemmas it rests on: the closed form of ``o^T(A)`` against an expansion
-max flow, and that every infeasible probe's cut names a violated subset.
+bounds, on the network with its corridors merged.  These tests hold it
+to the gallop-and-bisect reference (``_brute.expansion_search``) on
+generated instances, and check the two lemmas it rests on: the closed
+form of ``o^T(A)`` against an expansion max flow, and that every
+infeasible probe's cut names a violated subset.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from itertools import combinations
 
 from _brute import expansion_search, subset_expansion_flow
 from qmct import _kernel, temporal
+from qmct.corridors import merge_corridors
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.network import Arc, Network
 from qmct.pipeline import run_quickest_mincost
+from qmct.temporal import verify_schedule
 
 
 def _instances(count: int):
@@ -55,7 +58,10 @@ def _outcome(search, network):
 
 
 def test_matches_the_expansion_search_on_scaled_and_restricted_networks():
-    compared = infeasible = rational = negative = zero_transit = restricted = 0
+    """Where the search merges corridors, it answers exactly as the reference
+    on the merged network, unfolded, and as the reference on the input in
+    horizon or infeasibility, with a schedule that verifies."""
+    compared = infeasible = rational = negative = zero_transit = restricted = merged = 0
     for net in _instances(600):
         rational += any(a.transit.denominator > 1 for a in net.arcs)
         negative += any(a.cost < 0 for a in net.arcs)
@@ -68,11 +74,25 @@ def test_matches_the_expansion_search_on_scaled_and_restricted_networks():
         restricted += len(networks) - 1
         for network in networks:
             new = _outcome(temporal.quickest_transshipment, network)
-            assert new == _outcome(expansion_search, network), network
+            old = _outcome(expansion_search, network)
+            corridors = merge_corridors(network)
+            if corridors.network is network:
+                assert new == old, network
+            else:
+                reduced = _outcome(expansion_search, corridors.network)
+                if reduced != "infeasible":
+                    reduced = reduced[0], corridors.unfold(reduced[1])
+                assert new == reduced, network
+                assert (new == "infeasible") == (old == "infeasible"), network
+                if new != "infeasible":
+                    assert new[0] == old[0], network
+                    assert verify_schedule(network, new[1]).ok, network
+                merged += 1
             infeasible += new == "infeasible"
             compared += 1
     assert restricted >= 500, restricted
     assert compared >= 1100, compared
+    assert merged >= 300, merged
     assert min(infeasible, rational, negative, zero_transit) >= 40, (
         infeasible,
         rational,
@@ -125,7 +145,7 @@ def test_every_infeasible_probe_names_a_violated_subset():
             continue
         for horizon in range(1, answer):
             graph = temporal.expand(network, horizon)
-            value, _flows, reachable = temporal._solve_max(graph)
+            value, _flows, reachable = temporal._solve_max(graph, network.integral.supply)
             assert value < network.integral.supply
             subset = temporal._violated_subset(network, graph, reachable)
             need = _need(network, subset)

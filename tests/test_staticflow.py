@@ -11,6 +11,7 @@ from _brute import (
     min_cost_flow,
     min_cut_by_enumeration,
     problem_from_network,
+    reprice,
 )
 from qmct import _kernel
 from qmct.errors import InfeasibleError, InternalCheckError
@@ -553,3 +554,51 @@ def test_decompose_matches_golden_digest():
         digest.update(repr((paths, cycles)).encode())
     assert min(totals.values()) >= 500, totals
     assert digest.hexdigest() == DECOMPOSE_GOLDEN
+
+
+def _plateau_residual(rng: random.Random, n: int):
+    """A residual graph with potentials that give every residual edge a
+    reduced cost >= 0, most of them 0; some arcs carry flow, so their
+    reverse edges are residual at reduced cost 0."""
+    pi = [rng.randint(-5, 5) for _ in range(n)]
+    arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+    reduced = [rng.choice((0, 0, 0, 1, 2)) for _ in arcs]
+    caps = [rng.choice((None, 0, 1, 2, 3)) for _ in arcs]
+    costs = [r - pi[u] + pi[v] for (u, v), r in zip(arcs, reduced)]
+    g = _kernel.build(n, [u for u, _ in arcs], [v for _, v in arcs], caps, costs)
+    for k, (r, cap) in enumerate(zip(reduced, caps)):
+        if r == 0 and cap and rng.random() < 0.5:
+            g.push(2 * k, rng.randint(1, cap))
+    return g, pi
+
+
+def _tree_path(parent_edge: list[int], g, s: int, t: int) -> list[int]:
+    path, v = [], t
+    while v != s:
+        path.append(parent_edge[v])
+        v = g.to[parent_edge[v] ^ 1]
+    return path
+
+
+def test_reprice_stops_once_t_is_final_and_answers_as_the_full_search():
+    rng = random.Random(3701)
+    stopped = reached = 0
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        g, pi = _plateau_residual(rng, n)
+        s, t = rng.randrange(n), rng.randrange(n)
+        bound = rng.choice((_kernel.INF, rng.randint(0, 6)))
+        pi_ref = list(pi)
+        dist, parent_edge = _kernel.reprice(g, s, t, pi, bound)
+        dist_ref, parent_ref = reprice(g, s, t, pi_ref, bound)
+        assert pi == pi_ref
+        assert dist[t] == dist_ref[t]
+        stop = min(dist_ref[t], bound)
+        below = {v: d for v, d in enumerate(dist_ref) if d < stop}
+        assert below == {v: d for v, d in enumerate(dist) if d < stop}
+        if dist[t] < bound:
+            assert _tree_path(parent_edge, g, s, t) == _tree_path(parent_ref, g, s, t)
+            reached += 1
+            stopped += dist != dist_ref
+    # The kernel stopped short of the reference's search on a share of them.
+    assert reached >= 2000 and stopped >= 200, (reached, stopped)
