@@ -6,17 +6,17 @@ interval ``[q, q+1)``, ``q = 0..T-1``.  A copy of arc ``a`` at layer
 capacity is the arc's rate bound) and delivers it during
 ``[q + transit, q + transit + 1)``; the copy exists only when
 ``q + transit <= T - 1`` so that everything has arrived by ``T``.
-Holdover arcs let flow wait at any node free of charge.  Supplies enter
-and demands leave at any layer, through one collector node per terminal
-wired to a super terminal, which makes feasibility at horizon ``T`` a
-max-flow question and minimum cost over time a min-cost-flow question
-on the expansion.  :func:`expand` builds only the copies that some flow
-could use: those reached from a source in time and reaching a sink by
-the horizon.  The quickest horizon is found by probing only at proven
-lower bounds, each in closed form from one terminal subset's shortest
-paths (:func:`quickest_transshipment`).  Results keep no expansion: a
-probe's flows live only until its movement copies are read back into a
-:class:`FlowOverTime`.
+Holdover arcs let flow wait free of charge at any node with arcs in and
+out.  Supplies enter and demands leave at any layer, through one
+collector node per terminal wired to a super terminal, which makes
+feasibility at horizon ``T`` a max-flow question and minimum cost over
+time a min-cost-flow question on the expansion.  :func:`expand` builds
+only the copies that some flow could use: those reached from a source
+in time and reaching a sink by the horizon.  The quickest horizon is
+found by probing only at proven lower bounds, each in closed form from
+one terminal subset's shortest paths (:func:`quickest_transshipment`).
+Results keep no expansion: a probe's flows live only until its movement
+copies are read back into a :class:`FlowOverTime`.
 
 Everything here reads :attr:`Network.integral`, built with the network
 however many horizons are expanded; other balances make another
@@ -48,8 +48,8 @@ class TimeExpandedGraph:
     numbered in the order of ``layer·n + v``, then the terminals'
     collectors in node order, then the super source and super sink;
     only ``expand`` knows which copy an index is.  Arc order is movement
-    copies first (aligned with ``movement``), then holdover arcs from
-    ``holdover_start``, then from ``wiring_start`` each terminal's arc
+    copies first (aligned with ``movement``), then the kept holdover arcs
+    from ``holdover_start``, then from ``wiring_start`` each terminal's arc
     between its collector and a super terminal, in node order, then the
     arcs between the collectors and their copies; the properties derive
     from the stored fields.
@@ -150,11 +150,16 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     the super sink at capacity −b(t).  The arcs between a collector and
     its copies are uncapacitated and cost 0, so flow enters and leaves
     the expansion at any layer, and an augmenting path need not walk a
-    holdover chain from layer 0 or up to layer T − 1.  The holdovers stay,
-    at the terminals too, so the flows are in value and cost those of the
-    expansion wired at layers 0 and T − 1 alone: flow sent into (s, q)
-    could as well enter (s, 0) and wait, and flow drained at (t, q) could
-    wait up to (t, T − 1).
+    holdover chain from layer 0 or up to layer T − 1.  Holdovers stay only
+    at the nodes that some arc enters and some arc leaves.  Any other
+    node with copies is a source that no arc enters, where waiting flow
+    could have entered a layer later from the collector over an
+    uncapacitated arc of cost 0, or a sink that no arc leaves, where it
+    could drain at once.  So every flow maps to one of the same value and
+    cost, and the flows are in value and cost those of the expansion with
+    every holdover, wired at layers 0 and T − 1 alone: flow sent into
+    (s, q) could as well enter (s, 0) and wait, and flow drained at
+    (t, q) could wait up to (t, T − 1).
 
     Let ``e(v)`` be the least transit from any source to v and ``ℓ(v)``
     the least transit from v to any sink, ∞ without a path (transits are
@@ -162,20 +167,22 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     ``(v, q)`` only if ``e(v) <= q``, and flow at ``(v, q)`` reaches the
     super sink only if ``q + ℓ(v) <= T − 1``.  So the movement copy of
     arc ``a = (u, w)`` at layer q is kept iff ``e(u) <= q`` and ``q + τ_a
-    + ℓ(w) <= T − 1``, the holdover ``(v, q) → (v, q+1)`` iff ``e(v) <=
-    q`` and ``q + 1 + ℓ(v) <= T − 1``, the arc between a terminal's
-    collector and its copy at layer q iff ``e(v) <= q <= T − 1 − ℓ(v)``
-    (a source has e = 0, a sink ℓ = 0), and every wiring arc between a
-    super terminal and a collector is kept.  Conversely, every other arc
-    kept lies on the path that leaves a source's collector, reaches the
-    arc's tail by least transits and waits there, crosses the arc and
-    reaches a sink's collector in time.  So the kept copies, those with
-    ``e(v) <= q <= T − 1 − ℓ(v)``, and the kept arcs but the wiring are
-    exactly those on some super source → super sink path of the full
-    expansion.  The copies get ids in the order of ``q·n + v``, then come
-    the collectors in node order, then the super source and super sink;
-    with arcs in order, each node lists its edges and ties break as in
-    the full one.
+    + ℓ(w) <= T − 1``, the holdover ``(v, q) → (v, q+1)`` at a node v
+    that keeps holdovers iff ``e(v) <= q`` and ``q + 1 + ℓ(v) <= T − 1``,
+    the arc between a terminal's collector and its copy at layer q iff
+    ``e(v) <= q <= T − 1 − ℓ(v)`` (a source has e = 0, a sink ℓ = 0), and
+    every wiring arc between a super terminal and a collector is kept.
+    Conversely, every other arc kept lies on the path that leaves a
+    source's collector, reaches the arc's tail by least transits and
+    waits there (a tail that no arc enters is a source, entered at that
+    layer), crosses the arc and reaches a sink's collector in time.  So
+    the kept copies, those with ``e(v) <= q <= T − 1 − ℓ(v)``, and the
+    kept arcs but the wiring are exactly those on some super source →
+    super sink path of the full expansion, which has every copy and the
+    same holdovers.  The copies get ids in the order of ``q·n + v``, then
+    come the collectors in node order, then the super source and super
+    sink; with arcs in order, each node lists its edges and ties break as
+    in the full one.
 
     Nothing a caller reads changes.  In the full expansion let R be the
     nodes the super source reaches and L those that reach the super
@@ -231,8 +238,9 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     caps: list[int | None] = [caps_int[i] for _, i in copies]
     costs = [costs_int[i] for _, i in copies]
     movement = [(i, layer) for layer, i in copies]
-    # Holdover ``(v, q) → (v, q+1)`` wherever both copies are kept, by its tail.
-    waits = [key for key in kept if key + n in ids]
+    # Holdover ``(v, q) → (v, q+1)`` wherever v keeps holdovers and both copies, by its tail.
+    through = set(arc_tails) & set(form.heads)
+    waits = sorted(chain.from_iterable(spans[v][:-1] for v in through))
     tails += [ids[key] for key in waits]
     heads += [ids[key + n] for key in waits]
     caps += [None] * len(waits)
@@ -387,15 +395,17 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
     with the collector of a source s in X all of s's copies are, and
     with the collector of a sink t outside X none of t's copies is.  So
     its capacity is Σ_{s∉A_X} b_s + Σ_{t∈A_X} −b_t + M(X), M(X) being
-    the movement copies leaving X.  The copies in X also cut the A_X
-    problem: they hold every copy of A_X's sources and none of the
-    sinks outside A_X, and no holdover leaves them.  So M(X) >=
-    o^T(A_X) and the capacity is >= total − b(A_X) + o^T(A_X).
-    Conversely the source side Y of a minimum cut of the A problem, with
-    the super source and the collectors of A, has capacity <= total −
-    b(A) + o^T(A): Y holds every copy of A's sources and no copy of the
-    sinks outside A, since no holdover leaves it.  The least cut, the
-    max flow, reaches the total iff no A is violated.
+    the movement copies leaving X.  As :func:`expand` argues, o^T(A) is
+    also the max flow of the *A problem*: the expansion with the same
+    holdovers and uncapacitated collectors for A's sources and the sinks
+    outside A alone.  The copies in X cut the A_X problem: they hold
+    every copy of A_X's sources and none of the sinks outside A_X, and
+    no kept holdover leaves them.  So M(X) >= o^T(A_X) and the capacity
+    is >= total − b(A_X) + o^T(A_X).  Conversely the source side Y of a
+    minimum cut of the A problem, with the collectors of A's sinks, has
+    capacity <= total − b(A) + o^T(A): Y holds every copy of A's sources
+    and no copy of the sinks outside A, and no kept holdover leaves it.
+    The least cut, the max flow, reaches the total iff no A is violated.
 
     *Cut extraction*: the residual-reachable set X of an infeasible
     probe is a minimum cut below the total, so o^T(A_X) <= M(X) <
@@ -486,18 +496,30 @@ def mincost_over_time(network: Network, horizon: int) -> MincostOverTimeResult:
     return MincostOverTimeResult(Fraction(cost, form.flow_scale * form.cost_scale), schedule)
 
 
+def _holdings(start: int, changes: Sequence[tuple[int, int]], horizon: int) -> list[int]:
+    """A node's holdings at times 0..horizon, from those at 0 and its rate changes."""
+    rates = [0] * (horizon + 1)
+    for time, d in changes:
+        rates[time] += d
+    return list(accumulate(accumulate(rates[:horizon]), initial=start))
+
+
 def _replay(
     network: Network, schedule: FlowOverTime
-) -> tuple[list[str], Fraction, dict[NodeId, list[int]], int]:
-    """Simulate a schedule by prefix sums over the integer form.
+) -> tuple[list[str], Fraction, list[tuple[int, list[tuple[int, int]]]], int]:
+    """Simulate a schedule by sweeping rate changes over the integer form.
 
-    Returns the violations, the exact cost, each node's holdings at times
-    0..horizon in units of ``1/scale``, and ``scale``; a horizon that is not
-    an int, or is negative, and ``arc_flows`` that are not a tuple or list
-    raise ValueError.  Entries that are no
-    :class:`ArcIntervals`, or have a bad arc, intervals, rate or interval,
-    are reported and skipped; the cost sums in integers at ``scale``.
+    Returns the violations, the exact cost, per node its holdings at time
+    0 and its net inflow rate changes ``(time, ±rate)``, a pair per move,
+    in units of ``1/scale``, and ``scale``.  A schedule that is no
+    :class:`FlowOverTime`, a horizon that is not an int, or is negative,
+    and ``arc_flows`` that are not a tuple or list raise ValueError.
+    Entries that are no :class:`ArcIntervals`, or have a bad arc,
+    intervals, rate or interval, are reported and skipped; the cost sums
+    in integers at ``scale``.
     """
+    if not isinstance(schedule, FlowOverTime):
+        raise ValueError(f"schedule {schedule!r} is not a FlowOverTime")
     form = network.integral
     horizon = schedule.horizon
     if type(horizon) is not int:
@@ -543,10 +565,8 @@ def _replay(
     # One scale makes the balances, capacities and every rate integers.
     scale = math.lcm(form.flow_scale, *(rate.denominator for *_, rate in valid))
     up = scale // form.flow_scale
-    # Per node, a difference array of its net inflow rate and the spans of
-    # flow through it (only there is a deficit reported); per arc, its rate changes.
-    flow = [[0] * (horizon + 1) for _ in network.nodes]
-    moves: list[list[tuple[int, int]]] = [[] for _ in network.nodes]
+    # Per node, its net inflow rate changes, a pair per move; per arc, its rate changes.
+    node_changes: list[list[tuple[int, int]]] = [[] for _ in network.nodes]
     arc_changes: dict[int, list[tuple[int, int]]] = {}
     cost = 0
     for arc, start, end, rate in valid:
@@ -557,10 +577,7 @@ def _replay(
         stop = min(end, horizon)
         arc_changes.setdefault(arc, []).extend([(start, r), (stop, -r)])
         for v, shift, d in ((form.tails[arc], 0, -r), (form.heads[arc], form.transits[arc], r)):
-            lo, hi = min(start + shift, horizon), min(stop + shift, horizon)
-            flow[v][lo] += d
-            flow[v][hi] -= d
-            moves[v].append((lo, hi))
+            node_changes[v] += [(min(start + shift, horizon), d), (min(stop + shift, horizon), -d)]
     for arc, changes in arc_changes.items():
         changes.sort()
         for (lo, _), (hi, _), rate in zip(changes, changes[1:], accumulate(d for _, d in changes)):
@@ -570,32 +587,41 @@ def _replay(
                     f"{Fraction(form.capacities[arc], form.flow_scale)} during [{q},{q + 1})"
                     for q in range(lo, hi)
                 )
-    trace: dict[NodeId, list[int]] = {}
+    nodes: list[tuple[int, list[tuple[int, int]]]] = []
     for v, name in enumerate(network.nodes):
-        b = form.balances[v] * up
-        held = list(accumulate(accumulate(flow[v][:horizon]), initial=max(b, 0)))
-        if min(held) < 0:
-            moving = {q for lo, hi in moves[v] for q in range(lo, hi)}
+        b, moves = form.balances[v] * up, node_changes[v]
+        initial = held = low = max(b, 0)
+        nodes.append((initial, moves))
+        # Holdings are linear between two changes, so the least is at a change.
+        rate = last = 0
+        for time, d in sorted(moves):
+            held += rate * (time - last)
+            low, rate, last = min(low, held), rate + d, time
+        held += rate * (horizon - last)
+        if min(low, held) < 0:  # only then step by step, where flow moves
+            moving = {q for (lo, _), (hi, _) in zip(moves[::2], moves[1::2]) for q in range(lo, hi)}
             violations.extend(
                 f"node {name!r}: flow deficit {Fraction(h, scale)} during [{q},{q + 1})"
-                for q, h in enumerate(held[1:]) if h < 0 and q in moving
+                for q, h in enumerate(_holdings(initial, moves, horizon)[1:])
+                if h < 0 and q in moving
             )
-        if held[-1] != max(-b, 0):
+        if held != max(-b, 0):
             violations.append(
-                f"node {name!r}: {Fraction(held[-1], scale)} units remain at horizon, "
+                f"node {name!r}: {Fraction(held, scale)} units remain at horizon, "
                 f"expected {Fraction(max(-b, 0), scale)}"
             )
-        trace[name] = held
-    return violations, Fraction(cost, scale * form.cost_scale), trace, scale
+    return violations, Fraction(cost, scale * form.cost_scale), nodes, scale
 
 
 def verify_schedule(network: Network, schedule: FlowOverTime) -> ScheduleVerification:
     """Check a schedule against capacities, conservation and balances.
 
     Returns a report listing every violation (never raises) along with
-    the exact recomputed cost; a horizon that is not an int, or is
-    negative, or ``arc_flows`` that are not a tuple or list, is the only
-    one, at cost 0.
+    the exact recomputed cost, in O(|schedule| log |schedule|) time but
+    for the steps of a node in deficit, whatever the horizon; a schedule
+    that is no :class:`FlowOverTime`, a horizon that is not an int, or
+    is negative, or ``arc_flows`` that are not a tuple or list, is the
+    only one, at cost 0.
     """
     try:
         violations, cost, _, _ = _replay(network, schedule)
@@ -611,8 +637,10 @@ def storage_trace(
 
     Schedule entries that :func:`verify_schedule` rejects (no
     :class:`ArcIntervals`, unknown arcs, bad intervals or rates) are left
-    out; a horizon that is not an int, or is negative, and ``arc_flows``
-    that are not a tuple or list raise ValueError.
+    out; a schedule that is no :class:`FlowOverTime`, a horizon that is
+    not an int, or is negative, and ``arc_flows`` that are not a tuple or
+    list raise ValueError.
     """
-    _, _, trace, scale = _replay(network, schedule)
-    return {v: tuple(Fraction(h, scale) for h in held) for v, held in trace.items()}
+    _, _, nodes, scale = _replay(network, schedule)
+    holdings = (_holdings(*node, schedule.horizon) for node in nodes)
+    return {v: tuple(Fraction(h, scale) for h in held) for v, held in zip(network.nodes, holdings)}

@@ -84,7 +84,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Any, Iterable, Sequence
 
 from qmct import _kernel, staticflow
@@ -484,6 +484,31 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
         costs=tuple(costs),
         movement=tuple(movement),
         wiring_start=wiring_start,
+    )
+
+
+def kept_waits(network: Network, graph: TimeExpandedGraph) -> list[bool]:
+    """Per arc of ``graph``, numbered as :func:`full_expand` numbers it,
+    False for a holdover at a node that no arc enters or no arc leaves,
+    which :func:`qmct.temporal.expand` leaves out, and True otherwise."""
+    form, n = network.integral, len(network.nodes)
+    through = set(form.tails) & set(form.heads)
+    waits = range(graph.holdover_start, graph.wiring_start)
+    return [e not in waits or graph.tails[e] % n in through for e in range(graph.num_arcs)]
+
+
+def lean_expand(network: Network, horizon: int) -> TimeExpandedGraph:
+    """:func:`full_expand` without the holdovers that :func:`kept_waits`
+    marks, the full expansion that :func:`qmct.temporal.expand` prunes."""
+    graph = full_expand(network, horizon)
+    keep = kept_waits(network, graph)
+    return replace(
+        graph,
+        tails=tuple(compress(graph.tails, keep)),
+        heads=tuple(compress(graph.heads, keep)),
+        capacities=tuple(compress(graph.capacities, keep)),
+        costs=tuple(compress(graph.costs, keep)),
+        wiring_start=sum(keep[: graph.wiring_start]),
     )
 
 

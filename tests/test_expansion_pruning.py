@@ -4,11 +4,14 @@
 → super sink path; ``_brute.full_expand`` keeps every copy that arrives
 by the horizon.  The property tests check that the pruned graph, its
 ids mapped back by ``_brute.full_numbering``, is the full one with
-exactly the off-path copies left out, and that every id it gives a node
+exactly the off-path copies and the holdovers at nodes that no arc
+enters or no arc leaves left out, and that every id it gives a node
 copy is an end of some arc.  The differential test holds every reader
-of an expansion to the same answers on both: max flows, movement flows
-and violated subsets at every horizon up to the quickest one, the
-quickest search's horizon and schedule, and minimum costs over time.
+of an expansion to the same answers on it and on
+``_brute.lean_expand``, the full one without those holdovers: max
+flows, movement flows and violated subsets at every horizon up to the
+quickest one, the quickest search's horizon and schedule, and minimum
+costs over time.
 
 Both wire each terminal through a collector that meets every copy of
 it.  ``_brute.endpoint_expand`` is the full expansion wired at its end
@@ -24,7 +27,7 @@ from itertools import islice
 
 import pytest
 
-from _brute import endpoint_expand, full_expand, full_numbering
+from _brute import endpoint_expand, full_expand, full_numbering, kept_waits, lean_expand
 from qmct import temporal
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
@@ -111,6 +114,8 @@ def test_expand_keeps_exactly_the_copies_on_a_path():
                 wired = full.wiring_start + sum(1 for b in net.integral.balances if b and horizon)
                 keep = on_path[: full.wiring_start] + [True] * (wired - full.wiring_start)
                 keep += on_path[wired:]
+                # Nor are the holdovers at nodes that no arc enters or no arc leaves.
+                keep = [k and w for k, w in zip(keep, kept_waits(net, full))]
                 for name in ("tails", "heads", "capacities", "costs"):
                     kept = tuple(x for x, k in zip(getattr(full, name), keep) if k)
                     assert getattr(pruned, name) == kept, (net, horizon, name)
@@ -177,14 +182,14 @@ def test_pruned_expansion_answers_as_the_full_one(kind):
         # Up to the quickest horizon and three past it, where costs still fall.
         scan = range(1, quickest[0] + 4)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(temporal, "expand", full_expand)
+            patch.setattr(temporal, "expand", lean_expand)
             if _outcome(lambda: _quickest(net)) != quickest:
                 mismatches.append((networks, "quickest"))
             costs = [_outcome(lambda: temporal.mincost_over_time(net, h).cost) for h in scan]
         early, late = temporal._least_transits(net)
         sources = [v for v, b in enumerate(form.balances) if b > 0]
         for horizon, cost in zip(scan, costs):
-            if _probe(temporal.expand, net, horizon) != _probe(full_expand, net, horizon):
+            if _probe(temporal.expand, net, horizon) != _probe(lean_expand, net, horizon):
                 mismatches.append((networks, horizon, "probe"))
             if _outcome(lambda: temporal.mincost_over_time(net, horizon).cost) != cost:
                 mismatches.append((networks, horizon, "min cost"))

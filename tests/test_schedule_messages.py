@@ -277,3 +277,17 @@ def test_verify_schedule_reports_arc_flows_that_are_no_tuple_or_list(arc_flows):
     assert report.cost == 0
     with pytest.raises(ValueError, match=f"^{message}$"):
         storage_trace(NET, schedule)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [None, (3, ()), {"horizon": 3, "arc_flows": ()}],
+    ids=["None", "tuple", "dict"],
+)
+def test_verify_schedule_reports_a_schedule_that_is_no_flow_over_time(schedule):
+    message = f"schedule {schedule!r} is not a FlowOverTime"
+    report = verify_schedule(NET, schedule)
+    assert report.violations == (message,)
+    assert report.cost == 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        storage_trace(NET, schedule)
