@@ -413,9 +413,11 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
     copy that arrives by the horizon, every holdover and every arc
     between a terminal's collector and its copies, in the arc order of
     :func:`qmct.temporal.expand`, which keeps only the copies on some
-    super source → super sink path of this one.  Copy ``(v, layer)`` is
-    node ``layer·n + v``, the numbering :func:`full_numbering` maps back
-    to, and terminal j's collector is node ``n·T + j``."""
+    super source → super sink path of :func:`lean_expand`, this one
+    without the holdovers at nodes that no arc enters or no arc leaves.
+    Copy ``(v, layer)`` is node ``layer·n + v``, the numbering
+    :func:`full_numbering` maps back to, and terminal j's collector is
+    node ``n·T + j``."""
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     form = network.integral

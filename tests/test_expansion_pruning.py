@@ -114,7 +114,7 @@ def test_expand_keeps_exactly_the_copies_on_a_path():
                 wired = full.wiring_start + sum(1 for b in net.integral.balances if b and horizon)
                 keep = on_path[: full.wiring_start] + [True] * (wired - full.wiring_start)
                 keep += on_path[wired:]
-                # Nor are the holdovers at nodes that no arc enters or no arc leaves.
+                # The holdovers at nodes that no arc enters or no arc leaves are not.
                 keep = [k and w for k, w in zip(keep, kept_waits(net, full))]
                 for name in ("tails", "heads", "capacities", "costs"):
                     kept = tuple(x for x, k in zip(getattr(full, name), keep) if k)
