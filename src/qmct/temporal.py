@@ -7,12 +7,13 @@ capacity is the arc's rate bound) and delivers it during
 ``[q + transit, q + transit + 1)``; the copy exists only when
 ``q + transit <= T - 1`` so that everything has arrived by ``T``.
 Holdover arcs let flow wait free of charge at any node with arcs in and
-out.  Supplies enter and demands leave at any layer, through one
-collector node per terminal wired to a super terminal, which makes
+out.  Supplies enter and demands leave at any layer through one
+collector node per terminal, wired to a super terminal, which makes
 feasibility at horizon ``T`` a max-flow question and minimum cost over
 time a min-cost-flow question on the expansion.  :func:`expand` builds
-only the copies that some flow could use: those reached from a source
-in time and reaching a sink by the horizon.  The quickest horizon is
+only the copies that some flow could use, those reached from a source
+in time and reaching a sink by the horizon, and a terminal without
+holdovers keeps no copy but its collector.  The quickest horizon is
 found by probing only at proven lower bounds, each in closed form from
 one terminal subset's shortest paths (:func:`quickest_transshipment`).
 Results keep no expansion: a probe's flows live only until its movement
@@ -44,15 +45,16 @@ from .network import Network, NodeId
 class TimeExpandedGraph:
     """Static expansion of a network over an integer horizon.
 
-    The nodes are the copies ``(v, layer)`` that :func:`expand` keeps,
-    numbered in the order of ``layer·n + v``, then the terminals'
-    collectors in node order, then the super source and super sink;
-    only ``expand`` knows which copy an index is.  Arc order is movement
-    copies first (aligned with ``movement``), then the kept holdover arcs
-    from ``holdover_start``, then from ``wiring_start`` each terminal's arc
-    between its collector and a super terminal, in node order, then the
-    arcs between the collectors and their copies; the properties derive
-    from the stored fields.
+    The nodes are the kept copies ``(v, layer)`` of the nodes with
+    holdovers, numbered in the order of ``layer·n + v``, then the
+    terminals' collectors in node order, each also every copy of a
+    terminal without holdovers, then the super source and super sink;
+    only :func:`expand` knows which copy an index is.  Arc order is
+    movement copies first (aligned with ``movement``), then the kept
+    holdover arcs from ``holdover_start``, then from ``wiring_start`` each
+    terminal's arc between its collector and a super terminal, in node
+    order, then the arcs between the collectors and the other copies;
+    the properties derive from the stored fields.
     Capacities and costs are integers at the scales of the network's
     :attr:`~Network.integral` form, the one owner of scales and supply.
     """
@@ -159,7 +161,9 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     cost, and the flows are in value and cost those of the expansion with
     every holdover, wired at layers 0 and T − 1 alone: flow sent into
     (s, q) could as well enter (s, 0) and wait, and flow drained at
-    (t, q) could wait up to (t, T − 1).
+    (t, q) could wait up to (t, T − 1).  A copy of such a terminal then
+    meets only its collector arc and movement copies, so it is contracted
+    into the collector: flows map both ways, at the same value and cost.
 
     Let ``e(v)`` be the least transit from any source to v and ``ℓ(v)``
     the least transit from v to any sink, ∞ without a path (transits are
@@ -177,36 +181,28 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     waits there (a tail that no arc enters is a source, entered at that
     layer), crosses the arc and reaches a sink's collector in time.  So
     the kept copies, those with ``e(v) <= q <= T − 1 − ℓ(v)``, and the
-    kept arcs but the wiring are exactly those on some super source →
-    super sink path of the full expansion, which has every copy and the
-    same holdovers.  The copies get ids in the order of ``q·n + v``, then
-    come the collectors in node order, then the super source and super
-    sink; with arcs in order, each node lists its edges and ties break as
-    in the full one.
+    kept arcs but the wiring are, before the contraction, exactly those
+    on some super source → super sink path of the full expansion, which
+    has every copy and the same holdovers.  The copies with holdovers get
+    ids in the order of ``q·n + v``, then come the collectors in node
+    order, then the super source and super sink.
 
-    Nothing a caller reads changes.  In the full expansion let R be the
+    Nothing a caller reads changes but which max flow Dinic
+    (:func:`_kernel.max_flow`) returns, and so the schedule: its levels
+    lose a hop at a contracted sink.  In the full expansion let R be the
     nodes the super source reaches and L those that reach the super
     sink.  No arc leaves R and none enters L from outside, so the kept
     arcs but the wiring, the arcs from R into L, join nodes of R ∩ L.
-    Both kernels augment along residual super source → super sink
-    paths, and such a path never leaves R and, ending in L, never leaves
-    L, as long as only kept arcs carry flow (their reverse edges stay
-    inside R ∩ L); so its forward edges are kept arcs, and by induction
-    every flow the kernels reach on the full expansion uses kept arcs
-    only.  Hence:
-
-    - the max-flow values agree, and so do min costs: the min-cost flow
-      that successive shortest paths find on the full expansion, which
-      has no negative cycle as the network has none, is a flow of the
-      kept part;
-    - Dinic (:func:`_kernel.max_flow`) makes the same augmentations: the
-      shortest residual path to the super sink from a node of R is one
-      such path, so the levels that its blocking flow reads are the same,
-      and its search from the super source steps only along kept edges;
-    - the residual-reachable set after it agrees on every node of L, as
-      a residual path into L never leaves it.  Every sink's collector is
-      in L, and a source's collector outside L keeps its wiring arc,
-      which carries no flow, so A_X (:func:`_violated_subset`) is the same.
+    A flow's super source → super sink paths use only those, and its
+    cycles stay in one layer and cost >= 0, as the network has no
+    negative cycle; so max-flow values and min costs agree.  The
+    residual-reachable set X is that of every max flow, the least
+    minimum cut.  For one on the kept arcs, no residual edge enters L
+    from outside, so X agrees on L, which holds every sink's collector; a
+    source's collector outside L keeps its wiring arc, which carries no
+    flow, so it is in X on both.  Lifted back, a contracted copy is in X
+    only with its collector and other nodes are as before, so A_X
+    (:func:`_violated_subset`), read off the collectors, is the same.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
@@ -216,11 +212,17 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     n = len(network.nodes)
     # No path counts as ∞; the horizon is far enough to keep no copy.
     early, late = ([horizon if d is None else d for d in ds] for ds in _least_transits(network))
-    # Node v keeps its copies at layers e(v) .. T − 1 − ℓ(v); ids follow
-    # the order of ``layer·n + v``.
+    # Node v has copies at layers e(v) .. T − 1 − ℓ(v), keyed ``layer·n + v``;
+    # those of a node with arcs in and out get ids in key order.
     spans = [range(early[v] * n + v, (horizon - late[v]) * n, n) for v in range(n)]
-    kept = sorted(chain.from_iterable(spans))
+    through = set(arc_tails) & set(form.heads)
+    kept = sorted(chain.from_iterable(spans[v] for v in through))
     ids = dict(zip(kept, range(len(kept))))
+    # Terminal j's collector is node ``len(kept) + j``, also its copies outside ``through``.
+    terminals = [(v, b) for v, b in enumerate(form.balances) if b] if horizon else []
+    for collector, (v, b) in enumerate(terminals, len(kept)):
+        if v not in through:
+            ids.update(dict.fromkeys(spans[v], collector))
     # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
     head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
 
@@ -239,15 +241,12 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     costs = [costs_int[i] for _, i in copies]
     movement = [(i, layer) for layer, i in copies]
     # Holdover ``(v, q) → (v, q+1)`` wherever v keeps holdovers and both copies, by its tail.
-    through = set(arc_tails) & set(form.heads)
     waits = sorted(chain.from_iterable(spans[v][:-1] for v in through))
     tails += [ids[key] for key in waits]
     heads += [ids[key + n] for key in waits]
     caps += [None] * len(waits)
     costs += [0] * len(waits)
 
-    # Terminal j's collector is node ``len(kept) + j``.
-    terminals = [(v, b) for v, b in enumerate(form.balances) if b] if horizon else []
     super_source = len(kept) + len(terminals)
     super_sink = super_source + 1
     wiring_start = len(tails)
@@ -256,7 +255,7 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
         heads.append(collector if b > 0 else super_sink)
         caps.append(abs(b))
     for collector, (v, b) in enumerate(terminals, len(kept)):
-        ends = [ids[key] for key in spans[v]]
+        ends = [ids[key] for key in spans[v]] if v in through else []
         if b > 0:
             tails += [collector] * len(ends)
             heads += ends
@@ -390,8 +389,9 @@ def quickest_transshipment(network: Network, max_layers: int | None = None) -> Q
 
     *Criterion* (Klinz; Hoppe & Tardos, Math. OR 2000): T is feasible
     iff b(A) <= o^T(A) for all A.  A finite cut X of the expansion of
-    :func:`expand` (super source in, super sink out) gives A_X, the
-    terminals whose collector is in X.  No uncapacitated arc leaves X:
+    :func:`expand` (super source in, super sink out), each contracted
+    copy on its collector's side, gives A_X, the terminals whose
+    collector is in X.  No uncapacitated arc leaves X:
     with the collector of a source s in X all of s's copies are, and
     with the collector of a sink t outside X none of t's copies is.  So
     its capacity is Σ_{s∉A_X} b_s + Σ_{t∈A_X} −b_t + M(X), M(X) being

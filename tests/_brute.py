@@ -6,9 +6,10 @@ second route to the same answers.
 
 It is also the home of the decomposition reference for routing
 admissibility: :func:`routed_paths` re-solves the final horizon
-probe's expansion, checks that its flow, unfolded from the merged
-corridors, is the reported schedule, and splits it into paths and
-cycles.  The solver certifies the same
+probe's expansion, lifts its flow onto the expansion without
+contracted copies (:func:`reported_flow`), checks that it, unfolded
+from the merged corridors, is the reported schedule, and splits it
+into paths and cycles.  The solver certifies the same
 property from reduced costs on the schedule's arcs instead
 (:func:`qmct.pipeline.check_admissible_routing`).
 
@@ -36,11 +37,16 @@ any flow.
 
 :func:`full_expand` is the reference time expansion, every copy that
 arrives by the horizon, which :func:`qmct.temporal.expand` replaced by
-the copies on some super source → super sink path;
+the copies on some super source → super sink path, with the copies of
+a terminal without holdovers contracted into its collector;
 :func:`expansion_max_flow`, :func:`expansion_search` and
 :func:`subset_expansion_flow` build it, so that they do not rest on the
 pruning.  :func:`full_numbering` maps the pruned expansion's consecutive
-ids back to the full one's ``layer·n + v``, so that the two compare.
+ids back to the full one's ``layer·n + v``, so that the two compare, and
+:func:`contract` contracts a full one as ``expand`` does;
+:func:`lift_flow` lifts a flow of the pruned expansion onto
+:func:`lean_expand`, the full one without the holdovers ``expand``
+leaves out, where :func:`check_flow` checks it.
 :func:`endpoint_expand` is the full expansion as it was wired before
 each terminal had a collector: supplies enter at layer 0 and demands
 leave at layer T − 1, so that flow walks the holdover chains; it is the
@@ -89,7 +95,7 @@ from typing import Any, Iterable, Sequence
 
 from qmct import _kernel, staticflow
 from qmct.cheapest import cheapest_from, cheapest_to
-from qmct.corridors import merge_corridors
+from qmct.corridors import Corridors, merge_corridors
 from qmct.errors import HorizonLimitError, InfeasibleError, InternalCheckError, ValidationError
 from qmct.network import Arc, Network, NodeId
 from qmct.oracle import _GrowingExpansion, horizon_upper_bound
@@ -101,6 +107,7 @@ from qmct.temporal import (
     TimeExpandedGraph,
     _schedule_from_movement,
     _solve_max,
+    expand,
     mincost_over_time,
 )
 from qmct.transport import TransportationInstance, TransportSolution
@@ -414,7 +421,8 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
     between a terminal's collector and its copies, in the arc order of
     :func:`qmct.temporal.expand`, which keeps only the copies on some
     super source → super sink path of :func:`lean_expand`, this one
-    without the holdovers at nodes that no arc enters or no arc leaves.
+    without the holdovers at nodes that no arc enters or no arc leaves,
+    and contracts them as :func:`contract` does.
     Copy ``(v, layer)`` is node ``layer·n + v``, the numbering
     :func:`full_numbering` maps back to, and terminal j's collector is
     node ``n·T + j``."""
@@ -499,19 +507,44 @@ def kept_waits(network: Network, graph: TimeExpandedGraph) -> list[bool]:
     return [e not in waits or graph.tails[e] % n in through for e in range(graph.num_arcs)]
 
 
-def lean_expand(network: Network, horizon: int) -> TimeExpandedGraph:
-    """:func:`full_expand` without the holdovers that :func:`kept_waits`
-    marks, the full expansion that :func:`qmct.temporal.expand` prunes."""
-    graph = full_expand(network, horizon)
-    keep = kept_waits(network, graph)
+def keep_arcs(graph: TimeExpandedGraph, keep: Sequence[bool]) -> TimeExpandedGraph:
+    """``graph`` with only the arcs that ``keep`` marks."""
     return replace(
         graph,
+        movement=tuple(compress(graph.movement, keep)),
         tails=tuple(compress(graph.tails, keep)),
         heads=tuple(compress(graph.heads, keep)),
         capacities=tuple(compress(graph.capacities, keep)),
         costs=tuple(compress(graph.costs, keep)),
         wiring_start=sum(keep[: graph.wiring_start]),
     )
+
+
+def lean_expand(network: Network, horizon: int) -> TimeExpandedGraph:
+    """:func:`full_expand` without the holdovers that :func:`kept_waits`
+    marks, the full expansion that :func:`qmct.temporal.expand` prunes."""
+    graph = full_expand(network, horizon)
+    return keep_arcs(graph, kept_waits(network, graph))
+
+
+def contract(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGraph:
+    """``graph``, numbered as :func:`full_expand` numbers it, with every copy
+    of a terminal that no arc enters or no arc leaves contracted into the
+    terminal's collector, as :func:`qmct.temporal.expand` contracts it: the
+    copy's arcs meet the collector instead, and those between the two,
+    which become loops, are dropped."""
+    form, n, horizon = network.integral, len(network.nodes), graph.horizon
+    copies = n * horizon
+    through = set(form.tails) & set(form.heads)
+    terminals = [v for v, b in enumerate(form.balances) if b and horizon]
+    collector = {v: copies + j for j, v in enumerate(terminals) if v not in through}
+
+    def merged(node: int) -> int:
+        return collector.get(node % n, node) if node < copies else node
+
+    tails, heads = [merged(v) for v in graph.tails], [merged(v) for v in graph.heads]
+    contracted = replace(graph, tails=tuple(tails), heads=tuple(heads))
+    return keep_arcs(contracted, [u != w for u, w in zip(tails, heads)])
 
 
 def endpoint_expand(network: Network, horizon: int) -> TimeExpandedGraph:
@@ -584,13 +617,16 @@ def endpoint_expand(network: Network, horizon: int) -> TimeExpandedGraph:
 def full_numbering(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGraph:
     """``graph``, an expansion of :func:`qmct.temporal.expand`, with each id
     mapped back to the full expansion's ``layer·n + v``, terminal j's
-    collector to ``n·T + j`` and the super terminals to the two ids after.
+    collector to ``n·T + j`` and the super terminals to the two ids after;
+    a copy contracted into its collector is that collector, as in
+    :func:`contract`.
 
-    The map is read off the arcs alone: the ends of the movement copies,
-    the terminals' wiring, whose collector end is the lower one, and the
-    holdover chains, each holdover's head one layer above its tail.  Every
-    id must be mapped once, consistently, and each arc between a
-    collector and a copy must meet a copy of the collector's terminal.
+    The map is read off the arcs alone: the terminals' wiring, whose
+    collector end is the lower one, the ends of the movement copies, and
+    the holdover chains, each holdover's head one layer above its tail.
+    Every id must be mapped once, consistently, each movement copy that
+    meets a collector must meet its own terminal's, and each arc between
+    a collector and a copy must meet a copy of the collector's terminal.
     """
     form, n, horizon = network.integral, len(network.nodes), graph.horizon
     terminals = [v for v, b in enumerate(form.balances) if b and horizon]
@@ -600,12 +636,18 @@ def full_numbering(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGr
     def put(node: int, key: int) -> None:
         assert full.setdefault(node, key) == key, (node, key, full[node])
 
-    for e, (arc, layer) in enumerate(graph.movement):
-        put(graph.tails[e], layer * n + form.tails[arc])
-        put(graph.heads[e], (layer + form.transits[arc]) * n + form.heads[arc])
     collect_start = graph.wiring_start + k
     for j, e in enumerate(range(graph.wiring_start, collect_start)):
         put(min(graph.tails[e], graph.heads[e]), n * horizon + j)
+    collectors = dict(zip(terminals, range(n * horizon, n * horizon + k)))
+    for e, (arc, layer) in enumerate(graph.movement):
+        tail = graph.tails[e], form.tails[arc], layer
+        head = graph.heads[e], form.heads[arc], layer + form.transits[arc]
+        for node, v, q in (tail, head):
+            if full.get(node, 0) >= n * horizon:
+                assert full[node] == collectors.get(v), (e, node, v)
+            else:
+                put(node, q * n + v)
     # Holdovers come by their tail's full id, so a chain's tail is mapped
     # before the holdover that leaves it.
     for e in range(graph.holdover_start, graph.wiring_start):
@@ -634,16 +676,77 @@ def expansion_max_flow(
     return graph, tuple(g.rem[1::2]), value
 
 
+def lift_flow(
+    network: Network, graph: TimeExpandedGraph, flows: Sequence[int]
+) -> tuple[TimeExpandedGraph, list[int]]:
+    """The flow that ``flows`` puts on ``graph``, an expansion of ``network``
+    by :func:`qmct.temporal.expand`, lifted onto :func:`lean_expand` at the
+    same horizon: that graph and the flow of its every arc.
+
+    A copy that ``expand`` contracted into its collector gets back its arc
+    to or from the collector, which carries what the copy's movement
+    copies carry; every other arc lifts onto the arc between the same
+    copies, collectors or super terminals.
+    """
+    form, n = network.integral, len(network.nodes)
+    copies = n * graph.horizon
+    numbered = full_numbering(network, graph)
+    target = lean_expand(network, graph.horizon)
+    moves = {copy: e for e, copy in enumerate(target.movement)}
+    others = {
+        ends: e
+        for e, ends in enumerate(zip(target.tails, target.heads))
+        if e >= target.holdover_start
+    }
+    lifted = [0] * target.num_arcs
+    for e, f in enumerate(flows):
+        tail, head = numbered.tails[e], numbered.heads[e]
+        if e >= graph.holdover_start:
+            lifted[others[tail, head]] += f
+            continue
+        arc, layer = graph.movement[e]
+        lifted[moves[arc, layer]] += f
+        if tail >= copies:
+            lifted[others[tail, layer * n + form.tails[arc]]] += f
+        if head >= copies:
+            lifted[others[(layer + form.transits[arc]) * n + form.heads[arc], head]] += f
+    return target, lifted
+
+
+def check_flow(graph: TimeExpandedGraph, flows: Sequence[int], value: int) -> None:
+    """Assert that ``flows`` is a flow of ``value`` on ``graph``: within
+    every capacity, and conserved at every node but the super terminals."""
+    net = [0] * graph.num_nodes
+    for tail, head, cap, f in zip(graph.tails, graph.heads, graph.capacities, flows, strict=True):
+        assert 0 <= f and (cap is None or f <= cap), (tail, head, cap, f)
+        net[tail] -= f
+        net[head] += f
+    assert net[graph.super_source] == -value and net[graph.super_sink] == value, value
+    assert not any(net[: graph.super_source]), net
+
+
+def reported_flow(network: Network, horizon: int) -> tuple[TimeExpandedGraph, list[int], int]:
+    """The max flow on :func:`qmct.temporal.expand` at ``horizon``, which the
+    quickest search reads its schedule from at the quickest horizon,
+    lifted by :func:`lift_flow` and held by :func:`check_flow` to its
+    value: the lean graph, the integer flow of its every arc, and the value."""
+    graph = expand(network, horizon)
+    g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
+    value = _kernel.max_flow(g, graph.super_source, graph.super_sink)
+    lean, lifted = lift_flow(network, graph, g.rem[1::2])
+    check_flow(lean, lifted, value)
+    return lean, lifted, value
+
+
 def movement_rates(
-    graph: TimeExpandedGraph, flows, flow_scale: int, arc_map: tuple[int, ...] | None = None
+    graph: TimeExpandedGraph, flows, flow_scale: int
 ) -> dict[tuple[int, int], Fraction]:
     """Nonzero inflow rate per (arc, step) carried by the movement copies,
-    whose integer ``flows`` are at ``flow_scale``, arcs renumbered
-    through ``arc_map`` when one is given."""
+    whose integer ``flows`` are at ``flow_scale``."""
     rates = {}
     for (arc, layer), f in zip(graph.movement, flows):
         if f:
-            rates[(arc if arc_map is None else arc_map[arc], layer)] = Fraction(f, flow_scale)
+            rates[(arc, layer)] = Fraction(f, flow_scale)
     return rates
 
 
@@ -657,26 +760,37 @@ def schedule_rates(schedule: FlowOverTime) -> dict[tuple[int, int], Fraction]:
     return {key: rate for key, rate in rates.items() if rate}
 
 
+def unfolded_rates(
+    corridors: Corridors, graph: TimeExpandedGraph, flows, arc_map: tuple[int, ...] | None = None
+) -> dict[tuple[int, int], Fraction]:
+    """:func:`movement_rates` of a flow on an expansion of ``corridors.network``,
+    unfolded onto the input's arcs: flow that enters a merged arc at step q
+    enters its i-th arc at q plus the transit before it."""
+    transits, scale = corridors.original.integral.transits, corridors.network.integral.flow_scale
+    unfolded = {}
+    for (arc, step), rate in movement_rates(graph, flows, scale).items():
+        for k in corridors.chains[arc]:
+            unfolded[(k if arc_map is None else arc_map[k], step)] = rate
+            step += transits[k]
+    return unfolded
+
+
 def routed_paths(run: AlgorithmRun) -> tuple[list[tuple[NodeId, NodeId, Fraction, Fraction]], bool]:
     """Project the final probe's flow onto terminal pairs: (source, sink, amount, path cost).
 
     The boolean is False if the flow contains a nonzero-cost cycle,
     which would invalidate the projection's cost accounting.  The flow
     is the max flow at the reported horizon of the network the search
-    solved, ``run.restricted`` with its corridors merged; unfolded step
-    by step onto the restricted arcs, it is asserted to rebuild the
-    reported schedule.  Its integer flows are decomposed as they are,
-    and only the routed amounts are unscaled.
+    solved, ``run.restricted`` with its corridors merged, lifted onto its
+    lean expansion (:func:`reported_flow`); unfolded step by step onto
+    the restricted arcs, it is asserted to rebuild the reported schedule.
+    Its integer flows are decomposed as they are, and only the routed
+    amounts are unscaled.
     """
     merged = merge_corridors(run.restricted)
-    graph, flows, _value = expansion_max_flow(merged.network, run.quickest.horizon)
-    form, transits = merged.network.integral, run.restricted.integral.transits
-    unfolded = {}
-    for (arc, step), rate in movement_rates(graph, flows, form.flow_scale).items():
-        for k in merged.chains[arc]:
-            unfolded[(k, step)] = rate
-            step += transits[k]
-    assert unfolded == schedule_rates(run.quickest.schedule)
+    graph, flows, _value = reported_flow(merged.network, run.quickest.horizon)
+    form = merged.network.integral
+    assert unfolded_rates(merged, graph, flows) == schedule_rates(run.quickest.schedule)
     paths, cycles = staticflow.decompose(graph, flows)
     n = len(run.restricted.nodes)
     movement = graph.movement

@@ -14,12 +14,12 @@ import pytest
 
 from _brute import (
     cheapest_paths_subnetwork,
-    expansion_max_flow,
-    movement_rates,
     pair_count_horizon_bound,
     path_cost,
+    reported_flow,
     schedule_rates,
     simple_paths,
+    unfolded_rates,
 )
 from conftest import (
     A_S2V,
@@ -30,6 +30,7 @@ from conftest import (
     VARIANT_B_BALANCES,
 )
 from qmct.cheapest import pair_costs
+from qmct.corridors import merge_corridors
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.oracle import horizon_upper_bound
@@ -164,23 +165,26 @@ def _project_routes(run):
     """Independent projection of the final probe's flow onto terminal pairs,
     as node indices.
 
-    The flow is re-solved on the restricted network at the reported
-    horizon; the third result says whether it rebuilds the reported
+    The flow is re-solved on the restricted network with its corridors
+    merged, at the reported horizon, and lifted onto its lean expansion;
+    the third result says whether, unfolded, it rebuilds the reported
     schedule.
     """
-    graph, flows, _value = expansion_max_flow(run.restricted, run.quickest.horizon)
-    scale = run.restricted.integral.flow_scale
-    rebuilds = movement_rates(graph, flows, scale, run.arc_map) == schedule_rates(run.schedule)
+    corridors = merge_corridors(run.restricted)
+    network = corridors.network
+    graph, flows, _value = reported_flow(network, run.quickest.horizon)
+    scale = network.integral.flow_scale
+    rebuilds = unfolded_rates(corridors, graph, flows, run.arc_map) == schedule_rates(run.schedule)
     flow = tuple(Fraction(f, scale) for f in flows)
     paths, cycles = decompose(graph, flow)
-    n = len(run.restricted.nodes)
+    n = len(network.nodes)
     movement_count = len(graph.movement)
     routes = []
     for seq, amount in paths:
         cost = Fraction(0)
         for e in seq:
             if e < movement_count:
-                cost += run.restricted.arcs[graph.movement[e][0]].cost
+                cost += network.arcs[graph.movement[e][0]].cost
         source = graph.heads[seq[1]] % n
         sink = graph.tails[seq[-2]] % n
         routes.append((source, sink, amount, cost))
@@ -189,7 +193,7 @@ def _project_routes(run):
         cost = Fraction(0)
         for e in seq:
             if e < movement_count:
-                cost += run.restricted.arcs[graph.movement[e][0]].cost
+                cost += network.arcs[graph.movement[e][0]].cost
         cycle_costs.append(cost)
     return routes, cycle_costs, rebuilds
 

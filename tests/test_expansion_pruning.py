@@ -1,23 +1,27 @@
 """The pruned time expansion against the full one it is cut from.
 
 :func:`qmct.temporal.expand` keeps only the copies on some super source
-→ super sink path; ``_brute.full_expand`` keeps every copy that arrives
-by the horizon.  The property tests check that the pruned graph, its
-ids mapped back by ``_brute.full_numbering``, is the full one with
-exactly the off-path copies and the holdovers at nodes that no arc
-enters or no arc leaves left out, and that every id it gives a node
-copy is an end of some arc.  The differential test holds every reader
-of an expansion to the same answers on it and on
-``_brute.lean_expand``, the full one without those holdovers: max
-flows, movement flows and violated subsets at every horizon up to the
-quickest one, the quickest search's horizon and schedule, and minimum
-costs over time.
+→ super sink path, and contracts each copy of a terminal that no arc
+enters or no arc leaves into the terminal's collector;
+``_brute.full_expand`` keeps every copy that arrives by the horizon.
+The property tests check that the pruned graph, its ids mapped back by
+``_brute.full_numbering``, is the full one with exactly the off-path
+copies and the holdovers at nodes that no arc enters or no arc leaves
+left out, contracted by ``_brute.contract``, and that every id it gives
+a node copy is an end of some arc.  The differential test holds every
+reader of an expansion to the same answers on it and on
+``_brute.lean_expand``, the full one without those holdovers: max-flow
+values and violated subsets at every horizon up to the quickest one,
+the quickest search's horizon or certificate, and minimum costs over
+time.  Its max flows may differ, so each is lifted onto the lean
+expansion (``_brute.lift_flow``) and held to conservation, capacities
+and its value, and each quickest schedule must verify; the horizons
+and schedules whose flows differ are counted.
 
-Both wire each terminal through a collector that meets every copy of
-it.  ``_brute.endpoint_expand`` is the full expansion wired at its end
-layers alone, supplies at layer 0 and demands at layer T − 1; the last
-test holds the collectors to its max-flow values, violated subsets and
-minimum costs.
+Both wire each terminal through a collector.  ``_brute.endpoint_expand``
+is the full expansion wired at its end layers alone, supplies at layer
+0 and demands at layer T − 1; the last test holds the collectors to its
+max-flow values, violated subsets and minimum costs.
 """
 
 from __future__ import annotations
@@ -27,8 +31,18 @@ from itertools import islice
 
 import pytest
 
-from _brute import endpoint_expand, full_expand, full_numbering, kept_waits, lean_expand
-from qmct import temporal
+from _brute import (
+    check_flow,
+    contract,
+    endpoint_expand,
+    full_expand,
+    full_numbering,
+    keep_arcs,
+    kept_waits,
+    lean_expand,
+    lift_flow,
+)
+from qmct import _kernel, temporal
 from qmct.errors import InfeasibleError
 from qmct.generate import generate
 from qmct.network import Arc, Network
@@ -103,7 +117,7 @@ def _on_path(graph) -> list[bool]:
 
 
 def test_expand_keeps_exactly_the_copies_on_a_path():
-    checked = dropped = 0
+    checked = dropped = contracted = 0
     for kind in KINDS.values():
         for net in islice(kind(), 60):
             for horizon in range(13):
@@ -116,18 +130,20 @@ def test_expand_keeps_exactly_the_copies_on_a_path():
                 keep += on_path[wired:]
                 # The holdovers at nodes that no arc enters or no arc leaves are not.
                 keep = [k and w for k, w in zip(keep, kept_waits(net, full))]
-                for name in ("tails", "heads", "capacities", "costs"):
-                    kept = tuple(x for x, k in zip(getattr(full, name), keep) if k)
-                    assert getattr(pruned, name) == kept, (net, horizon, name)
-                assert pruned.movement == tuple(m for m, k in zip(full.movement, keep) if k)
+                kept = keep_arcs(full, keep)
+                # The copies of those nodes are their collectors.
+                expected = contract(net, kept)
+                for name in ("tails", "heads", "capacities", "costs", "movement"):
+                    assert getattr(pruned, name) == getattr(expected, name), (net, horizon, name)
                 assert pruned.holdover_start == len(pruned.movement)
-                assert pruned.wiring_start == sum(keep[: full.wiring_start])
-                for name in ("num_nodes", "super_source", "super_sink"):
-                    assert getattr(pruned, name) == getattr(full, name)
+                for name in ("wiring_start", "num_nodes", "super_source", "super_sink"):
+                    assert getattr(pruned, name) == getattr(expected, name)
+                assert pruned.num_nodes == full.num_nodes
                 checked += 1
                 dropped += full.num_arcs - pruned.num_arcs
+                contracted += kept.num_arcs - pruned.num_arcs
     assert checked == 180 * 13
-    assert dropped > 0
+    assert dropped > contracted > 0
 
 
 def test_expand_numbers_only_the_ends_of_its_arcs():
@@ -143,11 +159,13 @@ def test_expand_numbers_only_the_ends_of_its_arcs():
 
 
 def _probe(build, net: Network, horizon: int):
+    """The max flow on ``build``'s expansion: the graph, every arc's flow,
+    the value and the violated subset, read at feasible horizons too."""
     graph = build(net, horizon)
-    # A need above the supply asks for the residual cut at feasible horizons too.
-    value, flows, reachable = temporal._solve_max(graph, net.integral.supply + 1)
-    moved = {copy: f for copy, f in zip(graph.movement, flows) if f}
-    return value, moved, temporal._violated_subset(net, graph, reachable)
+    g = _kernel.build(graph.num_nodes, graph.tails, graph.heads, graph.capacities)
+    value = _kernel.max_flow(g, graph.super_source, graph.super_sink)
+    reachable = _kernel.residual_reachable(g, graph.super_source)
+    return graph, g.rem[1::2], value, temporal._violated_subset(net, graph, reachable)
 
 
 def _outcome(compute):
@@ -164,11 +182,12 @@ def _quickest(net: Network):
 
 # Per kind: networks, those with a scale above 1, with a negative cost,
 # with a zero-transit arc and with a node no source reaches; horizons
-# compared, and those at which some source reaches no sink in time.
+# compared, those at which some source reaches no sink in time, and
+# those whose max flows differ; networks whose quickest schedules differ.
 COUNTS = {
-    "generated": (600, 202, 202, 501, 363, 3642, 949),
-    "rational": (300, 298, 77, 232, 183, 2627, 527),
-    "dead ends": (120, 33, 120, 120, 120, 748, 216),
+    "generated": (600, 202, 202, 501, 363, 3642, 949, 65, 7),
+    "rational": (300, 298, 77, 232, 183, 2627, 527, 118, 12),
+    "dead ends": (120, 33, 120, 120, 120, 748, 216, 12, 1),
 }
 
 
@@ -176,6 +195,7 @@ COUNTS = {
 def test_pruned_expansion_answers_as_the_full_one(kind):
     mismatches = []
     networks = rational = negative = zero_transit = unreached = horizons = stranded = 0
+    moved = rescheduled = 0
     for net in KINDS[kind]():
         form = net.integral
         quickest = _outcome(lambda: _quickest(net))
@@ -183,14 +203,22 @@ def test_pruned_expansion_answers_as_the_full_one(kind):
         scan = range(1, quickest[0] + 4)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(temporal, "expand", lean_expand)
-            if _outcome(lambda: _quickest(net)) != quickest:
-                mismatches.append((networks, "quickest"))
+            lean = _outcome(lambda: _quickest(net))
             costs = [_outcome(lambda: temporal.mincost_over_time(net, h).cost) for h in scan]
+        if lean[0] != quickest[0] or not temporal.verify_schedule(net, quickest[1]).ok:
+            mismatches.append((networks, "quickest"))
+        rescheduled += lean[1] != quickest[1]
         early, late = temporal._least_transits(net)
         sources = [v for v, b in enumerate(form.balances) if b > 0]
         for horizon, cost in zip(scan, costs):
-            if _probe(temporal.expand, net, horizon) != _probe(lean_expand, net, horizon):
+            graph, flows, value, subset = _probe(temporal.expand, net, horizon)
+            full, full_flows, full_value, full_subset = _probe(lean_expand, net, horizon)
+            if (value, subset) != (full_value, full_subset):
                 mismatches.append((networks, horizon, "probe"))
+            lifted_graph, lifted = lift_flow(net, graph, flows)
+            check_flow(lifted_graph, lifted, value)
+            movement = len(full.movement)
+            moved += lifted[:movement] != full_flows[:movement]
             if _outcome(lambda: temporal.mincost_over_time(net, horizon).cost) != cost:
                 mismatches.append((networks, horizon, "min cost"))
             horizons += 1
@@ -202,7 +230,7 @@ def test_pruned_expansion_answers_as_the_full_one(kind):
         unreached += None in early
     assert mismatches == []
     counts = (networks, rational, negative, zero_transit, unreached, horizons, stranded)
-    assert counts == COUNTS[kind]
+    assert (*counts, moved, rescheduled) == COUNTS[kind]
 
 
 # Per kind: networks, horizons compared and those below the quickest one.
@@ -222,8 +250,8 @@ def test_collectors_answer_as_the_endpoint_wiring(kind):
     for net in KINDS[kind]():
         quickest = temporal.quickest_transshipment(net).horizon
         for horizon in range(1, quickest + 4):
-            collected, _, subset = _probe(temporal.expand, net, horizon)
-            value, _, endpoint_subset = _probe(endpoint_expand, net, horizon)
+            *_, collected, subset = _probe(temporal.expand, net, horizon)
+            *_, value, endpoint_subset = _probe(endpoint_expand, net, horizon)
             if (collected, subset) != (value, endpoint_subset):
                 mismatches.append((networks, horizon, "probe"))
             cost = _outcome(lambda: temporal.mincost_over_time(net, horizon).cost)

@@ -48,7 +48,7 @@ from qmct.pipeline import (
 from qmct.temporal import storage_trace
 
 ANSWERS_GOLDEN = "04f858528797c3421532510befccef96dc07338b3dee08ded1b807e2f31fd32a"
-SCHEDULES_GOLDEN = "fe3555a7c4b5ad538788bcf01cabe73a3b18bdc454e041e0b6be91f1c328cffa"
+SCHEDULES_GOLDEN = "5dd2760826c1c8960b6e4f75328c74e04ef1c06bd293cbf94ee8b5760b8e8abc"
 
 
 def _plain(value):

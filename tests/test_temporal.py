@@ -20,12 +20,13 @@ from _brute import (
 )
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2, detour_network
 from qmct import _kernel, io, temporal
+from qmct.corridors import merge_corridors
 from qmct.errors import HorizonLimitError, InfeasibleError
 from qmct.generate import generate
 from qmct.io import load_instance
 from qmct.network import Arc, Network
 from qmct.oracle import horizon_upper_bound
-from qmct.pipeline import solve_quickest, solve_quickest_mincost
+from qmct.pipeline import run_quickest_mincost, solve_quickest, solve_quickest_mincost
 from qmct.temporal import (
     ArcIntervals,
     FlowOverTime,
@@ -46,25 +47,32 @@ def test_expand_one_step_has_only_instant_arcs(demo):
     copies = {(arc, layer) for arc, layer in graph.movement}
     assert copies == {(A_S1V, 0), (A_S2V, 0), (A_VT1, 0), (A_VT2, 0)}
     assert graph.holdover_start == len(graph.movement)
-    # No holdover with a single layer; one wiring arc per terminal and one
-    # arc between each terminal's collector and its one copy.
+    # No holdover with a single layer and one wiring arc per terminal.  No
+    # arc enters a source and none leaves a sink, so each terminal's copy
+    # is its collector: v alone keeps a copy of its own.
     assert graph.wiring_start == graph.holdover_start
-    assert graph.num_arcs == graph.wiring_start + 4 + 4
-    assert graph.num_nodes == len(demo.nodes) + 4 + 2
+    assert graph.num_arcs == graph.wiring_start + 4
+    assert graph.num_nodes == 1 + 4 + 2
 
 
 def test_expand_two_steps_spans_the_slow_arc(demo):
     graph = full_numbering(demo, expand(demo, 2))
-    # The transit-1 arc enters at layer 0 and arrives at layer 1.
+    # The transit-1 arc enters at layer 0 and arrives at layer 1, the last;
+    # its ends are the collectors of s2 and t2, the second and the fourth
+    # terminal, numbered after the 2·n copies.
     slow = [
-        (graph.tails[i], graph.heads[i])
+        (graph.tails[i], graph.heads[i], layer)
         for i, (arc, layer) in enumerate(graph.movement)
         if arc == A_S2T2
     ]
     n = len(demo.nodes)
-    assert slow == [(demo.node_index("s2"), n + demo.node_index("t2"))]
+    assert slow == [(2 * n + 1, 2 * n + 3, 0)]
     instant_copies = [m for m in graph.movement if m[0] == A_S1V]
     assert instant_copies == [(A_S1V, 0), (A_S1V, 1)]
+    # v, which has arcs in and out, keeps both copies and the holdover between them.
+    v = demo.node_index("v")
+    waits = range(graph.holdover_start, graph.wiring_start)
+    assert [(graph.tails[e], graph.heads[e]) for e in waits] == [(v, n + v)]
 
 
 def test_expand_zero_horizon(demo):
@@ -83,15 +91,16 @@ def test_expand_drops_arcs_slower_than_horizon():
 
 
 def test_expand_numbers_the_copies_of_one_slow_arc_alone():
-    # Each end of the arc keeps one copy, however slow the arc, besides
-    # the two collectors and the super terminals.  The sizes come first:
-    # numbering all n·T copies would take gigabytes.
+    # Each end of the arc has one copy, however slow the arc, and it is
+    # the end's collector: the expansion has the two collectors and the
+    # super terminals alone.  The sizes come first: numbering all n·T
+    # copies would take gigabytes.
     nets = {
         tau: Network.of(["s", "t"], [("s", "t", 1, tau, 0)], {"s": 1, "t": -1})
         for tau in (1, 10**3, 10**7)
     }
     for tau, net in nets.items():
-        assert expand(net, tau + 1).num_nodes == 6, tau
+        assert expand(net, tau + 1).num_nodes == 4, tau
     tracemalloc.start()
     try:
         horizon = quickest_transshipment(nets[10**7]).horizon
@@ -124,9 +133,10 @@ def test_expand_counts_steps_of_the_time_scale():
 # and costs, so that a rewrite of ``expand`` that moves, drops or
 # rescales any arc shows up.  The first pins the full expansion of
 # ``_brute.full_expand``, the second the pruned one of ``expand``, its
-# ids mapped back to ``layer·n + v`` by ``_brute.full_numbering``.
+# ids mapped back to ``layer·n + v`` by ``_brute.full_numbering``, each
+# contracted copy to its collector.
 EXPANSION_GOLDEN = "3ab3de76d8842fe319e4eb91bbe67a0272764f0e633ba88c4e95dbba4e8ed926"
-PRUNED_EXPANSION_GOLDEN = "4c11cb5668dc02ffecf6031886609e8741ef6007391249aaf63cef93469b6254"
+PRUNED_EXPANSION_GOLDEN = "72fd6772e9d1e7dacf9282a0d6b1cb4b346223e2c01262c21aaaa393d4eaeb94"
 
 
 def _expansion_instances():
@@ -194,14 +204,19 @@ def test_expansion_size_bound(demo):
         assert graph.num_arcs <= (m + n + k) * (horizon + 1)
 
 
+def _chain(monkeypatch) -> Network:
+    """The chain-horizon workload's 12-node chain with supply 3200 (H = 3221)."""
+    monkeypatch.syspath_prepend(str(INSTANCES.parent / "perfbench"))
+    return io.network_from_doc(importlib.import_module("workloads").chain_doc(3200, 0))
+
+
 def test_pushed_paths_do_not_walk_the_horizon(monkeypatch):
     """Flow enters and leaves the expansion at any layer through the
     collectors, so no augmenting path waits along a holdover chain: on
-    the chain-horizon workload's 12-node chain with supply 3200 (H =
-    3221), every path the solve pushes along has at most n + 3 = 15 edges,
+    the chain, every path the solve pushes along has at most 3 edges,
+    super source → source's collector → sink's collector → super sink,
     where wiring at layers 0 and T − 1 alone made paths of 3,212."""
-    monkeypatch.syspath_prepend(str(INSTANCES.parent / "perfbench"))
-    network = io.network_from_doc(importlib.import_module("workloads").chain_doc(3200, 0))
+    network = _chain(monkeypatch)
     lengths = []
     push = _kernel._push_bottleneck
 
@@ -211,7 +226,20 @@ def test_pushed_paths_do_not_walk_the_horizon(monkeypatch):
 
     monkeypatch.setattr(_kernel, "_push_bottleneck", recording)
     assert solve_quickest_mincost(network).horizon == 3221
-    assert lengths and max(lengths) <= len(network.nodes) + 3 == 15
+    assert lengths and max(lengths) == 3
+
+
+def test_the_merged_chain_probes_one_collector_pair(monkeypatch):
+    """The chain's admissible arcs merge into one arc of transit τ between
+    a source that no arc enters and a sink that no arc leaves, so its
+    probe at H is the two collectors, the super terminals, the arc's
+    H − τ copies and the two wiring arcs."""
+    run = run_quickest_mincost(_chain(monkeypatch))
+    merged = merge_corridors(run.restricted).network
+    (tau,) = merged.integral.transits
+    graph = expand(merged, run.quickest.horizon)
+    assert (graph.num_nodes, graph.num_arcs) == (4, 3221 - tau + 2)
+    assert len(graph.movement) == 3221 - tau
 
 
 def test_quickest_guards_each_probe_before_expanding(monkeypatch):
@@ -481,7 +509,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 # for the bundled instances and 20 generated ones (half of them with
 # negative costs), so that a change to the schedule simulator that shifts
 # any held amount at any step shows up.
-STORAGE_GOLDEN = "45ccfd7dca39836694aeecb28d74fa9a95e30e404545a06f5b16069762504ba8"
+STORAGE_GOLDEN = "fddb67e96a2bacea7877b4ec839d40477172e44384598601e4d3dfc240a05095"
 
 
 def _storage_instances():
