@@ -158,7 +158,7 @@ def test_expand_numbers_only_the_ends_of_its_arcs():
     assert checked == 1020 * 13
 
 
-def _probe(build, net: Network, horizon: int):
+def _max_flow(build, net: Network, horizon: int):
     """The max flow on ``build``'s expansion: the graph, every arc's flow,
     the value and the violated subset, read at feasible horizons too."""
     graph = build(net, horizon)
@@ -166,6 +166,14 @@ def _probe(build, net: Network, horizon: int):
     value = _kernel.max_flow(g, graph.super_source, graph.super_sink)
     reachable = _kernel.residual_reachable(g, graph.super_source)
     return graph, g.rem[1::2], value, temporal._violated_subset(net, graph, reachable)
+
+
+def _probe(build, net: Network, horizon: int):
+    graph = build(net, horizon)
+    # A need above the supply asks for the residual cut at feasible horizons too.
+    value, flows, reachable = temporal._solve_max(graph, net.integral.supply + 1)
+    moved = {copy: f for copy, f in zip(graph.movement, flows) if f}
+    return value, moved, temporal._violated_subset(net, graph, reachable)
 
 
 def _outcome(compute):
@@ -211,8 +219,8 @@ def test_pruned_expansion_answers_as_the_full_one(kind):
         early, late = temporal._least_transits(net)
         sources = [v for v, b in enumerate(form.balances) if b > 0]
         for horizon, cost in zip(scan, costs):
-            graph, flows, value, subset = _probe(temporal.expand, net, horizon)
-            full, full_flows, full_value, full_subset = _probe(lean_expand, net, horizon)
+            graph, flows, value, subset = _max_flow(temporal.expand, net, horizon)
+            full, full_flows, full_value, full_subset = _max_flow(lean_expand, net, horizon)
             if (value, subset) != (full_value, full_subset):
                 mismatches.append((networks, horizon, "probe"))
             lifted_graph, lifted = lift_flow(net, graph, flows)
@@ -250,8 +258,8 @@ def test_collectors_answer_as_the_endpoint_wiring(kind):
     for net in KINDS[kind]():
         quickest = temporal.quickest_transshipment(net).horizon
         for horizon in range(1, quickest + 4):
-            *_, collected, subset = _probe(temporal.expand, net, horizon)
-            *_, value, endpoint_subset = _probe(endpoint_expand, net, horizon)
+            collected, _, subset = _probe(temporal.expand, net, horizon)
+            value, _, endpoint_subset = _probe(endpoint_expand, net, horizon)
             if (collected, subset) != (value, endpoint_subset):
                 mismatches.append((networks, horizon, "probe"))
             cost = _outcome(lambda: temporal.mincost_over_time(net, horizon).cost)
