@@ -220,7 +220,7 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     ids = dict(zip(kept, range(len(kept))))
     # Terminal j's collector is node ``len(kept) + j``, also its copies outside ``through``.
     terminals = [(v, b) for v, b in enumerate(form.balances) if b] if horizon else []
-    for collector, (v, b) in enumerate(terminals, len(kept)):
+    for collector, (v, _) in enumerate(terminals, len(kept)):
         if v not in through:
             ids.update(dict.fromkeys(spans[v], collector))
     # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.

@@ -539,10 +539,11 @@ def contract(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGraph:
     terminals = [v for v, b in enumerate(form.balances) if b and horizon]
     collector = {v: copies + j for j, v in enumerate(terminals) if v not in through}
 
-    def merged(node: int) -> int:
+    def into_collector(node: int) -> int:
         return collector.get(node % n, node) if node < copies else node
 
-    tails, heads = [merged(v) for v in graph.tails], [merged(v) for v in graph.heads]
+    tails = [into_collector(v) for v in graph.tails]
+    heads = [into_collector(v) for v in graph.heads]
     contracted = replace(graph, tails=tuple(tails), heads=tuple(heads))
     return keep_arcs(contracted, [u != w for u, w in zip(tails, heads)])
 
