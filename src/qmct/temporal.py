@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import AbstractSet, Sequence
 
 from . import _kernel
@@ -46,15 +46,16 @@ class TimeExpandedGraph:
     """Static expansion of a network over an integer horizon.
 
     The nodes are the kept copies ``(v, layer)`` of the nodes with
-    holdovers, numbered in the order of ``layer·n + v``, then the
+    holdovers, node by node and each node's by layer, then the
     terminals' collectors in node order, each also every copy of a
     terminal without holdovers, then the super source and super sink;
     only :func:`expand` knows which copy an index is.  Arc order is
-    movement copies first (aligned with ``movement``), then the kept
-    holdover arcs from ``holdover_start``, then from ``wiring_start`` each
-    terminal's arc between its collector and a super terminal, in node
-    order, then the arcs between the collectors and the other copies;
-    the properties derive from the stored fields.
+    movement copies first (aligned with ``movement``), arc by arc and
+    each arc's by layer, then the kept holdover arcs from
+    ``holdover_start``, node by node and each node's by layer, then from
+    ``wiring_start`` each terminal's arc between its collector and a
+    super terminal, in node order, then the arcs between the collectors
+    and the other copies; the properties derive from the stored fields.
     Capacities and costs are integers at the scales of the network's
     :attr:`~Network.integral` form, the one owner of scales and supply.
     """
@@ -183,9 +184,12 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     the kept copies, those with ``e(v) <= q <= T − 1 − ℓ(v)``, and the
     kept arcs but the wiring are, before the contraction, exactly those
     on some super source → super sink path of the full expansion, which
-    has every copy and the same holdovers.  The copies with holdovers get
-    ids in the order of ``q·n + v``, then come the collectors in node
-    order, then the super source and super sink.
+    has every copy and the same holdovers.  The copies of each node, and
+    those of each arc, are one run of layers, so ids are arithmetic: the
+    copies with holdovers are numbered node by node, ``(v, q)`` as
+    ``base[v] + q``, then come the collectors in node order, then the
+    super source and super sink; the movement copies come arc by arc and
+    the holdovers node by node, each run by layer.
 
     Nothing a caller reads changes but which max flow Dinic
     (:func:`_kernel.max_flow`) returns, and so the schedule: its levels
@@ -207,61 +211,54 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     form = network.integral
-    transits, arc_tails = form.transits, form.tails
-    caps_int, costs_int = form.capacities, form.costs
     n = len(network.nodes)
     # No path counts as ∞; the horizon is far enough to keep no copy.
     early, late = ([horizon if d is None else d for d in ds] for ds in _least_transits(network))
-    # Node v has copies at layers e(v) .. T − 1 − ℓ(v), keyed ``layer·n + v``;
-    # those of a node with arcs in and out get ids in key order.
-    spans = [range(early[v] * n + v, (horizon - late[v]) * n, n) for v in range(n)]
-    through = set(arc_tails) & set(form.heads)
-    kept = sorted(chain.from_iterable(spans[v] for v in through))
-    ids = dict(zip(kept, range(len(kept))))
-    # Terminal j's collector is node ``len(kept) + j``, also its copies outside ``through``.
+    # Node v has copies at layers e(v) .. T − 1 − ℓ(v); those of a node with
+    # arcs in and out are numbered node by node, copy (v, q) as ``base[v] + q``.
+    through = set(form.tails) & set(form.heads)
+    base, count = [0] * n, 0
+    for v in sorted(through):
+        base[v] = count - early[v]
+        count += max(horizon - late[v] - early[v], 0)
+    # Terminal j's collector is node ``count + j``, also its copies outside ``through``.
     terminals = [(v, b) for v, b in enumerate(form.balances) if b] if horizon else []
-    for collector, (v, _) in enumerate(terminals, len(kept)):
-        if v not in through:
-            ids.update(dict.fromkeys(spans[v], collector))
-    # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
-    head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
+    collector = {v: c for c, (v, _) in enumerate(terminals, count) if v not in through}
 
-    # Copy ``(layer, i)`` of arc i is kept for starts[i] <= layer < stops[i],
-    # sorted layer by layer, arcs in order, as the key ``layer·m + i``.
-    m = len(arc_tails)
-    starts = [early[u] for u in arc_tails]
-    stops = [horizon - tau - late[w] for tau, w in zip(transits, form.heads)]
-    keys = sorted(
-        layer * m + i for i, (a, b) in enumerate(zip(starts, stops)) for layer in range(a, b)
-    )
-    copies = [divmod(key, m) for key in keys]
-    tails = [ids[layer * n + arc_tails[i]] for layer, i in copies]
-    heads = [ids[layer * n + head_shift[i]] for layer, i in copies]
-    caps: list[int | None] = [caps_int[i] for _, i in copies]
-    costs = [costs_int[i] for _, i in copies]
-    movement = [(i, layer) for layer, i in copies]
-    # Holdover ``(v, q) → (v, q+1)`` wherever v keeps holdovers and both copies, by its tail.
-    waits = sorted(chain.from_iterable(spans[v][:-1] for v in through))
-    tails += [ids[key] for key in waits]
-    heads += [ids[key + n] for key in waits]
-    caps += [None] * len(waits)
-    costs += [0] * len(waits)
+    def run(v: int, first: int, stop: int) -> Sequence[int]:
+        """The ids of v's copies at layers ``first .. stop − 1``, none if stop <= first."""
+        if v in collector:
+            return [collector[v]] * (stop - first)
+        return range(base[v] + first, base[v] + stop)
 
-    super_source = len(kept) + len(terminals)
+    # Arc i = (u, w) keeps its copies at layers e(u) .. T − τ − ℓ(w) − 1, arc by arc.
+    tails: list[int] = []
+    heads: list[int] = []
+    movement: list[tuple[int, int]] = []
+    for i, (u, w, tau) in enumerate(zip(form.tails, form.heads, form.transits)):
+        first, stop = early[u], horizon - tau - late[w]
+        tails += run(u, first, stop)
+        heads += run(w, first + tau, stop + tau)
+        movement += [(i, q) for q in range(first, stop)]
+    caps: list[int | None] = [form.capacities[i] for i, _ in movement]
+    costs = [form.costs[i] for i, _ in movement]
+    # Holdover ``(v, q) → (v, q+1)`` wherever v keeps holdovers and both copies, node by node.
+    for v in sorted(through):
+        copies = run(v, early[v], horizon - late[v])
+        tails += copies[:-1]
+        heads += copies[1:]
+
+    super_source = count + len(terminals)
     super_sink = super_source + 1
     wiring_start = len(tails)
-    for collector, (v, b) in enumerate(terminals, len(kept)):
-        tails.append(super_source if b > 0 else collector)
-        heads.append(collector if b > 0 else super_sink)
-        caps.append(abs(b))
-    for collector, (v, b) in enumerate(terminals, len(kept)):
-        ends = [ids[key] for key in spans[v]] if v in through else []
-        if b > 0:
-            tails += [collector] * len(ends)
-            heads += ends
-        else:
-            tails += ends
-            heads += [collector] * len(ends)
+    caps += [None] * (wiring_start - len(caps)) + [abs(b) for _, b in terminals]
+    for c, (_, b) in enumerate(terminals, count):
+        tails.append(super_source if b > 0 else c)
+        heads.append(c if b > 0 else super_sink)
+    for c, (v, b) in enumerate(terminals, count):
+        ends = run(v, early[v], horizon - late[v]) if v in through else []
+        tails += [c] * len(ends) if b > 0 else ends
+        heads += ends if b > 0 else [c] * len(ends)
     caps += [None] * (len(tails) - len(caps))
     costs += [0] * (len(tails) - len(costs))
 
@@ -280,7 +277,7 @@ def expand(network: Network, horizon: int) -> TimeExpandedGraph:
 def _schedule_from_movement(
     graph: TimeExpandedGraph, movement_flows: Sequence[int], flow_scale: int
 ) -> FlowOverTime:
-    # Runs [start, end, flow] per arc; movement copies come layer by layer.
+    # Runs [start, end, flow] per arc; each arc's movement copies come by layer.
     runs: dict[int, list[list[int]]] = {}
     for (arc, layer), raw in zip(graph.movement, movement_flows):
         if raw:

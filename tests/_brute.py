@@ -41,16 +41,21 @@ the copies on some super source → super sink path, with the copies of
 a terminal without holdovers contracted into its collector;
 :func:`expansion_max_flow`, :func:`expansion_search` and
 :func:`subset_expansion_flow` build it, so that they do not rest on the
-pruning.  :func:`full_numbering` maps the pruned expansion's consecutive
-ids back to the full one's ``layer·n + v``, so that the two compare, and
-:func:`contract` contracts a full one as ``expand`` does;
-:func:`lift_flow` lifts a flow of the pruned expansion onto
-:func:`lean_expand`, the full one without the holdovers ``expand``
+pruning.  It numbers copy ``(v, layer)`` as ``layer·n + v`` and lists
+its movement copies and holdovers layer by layer, where ``expand``
+numbers its copies node by node and lists its movement copies arc by
+arc and its holdovers node by node.  :func:`full_numbering` maps the
+pruned expansion's ids back to the full one's ``layer·n + v`` and
+:func:`expand_order` puts a full one's arcs in ``expand``'s order, so
+that the two compare, and :func:`contract` contracts a full one as
+``expand`` does; :func:`lift_flow` lifts a flow of the pruned expansion
+onto :func:`lean_expand`, the full one without the holdovers ``expand``
 leaves out, where :func:`check_flow` checks it.
 :func:`endpoint_expand` is the full expansion as it was wired before
 each terminal had a collector: supplies enter at layer 0 and demands
 leave at layer T − 1, so that flow walks the holdover chains; it is the
-reference the collectors answer as.
+reference the collectors answer as.  Both full expansions share one
+core of movement copies and holdovers (:func:`_layered_expand`).
 
 :func:`scale_transits` is the reference for counting time in steps of
 ``1/time_scale``: it builds a second network whose transits are the
@@ -415,17 +420,14 @@ def pair_count_horizon_bound(network: Network) -> int:
     return -(-total // u_min) + pairs * (len(network.nodes) - 1) * tau_max
 
 
-def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
-    """The full time expansion for an integer horizon: every movement
-    copy that arrives by the horizon, every holdover and every arc
-    between a terminal's collector and its copies, in the arc order of
-    :func:`qmct.temporal.expand`, which keeps only the copies on some
-    super source → super sink path of :func:`lean_expand`, this one
-    without the holdovers at nodes that no arc enters or no arc leaves,
-    and contracts them as :func:`contract` does.
-    Copy ``(v, layer)`` is node ``layer·n + v``, the numbering
-    :func:`full_numbering` maps back to, and terminal j's collector is
-    node ``n·T + j``."""
+def _layered_expand(
+    network: Network, horizon: int, extra_nodes: int, wiring: list[tuple[int, int, int | None]]
+) -> TimeExpandedGraph:
+    """The core of :func:`full_expand` and :func:`endpoint_expand`: every
+    movement copy that arrives by the horizon, layer by layer, then every
+    holdover, copy ``(v, layer)`` being node ``layer·n + v``, then from
+    ``wiring_start`` the ``(tail, head, capacity)`` arcs of ``wiring`` at
+    cost 0, on ``n·T + extra_nodes`` nodes."""
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     form = network.integral
@@ -458,36 +460,16 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
     caps.extend([None] * waits)
     costs.extend([0] * waits)
 
-    terminals = [(v, b) for v, b in enumerate(form.balances) if b] if horizon else []
-    super_source = n * horizon + len(terminals)
-    super_sink = super_source + 1
     wiring_start = len(tails)
-    for j, (v, b) in enumerate(terminals):
-        collector = n * horizon + j
-        if b > 0:
-            tails.append(super_source)
-            heads.append(collector)
-            caps.append(b)
-        else:
-            tails.append(collector)
-            heads.append(super_sink)
-            caps.append(-b)
+    for tail, head, cap in wiring:
+        tails.append(tail)
+        heads.append(head)
+        caps.append(cap)
         costs.append(0)
-    for j, (v, b) in enumerate(terminals):
-        collector = n * horizon + j
-        for layer in range(horizon):
-            if b > 0:
-                tails.append(collector)
-                heads.append(layer * n + v)
-            else:
-                tails.append(layer * n + v)
-                heads.append(collector)
-            caps.append(None)
-            costs.append(0)
 
     return TimeExpandedGraph(
         horizon=horizon,
-        num_nodes=super_sink + 1,
+        num_nodes=n * horizon + extra_nodes,
         tails=tuple(tails),
         heads=tuple(heads),
         capacities=tuple(caps),
@@ -495,6 +477,35 @@ def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
         movement=tuple(movement),
         wiring_start=wiring_start,
     )
+
+
+def full_expand(network: Network, horizon: int) -> TimeExpandedGraph:
+    """The full time expansion for an integer horizon: every movement
+    copy that arrives by the horizon, every holdover and every arc
+    between a terminal's collector and its copies, which
+    :func:`qmct.temporal.expand` prunes to the copies on some super
+    source → super sink path of :func:`lean_expand`, this one without
+    the holdovers at nodes that no arc enters or no arc leaves, and
+    contracts as :func:`contract` does.  Its wiring is in ``expand``'s
+    order, its movement copies and holdovers layer by layer, which
+    :func:`expand_order` puts in ``expand``'s.
+    Copy ``(v, layer)`` is node ``layer·n + v``, the numbering
+    :func:`full_numbering` maps back to, and terminal j's collector is
+    node ``n·T + j``."""
+    form, n = network.integral, len(network.nodes)
+    terminals = [(v, b) for v, b in enumerate(form.balances) if b] if horizon else []
+    super_source = n * horizon + len(terminals)
+    super_sink = super_source + 1
+    wiring: list[tuple[int, int, int | None]] = []
+    for j, (_, b) in enumerate(terminals):
+        collector = n * horizon + j
+        wiring.append((super_source, collector, b) if b > 0 else (collector, super_sink, -b))
+    for j, (v, b) in enumerate(terminals):
+        collector = n * horizon + j
+        for layer in range(horizon):
+            copy = layer * n + v
+            wiring.append((collector, copy, None) if b > 0 else (copy, collector, None))
+    return _layered_expand(network, horizon, len(terminals) + 2, wiring)
 
 
 def kept_waits(network: Network, graph: TimeExpandedGraph) -> list[bool]:
@@ -555,63 +566,38 @@ def endpoint_expand(network: Network, horizon: int) -> TimeExpandedGraph:
     into the super sink, with no collectors.  It is the reference that
     the collectors of :func:`full_expand` answer as.  Copy ``(v, layer)``
     is node ``layer·n + v``."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
-    form = network.integral
-    transits, arc_tails = form.transits, form.tails
-    caps_int, costs_int = form.capacities, form.costs
     n = len(network.nodes)
-    # Head copy relative to the tail's layer: ``layer * n + head_shift[i]``.
-    head_shift = [tau * n + v for tau, v in zip(transits, form.heads)]
-
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int | None] = []
-    costs: list[int] = []
-    movement: list[tuple[int, int]] = []
-
-    last_layer = horizon - 1
-    arc_range = range(len(network.arcs))
-    for layer in range(horizon):
-        offset = layer * n
-        slack = last_layer - layer
-        live = [i for i in arc_range if transits[i] <= slack]
-        tails.extend([offset + arc_tails[i] for i in live])
-        heads.extend([offset + head_shift[i] for i in live])
-        caps.extend([caps_int[i] for i in live])
-        costs.extend([costs_int[i] for i in live])
-        movement.extend([(i, layer) for i in live])
-    waits = max(horizon - 1, 0) * n
-    tails.extend(range(waits))
-    heads.extend(range(n, n + waits))
-    caps.extend([None] * waits)
-    costs.extend([0] * waits)
-
-    super_source = n * horizon
-    super_sink = super_source + 1
-    wiring_start = len(tails)
+    super_source, super_sink = n * horizon, n * horizon + 1
+    wiring: list[tuple[int, int, int | None]] = []
     if horizon > 0:
-        for v, b in enumerate(form.balances):
+        for v, b in enumerate(network.integral.balances):
             if b > 0:
-                tails.append(super_source)
-                heads.append(v)
-                caps.append(b)
-                costs.append(0)
+                wiring.append((super_source, v, b))
             elif b < 0:
-                tails.append(last_layer * n + v)
-                heads.append(super_sink)
-                caps.append(-b)
-                costs.append(0)
+                wiring.append(((horizon - 1) * n + v, super_sink, -b))
+    return _layered_expand(network, horizon, 2, wiring)
 
-    return TimeExpandedGraph(
-        horizon=horizon,
-        num_nodes=super_sink + 1,
-        tails=tuple(tails),
-        heads=tuple(heads),
-        capacities=tuple(caps),
-        costs=tuple(costs),
-        movement=tuple(movement),
-        wiring_start=wiring_start,
+
+def expand_order(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGraph:
+    """``graph``, numbered as :func:`full_expand` numbers it, with its
+    movement copies and holdovers in the order of
+    :func:`qmct.temporal.expand`: movement copies arc by arc, each arc's
+    by layer, then holdovers node by node, each node's by layer; the
+    wiring keeps its place."""
+    n = len(network.nodes)
+    moves = sorted(range(graph.holdover_start), key=graph.movement.__getitem__)
+    waits = sorted(
+        range(graph.holdover_start, graph.wiring_start),
+        key=lambda e: (graph.tails[e] % n, graph.tails[e]),
+    )
+    order = [*moves, *waits, *range(graph.wiring_start, graph.num_arcs)]
+    return replace(
+        graph,
+        movement=tuple(graph.movement[e] for e in moves),
+        tails=tuple(graph.tails[e] for e in order),
+        heads=tuple(graph.heads[e] for e in order),
+        capacities=tuple(graph.capacities[e] for e in order),
+        costs=tuple(graph.costs[e] for e in order),
     )
 
 
@@ -649,8 +635,8 @@ def full_numbering(network: Network, graph: TimeExpandedGraph) -> TimeExpandedGr
                 assert full[node] == collectors.get(v), (e, node, v)
             else:
                 put(node, q * n + v)
-    # Holdovers come by their tail's full id, so a chain's tail is mapped
-    # before the holdover that leaves it.
+    # Holdovers come node by node, each node's by layer, so a chain's tail
+    # is mapped before the holdover that leaves it.
     for e in range(graph.holdover_start, graph.wiring_start):
         put(graph.heads[e], full[graph.tails[e]] + n)
     for e in range(collect_start, graph.num_arcs):

@@ -48,7 +48,7 @@ from qmct.pipeline import (
 from qmct.temporal import storage_trace
 
 ANSWERS_GOLDEN = "04f858528797c3421532510befccef96dc07338b3dee08ded1b807e2f31fd32a"
-SCHEDULES_GOLDEN = "5dd2760826c1c8960b6e4f75328c74e04ef1c06bd293cbf94ee8b5760b8e8abc"
+SCHEDULES_GOLDEN = "1bbdfd71d3e373a47a2017470d1ec88bd9043a5765967a5df78deeaefaac5463"
 
 
 def _plain(value):

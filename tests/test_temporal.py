@@ -16,7 +16,10 @@ from _brute import (
     full_numbering,
     movement_rates,
     pair_count_horizon_bound,
+    reported_flow,
     scale_transits,
+    schedule_rates,
+    unfolded_rates,
 )
 from conftest import A_S1V, A_S2T2, A_S2V, A_VT1, A_VT2, detour_network
 from qmct import _kernel, io, temporal
@@ -136,7 +139,7 @@ def test_expand_counts_steps_of_the_time_scale():
 # ids mapped back to ``layer·n + v`` by ``_brute.full_numbering``, each
 # contracted copy to its collector.
 EXPANSION_GOLDEN = "3ab3de76d8842fe319e4eb91bbe67a0272764f0e633ba88c4e95dbba4e8ed926"
-PRUNED_EXPANSION_GOLDEN = "72fd6772e9d1e7dacf9282a0d6b1cb4b346223e2c01262c21aaaa393d4eaeb94"
+PRUNED_EXPANSION_GOLDEN = "23b1ba4b445865a64905a7734af2ae82c23a9990021b424450f777341d0cbf7d"
 
 
 def _expansion_instances():
@@ -421,15 +424,21 @@ def test_extracted_quickest_schedule_verifies(demo):
 
 
 def test_schedules_verify_across_generated_instances():
+    merged = 0
     for seed in range(25):
         net = generate(seed, nodes=6, terminals=3)
         result = quickest_transshipment(net)
         report = verify_schedule(net, result.schedule)
         assert report.ok, (seed, report.violations)
-        # The cost of the expansion's max flow, which the schedule reads back.
-        graph, flows, _value = expansion_max_flow(net, result.horizon)
-        rates = movement_rates(graph, flows, net.integral.flow_scale)
+        # The schedule is the search's own max flow, unfolded, and costs what it does.
+        corridors = merge_corridors(net)
+        graph, flows, value = reported_flow(corridors.network, result.horizon)
+        assert value == net.integral.supply, seed
+        rates = unfolded_rates(corridors, graph, flows)
+        assert rates == schedule_rates(result.schedule), seed
         assert report.cost == sum(net.arcs[arc].cost * rate for (arc, _), rate in rates.items())
+        merged += corridors.network is not net
+    assert merged == 8
 
 
 def test_overloaded_rate_is_flagged(demo):
